@@ -30,10 +30,10 @@ from .gpt import (
     RestrictedClassical,
     State,
     Theory,
+    check_states,
     coords_to_density,
     density_to_coords,
     observed_dimension,
-    validate_state,
 )
 
 VIOLATION_TOL = 1e-9
@@ -64,7 +64,10 @@ class CorrelatedEnsemble:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "register_alphabets", tuple(self.register_alphabets))
-        coords = np.array([e.state.coords for e in self.entries])
+        try:
+            coords = np.array([e.state.coords for e in self.entries])
+        except ValueError as exc:  # ragged rows
+            raise ValueError("ensemble states differ in dimension") from exc
         probs = np.array([max(e.probability, 0.0) for e in self.entries])
         regs = np.array([e.registers for e in self.entries], dtype=int)
         coords.setflags(write=False)
@@ -78,6 +81,12 @@ class CorrelatedEnsemble:
     def n_registers(self) -> int:
         return len(self.register_alphabets)
 
+    def register_index(self, registers: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Each entry's values on ``registers`` as one row-major flat index,
+        and the shape of the joint alphabet they index."""
+        shape = tuple(self.register_alphabets[r] for r in registers)
+        return np.ravel_multi_index(self._registers[:, list(registers)].T, shape), shape
+
 
 def build_ensemble(
     theory: Theory,
@@ -85,7 +94,11 @@ def build_ensemble(
     register_alphabets: Sequence[int] | None = None,
     validate: bool = True,
 ) -> CorrelatedEnsemble:
-    """Assemble and check an ensemble; alphabets default to max value + 1."""
+    """Assemble and check an ensemble; alphabets default to max value + 1.
+
+    Register values and, with ``validate``, state membership are checked on
+    the ensemble's arrays; an error reports the first entry at fault.
+    """
     norm_entries = []
     for item in entries:
         if isinstance(item, EnsembleEntry):
@@ -109,15 +122,19 @@ def build_ensemble(
             max(e.registers[i] for e in norm_entries) + 1 for i in range(n_regs)
         )
     register_alphabets = tuple(int(a) for a in register_alphabets)
-    for e in norm_entries:
-        for i, val in enumerate(e.registers):
-            if not 0 <= val < register_alphabets[i]:
-                raise ValueError(f"register value {val} outside alphabet {register_alphabets[i]}")
-        if validate:
-            ok = validate_state(theory, e.state)
-            if not ok:
-                raise ValueError(f"invalid state in ensemble: {ok.detail}")
-    return CorrelatedEnsemble(theory, tuple(norm_entries), register_alphabets)
+    if len(register_alphabets) != n_regs:
+        raise ValueError(f"{len(register_alphabets)} alphabets for {n_regs} registers")
+    ensemble = CorrelatedEnsemble(theory, tuple(norm_entries), register_alphabets)
+    regs = ensemble._registers
+    outside = (regs < 0) | (regs >= np.array(register_alphabets))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(f"register value {regs[i, j]} outside alphabet {register_alphabets[j]}")
+    if validate:
+        _, ok = check_states(theory, ensemble._coords)
+        if not ok:
+            raise ValueError(f"invalid state in ensemble: {ok.detail}")
+    return ensemble
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +161,7 @@ class ObservableAssignment:
 
 
 def _effect_values(ensemble: CorrelatedEnsemble, measurement: Measurement) -> np.ndarray:
-    E = np.array([e.coords for e in measurement.effects])
-    vals = E @ ensemble._coords.T
+    vals = measurement.effect_matrix @ ensemble._coords.T
     lo, hi = vals.min(), vals.max()
     if lo < -MEMBERSHIP_TOL or hi > 1.0 + MEMBERSHIP_TOL:
         raise ValueError(f"effect value outside [0, 1]: range ({lo!r}, {hi!r})")
@@ -158,18 +174,17 @@ def _effect_values(ensemble: CorrelatedEnsemble, measurement: Measurement) -> np
 def joint_outcome_table(
     ensemble: CorrelatedEnsemble, measurement: Measurement, register: int
 ) -> info.JointTable:
-    """Joint distribution p(x, a) of outcome x against register value a."""
+    """Joint distribution p(x, a) of outcome x against register value a.
+
+    One product: the weighted outcome probabilities (outcomes x entries)
+    times the entries' one-hot register values (entries x alphabet). The
+    table is checked as a distribution, so a measurement whose effects do
+    not sum to the unit raises ValueError.
+    """
     if not 0 <= register < ensemble.n_registers:
         raise ValueError(f"no register {register} in ensemble")
-    vals = _effect_values(ensemble, measurement)
-    weighted = vals * ensemble._probs
-    alphabet = ensemble.register_alphabets[register]
-    table = np.zeros((len(measurement.effects), alphabet))
-    reg_vals = ensemble._registers[:, register]
-    for a in range(alphabet):
-        cols = reg_vals == a
-        if cols.any():
-            table[:, a] = weighted[:, cols].sum(axis=1)
+    index, (alphabet,) = ensemble.register_index((register,))
+    table = (_effect_values(ensemble, measurement) * ensemble._probs) @ np.eye(alphabet)[index]
     out_name = measurement.label or "X"
     reg_name = register_name(register)
     if out_name == reg_name:
@@ -180,13 +195,11 @@ def joint_outcome_table(
 def register_marginal(
     ensemble: CorrelatedEnsemble, registers: Sequence[int] | None = None
 ) -> info.JointTable:
+    """Joint distribution of the given registers (all by default)."""
     regs = tuple(registers) if registers is not None else tuple(range(ensemble.n_registers))
-    shape = tuple(ensemble.register_alphabets[r] for r in regs)
-    table = np.zeros(shape)
-    for e, p in zip(ensemble.entries, ensemble._probs):
-        idx = tuple(e.registers[r] for r in regs)
-        table[idx] += p
-    return info.JointTable(tuple(register_name(r) for r in regs), table)
+    index, shape = ensemble.register_index(regs)
+    table = np.bincount(index, weights=ensemble._probs, minlength=math.prod(shape))
+    return info.JointTable(tuple(register_name(r) for r in regs), table.reshape(shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,14 +229,17 @@ class ICPReport:
 
 
 def evaluate_icp(ensemble: CorrelatedEnsemble, assignment: ObservableAssignment) -> ICPReport:
-    """Evaluate sum_i I(X_i:A_i) - I(A_1:...:A_n) against log2(d)."""
+    """Evaluate sum_i I(X_i:A_i) - I(A_1:...:A_n) against log2(d).
+
+    Each gain is the total correlation of a two-axis outcome table, and the
+    redundancy that of the register marginal, both taken on the bare arrays.
+    """
     gains = []
     for measurement, reg in assignment.pairs:
         table = joint_outcome_table(ensemble, measurement, reg)
-        mi = info.mutual_information(table, *table.register_names)
-        gains.append(max(mi, 0.0))
+        gains.append(max(info._total_correlation(table.probs), 0.0))
     marginal = register_marginal(ensemble, assignment.registers)
-    redundancy = max(info.multivariate_mutual_information(marginal), 0.0)
+    redundancy = max(info._total_correlation(marginal.probs), 0.0)
     extractable = sum(gains) - redundancy
     dim_report = observed_dimension(ensemble.theory)
     bound = math.log2(dim_report.d)
@@ -269,7 +285,7 @@ class _StateFamily:
         v = theory.variant
         if isinstance(v, Polytope):
             self.kind = "polytope"
-            self.vertex_coords = np.array([s.coords for s in v.vertices])
+            self.vertex_coords = v.vertex_matrix
             self.n_params = len(v.vertices)
             self.bounds = (0.0, 1.0)
         elif isinstance(v, RestrictedClassical):

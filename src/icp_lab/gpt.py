@@ -25,12 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .info import PROB_TOL
+
 MEMBERSHIP_TOL = 1e-9
-PROB_TOL = 1e-12
 DISTINGUISH_TOL = 1e-9
 
 
@@ -38,6 +40,12 @@ def _frozen_vector(coords) -> np.ndarray:
     arr = np.array(coords, dtype=float)
     if arr.ndim != 1:
         raise ValueError("coordinates must be a flat vector")
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen_rows(vectors: Iterable[np.ndarray]) -> np.ndarray:
+    arr = np.array(list(vectors), dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -84,6 +92,11 @@ class Measurement:
     def __len__(self) -> int:
         return len(self.effects)
 
+    @cached_property
+    def effect_matrix(self) -> np.ndarray:
+        """Effect coordinates, one row per outcome (read-only)."""
+        return _frozen_rows(e.coords for e in self.effects)
+
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
@@ -98,6 +111,31 @@ class Polytope:
         for i, j in itertools.combinations(range(len(coords)), 2):
             if np.max(np.abs(coords[i] - coords[j])) <= 1e-12:
                 raise ValueError(f"vertices {i + 1} and {j + 1} coincide")
+
+    @cached_property
+    def vertex_matrix(self) -> np.ndarray:
+        """Vertex coordinates, one row per vertex (read-only)."""
+        return _frozen_rows(s.coords for s in self.vertices)
+
+    @cached_property
+    def bounding_matrix(self) -> np.ndarray:
+        """Coordinates of the extreme effects and, in the last row, the unit."""
+        return _frozen_rows(e.coords for e in (*self.extreme_effects, self.unit))
+
+    @cached_property
+    def affine_dimension(self) -> int:
+        coords = self.vertex_matrix
+        if len(coords) == 1:
+            return 0
+        return int(np.linalg.matrix_rank(coords[1:] - coords[0], tol=1e-9))
+
+    @cached_property
+    def barycentric_map(self) -> np.ndarray:
+        """Pseudo-inverse of the vertex matrix (one column per vertex) with a
+        row of ones appended; it maps (coords, 1) to barycentric weights when
+        the vertices are affinely independent."""
+        verts = self.vertex_matrix
+        return np.linalg.pinv(np.vstack([verts.T, np.ones(len(verts))]))
 
 
 @dataclass(frozen=True)
@@ -150,6 +188,10 @@ class Theory:
         except KeyError as exc:
             raise KeyError(f"theory {self.theory_id!r} has no measurement {name!r}") from exc
 
+    @cached_property
+    def _dimension_key(self) -> tuple:
+        return _dimension_cache_key(self)
+
 
 def ambient_dimension(theory: Theory) -> int:
     v = theory.variant
@@ -166,10 +208,7 @@ def state_space_dimension(theory: Theory) -> int:
     """Affine dimension of the state space (3 for a gbit, d^2-1 for quantum)."""
     v = theory.variant
     if isinstance(v, Polytope):
-        coords = np.array([s.coords for s in v.vertices])
-        if len(coords) == 1:
-            return 0
-        return int(np.linalg.matrix_rank(coords[1:] - coords[0], tol=1e-9))
+        return v.affine_dimension
     if isinstance(v, NormConstraint):
         return v.k
     if isinstance(v, RestrictedClassical):
@@ -196,18 +235,22 @@ def density_to_coords(matrix) -> np.ndarray:
     """Flatten a Hermitian matrix to (Re entries, Im entries).
 
     The Euclidean dot product of two such vectors equals Tr(AB) for
-    Hermitian A, B, which is what makes quantum effects linear here.
+    Hermitian A, B, which is what makes quantum effects linear here. A stack
+    of matrices, shape (..., d, d), gives a stack of vectors, (..., 2 d^2).
     """
     m = np.asarray(matrix, dtype=complex)
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+    flat = m.shape[:-2] + (-1,)
+    return np.concatenate([m.real.reshape(flat), m.imag.reshape(flat)], axis=-1)
 
 
 def coords_to_density(coords, dim: int) -> np.ndarray:
+    """Inverse of ``density_to_coords``, also on a stack (..., 2 d^2)."""
     arr = np.asarray(coords, dtype=float)
-    if arr.size != 2 * dim * dim:
+    if arr.shape[-1:] != (2 * dim * dim,):
         raise ValueError(f"expected {2 * dim * dim} coordinates for dimension {dim}")
-    re = arr[: dim * dim].reshape(dim, dim)
-    im = arr[dim * dim :].reshape(dim, dim)
+    square = arr.shape[:-1] + (dim, dim)
+    re = arr[..., : dim * dim].reshape(square)
+    im = arr[..., dim * dim :].reshape(square)
     return re + 1j * im
 
 
@@ -242,57 +285,95 @@ class Validation:
         return self.ok
 
 
-def _validate_polytope_state(v: Polytope, state: State, tol: float) -> Validation:
-    # dual feasibility: every extreme effect (and the unit) must stay in [0, 1].
-    # For the catalog polytopes the extreme effects cut out the state space
-    # exactly, so this is a membership test, not just a necessary condition.
-    for e in (*v.extreme_effects, v.unit):
-        val = float(np.dot(e.coords, state.coords))
-        if val < -tol or val > 1.0 + tol:
-            return Validation(False, f"effect {e.label or '?'} evaluates to {val!r}")
-    uval = float(np.dot(v.unit.coords, state.coords))
-    if abs(uval - 1.0) > tol:
-        return Validation(False, f"unit effect evaluates to {uval!r}, not 1")
-    return Validation(True, "inside all supporting halfspaces")
+def _first_failure(
+    checks: Sequence[tuple[np.ndarray, Callable[[int], str]]], passed: str
+) -> tuple[int, Validation]:
+    """First failing row of per-row checks, given in the order a row is tested.
+
+    Each check is a boolean row mask (True = fails) and the detail message of
+    a failing row.
+    """
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if not failing.any():
+        return -1, Validation(True, passed)
+    i = int(failing.argmax())
+    return i, Validation(False, next(detail(i) for mask, detail in checks if mask[i]))
+
+
+def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL) -> tuple[int, Validation]:
+    """Membership test for each row of an (n, D) array of state coordinates.
+
+    Returns ``(-1, passing Validation)`` when every row lies in the state
+    space, else the index of the first row that does not and its failing
+    Validation. ``validate_state`` is the one-row case.
+    """
+    v = theory.variant
+    if coords.shape[1] != ambient_dimension(theory):
+        return 0, Validation(False, "ambient dimension mismatch")
+    if isinstance(v, Polytope):
+        # dual feasibility: every extreme effect (and the unit) must stay in
+        # [0, 1]. For the catalog polytopes the extreme effects cut out the
+        # state space exactly, so this is a membership test, not just a
+        # necessary condition.
+        bounding = (*v.extreme_effects, v.unit)
+        # einsum forms each row on its own, so a row's values (and the detail
+        # below) do not depend on the other rows
+        vals = np.einsum("ij,kj->ik", coords, v.bounding_matrix)
+        outside = (vals < -tol) | (vals > 1.0 + tol)
+
+        def effect_detail(i: int) -> str:
+            j = int(outside[i].argmax())
+            return f"effect {bounding[j].label or '?'} evaluates to {float(vals[i, j])!r}"
+
+        return _first_failure(
+            [
+                (outside.any(axis=1), effect_detail),
+                (np.abs(vals[:, -1] - 1.0) > tol,
+                 lambda i: f"unit effect evaluates to {float(vals[i, -1])!r}, not 1"),
+            ],
+            "inside all supporting halfspaces",
+        )
+    if isinstance(v, NormConstraint):
+        s = np.abs(coords[:, :-1])
+        norm = s.max(axis=1) if math.isinf(v.p) else (s**v.p).sum(axis=1) ** (1.0 / v.p)
+        return _first_failure(
+            [
+                (np.abs(coords[:, -1] - 1.0) > tol, lambda i: "normalization coordinate is not 1"),
+                (norm > 1.0 + tol, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
+            ],
+            f"p-norm {float(norm.max())!r}",
+        )
+    if isinstance(v, RestrictedClassical):
+        total = coords.sum(axis=1)
+        return _first_failure(
+            [
+                (coords.min(axis=1) < -tol, lambda i: "negative internal weight"),
+                (np.abs(total - 1.0) > tol, lambda i: f"weights sum to {float(total[i])!r}"),
+            ],
+            "internal simplex point",
+        )
+    m = coords_to_density(coords, v.hilbert_dim)
+    trace = np.trace(m, axis1=1, axis2=2).real
+    least = np.linalg.eigvalsh(m).min(axis=1)
+    return _first_failure(
+        [
+            (np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > tol,
+             lambda i: "density matrix is not Hermitian"),
+            (np.abs(trace - 1.0) > tol, lambda i: f"trace is {float(trace[i])!r}"),
+            (least < -tol, lambda i: f"negative eigenvalue {float(least[i])!r}"),
+        ],
+        f"least eigenvalue {float(least.min())!r}",
+    )
 
 
 def validate_state(theory: Theory, state: State, tol: float = MEMBERSHIP_TOL) -> Validation:
     """Membership test for a state in the theory's state space."""
-    v = theory.variant
-    if state.coords.size != ambient_dimension(theory):
-        return Validation(False, "ambient dimension mismatch")
-    if isinstance(v, Polytope):
-        return _validate_polytope_state(v, state, tol)
-    if isinstance(v, NormConstraint):
-        if abs(state.coords[-1] - 1.0) > tol:
-            return Validation(False, "normalization coordinate is not 1")
-        s = np.abs(state.coords[:-1])
-        norm = float(s.max()) if math.isinf(v.p) else float((s**v.p).sum()) ** (1.0 / v.p)
-        if norm > 1.0 + tol:
-            return Validation(False, f"p-norm {norm!r} exceeds 1")
-        return Validation(True, f"p-norm {norm!r}")
-    if isinstance(v, RestrictedClassical):
-        if state.coords.min() < -tol:
-            return Validation(False, "negative internal weight")
-        total = float(state.coords.sum())
-        if abs(total - 1.0) > tol:
-            return Validation(False, f"weights sum to {total!r}")
-        return Validation(True, "internal simplex point")
-    dim = v.hilbert_dim
-    m = coords_to_density(state.coords, dim)
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        return Validation(False, "density matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > tol:
-        return Validation(False, f"trace is {np.trace(m).real!r}")
-    lo = float(np.linalg.eigvalsh(m).min())
-    if lo < -tol:
-        return Validation(False, f"negative eigenvalue {lo!r}")
-    return Validation(True, f"least eigenvalue {lo!r}")
+    return check_states(theory, state.coords[None, :], tol)[1]
 
 
 def validate_measurement(theory: Theory, measurement: Measurement, tol: float = PROB_TOL) -> Validation:
     u = unit_effect(theory)
-    total = np.sum([e.coords for e in measurement.effects], axis=0)
+    total = measurement.effect_matrix.sum(axis=0)
     dev = float(np.max(np.abs(total - u.coords)))
     if dev > tol:
         return Validation(False, f"effects sum deviates from unit by {dev!r}")
@@ -336,8 +417,8 @@ def verify_distinguishable(
     states = tuple(states)
     if len(measurement.effects) < len(states):
         raise ValueError("measurement has fewer outcomes than states")
-    for s in states:
-        ok = validate_state(theory, s)
+    if states:
+        _, ok = check_states(theory, np.array([s.coords for s in states]))
         if not ok:
             raise ValueError(f"state outside the state space: {ok.detail}")
     ok = validate_measurement(theory, measurement, tol=1e-9)
@@ -361,7 +442,37 @@ class DimensionReport:
     notes: str = ""
 
 
-_DIMENSION_CACHE: dict[str, DimensionReport] = {}
+# keyed by the theory's content, see _dimension_cache_key
+_DIMENSION_CACHE: dict[tuple, DimensionReport] = {}
+
+
+def _rows_key(rows: np.ndarray) -> tuple:
+    return rows.shape, rows.tobytes()
+
+
+def _measurement_key(m: Measurement) -> tuple:
+    return m.label, tuple(e.label for e in m.effects), _rows_key(m.effect_matrix)
+
+
+def _dimension_cache_key(theory: Theory) -> tuple:
+    """Everything the dimension search reads, so equal keys give equal reports.
+
+    ``Theory._dimension_key`` holds it, computed once per theory object.
+    """
+    v = theory.variant
+    if isinstance(v, Polytope):
+        content = (
+            _rows_key(v.vertex_matrix),
+            _rows_key(v.bounding_matrix),
+            tuple(e.label for e in (*v.extreme_effects, v.unit)),
+        )
+    elif isinstance(v, RestrictedClassical):
+        content = (v.internal_states, tuple(_measurement_key(m) for m in v.allowed_measurements))
+    elif isinstance(v, NormConstraint):
+        content = (v.p, v.k, tuple(_measurement_key(m) for m in theory.measurements.values()))
+    else:
+        content = (v.hilbert_dim,)
+    return (theory.theory_id, type(v).__name__, content)
 
 
 def _dedupe_effects(effects: Iterable[Effect]) -> list[Effect]:
@@ -504,8 +615,8 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
     Restricted and norm-constraint theories search their available
     measurements; quantum theories have an analytic basis certificate.
     """
-    if use_cache and theory.theory_id in _DIMENSION_CACHE:
-        return _DIMENSION_CACHE[theory.theory_id]
+    if use_cache and theory._dimension_key in _DIMENSION_CACHE:
+        return _DIMENSION_CACHE[theory._dimension_key]
     v = theory.variant
     if isinstance(v, Polytope):
         report = _polytope_dimension(theory, budget)
@@ -530,7 +641,7 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
         cert = verify_distinguishable(theory, states, Measurement("basis", effects))
         report = DimensionReport(dim, cert, True, "projective basis (analytic)")
     if use_cache and report.exhaustive:
-        _DIMENSION_CACHE[theory.theory_id] = report
+        _DIMENSION_CACHE[theory._dimension_key] = report
     return report
 
 

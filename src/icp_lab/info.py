@@ -20,27 +20,38 @@ def _as_prob_array(p, tol: float = PROB_TOL) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.size == 0:
         raise ValueError("empty distribution")
-    if np.any(arr < -tol):
-        raise ValueError(f"negative probability: min entry {arr.min()!r}")
+    lo = arr.min()
+    if lo < -tol:
+        raise ValueError(f"negative probability: min entry {float(lo)!r}")
     total = float(arr.sum())
     if abs(total - 1.0) > max(tol, 1e-9 * arr.size):
         raise ValueError(f"distribution sums to {total!r}, not 1")
     return arr
 
 
-def _plogp_bits(p: np.ndarray) -> np.ndarray:
-    # -p*log2(p) with the 0*log(0) = 0 convention; tiny negatives from float
-    # noise are treated as zero mass
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = -p[mask] * np.log2(p[mask])
-    return out
+def _plogp_bits(p: np.ndarray) -> float:
+    """-sum p log2 p over an array of any shape: the one entropy kernel.
+
+    The 0*log(0) = 0 convention holds, and tiny negatives from float noise
+    count as zero mass. The entries are not checked to form a distribution.
+    """
+    q = p[p > 0.0]
+    return float(-q @ np.log2(q))
+
+
+def _total_correlation(p: np.ndarray) -> float:
+    """sum_i H(axis i) - H(all axes) of a bare joint array: I(X:A) on two
+    axes, 0 on one."""
+    if p.ndim <= 1:
+        return 0.0
+    axes = range(p.ndim)
+    marginals = sum(_plogp_bits(p.sum(axis=tuple(j for j in axes if j != i))) for i in axes)
+    return marginals - _plogp_bits(p)
 
 
 def shannon_entropy(p) -> float:
     """H(p) = -sum p_i log2 p_i for a finite distribution."""
-    arr = _as_prob_array(p)
-    return float(_plogp_bits(arr.ravel()).sum())
+    return _plogp_bits(_as_prob_array(p))
 
 
 def binary_entropy(x: float) -> float:
@@ -69,7 +80,7 @@ class Distribution:
             raise ValueError("label count does not match outcome count")
 
     def entropy(self) -> float:
-        return float(_plogp_bits(self.probs).sum())
+        return _plogp_bits(self.probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,20 +107,24 @@ class JointTable:
         except ValueError as exc:
             raise KeyError(f"unknown register in {names!r}") from exc
 
-    def marginal(self, names: Sequence[str]) -> "JointTable":
+    def _summed(self, names: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The table summed over every register not named, and the kept axes."""
         keep = self._axes(names)
         if len(set(keep)) != len(keep):
             raise ValueError("repeated register in marginal request")
         drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
-        marg = self.probs.sum(axis=drop) if drop else self.probs
+        return (self.probs.sum(axis=drop) if drop else self.probs), keep
+
+    def marginal(self, names: Sequence[str]) -> "JointTable":
+        marg, keep = self._summed(names)
         # axis order follows the requested name order
         order = tuple(sorted(range(len(keep)), key=lambda i: keep[i]))
         inv = tuple(order.index(i) for i in range(len(keep)))
         return JointTable(tuple(names), np.transpose(marg, inv))
 
     def entropy(self, names: Sequence[str] | None = None) -> float:
-        table = self if names is None else self.marginal(names)
-        return float(_plogp_bits(table.probs.ravel()).sum())
+        # axis order does not change an entropy, so no table is built
+        return _plogp_bits(self.probs if names is None else self._summed(names)[0])
 
 
 def mutual_information(table: JointTable, a: str, b: str) -> float:
@@ -165,8 +180,7 @@ def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log2 rho via the eigenvalue spectrum."""
     matrix = rho.matrix if isinstance(rho, DensityOperator) else DensityOperator(rho).matrix
     eigs = np.linalg.eigvalsh(matrix)
-    eigs = np.clip(eigs, 0.0, None)
-    return float(_plogp_bits(eigs).sum())
+    return _plogp_bits(eigs)
 
 
 @dataclass(frozen=True)

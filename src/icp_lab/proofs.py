@@ -19,7 +19,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .gpt import (
     observed_dimension,
     state_space_dimension,
 )
-from .info import AxiomReport, von_neumann_entropy
+from .info import AxiomReport, _plogp_bits, von_neumann_entropy
 from .sampling import random_density_matrix, random_projective_measurement
 
 AXIOM_TOL = 1e-9
@@ -41,42 +41,36 @@ IDENTITY_TOL = 1e-12
 
 # --- random instances per axiom ----------------------------------------------
 
-def _entropy_of(p: np.ndarray) -> float:
-    p = p.ravel()
-    mask = p > 0
-    return float(-(p[mask] * np.log2(p[mask])).sum())
-
-
 def _shannon_axiom_i(rng: np.random.Generator) -> float:
     s, f = rng.integers(2, 5), rng.integers(2, 5)
     table = rng.dirichlet(np.ones(s * f)).reshape(s, f)
     pf = table.sum(axis=0)
-    direct = sum(pf[j] * _entropy_of(table[:, j] / pf[j]) for j in range(f) if pf[j] > 0)
-    via_joint = _entropy_of(table) - _entropy_of(pf)
-    i_joint = _entropy_of(table.sum(axis=1)) + _entropy_of(pf) - _entropy_of(table)
-    i_def = _entropy_of(table.sum(axis=1)) - direct
+    direct = sum(pf[j] * _plogp_bits(table[:, j] / pf[j]) for j in range(f) if pf[j] > 0)
+    via_joint = _plogp_bits(table) - _plogp_bits(pf)
+    i_joint = _plogp_bits(table.sum(axis=1)) + _plogp_bits(pf) - _plogp_bits(table)
+    i_def = _plogp_bits(table.sum(axis=1)) - direct
     return max(abs(direct - via_joint), abs(i_joint - i_def))
 
 
 def _shannon_axiom_ii(rng: np.random.Generator) -> float:
     d = int(rng.integers(2, 9))
     p = rng.dirichlet(np.ones(d))
-    return max(0.0, _entropy_of(p) - math.log2(d))
+    return max(0.0, _plogp_bits(p) - math.log2(d))
 
 
 def _shannon_axiom_iii(rng: np.random.Generator) -> float:
     s, c = rng.integers(2, 5), rng.integers(2, 5)
     table = rng.dirichlet(np.ones(s * c)).reshape(s, c)
-    return max(0.0, -(_entropy_of(table) - _entropy_of(table.sum(axis=0))))
+    return max(0.0, -(_plogp_bits(table) - _plogp_bits(table.sum(axis=0))))
 
 
 def _shannon_axiom_iv(rng: np.random.Generator) -> float:
     s, a, b = (int(rng.integers(2, 4)) for _ in range(3))
     t = rng.dirichlet(np.ones(s * a * b)).reshape(s, a, b)
-    h_sa = _entropy_of(t.sum(axis=2))
-    h_sb = _entropy_of(t.sum(axis=1))
-    h_sab = _entropy_of(t)
-    h_s = _entropy_of(t.sum(axis=(1, 2)))
+    h_sa = _plogp_bits(t.sum(axis=2))
+    h_sb = _plogp_bits(t.sum(axis=1))
+    h_sab = _plogp_bits(t)
+    h_s = _plogp_bits(t.sum(axis=(1, 2)))
     return max(0.0, h_sab + h_s - h_sa - h_sb)
 
 
@@ -85,8 +79,8 @@ def _shannon_axiom_v(rng: np.random.Generator) -> float:
     joint = rng.dirichlet(np.ones(s * a)).reshape(s, a)
     channel = rng.dirichlet(np.ones(x), size=s)  # p(x|s) rows
     out = channel.T @ joint
-    i_sa = _entropy_of(joint.sum(axis=1)) + _entropy_of(joint.sum(axis=0)) - _entropy_of(joint)
-    i_xa = _entropy_of(out.sum(axis=1)) + _entropy_of(out.sum(axis=0)) - _entropy_of(out)
+    i_sa = _plogp_bits(joint.sum(axis=1)) + _plogp_bits(joint.sum(axis=0)) - _plogp_bits(joint)
+    i_xa = _plogp_bits(out.sum(axis=1)) + _plogp_bits(out.sum(axis=0)) - _plogp_bits(out)
     return max(0.0, i_xa - i_sa)
 
 
@@ -101,10 +95,10 @@ def _vn_axiom_i(rng: np.random.Generator) -> float:
     nc = int(rng.integers(2, 4))
     probs, rhos = _random_cq(rng, nc, dim)
     cond_direct = sum(p * von_neumann_entropy(r) for p, r in zip(probs, rhos))
-    h_sf = _entropy_of(probs) + cond_direct
-    cond_via_joint = h_sf - _entropy_of(probs)
+    h_sf = _plogp_bits(probs) + cond_direct
+    cond_via_joint = h_sf - _plogp_bits(probs)
     avg = sum(p * r for p, r in zip(probs, rhos))
-    i_joint = von_neumann_entropy(avg) + _entropy_of(probs) - h_sf
+    i_joint = von_neumann_entropy(avg) + _plogp_bits(probs) - h_sf
     i_def = von_neumann_entropy(avg) - cond_direct
     return max(abs(cond_direct - cond_via_joint), abs(i_joint - i_def))
 
@@ -128,14 +122,14 @@ def _vn_axiom_iv(rng: np.random.Generator) -> float:
     dim = 2
     p = rng.dirichlet(np.ones(4)).reshape(2, 2)
     rhos = [[random_density_matrix(rng, dim) for _ in range(2)] for _ in range(2)]
-    h_sab = _entropy_of(p) + sum(
+    h_sab = _plogp_bits(p) + sum(
         p[a, b] * von_neumann_entropy(rhos[a][b]) for a in range(2) for b in range(2)
     )
     pa, pb = p.sum(axis=1), p.sum(axis=0)
     avg_a = [sum(p[a, b] * rhos[a][b] for b in range(2)) / pa[a] for a in range(2)]
     avg_b = [sum(p[a, b] * rhos[a][b] for a in range(2)) / pb[b] for b in range(2)]
-    h_sa = _entropy_of(pa) + sum(pa[a] * von_neumann_entropy(avg_a[a]) for a in range(2))
-    h_sb = _entropy_of(pb) + sum(pb[b] * von_neumann_entropy(avg_b[b]) for b in range(2))
+    h_sa = _plogp_bits(pa) + sum(pa[a] * von_neumann_entropy(avg_a[a]) for a in range(2))
+    h_sb = _plogp_bits(pb) + sum(pb[b] * von_neumann_entropy(avg_b[b]) for b in range(2))
     h_s = von_neumann_entropy(sum(p[a, b] * rhos[a][b] for a in range(2) for b in range(2)))
     return max(0.0, h_sab + h_s - h_sa - h_sb)
 
@@ -150,7 +144,7 @@ def _vn_axiom_v(rng: np.random.Generator) -> float:
     projectors = random_projective_measurement(rng, dim)
     out = np.array([[p * float(np.trace(proj @ r).real) for p, r in zip(probs, rhos)] for proj in projectors])
     out = np.clip(out, 0.0, None)
-    i_xa = _entropy_of(out.sum(axis=1)) + _entropy_of(out.sum(axis=0)) - _entropy_of(out)
+    i_xa = _plogp_bits(out.sum(axis=1)) + _plogp_bits(out.sum(axis=0)) - _plogp_bits(out)
     return max(0.0, i_xa - holevo)
 
 
@@ -273,26 +267,27 @@ class ProofChainLedger:
 
 
 class _ClassicalChainData:
-    """Joint table over (S, registers) with measurement channels on S."""
+    """Joint table over (S, registers) with measurement channels on S.
+
+    Register subsets are bitmasks over the positions in ``registers``.
+    """
 
     def __init__(self, ensemble: CorrelatedEnsemble, registers: tuple[int, ...]):
         theory = ensemble.theory
         v = theory.variant
         if isinstance(v, RestrictedClassical):
             basis = np.eye(v.internal_states)
-            weights = [e.state.coords for e in ensemble.entries]
+            weights = ensemble._coords
         elif isinstance(v, Polytope):
-            verts = np.array([s.coords for s in v.vertices])
+            verts = v.vertex_matrix
             if len(verts) != state_space_dimension(theory) + 1:
                 raise ChainNotApplicable(
                     f"{theory.theory_id!r} state space is not a simplex"
                 )
             basis = verts
-            # augment with a normalization row so the weights are barycentric
-            system = np.vstack([verts.T, np.ones(len(verts))])
-            target = np.vstack([ensemble._coords.T, np.ones(len(ensemble.entries))])
-            sol, *_ = np.linalg.lstsq(system, target, rcond=None)
-            weights = sol.T
+            # augment with a normalization column so the weights are barycentric
+            target = np.hstack([ensemble._coords, np.ones((len(ensemble.entries), 1))])
+            weights = target @ v.barycentric_map.T
             recon = weights @ verts
             if np.max(np.abs(recon - ensemble._coords)) > 1e-9:
                 raise ChainNotApplicable("states do not decompose over the vertices")
@@ -301,85 +296,72 @@ class _ClassicalChainData:
         else:
             raise ChainNotApplicable(f"{theory.theory_id!r} has no classical carrier")
         self.basis = basis
-        shape = (len(basis),) + tuple(ensemble.register_alphabets[r] for r in registers)
-        table = np.zeros(shape)
-        for entry, w in zip(ensemble.entries, weights):
-            idx = tuple(entry.registers[r] for r in registers)
-            table[(slice(None),) + idx] += entry.probability * np.clip(w, 0.0, None)
-        self.table = table
-        self.registers = registers
-        self._cache: dict[tuple[frozenset, bool], float] = {}
+        # (S, joint register value) in one product: entry masses on S times
+        # the entries' one-hot joint register values
+        index, shape = ensemble.register_index(registers)
+        mass = ensemble._probs[:, None] * np.clip(weights, 0.0, None)
+        self.table = (mass.T @ np.eye(math.prod(shape))[index]).reshape((len(basis),) + shape)
+        self.n = len(registers)
+        self._cache: dict[int, float] = {}
 
-    def ent(self, subset: Sequence[int], with_s: bool) -> float:
-        """Entropy of S (optional) together with the given register positions."""
-        key = (frozenset(subset), with_s)
+    def ent(self, mask: int, with_s: bool) -> float:
+        """Entropy of S (optional) together with the registers in ``mask``."""
+        key = mask << 1 | with_s
         if key not in self._cache:
-            axes = tuple(
-                i + 1 for i in range(len(self.registers)) if i not in set(subset)
-            )
-            marg = self.table.sum(axis=axes) if axes else self.table
+            axes = tuple(i + 1 for i in range(self.n) if not mask >> i & 1)
             if not with_s:
-                marg = marg.sum(axis=0)
-            self._cache[key] = _entropy_of(np.asarray(marg))
+                axes = (0,) + axes
+            self._cache[key] = _plogp_bits(self.table.sum(axis=axes))
         return self._cache[key]
 
     def outcome_table(self, measurement, position: int) -> np.ndarray:
-        chan = np.array(
-            [
-                [float(np.dot(e.coords, b)) for b in self.basis]
-                for e in measurement.effects
-            ]
-        )
-        chan = np.clip(chan, 0.0, 1.0)
-        axes = tuple(i + 1 for i in range(len(self.registers)) if i != position)
+        chan = np.clip(measurement.effect_matrix @ self.basis.T, 0.0, 1.0)
+        axes = tuple(i + 1 for i in range(self.n) if i != position)
         s_ak = self.table.sum(axis=axes) if axes else self.table
         return chan @ s_ak
 
 
 class _QuantumChainData:
-    """Classical-quantum blocks p_c, rho_c indexed by register values."""
+    """Classical-quantum blocks p_c, p_c rho_c indexed by register values.
+
+    The blocks p_c rho_c are kept in state coordinates, shape (*alphabets,
+    2 d^2). Register subsets are bitmasks over the positions in
+    ``registers``.
+    """
 
     def __init__(self, ensemble: CorrelatedEnsemble, registers: tuple[int, ...]):
         v = ensemble.theory.variant
         if not isinstance(v, Quantum):
             raise ChainNotApplicable("not a quantum theory")
-        dim = v.hilbert_dim
-        shape = tuple(ensemble.register_alphabets[r] for r in registers)
-        probs = np.zeros(shape)
-        weighted = np.zeros(shape + (dim, dim), dtype=complex)
-        for entry in ensemble.entries:
-            idx = tuple(entry.registers[r] for r in registers)
-            probs[idx] += entry.probability
-            weighted[idx] += entry.probability * coords_to_density(entry.state.coords, dim)
-        self.probs = probs
-        self.weighted = weighted
-        self.registers = registers
-        self.dim = dim
-        self._cache: dict[tuple[frozenset, bool], float] = {}
+        index, shape = ensemble.register_index(registers)
+        size = math.prod(shape)
+        self.probs = np.bincount(index, weights=ensemble._probs, minlength=size).reshape(shape)
+        weighted = np.eye(size)[index].T @ (ensemble._probs[:, None] * ensemble._coords)
+        self.weighted = weighted.reshape(shape + (-1,))
+        self.n = len(registers)
+        self.dim = v.hilbert_dim
+        self._cache: dict[int, float] = {}
 
-    def ent(self, subset: Sequence[int], with_s: bool) -> float:
-        key = (frozenset(subset), with_s)
+    def ent(self, mask: int, with_s: bool) -> float:
+        key = mask << 1 | with_s
         if key not in self._cache:
-            axes = tuple(i for i in range(len(self.registers)) if i not in set(subset))
-            p = self.probs.sum(axis=axes) if axes else self.probs
-            value = _entropy_of(np.asarray(p))
+            axes = tuple(i for i in range(self.n) if not mask >> i & 1)
             if with_s:
+                # H(p) + sum_c p_c S(rho_c) is the entropy of the block-diagonal
+                # cq state, whose spectrum is that of the blocks p_c rho_c
                 w = self.weighted.sum(axis=axes) if axes else self.weighted
-                w = w.reshape(-1, self.dim, self.dim)
-                for block, weight in zip(w, np.asarray(p).ravel()):
-                    if weight > 1e-15:
-                        value += weight * von_neumann_entropy(block / weight)
+                blocks = coords_to_density(w.reshape(-1, w.shape[-1]), self.dim)
+                value = _plogp_bits(np.linalg.eigvalsh(blocks))
+            else:
+                value = _plogp_bits(self.probs.sum(axis=axes))
             self._cache[key] = value
         return self._cache[key]
 
     def outcome_table(self, measurement, position: int) -> np.ndarray:
-        axes = tuple(i for i in range(len(self.registers)) if i != position)
+        axes = tuple(i for i in range(self.n) if i != position)
         w = self.weighted.sum(axis=axes) if axes else self.weighted
-        effects = [coords_to_density(e.coords, self.dim) for e in measurement.effects]
-        table = np.array(
-            [[float(np.trace(e @ w[a]).real) for a in range(w.shape[0])] for e in effects]
-        )
-        return np.clip(table, 0.0, None)
+        # Tr(E w_a) is the dot product of their coordinates
+        return np.clip(measurement.effect_matrix @ w.T, 0.0, None)
 
 
 def proof_chain_check(
@@ -400,17 +382,17 @@ def proof_chain_check(
         data = _ClassicalChainData(ensemble, registers)
 
     n = len(registers)
-    every = tuple(range(n))
+    # register subsets are bitmasks over assignment positions
+    every = (1 << n) - 1
     names = [register_name(r) for r in registers]
     all_regs = "".join(names)
 
-    def i_s(subset: Sequence[int]) -> float:
-        return data.ent((), True) + data.ent(subset, False) - data.ent(subset, True)
+    def i_s(mask: int) -> float:
+        return data.ent(0, True) + data.ent(mask, False) - data.ent(mask, True)
 
     def i_cond(k: int) -> float:
         # I(S:A_k | A_1..A_{k-1})
-        prefix = tuple(range(k))
-        with_k = tuple(range(k + 1))
+        prefix, with_k = (1 << k) - 1, (1 << (k + 1)) - 1
         return (
             data.ent(prefix, True)
             + data.ent(with_k, False)
@@ -420,15 +402,15 @@ def proof_chain_check(
 
     def i_prefix_s(k: int) -> float:
         # I(A_1..A_{k-1} S : A_k)
-        prefix = tuple(range(k))
-        return data.ent(prefix, True) + data.ent((k,), False) - data.ent(tuple(range(k + 1)), True)
+        prefix, with_k = (1 << k) - 1, (1 << (k + 1)) - 1
+        return data.ent(prefix, True) + data.ent(1 << k, False) - data.ent(with_k, True)
 
     def i_prefix(k: int) -> float:
-        prefix = tuple(range(k))
-        return data.ent(prefix, False) + data.ent((k,), False) - data.ent(tuple(range(k + 1)), False)
+        prefix, with_k = (1 << k) - 1, (1 << (k + 1)) - 1
+        return data.ent(prefix, False) + data.ent(1 << k, False) - data.ent(with_k, False)
 
     steps: list[ChainStep] = []
-    h_s = data.ent((), True)
+    h_s = data.ent(0, True)
     h_s_given = data.ent(every, True) - data.ent(every, False)
     i_s_all = i_s(every)
     steps.append(
@@ -440,7 +422,7 @@ def proof_chain_check(
     bound = math.log2(dim_report.d)
     steps.append(ChainStep("H(S) <= log2(d)", "inequality", h_s, bound))
 
-    chain_sum = i_s((0,)) + sum(i_cond(k) for k in range(1, n))
+    chain_sum = i_s(1) + sum(i_cond(k) for k in range(1, n))
     steps.append(
         ChainStep(f"I(S:{all_regs}) = sum of conditional terms", "identity", i_s_all, chain_sum)
     )
@@ -458,12 +440,12 @@ def proof_chain_check(
             ChainStep(
                 f"I({prefix}S:{names[k]}) >= I(S:{names[k]})",
                 "inequality",
-                i_s((k,)),
+                i_s(1 << k),
                 i_prefix_s(k),
             )
         )
     if n > 1:
-        total_corr = sum(data.ent((k,), False) for k in range(n)) - data.ent(every, False)
+        total_corr = sum(data.ent(1 << k, False) for k in range(n)) - data.ent(every, False)
         steps.append(
             ChainStep(
                 "sum of prefix correlations = total correlation",
@@ -479,9 +461,9 @@ def proof_chain_check(
     for position, (measurement, _) in enumerate(assignment.pairs):
         table = data.outcome_table(measurement, position)
         gain = (
-            _entropy_of(table.sum(axis=1))
-            + _entropy_of(table.sum(axis=0))
-            - _entropy_of(table)
+            _plogp_bits(table.sum(axis=1))
+            + _plogp_bits(table.sum(axis=0))
+            - _plogp_bits(table)
         )
         gains.append(gain)
         steps.append(
@@ -489,7 +471,7 @@ def proof_chain_check(
                 f"I(S:{names[position]}) >= I({measurement.label}:{names[position]})",
                 "inequality",
                 gain,
-                i_s((position,)),
+                i_s(1 << position),
             )
         )
     extractable = sum(gains) - total_corr

@@ -1,6 +1,7 @@
 """Seeded random instances: joint tables, density matrices, ensembles."""
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .engine import CorrelatedEnsemble, EnsembleEntry, build_ensemble
-from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, density_to_coords
+from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
 
 
 def random_joint_table(rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
@@ -16,18 +17,27 @@ def random_joint_table(rng: np.random.Generator, shape: Sequence[int]) -> np.nda
     return flat.reshape(tuple(shape))
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices, shape (..., d, d)."""
     q, r = np.linalg.qr(g)
     # fix phases so the distribution is Haar rather than QR-convention-biased
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _density_from_draws(eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """u diag(eigs) u^dagger with u Haar from ``g``, on stacks (..., d) and (..., d, d)."""
+    u = _haar_from_gaussian(g)
+    return (u * eigs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+
+
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return _haar_from_gaussian(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     eigs = rng.dirichlet(np.ones(dim))
-    u = haar_unitary(rng, dim)
-    return (u * eigs) @ u.conj().T
+    return _density_from_draws(eigs, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def random_projective_measurement(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
@@ -35,26 +45,47 @@ def random_projective_measurement(rng: np.random.Generator, dim: int) -> list[np
     return [np.outer(u[:, i], u[:, i].conj()) for i in range(dim)]
 
 
-def random_state(entry: CatalogEntry, rng: np.random.Generator) -> State:
-    v = entry.theory.variant
-    tid = entry.theory.theory_id
+def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Coordinates of n random states, one row each.
+
+    The generator is consumed exactly as by n calls of ``random_state``:
+    Dirichlet draws with ``size=n`` equal n sequential draws, and quantum
+    states keep their per-state order (eigenvalues, then the real and the
+    imaginary Gaussian matrix) with only the linear algebra stacked.
+    """
+    v = theory.variant
     if isinstance(v, Polytope):
-        w = rng.dirichlet(np.ones(len(v.vertices)))
-        coords = w @ np.array([s.coords for s in v.vertices])
-        return State(coords, tid)
+        w = rng.dirichlet(np.ones(len(v.vertices)), size=n)
+        # einsum forms each row on its own, so a state's coordinates do not
+        # depend on n; a BLAS product can round differently by batch size
+        return np.einsum("ij,jk->ik", w, v.vertex_matrix)
     if isinstance(v, RestrictedClassical):
-        return State(rng.dirichlet(np.ones(v.internal_states)), tid)
+        return rng.dirichlet(np.ones(v.internal_states), size=n)
     if isinstance(v, NormConstraint):
-        direction = rng.normal(size=v.k)
-        if math.isinf(v.p):
-            norm = np.abs(direction).max()
-        else:
-            norm = float((np.abs(direction) ** v.p).sum()) ** (1.0 / v.p)
-        radius = rng.uniform() ** (1.0 / v.k)
-        return State(np.append(direction / norm * radius, 1.0), tid)
+        rows = []
+        for _ in range(n):
+            direction = rng.normal(size=v.k)
+            if math.isinf(v.p):
+                norm = np.abs(direction).max()
+            else:
+                norm = float((np.abs(direction) ** v.p).sum()) ** (1.0 / v.p)
+            radius = rng.uniform() ** (1.0 / v.k)
+            rows.append(np.append(direction / norm * radius, 1.0))
+        return np.array(rows)
     if isinstance(v, Quantum):
-        return State(density_to_coords(random_density_matrix(rng, v.hilbert_dim)), tid)
+        dim = v.hilbert_dim
+        draws = [
+            (rng.dirichlet(np.ones(dim)), rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)))
+            for _ in range(n)
+        ]
+        eigs = np.array([e for e, _, _ in draws])
+        g = np.array([re + 1j * im for _, re, im in draws])
+        return density_to_coords(_density_from_draws(eigs, g))
     raise TypeError(f"unsupported variant {v!r}")  # pragma: no cover
+
+
+def random_state(entry: CatalogEntry, rng: np.random.Generator) -> State:
+    return State(_random_coords(entry.theory, rng, 1)[0], entry.theory.theory_id)
 
 
 def random_ensemble(
@@ -63,14 +94,18 @@ def random_ensemble(
     n_registers: int = 2,
     alphabet: int = 2,
 ) -> CorrelatedEnsemble:
-    """Random correlated ensemble with one entry per register combination."""
-    combos = [
-        tuple(int(x) for x in np.unravel_index(i, (alphabet,) * n_registers))
-        for i in range(alphabet**n_registers)
-    ]
+    """Random correlated ensemble with one entry per register combination.
+
+    Draws the entry probabilities, then all states at once. The draw order
+    is part of the contract: ``perfbench/reference.json`` replays fixed
+    seeds, so a change of order changes every recorded value.
+    """
+    combos = list(itertools.product(range(alphabet), repeat=n_registers))
     probs = rng.dirichlet(np.ones(len(combos)))
+    coords = _random_coords(entry.theory, rng, len(combos))
+    tid = entry.theory.theory_id
     entries = [
-        EnsembleEntry(float(p), random_state(entry, rng), combo)
-        for p, combo in zip(probs, combos)
+        EnsembleEntry(float(p), State(c, tid), combo)
+        for p, c, combo in zip(probs, coords, combos)
     ]
     return build_ensemble(entry.theory, entries, (alphabet,) * n_registers)

@@ -1,0 +1,165 @@
+"""The array-first ensemble path against its per-object and public-API oracles."""
+import numpy as np
+import pytest
+
+from icp_lab import (
+    Effect,
+    Measurement,
+    ObservableAssignment,
+    State,
+    apply_effect,
+    build_ensemble,
+    catalog,
+    evaluate_icp,
+    joint_outcome_table,
+    multivariate_mutual_information,
+    mutual_information,
+    proof_chain_check,
+    register_marginal,
+    sampling,
+    validate_state,
+)
+from icp_lab.gpt import check_states, density_to_coords
+
+
+def _assignment(entry, labels):
+    th = entry.theory
+    return ObservableAssignment(tuple((th.measurement(l), i) for i, l in enumerate(labels)))
+
+
+def _pgnst():
+    return catalog.pgnst(3.0, 2)
+
+
+ORACLE_CASES = [
+    (catalog.classical_bit, ("X", "Z")),
+    (catalog.classical_trit, ("E1", "E2")),
+    (catalog.qubit, ("X", "Z")),
+    (_pgnst, ("X", "Z")),
+    (catalog.sbit, ("X", "Z")),
+]
+
+
+def _loop_table(ens, measurement, register):
+    """p(x, a) entry by entry through the scalar effect rule."""
+    table = np.zeros((len(measurement.effects), ens.register_alphabets[register]))
+    for e in ens.entries:
+        for x, effect in enumerate(measurement.effects):
+            table[x, e.registers[register]] += e.probability * apply_effect(effect, e.state)
+    return table
+
+
+@pytest.mark.parametrize("make, labels", ORACLE_CASES)
+def test_evaluate_icp_matches_the_public_composition(make, labels):
+    entry = make()
+    assignment = _assignment(entry, labels)
+    rng = np.random.default_rng([31, len(labels), len(entry.entry_id)])
+    worst = 0.0
+    for _ in range(200):
+        ens = sampling.random_ensemble(entry, rng)
+        report = evaluate_icp(ens, assignment)
+        gains = []
+        for measurement, reg in assignment.pairs:
+            table = joint_outcome_table(ens, measurement, reg)
+            worst = max(worst, np.abs(table.probs - _loop_table(ens, measurement, reg)).max())
+            gains.append(max(mutual_information(table, *table.register_names), 0.0))
+        marginal = register_marginal(ens, assignment.registers)
+        redundancy = max(multivariate_mutual_information(marginal), 0.0)
+        worst = max(
+            worst,
+            abs(report.extractable - (sum(gains) - redundancy)),
+            abs(report.redundancy - redundancy),
+            *(abs(a - b) for a, b in zip(report.gains, gains)),
+        )
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make",
+    [catalog.classical_bit, catalog.classical_trit, catalog.sbit, lambda: catalog.polygon(5),
+     catalog.hbit, _pgnst, catalog.qubit],
+)
+def test_random_ensemble_draws_like_sequential_random_state(make):
+    entry = make()
+    quantum = entry.entry_id == "qubit"
+    for seed in range(10):
+        for n_registers, alphabet in ((2, 2), (3, 2), (2, 3)):
+            batched = np.random.default_rng(seed)
+            ens = sampling.random_ensemble(entry, batched, n_registers, alphabet)
+            sequential = np.random.default_rng(seed)
+            probs = sequential.dirichlet(np.ones(alphabet**n_registers))
+            coords = np.array([sampling.random_state(entry, sequential).coords for _ in probs])
+            assert np.array_equal(ens._probs, probs)
+            if quantum:
+                assert np.abs(ens._coords - coords).max() <= 1e-12
+            else:
+                assert np.array_equal(ens._coords, coords)
+            assert batched.bit_generator.state == sequential.bit_generator.state
+
+
+@pytest.mark.parametrize("make", [catalog.classical_bit, catalog.qubit])
+def test_evaluate_icp_rejects_effects_that_miss_the_unit(make):
+    entry = make()
+    th = entry.theory
+    x = th.measurement("X")
+    halved = Measurement("X/2", tuple(Effect(e.coords * 0.5, th.theory_id, e.label) for e in x.effects))
+    ens = sampling.random_ensemble(entry, np.random.default_rng(5))
+    with pytest.raises(ValueError):
+        evaluate_icp(ens, ObservableAssignment(((halved, 0), (th.measurement("Z"), 1))))
+
+
+def _sbit_outside():
+    return catalog.sbit_state(1.0, 1.0).coords * 2.0
+
+
+INVALID_STATES = [
+    (catalog.sbit, _sbit_outside),
+    (catalog.hbit, lambda: np.array([0.5, 0.7, -0.2, 0.0])),
+    (_pgnst, lambda: np.array([0.9, 0.9, 1.0])),
+    (catalog.qubit, lambda: density_to_coords(np.array([[0.9, 0.6], [0.6, 0.1]]))),
+]
+
+
+@pytest.mark.parametrize("make, outside", INVALID_STATES)
+def test_build_ensemble_reports_the_invalid_state(make, outside):
+    entry = make()
+    th = entry.theory
+    rng = np.random.default_rng(3)
+    states = [sampling.random_state(entry, rng) for _ in range(4)]
+    states[2] = State(outside(), th.theory_id)
+    ok = validate_state(th, states[2])
+    assert not ok
+    index, batch_ok = check_states(th, np.array([s.coords for s in states]))
+    assert index == 2 and batch_ok == ok
+    with pytest.raises(ValueError) as err:
+        build_ensemble(th, [(0.25, s, (i % 2, i // 2)) for i, s in enumerate(states)], (2, 2))
+    assert str(err.value) == f"invalid state in ensemble: {ok.detail}"
+
+
+@pytest.mark.parametrize(
+    "make, labels",
+    [
+        (catalog.classical_bit, ("X", "Z")),
+        (catalog.classical_trit, ("E1", "E2")),
+        (catalog.hbit, ("X", "Z")),
+        (catalog.qubit, ("X", "Z")),
+    ],
+)
+def test_ledger_extractable_matches_evaluate_icp(make, labels):
+    entry = make()
+    assignment = _assignment(entry, labels)
+    rng = np.random.default_rng([37, len(entry.entry_id)])
+    for _ in range(100):
+        ens = sampling.random_ensemble(entry, rng)
+        ledger = proof_chain_check(ens, assignment)
+        assert abs(ledger.extractable - evaluate_icp(ens, assignment).extractable) <= 1e-12
+
+
+def test_build_ensemble_rejects_ragged_states_and_alphabet_count(sbit_entry):
+    th = sbit_entry.theory
+    s = catalog.sbit_state(0.0, 0.0)
+    short = State(s.coords[:2], th.theory_id)
+    with pytest.raises(ValueError, match="differ in dimension"):
+        build_ensemble(th, [(0.5, s, (0,)), (0.5, short, (1,))], (2,))
+    with pytest.raises(ValueError, match="alphabets for 1 registers"):
+        build_ensemble(th, [(0.5, s, (0,)), (0.5, s, (1,))], (2, 2))

@@ -5,6 +5,7 @@ import pytest
 from icp_lab import (
     MEMBERSHIP_TOL,
     State,
+    Theory,
     apply_effect,
     catalog,
     composite_dimension_bound,
@@ -137,3 +138,13 @@ def test_composite_dimension_bound():
         composite_dimension_bound([])
     with pytest.raises(ValueError):
         composite_dimension_bound([0])
+
+
+def test_dimension_cache_is_keyed_by_content():
+    # a triangle that borrows the square model's id must not get its d = 2
+    assert observed_dimension(catalog.sbit().theory).d == 2
+    triangle = catalog.polygon(3).theory
+    impostor = Theory("sbit", triangle.variant, triangle.measurements)
+    assert observed_dimension(impostor, use_cache=False).d == 3
+    assert observed_dimension(impostor).d == 3
+    assert observed_dimension(catalog.sbit().theory).d == 2
