@@ -77,6 +77,7 @@ from .engine import (
     ObservableAssignment,
     OptimizationResult,
     OptimizerConfig,
+    REPORT_CSV_FIELDS,
     SweepPoint,
     VIOLATION_TOL,
     build_ensemble,
@@ -126,7 +127,6 @@ from .constructions import (
     sbit_violation,
 )
 from .serialize import (
-    REPORT_CSV_FIELDS,
     RunManifest,
     assignment_to_json,
     certificate_to_json,
@@ -134,6 +134,4 @@ from .serialize import (
     ensemble_to_json,
     render_csv,
     render_json,
-    report_csv_row,
-    report_to_json,
 )

@@ -44,7 +44,6 @@ from .gpt import (
 class CatalogEntry:
     entry_id: str
     theory: Theory
-    default_measurements: dict[str, Measurement]
     notes: str = ""
 
     def measurement(self, name: str) -> Measurement:
@@ -99,7 +98,6 @@ def polygon(n: int, entry_id: str | None = None) -> CatalogEntry:
         CatalogEntry(
             tid,
             theory,
-            measurements,
             notes=f"{n}-gon model, r = 1/sqrt(cos(pi/{n}))",
         )
     )
@@ -110,7 +108,6 @@ def classical_trit() -> CatalogEntry:
     return CatalogEntry(
         "classical-trit",
         entry.theory,
-        entry.default_measurements,
         notes="three-outcome classical system (triangle model)",
     )
 
@@ -130,7 +127,7 @@ def classical_bit() -> CatalogEntry:
     }
     theory = Theory(tid, Polytope((v0, v1), (p0, p1), unit), measurements)
     return _checked(
-        CatalogEntry(tid, theory, measurements, notes="one bit read twice (X and Z coincide)")
+        CatalogEntry(tid, theory, notes="one bit read twice (X and Z coincide)")
     )
 
 
@@ -148,7 +145,6 @@ def sbit() -> CatalogEntry:
         CatalogEntry(
             "sbit",
             theory,
-            measurements,
             notes="square model; corners carry definite X and Z values at once",
         )
     )
@@ -186,7 +182,6 @@ def hbit() -> CatalogEntry:
         CatalogEntry(
             tid,
             theory,
-            measurements,
             notes="hidden 4-state bit; only the two coarse readouts are available",
         )
     )
@@ -224,7 +219,7 @@ def qubit() -> CatalogEntry:
     }
     theory = Theory(tid, Quantum(2), measurements)
     return _checked(
-        CatalogEntry(tid, theory, measurements, notes="projective X and Z on one qubit")
+        CatalogEntry(tid, theory, notes="projective X and Z on one qubit")
     )
 
 
@@ -278,7 +273,6 @@ def pgnst(p: float, k: int = 2) -> CatalogEntry:
         CatalogEntry(
             tid,
             theory,
-            measurements,
             notes=f"|s|_p <= 1 ball over {k} fiducial readouts",
         )
     )

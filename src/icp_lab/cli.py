@@ -27,19 +27,10 @@ from .constructions import (
     qubit_rac_construction,
     sbit_violation,
 )
-from .engine import ObservableAssignment, evaluate_icp, qubit_rotation_sweep
+from .engine import REPORT_CSV_FIELDS, ObservableAssignment, evaluate_icp, qubit_rotation_sweep
 from .gpt import ambient_dimension, observed_dimension, state_space_dimension
 from .proofs import axiom_suite
-from .serialize import (
-    REPORT_CSV_FIELDS,
-    RunManifest,
-    certificate_to_json,
-    ensemble_from_json,
-    render_csv,
-    render_json,
-    report_csv_row,
-    report_to_json,
-)
+from .serialize import RunManifest, certificate_to_json, ensemble_from_json, render_csv, render_json
 
 _DEMOS = {
     "sbit": sbit_violation,
@@ -134,15 +125,8 @@ def cmd_catalog(args) -> int:
 def cmd_demo(args) -> int:
     manifest = _manifest(args, "demo", name=args.name)
     if args.name == "classical":
-        report = classical_bit_analysis()
-        return _emit(
-            args,
-            "report",
-            {"report": report_to_json(report)},
-            manifest,
-            REPORT_CSV_FIELDS,
-            [report_csv_row(report)],
-        )
+        row = classical_bit_analysis().to_json()
+        return _emit(args, "report", {"report": row}, manifest, REPORT_CSV_FIELDS, [row])
     cert = _DEMOS[args.name]()
     return _emit(
         args,
@@ -150,7 +134,7 @@ def cmd_demo(args) -> int:
         certificate_to_json(cert),
         manifest,
         REPORT_CSV_FIELDS,
-        [report_csv_row(cert.report)],
+        [cert.report.to_json()],
     )
 
 
@@ -334,14 +318,8 @@ def cmd_eval(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(
-        args,
-        "report",
-        {"report": report_to_json(report)},
-        manifest,
-        REPORT_CSV_FIELDS,
-        [report_csv_row(report)],
-    )
+    row = report.to_json()
+    return _emit(args, "report", {"report": row}, manifest, REPORT_CSV_FIELDS, [row])
 
 
 def build_parser() -> argparse.ArgumentParser:

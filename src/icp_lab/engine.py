@@ -1,6 +1,7 @@
 """Ensembles of classically correlated states and the information bound check.
 
-An ensemble is a finite list of (probability, state, register values) entries.
+An ensemble is a finite list of (probability, state, register values) entries,
+held as three arrays: probabilities, state coordinates and register values.
 For an assignment pairing measurement X_i with register A_i the engine
 computes the extractable information
 
@@ -15,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import info
 from .gpt import (
-    MEMBERSHIP_TOL,
     Measurement,
     NormConstraint,
     Polytope,
@@ -33,6 +34,7 @@ from .gpt import (
     check_states,
     coords_to_density,
     density_to_coords,
+    effect_values,
     observed_dimension,
 )
 
@@ -57,25 +59,30 @@ class EnsembleEntry:
 
 @dataclass(frozen=True, eq=False)
 class CorrelatedEnsemble:
+    """Entry probabilities ``probs`` (E,), state coordinates ``coords`` (E, D)
+    and register values ``registers`` (E, R), all read-only.
+
+    ``build_ensemble`` makes one from entries and checks it.
+    """
+
     theory: Theory
-    entries: tuple[EnsembleEntry, ...]
+    probs: np.ndarray
+    coords: np.ndarray
+    registers: np.ndarray
     register_alphabets: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "register_alphabets", tuple(self.register_alphabets))
-        try:
-            coords = np.array([e.state.coords for e in self.entries])
-        except ValueError as exc:  # ragged rows
-            raise ValueError("ensemble states differ in dimension") from exc
-        probs = np.array([max(e.probability, 0.0) for e in self.entries])
-        regs = np.array([e.registers for e in self.entries], dtype=int)
-        coords.setflags(write=False)
-        probs.setflags(write=False)
-        regs.setflags(write=False)
-        object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "_probs", probs)
-        object.__setattr__(self, "_registers", regs)
+        for arr in (self.probs, self.coords, self.registers):
+            arr.setflags(write=False)
+
+    @cached_property
+    def entries(self) -> tuple[EnsembleEntry, ...]:
+        """The ensemble entry by entry, built on first use."""
+        tid = self.theory.theory_id
+        return tuple(
+            EnsembleEntry(float(p), State(c, tid), tuple(r))
+            for p, c, r in zip(self.probs, self.coords, self.registers.tolist())
+        )
 
     @property
     def n_registers(self) -> int:
@@ -85,7 +92,26 @@ class CorrelatedEnsemble:
         """Each entry's values on ``registers`` as one row-major flat index,
         and the shape of the joint alphabet they index."""
         shape = tuple(self.register_alphabets[r] for r in registers)
-        return np.ravel_multi_index(self._registers[:, list(registers)].T, shape), shape
+        return np.ravel_multi_index(self.registers[:, list(registers)].T, shape), shape
+
+
+def _check_arrays(
+    theory: Theory,
+    coords: np.ndarray,
+    registers: np.ndarray,
+    register_alphabets: tuple[int, ...],
+    validate: bool = True,
+) -> None:
+    """Raise ValueError for the first register value outside its alphabet,
+    then, with ``validate``, for the first state outside the state space."""
+    outside = (registers < 0) | (registers >= np.array(register_alphabets))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(f"register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
+    if validate:
+        _, ok = check_states(theory, coords)
+        if not ok:
+            raise ValueError(f"invalid state in ensemble: {ok.detail}")
 
 
 def build_ensemble(
@@ -94,7 +120,8 @@ def build_ensemble(
     register_alphabets: Sequence[int] | None = None,
     validate: bool = True,
 ) -> CorrelatedEnsemble:
-    """Assemble and check an ensemble; alphabets default to max value + 1.
+    """Stack entries into an ensemble and check it; alphabets default to max
+    value + 1.
 
     Register values and, with ``validate``, state membership are checked on
     the ensemble's arrays; an error reports the first entry at fault.
@@ -124,17 +151,14 @@ def build_ensemble(
     register_alphabets = tuple(int(a) for a in register_alphabets)
     if len(register_alphabets) != n_regs:
         raise ValueError(f"{len(register_alphabets)} alphabets for {n_regs} registers")
-    ensemble = CorrelatedEnsemble(theory, tuple(norm_entries), register_alphabets)
-    regs = ensemble._registers
-    outside = (regs < 0) | (regs >= np.array(register_alphabets))
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
-        raise ValueError(f"register value {regs[i, j]} outside alphabet {register_alphabets[j]}")
-    if validate:
-        _, ok = check_states(theory, ensemble._coords)
-        if not ok:
-            raise ValueError(f"invalid state in ensemble: {ok.detail}")
-    return ensemble
+    try:
+        coords = np.array([e.state.coords for e in norm_entries])
+    except ValueError as exc:  # ragged rows
+        raise ValueError("ensemble states differ in dimension") from exc
+    probs = np.array([max(e.probability, 0.0) for e in norm_entries])
+    registers = np.array([e.registers for e in norm_entries], dtype=int)
+    _check_arrays(theory, coords, registers, register_alphabets, validate)
+    return CorrelatedEnsemble(theory, probs, coords, registers, register_alphabets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,17 +184,6 @@ class ObservableAssignment:
         return tuple(f"{m.label}:{register_name(r)}" for m, r in self.pairs)
 
 
-def _effect_values(ensemble: CorrelatedEnsemble, measurement: Measurement) -> np.ndarray:
-    vals = measurement.effect_matrix @ ensemble._coords.T
-    lo, hi = vals.min(), vals.max()
-    if lo < -MEMBERSHIP_TOL or hi > 1.0 + MEMBERSHIP_TOL:
-        raise ValueError(f"effect value outside [0, 1]: range ({lo!r}, {hi!r})")
-    # same boundary snapping as apply_effect, vectorized
-    vals[np.abs(vals) <= MEMBERSHIP_TOL] = 0.0
-    vals[np.abs(vals - 1.0) <= MEMBERSHIP_TOL] = 1.0
-    return vals
-
-
 def joint_outcome_table(
     ensemble: CorrelatedEnsemble, measurement: Measurement, register: int
 ) -> info.JointTable:
@@ -184,7 +197,8 @@ def joint_outcome_table(
     if not 0 <= register < ensemble.n_registers:
         raise ValueError(f"no register {register} in ensemble")
     index, (alphabet,) = ensemble.register_index((register,))
-    table = (_effect_values(ensemble, measurement) * ensemble._probs) @ np.eye(alphabet)[index]
+    values = effect_values(measurement.effect_matrix, ensemble.coords)
+    table = (values * ensemble.probs) @ np.eye(alphabet)[index]
     out_name = measurement.label or "X"
     reg_name = register_name(register)
     if out_name == reg_name:
@@ -198,8 +212,21 @@ def register_marginal(
     """Joint distribution of the given registers (all by default)."""
     regs = tuple(registers) if registers is not None else tuple(range(ensemble.n_registers))
     index, shape = ensemble.register_index(regs)
-    table = np.bincount(index, weights=ensemble._probs, minlength=math.prod(shape))
+    table = np.bincount(index, weights=ensemble.probs, minlength=math.prod(shape))
     return info.JointTable(tuple(register_name(r) for r in regs), table.reshape(shape))
+
+
+# the CSV columns of a report: every key of ICPReport.to_json except register_marginal
+REPORT_CSV_FIELDS = (
+    "pairs",
+    "gains",
+    "redundancy",
+    "extractable",
+    "observed_dimension",
+    "bound",
+    "margin",
+    "violated",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +308,6 @@ class _StateFamily:
     """Continuous parametrization of states with box-bounded coordinates."""
 
     def __init__(self, theory: Theory):
-        self.theory = theory
         v = theory.variant
         if isinstance(v, Polytope):
             self.kind = "polytope"
@@ -307,18 +333,19 @@ class _StateFamily:
         else:  # pragma: no cover
             raise TypeError(f"unsupported variant {v!r}")
 
-    def build(self, params: np.ndarray) -> State:
+    def build(self, params: np.ndarray) -> np.ndarray:
+        """State coordinates for one parameter vector."""
         if self.kind in ("polytope", "simplex"):
             w = np.clip(params, 0.0, None)
             total = w.sum()
             w = np.full_like(w, 1.0 / len(w)) if total <= 0.0 else w / total
-            return State(w @ self.vertex_coords, self.theory.theory_id)
+            return w @ self.vertex_coords
         if self.kind == "norm":
             s = np.asarray(params, dtype=float)
             norm = np.abs(s).max() if math.isinf(self.p) else float((np.abs(s) ** self.p).sum()) ** (1.0 / self.p)
             if norm > 1.0:
                 s = s / norm
-            return State(np.append(s, 1.0), self.theory.theory_id)
+            return np.append(s, 1.0)
         b = np.asarray(params, dtype=float)
         norm = np.linalg.norm(b)
         if norm > 1.0:
@@ -330,7 +357,7 @@ class _StateFamily:
             ],
             dtype=complex,
         ) / 2.0
-        return State(density_to_coords(rho), self.theory.theory_id)
+        return density_to_coords(rho)
 
     def seed_states(self, assignment: ObservableAssignment) -> list[np.ndarray]:
         """Parameter vectors of extremal states worth trying on a grid."""
@@ -416,7 +443,7 @@ def maximize_extractable(
         raise ValueError(f"unknown strategy {config.strategy!r}")
     family = _StateFamily(theory)
     alphabets = tuple(len(m.effects) for m, _ in assignment.pairs)
-    combos = list(itertools.product(*[range(a) for a in alphabets]))
+    combos = np.array(list(itertools.product(*[range(a) for a in alphabets])))
     n_combo = len(combos)
     sp = family.n_params
     evaluations = [0]
@@ -425,11 +452,8 @@ def maximize_extractable(
         w = np.clip(weights, 0.0, None)
         total = w.sum()
         w = np.full_like(w, 1.0 / len(w)) if total <= 0.0 else w / total
-        entries = [
-            EnsembleEntry(w[i], family.build(state_params[i]), combos[i])
-            for i in range(n_combo)
-        ]
-        return CorrelatedEnsemble(theory, tuple(entries), alphabets)
+        coords = np.array([family.build(params) for params in state_params])
+        return CorrelatedEnsemble(theory, w, coords, combos, alphabets)
 
     def objective(weights: np.ndarray, state_params: np.ndarray):
         evaluations[0] += 1

@@ -256,24 +256,28 @@ def coords_to_density(coords, dim: int) -> np.ndarray:
 
 # --- evaluation --------------------------------------------------------------
 
-def apply_effect(effect: Effect, state: State, clamp_tol: float = MEMBERSHIP_TOL) -> float:
-    """Outcome probability of an effect on a state.
+def effect_values(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of (k, D) effect rows on (n, D) state rows, shape (k, n).
 
-    Values within ``clamp_tol`` of 0 or 1 snap to the boundary so that exactly
-    distinguishable configurations produce exactly deterministic statistics.
+    Values within ``MEMBERSHIP_TOL`` of 0 or 1 snap to the boundary so that
+    exactly distinguishable configurations produce exactly deterministic
+    statistics; a value further outside [0, 1] raises ValueError.
     """
-    if effect.coords.size != state.coords.size:
-        raise ValueError(
-            f"effect dimension {effect.coords.size} != state dimension {state.coords.size}"
-        )
-    value = float(np.dot(effect.coords, state.coords))
-    if value < -clamp_tol or value > 1.0 + clamp_tol:
+    if effects.shape[1] != states.shape[1]:
+        raise ValueError(f"effect dimension {effects.shape[1]} != state dimension {states.shape[1]}")
+    vals = effects @ states.T
+    lo, hi = vals.min(), vals.max()
+    if lo < -MEMBERSHIP_TOL or hi > 1.0 + MEMBERSHIP_TOL:
+        value = float(lo if lo < -MEMBERSHIP_TOL else hi)
         raise ValueError(f"effect value {value!r} outside [0, 1]; invalid effect/state pair")
-    if abs(value) <= clamp_tol:
-        return 0.0
-    if abs(value - 1.0) <= clamp_tol:
-        return 1.0
-    return value
+    vals[np.abs(vals) <= MEMBERSHIP_TOL] = 0.0
+    vals[np.abs(vals - 1.0) <= MEMBERSHIP_TOL] = 1.0
+    return vals
+
+
+def apply_effect(effect: Effect, state: State) -> float:
+    """Outcome probability of an effect on a state: the 1 x 1 ``effect_values``."""
+    return float(effect_values(effect.coords[None, :], state.coords[None, :])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -388,7 +392,7 @@ def measure(theory: Theory, measurement: Measurement, state: State) -> np.ndarra
             raise ValueError(
                 f"measurement {measurement.label!r} is not available in {theory.theory_id!r}"
             )
-    probs = np.array([apply_effect(e, state) for e in measurement.effects])
+    probs = effect_values(measurement.effect_matrix, state.coords[None, :]).ravel()
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {total!r}")

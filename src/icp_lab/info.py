@@ -153,9 +153,11 @@ def multivariate_mutual_information(table: JointTable, names: Sequence[str] | No
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian unit-trace positive-semidefinite matrix."""
+    """Hermitian unit-trace positive-semidefinite matrix, with the spectrum
+    its positivity check computes."""
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -165,11 +167,14 @@ class DensityOperator:
             raise ValueError("density operator is not Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-9:
             raise ValueError(f"trace is {np.trace(m).real!r}, not 1")
-        if np.linalg.eigvalsh(m).min() < -1e-9:
+        spectrum = np.linalg.eigvalsh(m)
+        if spectrum.min() < -1e-9:
             raise ValueError("density operator has a negative eigenvalue")
         m = np.array(m)
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -178,9 +183,8 @@ class DensityOperator:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log2 rho via the eigenvalue spectrum."""
-    matrix = rho.matrix if isinstance(rho, DensityOperator) else DensityOperator(rho).matrix
-    eigs = np.linalg.eigvalsh(matrix)
-    return _plogp_bits(eigs)
+    op = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
+    return _plogp_bits(op.spectrum)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ margin; a failed step on an exotic theory is data, not an error.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -165,21 +163,16 @@ _AXIOM_FUNS: dict[str, dict[str, Callable[[np.random.Generator], float]]] = {
     },
 }
 
-_N_BLOCKS = 64  # fixed blocking keeps results independent of the thread count
+_N_BLOCKS = 64  # fixed blocks with per-block seeds fix the results
 
 
 def axiom_suite(entropy_kind: str = "shannon", trials: int = 1000, seed: int = 0) -> list[AxiomReport]:
     """Stress axioms (i)-(v) on seeded random instances; passed means
-    the worst violation stays below 1e-9.
-
-    ``ICP_LAB_THREADS`` >= 2 runs the trial blocks in a thread pool; results
-    are identical either way because blocking and seeding are fixed.
-    """
+    the worst violation stays below 1e-9."""
     if entropy_kind not in _AXIOM_FUNS:
         raise ValueError(f"unknown entropy kind {entropy_kind!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    threads = int(os.environ.get("ICP_LAB_THREADS", "0") or 0)
     reports = []
     root = np.random.SeedSequence(seed)
     axiom_seeds = root.spawn(len(_AXIOM_FUNS[entropy_kind]))
@@ -187,22 +180,11 @@ def axiom_suite(entropy_kind: str = "shannon", trials: int = 1000, seed: int = 0
         sizes = [trials // _N_BLOCKS] * _N_BLOCKS
         for i in range(trials % _N_BLOCKS):
             sizes[i] += 1
-        block_seeds = axiom_seed.spawn(_N_BLOCKS)
-
-        def run_block(args) -> float:
-            size, block_seed = args
+        worst = 0.0
+        for size, block_seed in zip(sizes, axiom_seed.spawn(_N_BLOCKS)):
             rng = np.random.default_rng(block_seed)
-            worst = 0.0
             for _ in range(size):
                 worst = max(worst, fun(rng))
-            return worst
-
-        blocks = [(s, bs) for s, bs in zip(sizes, block_seeds) if s > 0]
-        if threads >= 2:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                worst = max(pool.map(run_block, blocks))
-        else:
-            worst = max(map(run_block, blocks))
         worst = float(worst)
         reports.append(AxiomReport(name, entropy_kind, trials, worst, worst <= AXIOM_TOL))
     return reports
@@ -277,7 +259,7 @@ class _ClassicalChainData:
         v = theory.variant
         if isinstance(v, RestrictedClassical):
             basis = np.eye(v.internal_states)
-            weights = ensemble._coords
+            weights = ensemble.coords
         elif isinstance(v, Polytope):
             verts = v.vertex_matrix
             if len(verts) != state_space_dimension(theory) + 1:
@@ -286,10 +268,10 @@ class _ClassicalChainData:
                 )
             basis = verts
             # augment with a normalization column so the weights are barycentric
-            target = np.hstack([ensemble._coords, np.ones((len(ensemble.entries), 1))])
+            target = np.hstack([ensemble.coords, np.ones((len(ensemble.probs), 1))])
             weights = target @ v.barycentric_map.T
             recon = weights @ verts
-            if np.max(np.abs(recon - ensemble._coords)) > 1e-9:
+            if np.max(np.abs(recon - ensemble.coords)) > 1e-9:
                 raise ChainNotApplicable("states do not decompose over the vertices")
             if weights.min() < -1e-9:
                 raise ChainNotApplicable("states fall outside the vertex simplex")
@@ -299,7 +281,7 @@ class _ClassicalChainData:
         # (S, joint register value) in one product: entry masses on S times
         # the entries' one-hot joint register values
         index, shape = ensemble.register_index(registers)
-        mass = ensemble._probs[:, None] * np.clip(weights, 0.0, None)
+        mass = ensemble.probs[:, None] * np.clip(weights, 0.0, None)
         self.table = (mass.T @ np.eye(math.prod(shape))[index]).reshape((len(basis),) + shape)
         self.n = len(registers)
         self._cache: dict[int, float] = {}
@@ -335,8 +317,8 @@ class _QuantumChainData:
             raise ChainNotApplicable("not a quantum theory")
         index, shape = ensemble.register_index(registers)
         size = math.prod(shape)
-        self.probs = np.bincount(index, weights=ensemble._probs, minlength=size).reshape(shape)
-        weighted = np.eye(size)[index].T @ (ensemble._probs[:, None] * ensemble._coords)
+        self.probs = np.bincount(index, weights=ensemble.probs, minlength=size).reshape(shape)
+        weighted = np.eye(size)[index].T @ (ensemble.probs[:, None] * ensemble.coords)
         self.weighted = weighted.reshape(shape + (-1,))
         self.n = len(registers)
         self.dim = v.hilbert_dim

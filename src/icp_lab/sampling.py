@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import CatalogEntry
-from .engine import CorrelatedEnsemble, EnsembleEntry, build_ensemble
+from .engine import CorrelatedEnsemble, _check_arrays
 from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
 
 
@@ -96,16 +96,16 @@ def random_ensemble(
 ) -> CorrelatedEnsemble:
     """Random correlated ensemble with one entry per register combination.
 
-    Draws the entry probabilities, then all states at once. The draw order
+    Draws the entry probabilities, then all states at once, and checks the
+    register values and the states as ``build_ensemble`` does. The draw order
     is part of the contract: ``perfbench/reference.json`` replays fixed
     seeds, so a change of order changes every recorded value.
     """
-    combos = list(itertools.product(range(alphabet), repeat=n_registers))
-    probs = rng.dirichlet(np.ones(len(combos)))
-    coords = _random_coords(entry.theory, rng, len(combos))
-    tid = entry.theory.theory_id
-    entries = [
-        EnsembleEntry(float(p), State(c, tid), combo)
-        for p, c, combo in zip(probs, coords, combos)
-    ]
-    return build_ensemble(entry.theory, entries, (alphabet,) * n_registers)
+    if n_registers < 1:
+        raise ValueError("entries need at least one register")
+    registers = np.array(list(itertools.product(range(alphabet), repeat=n_registers)))
+    probs = rng.dirichlet(np.ones(len(registers)))
+    coords = _random_coords(entry.theory, rng, len(registers))
+    alphabets = (alphabet,) * n_registers
+    _check_arrays(entry.theory, coords, registers, alphabets)
+    return CorrelatedEnsemble(entry.theory, probs, coords, registers, alphabets)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogEntry, resolve
-from .engine import (
-    CorrelatedEnsemble,
-    ICPReport,
-    ObservableAssignment,
-    build_ensemble,
-)
+from .engine import CorrelatedEnsemble, ObservableAssignment, build_ensemble
 from .gpt import State
 
 
@@ -164,41 +159,12 @@ def assignment_to_json(assignment: ObservableAssignment) -> list:
     ]
 
 
-def report_to_json(report: ICPReport) -> dict:
-    return report.to_json()
-
-
 def certificate_to_json(cert) -> dict:
     return {
         "theory": cert.theory_id,
         "ensemble": ensemble_to_json(cert.ensemble),
         "assignment": assignment_to_json(cert.assignment),
-        "report": report_to_json(cert.report),
+        "report": cert.report.to_json(),
         "closed_form": dict(cert.closed_form),
         "crosscheck_max_abs_diff": cert.crosscheck_max_abs_diff,
-    }
-
-
-REPORT_CSV_FIELDS = (
-    "pairs",
-    "gains",
-    "redundancy",
-    "extractable",
-    "observed_dimension",
-    "bound",
-    "margin",
-    "violated",
-)
-
-
-def report_csv_row(report: ICPReport) -> dict:
-    return {
-        "pairs": list(report.pair_labels),
-        "gains": list(report.gains),
-        "redundancy": report.redundancy,
-        "extractable": report.extractable,
-        "observed_dimension": report.observed_dim,
-        "bound": report.bound,
-        "margin": report.margin,
-        "violated": report.violated,
     }

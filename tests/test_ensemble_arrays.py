@@ -51,6 +51,7 @@ def _loop_table(ens, measurement, register):
 
 @pytest.mark.parametrize("make, labels", ORACLE_CASES)
 def test_evaluate_icp_matches_the_public_composition(make, labels):
+    """Also: the entries view of a sampled ensemble rebuilds it bit for bit."""
     entry = make()
     assignment = _assignment(entry, labels)
     rng = np.random.default_rng([31, len(labels), len(entry.entry_id)])
@@ -58,6 +59,10 @@ def test_evaluate_icp_matches_the_public_composition(make, labels):
     for _ in range(200):
         ens = sampling.random_ensemble(entry, rng)
         report = evaluate_icp(ens, assignment)
+        rebuilt = build_ensemble(entry.theory, ens.entries, ens.register_alphabets)
+        for name in ("probs", "coords", "registers"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(ens, name))
+        assert evaluate_icp(rebuilt, assignment).to_json() == report.to_json()
         gains = []
         for measurement, reg in assignment.pairs:
             table = joint_outcome_table(ens, measurement, reg)
@@ -89,11 +94,11 @@ def test_random_ensemble_draws_like_sequential_random_state(make):
             sequential = np.random.default_rng(seed)
             probs = sequential.dirichlet(np.ones(alphabet**n_registers))
             coords = np.array([sampling.random_state(entry, sequential).coords for _ in probs])
-            assert np.array_equal(ens._probs, probs)
+            assert np.array_equal(ens.probs, probs)
             if quantum:
-                assert np.abs(ens._coords - coords).max() <= 1e-12
+                assert np.abs(ens.coords - coords).max() <= 1e-12
             else:
-                assert np.array_equal(ens._coords, coords)
+                assert np.array_equal(ens.coords, coords)
             assert batched.bit_generator.state == sequential.bit_generator.state
 
 

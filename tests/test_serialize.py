@@ -6,16 +6,14 @@ import pytest
 
 from icp_lab import catalog
 from icp_lab.constructions import sbit_violation
+from icp_lab.engine import REPORT_CSV_FIELDS
 from icp_lab.serialize import (
-    REPORT_CSV_FIELDS,
     RunManifest,
     ensemble_from_json,
     ensemble_to_json,
     jsonable,
     render_csv,
     render_json,
-    report_csv_row,
-    report_to_json,
 )
 
 
@@ -62,11 +60,16 @@ def test_render_csv_manifest_comments_and_cells():
 
 def test_report_csv_row_covers_fields():
     cert = sbit_violation()
-    row = report_csv_row(cert.report)
+    row = cert.report.to_json()
     assert set(REPORT_CSV_FIELDS) <= set(row)
     assert row["violated"] is True
-    doc = report_to_json(cert.report)
-    assert doc["extractable"] == pytest.approx(2.0, abs=1e-12)
+    assert row["extractable"] == pytest.approx(2.0, abs=1e-12)
+    lines = render_csv(REPORT_CSV_FIELDS, [row], _manifest()).splitlines()
+    header = next(i for i, l in enumerate(lines) if not l.startswith("# "))
+    assert lines[header] == ",".join(REPORT_CSV_FIELDS)
+    cells = dict(zip(REPORT_CSV_FIELDS, lines[header + 1].split(",")))
+    assert cells["pairs"] == "X:A;Z:B"
+    assert cells["violated"] == "true"
 
 
 def test_ensemble_round_trip():
