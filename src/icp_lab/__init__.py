@@ -12,11 +12,15 @@ by step.
 __version__ = "0.1.0"
 
 from .info import (
+    AXIOM_TOL,
     AxiomReport,
     DensityOperator,
     Distribution,
+    IDENTITY_TOL,
     JointTable,
+    MEMBERSHIP_TOL,
     PROB_TOL,
+    VIOLATION_TOL,
     binary_entropy,
     conditional_mutual_information,
     multivariate_mutual_information,
@@ -28,7 +32,6 @@ from .gpt import (
     DimensionReport,
     DistinguishabilityCertificate,
     Effect,
-    MEMBERSHIP_TOL,
     Measurement,
     NormConstraint,
     Polytope,
@@ -79,7 +82,6 @@ from .engine import (
     OptimizerConfig,
     REPORT_CSV_FIELDS,
     SweepPoint,
-    VIOLATION_TOL,
     build_ensemble,
     evaluate_icp,
     joint_outcome_table,
@@ -97,10 +99,8 @@ from .sampling import (
     random_state,
 )
 from .proofs import (
-    AXIOM_TOL,
     ChainNotApplicable,
     ChainStep,
-    IDENTITY_TOL,
     ProofChainLedger,
     axiom_suite,
     proof_chain_check,

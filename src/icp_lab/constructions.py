@@ -36,13 +36,13 @@ from .engine import (
     ICPReport,
     ObservableAssignment,
     OptimizerConfig,
-    VIOLATION_TOL,
     build_ensemble,
     evaluate_icp,
     joint_outcome_table,
     maximize_extractable,
 )
 from .gpt import apply_effect, composite_dimension_bound, observed_dimension
+from .info import VIOLATION_TOL
 
 _LN2 = math.log(2.0)
 

@@ -30,10 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .info import PROB_TOL
-
-MEMBERSHIP_TOL = 1e-9
-DISTINGUISH_TOL = 1e-9
+from .info import DISTINGUISH_TOL, MEMBERSHIP_TOL, PROB_TOL
 
 
 def _frozen_vector(coords) -> np.ndarray:

@@ -12,7 +12,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-PROB_TOL = 1e-12
+# every tolerance of the package, in one table
+PROB_TOL = 1e-12  # a table's entries and sum as a probability distribution
+VIOLATION_TOL = 1e-9  # how far extractable information must exceed log2 d to count
+MEMBERSHIP_TOL = 1e-9  # state membership, and snapping effect values to 0 and 1
+DISTINGUISH_TOL = 1e-9  # perfect distinguishability in the dimension search
+AXIOM_TOL = 1e-9  # an entropy inequality's allowed violation
+IDENTITY_TOL = 1e-12  # an entropy identity's allowed error
 LN2 = math.log(2.0)
 
 

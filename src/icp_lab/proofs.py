@@ -30,11 +30,8 @@ from .gpt import (
     observed_dimension,
     state_space_dimension,
 )
-from .info import AxiomReport, _plogp_bits, von_neumann_entropy
+from .info import AXIOM_TOL, IDENTITY_TOL, AxiomReport, _plogp_bits, von_neumann_entropy
 from .sampling import random_density_matrix, random_projective_measurement
-
-AXIOM_TOL = 1e-9
-IDENTITY_TOL = 1e-12
 
 
 # --- random instances per axiom ----------------------------------------------

@@ -1,15 +1,21 @@
 """Ensemble evaluation engine: reports, invariances, optimizer, rotation sweep."""
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from icp_lab import (
+    CorrelatedEnsemble,
+    Measurement,
     ObservableAssignment,
     OptimizerConfig,
     build_ensemble,
     catalog,
+    engine,
     evaluate_icp,
+    gpt,
     joint_outcome_table,
     maximize_extractable,
     qubit_rotation_sweep,
@@ -82,6 +88,21 @@ def test_evaluate_icp_sbit_corners(sbit_violation_ensemble):
     assert report.bound == pytest.approx(1.0, abs=1e-15)
     assert report.violated
     assert report.margin == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_evaluate_icp_certifies_no_violation_on_a_partial_dimension_search(
+    sbit_violation_ensemble, monkeypatch
+):
+    entry, ens = sbit_violation_ensemble
+    full = gpt.observed_dimension(entry.theory)
+    partial = dataclasses.replace(full, d=1, exhaustive=False, notes="search budget exhausted")
+    monkeypatch.setattr(engine, "observed_dimension", lambda theory: partial)
+    report = evaluate_icp(ens, _bit_assignment(entry))
+    # d = 1 is only a lower bound: the negative margin is reported, not certified
+    assert report.observed_dim == 1
+    assert report.bound == 0.0
+    assert report.margin == pytest.approx(-2.0, abs=1e-12)
+    assert not report.violated
 
 
 def test_evaluate_icp_register_relabeling_invariance(sbit_violation_ensemble):
@@ -165,6 +186,90 @@ def test_maximize_extractable_rejects_unknown_strategy(sbit_entry):
             _bit_assignment(sbit_entry),
             OptimizerConfig(strategy="annealing"),
         )
+
+
+# (name, catalog entry, measurement labels, strategy, max_evals, extractable repr,
+#  evaluations, converged), as the search gave them when every grid candidate
+#  and every line-search point still built its own ensemble and report
+OPTIMIZER_CASES = (
+    ("classical-bit", catalog.classical_bit, ("X", "Z"), "coordinate-descent", 8000, "1.0", 385, True),
+    ("sbit", catalog.sbit, ("X", "Z"), "random-restart", 4000, "2.0", 4273, False),
+    ("qubit", catalog.qubit, ("X", "Z"), "random-restart", 4000, "0.7982479266142879", 4021, False),
+    ("pgnst:3:2", lambda: catalog.pgnst(3.0, 2), ("X", "Z"), "coordinate-descent", 8000,
+     "0.3774437510817341", 1833, True),
+    ("classical-trit", catalog.classical_trit, ("E1", "E2"), "grid", 8000, "1.0", 486, True),
+)
+
+
+def _case(make, labels, strategy, max_evals):
+    th = make().theory
+    assignment = ObservableAssignment(tuple((th.measurement(l), i) for i, l in enumerate(labels)))
+    return th, assignment, OptimizerConfig(strategy=strategy, max_evals=max_evals)
+
+
+@pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
+def test_maximize_extractable_pinned_results(case):
+    _, make, labels, strategy, max_evals, extractable, evaluations, converged = case
+    theory, assignment, config = _case(make, labels, strategy, max_evals)
+    result = maximize_extractable(theory, assignment, config)
+    assert repr(result.report.extractable) == extractable
+    assert result.evaluations == evaluations
+    assert result.converged is converged
+    assert result.report.to_json() == evaluate_icp(result.ensemble, assignment).to_json()
+
+
+def _reference_objective(theory, assignment, family, weights, state_params, equal_gain):
+    """The search objective as one ensemble and one evaluate_icp report per point."""
+    alphabets = tuple(len(m.effects) for m, _ in assignment.pairs)
+    combos = np.array(list(itertools.product(*[range(a) for a in alphabets])))
+    w = np.clip(weights, 0.0, None)
+    w = np.full_like(w, 1.0 / len(w)) if w.sum() <= 0.0 else w / w.sum()
+    coords = np.array([family.build(params) for params in state_params])
+    report = evaluate_icp(CorrelatedEnsemble(theory, w, coords, combos, alphabets), assignment)
+    value = report.extractable
+    if equal_gain and len(report.gains) > 1:
+        value -= 4.0 * (max(report.gains) - min(report.gains))
+    return value
+
+
+@pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
+def test_grid_scores_match_the_per_ensemble_objective(case):
+    _, make, labels, strategy, max_evals = case[:5]
+    theory, assignment, config = _case(make, labels, strategy, max_evals)
+    family = engine._StateFamily(theory)
+    objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
+    seeds = family.seed_states(assignment)
+    families = engine._register_families(objective.alphabets)
+    n_combo = len(objective.combos)
+    fam, choice = engine._grid_candidates(len(seeds), n_combo, len(families), max_evals)
+    # the candidates come in the order of the nested family and seed loops
+    scan_order = [(f, c) for f in range(len(families)) for c in itertools.product(range(len(seeds)), repeat=n_combo)]
+    assert [(f, tuple(c)) for f, c in zip(fam.tolist(), choice.tolist())] == scan_order[: max_evals]
+    w = np.array([engine._normalized(weights) for weights in families])
+    seed_coords = np.array([family.build(params) for params in seeds])
+    scores = objective.grid_scores(w, seed_coords, fam, choice)
+    expected = [
+        _reference_objective(
+            theory, assignment, family, families[f], np.array([seeds[i] for i in c]), config.equal_gain_constraint
+        )
+        for f, c in zip(fam, choice)
+    ]
+    assert np.max(np.abs(scores - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("strategy", ["grid", "coordinate-descent"])
+def test_maximize_extractable_checks_every_table_as_a_distribution(bit_entry, strategy):
+    th = bit_entry.theory
+    p0 = th.measurement("X").effects[0]
+    twice = Measurement("X0X0", (p0, p0))  # its effects sum to twice the unit
+    assignment = ObservableAssignment(((twice, 0), (th.measurement("Z"), 1)))
+    with pytest.raises(ValueError, match="distribution sums to"):
+        maximize_extractable(th, assignment, OptimizerConfig(strategy=strategy, max_evals=500))
+    # the line searches score through the same checks
+    objective = engine._SearchObjective(th, assignment, True)
+    coords = np.array([engine._StateFamily(th).build(np.array([1.0, 0.0]))] * 4)
+    with pytest.raises(ValueError, match="distribution sums to"):
+        objective.value(np.full(4, 0.25), coords)
 
 
 def test_qubit_rotation_sweep_endpoints_and_shape():
