@@ -15,14 +15,12 @@ from .info import (
     AXIOM_TOL,
     AxiomReport,
     DensityOperator,
-    Distribution,
     IDENTITY_TOL,
     JointTable,
     MEMBERSHIP_TOL,
     PROB_TOL,
     VIOLATION_TOL,
     binary_entropy,
-    conditional_mutual_information,
     multivariate_mutual_information,
     mutual_information,
     shannon_entropy,
@@ -91,10 +89,8 @@ from .engine import (
     register_name,
 )
 from .sampling import (
-    haar_unitary,
     random_density_matrix,
     random_ensemble,
-    random_joint_table,
     random_projective_measurement,
     random_state,
 )

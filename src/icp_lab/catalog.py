@@ -21,7 +21,7 @@ four-state classical simplex that only exposes the two coarse parity readouts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -30,7 +30,14 @@ from .constructions import (
 from .engine import REPORT_CSV_FIELDS, ObservableAssignment, evaluate_icp, qubit_rotation_sweep
 from .gpt import ambient_dimension, observed_dimension, state_space_dimension
 from .proofs import axiom_suite
-from .serialize import RunManifest, certificate_to_json, ensemble_from_json, render_csv, render_json
+from .serialize import (
+    RunManifest,
+    assignment_from_json,
+    certificate_to_json,
+    ensemble_from_json,
+    render_csv,
+    render_json,
+)
 
 _DEMOS = {
     "sbit": sbit_violation,
@@ -283,16 +290,19 @@ def cmd_eval(args) -> int:
             )
             return 2
         node = {**node, "theory": args.theory}
+    use_embedded = bool(embedded_assignment) and not args.measurements
     try:
         entry, ensemble = ensemble_from_json(node)
+        embedded = assignment_from_json(embedded_assignment) if use_embedded else None
     except ValueError as exc:
         print(f"error: {args.ensemble}: {exc}", file=sys.stderr)
         return 2
 
     if args.measurements:
         names = [m.strip() for m in args.measurements.split(",") if m.strip()]
-    elif embedded_assignment:
-        names = [pair.get("measurement") for pair in embedded_assignment]
+        registers = list(range(len(names)))
+    elif embedded:
+        names, registers = embedded
     else:
         print("error: no measurements given and none embedded in the file", file=sys.stderr)
         return 2
@@ -302,10 +312,6 @@ def cmd_eval(args) -> int:
         except ValueError:
             print(f"error: bad register list {args.registers!r}", file=sys.stderr)
             return 2
-    elif embedded_assignment and not args.measurements:
-        registers = [pair.get("register") for pair in embedded_assignment]
-    else:
-        registers = list(range(len(names)))
     if len(registers) != len(names):
         print("error: measurement and register counts differ", file=sys.stderr)
         return 2

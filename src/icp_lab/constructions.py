@@ -83,40 +83,38 @@ def _conditional(table_probs: np.ndarray, outcome: int, value: int) -> float:
     return float(col[outcome] / col.sum())
 
 
-def sbit_violation() -> ViolationCertificate:
-    """Square-model corners read out perfectly in X and Z at once."""
-    entry = sbit()
-    states = {
-        (a, b): sbit_state(1.0 - 2.0 * a, 1.0 - 2.0 * b) for a in (0, 1) for b in (0, 1)
-    }
-    ensemble = _uniform_four(entry, states)
-    assignment = _two_register_assignment(entry)
+def _certificate(entry, ensemble, assignment, closed, *crosschecks) -> ViolationCertificate:
+    """Evaluate the ensemble and certify it against its closed form: the
+    stored difference is the largest gap between the report and ``closed`` in
+    both gains, the redundancy and the extractable information, or among the
+    further absolute differences ``crosschecks``."""
     report = evaluate_icp(ensemble, assignment)
-    closed = {"I(X:A)": 1.0, "I(Z:B)": 1.0, "redundancy": 0.0, "extractable": 2.0}
     diff = max(
         abs(closed["I(X:A)"] - report.gains[0]),
         abs(closed["I(Z:B)"] - report.gains[1]),
         abs(closed["redundancy"] - report.redundancy),
         abs(closed["extractable"] - report.extractable),
+        *crosschecks,
     )
     return ViolationCertificate(entry.entry_id, ensemble, assignment, report, closed, diff)
+
+
+def _two_bit_corners(entry: CatalogEntry, state) -> ViolationCertificate:
+    """Register values (a, b) sent as ``state(a, b)``, which X and Z read out
+    exactly: two bits where log2 d = 1."""
+    ensemble = _uniform_four(entry, {(a, b): state(a, b) for a in (0, 1) for b in (0, 1)})
+    closed = {"I(X:A)": 1.0, "I(Z:B)": 1.0, "redundancy": 0.0, "extractable": 2.0}
+    return _certificate(entry, ensemble, _two_register_assignment(entry), closed)
+
+
+def sbit_violation() -> ViolationCertificate:
+    """Square-model corners read out perfectly in X and Z at once."""
+    return _two_bit_corners(sbit(), lambda a, b: sbit_state(1.0 - 2.0 * a, 1.0 - 2.0 * b))
 
 
 def hbit_violation() -> ViolationCertificate:
     """Two classical bits coexist inside; either one is readable on demand."""
-    entry = hbit()
-    states = {(a, b): hbit_state(a, b) for a in (0, 1) for b in (0, 1)}
-    ensemble = _uniform_four(entry, states)
-    assignment = _two_register_assignment(entry)
-    report = evaluate_icp(ensemble, assignment)
-    closed = {"I(X:A)": 1.0, "I(Z:B)": 1.0, "redundancy": 0.0, "extractable": 2.0}
-    diff = max(
-        abs(closed["I(X:A)"] - report.gains[0]),
-        abs(closed["I(Z:B)"] - report.gains[1]),
-        abs(closed["redundancy"] - report.redundancy),
-        abs(closed["extractable"] - report.extractable),
-    )
-    return ViolationCertificate(entry.entry_id, ensemble, assignment, report, closed, diff)
+    return _two_bit_corners(hbit(), hbit_state)
 
 
 def classical_bit_analysis() -> ICPReport:
@@ -146,8 +144,6 @@ def qubit_rac_construction() -> ViolationCertificate:
         for b in (0, 1)
     }
     ensemble = _uniform_four(entry, states)
-    assignment = _two_register_assignment(entry)
-    report = evaluate_icp(ensemble, assignment)
     success = (2.0 + math.sqrt(2.0)) / 4.0
     gain = 1.0 - info.binary_entropy(success)
     closed = {
@@ -158,14 +154,8 @@ def qubit_rac_construction() -> ViolationCertificate:
         "extractable": 2.0 * gain,
     }
     x_table = joint_outcome_table(ensemble, entry.measurement("X"), 0)
-    diff = max(
-        abs(closed["I(X:A)"] - report.gains[0]),
-        abs(closed["I(Z:B)"] - report.gains[1]),
-        abs(closed["redundancy"] - report.redundancy),
-        abs(closed["extractable"] - report.extractable),
-        abs(closed["per_cell_success"] - _conditional(x_table.probs, 0, 0)),
-    )
-    return ViolationCertificate(entry.entry_id, ensemble, assignment, report, closed, diff)
+    success_diff = abs(success - _conditional(x_table.probs, 0, 0))
+    return _certificate(entry, ensemble, _two_register_assignment(entry), closed, success_diff)
 
 
 # --- norm-constraint family ----------------------------------------------------
@@ -174,25 +164,18 @@ def qubit_rac_construction() -> ViolationCertificate:
 class PgnstSearchConfig:
     """Grid for minimizing H(X)+H(Z) over the saturating boundary.
 
-    The grid lives in u = 1 - s_x, log-spaced from u_min down toward the
-    corner u = 0, which is appended exactly. epsilon and delta_x parametrize
-    the analytic bound window checked separately by pgnst_bound_check.
+    The grid lives in u = 1 - s_x, log-spaced from u_min up to 1, and the
+    corner u = 0 is appended exactly. pgnst_bound_check takes its own epsilon.
     """
 
     grid_points: int = 100_000
     u_min: float = 1e-12
-    epsilon: float = 0.1
-    delta_x: float = 1e-2
 
     def __post_init__(self):
         if not 0.0 < self.u_min < 1.0:
             raise ValueError("u_min must lie in (0, 1)")
         if self.grid_points < 2:
             raise ValueError("grid needs at least two points")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.delta_x < 1.0:
-            raise ValueError("delta_x must lie in (0, 1)")
 
 
 def _entropy_from_gap(gap: np.ndarray) -> np.ndarray:
@@ -262,8 +245,6 @@ def pgnst_violation(p: float, config: PgnstSearchConfig | None = None) -> Violat
         for b in (0, 1)
     }
     ensemble = _uniform_four(entry, states)
-    assignment = _two_register_assignment(entry)
-    report = evaluate_icp(ensemble, assignment)
     gain_x = 1.0 - float(_entropy_from_gap(np.array([1.0 - sx]))[0])
     gain_z = 1.0 - float(_entropy_from_gap(np.array([1.0 - sz]))[0])
     closed = {
@@ -275,13 +256,7 @@ def pgnst_violation(p: float, config: PgnstSearchConfig | None = None) -> Violat
         "redundancy": 0.0,
         "extractable": 2.0 - h_min,
     }
-    diff = max(
-        abs(closed["I(X:A)"] - report.gains[0]),
-        abs(closed["I(Z:B)"] - report.gains[1]),
-        abs(closed["redundancy"] - report.redundancy),
-        abs(closed["extractable"] - report.extractable),
-    )
-    return ViolationCertificate(entry.entry_id, ensemble, assignment, report, closed, diff)
+    return _certificate(entry, ensemble, _two_register_assignment(entry), closed)
 
 
 @dataclass(frozen=True)
@@ -435,7 +410,6 @@ def polygon_violation(n: int) -> ViolationCertificate:
     assignment = ObservableAssignment(
         ((entry.measurement(x_name), 0), (entry.measurement(z_name), 1))
     )
-    report = evaluate_icp(ensemble, assignment)
     closed = {
         "p(Z=0|B=0)": cond_00,
         "p(Z=1|B=1)": cond_11,
@@ -454,17 +428,16 @@ def polygon_violation(n: int) -> ViolationCertificate:
         apply_effect(z_meas.effects[1], states[(0, 1)])
         + apply_effect(z_meas.effects[1], states[(1, 1)])
     )
-    diff = max(
+    return _certificate(
+        entry,
+        ensemble,
+        assignment,
+        closed,
         abs(closed["p(Z=0|B=0)"] - direct_00),
         abs(closed["p(Z=1|B=1)"] - direct_11),
         abs(closed["p(Z=0|B=0)"] - _conditional(z_table.probs, 0, 0)),
         abs(closed["p(Z=1|B=1)"] - _conditional(z_table.probs, 1, 1)),
-        abs(closed["I(X:A)"] - report.gains[0]),
-        abs(closed["I(Z:B)"] - report.gains[1]),
-        abs(closed["redundancy"] - report.redundancy),
-        abs(closed["extractable"] - report.extractable),
     )
-    return ViolationCertificate(entry.entry_id, ensemble, assignment, report, closed, diff)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,9 @@ def build_ensemble(
     n_regs = counts.pop()
     if n_regs == 0:
         raise ValueError("entries need at least one register")
+    for i, e in enumerate(norm_entries):
+        if not (math.isfinite(e.probability) and np.isfinite(e.state.coords).all()):
+            raise ValueError(f"entry {i}: probability or state coordinate is not finite")
     total = sum(e.probability for e in norm_entries)
     if abs(total - 1.0) > info.PROB_TOL * max(1, len(norm_entries)):
         raise ValueError(f"entry probabilities sum to {total!r}")
@@ -348,10 +351,7 @@ class _StateFamily:
     def build(self, params: np.ndarray) -> np.ndarray:
         """State coordinates for one parameter vector."""
         if self.kind in ("polytope", "simplex"):
-            w = np.clip(params, 0.0, None)
-            total = w.sum()
-            w = np.full_like(w, 1.0 / len(w)) if total <= 0.0 else w / total
-            return w @ self.vertex_coords
+            return _normalized(params) @ self.vertex_coords
         if self.kind == "norm":
             s = np.asarray(params, dtype=float)
             norm = np.abs(s).max() if math.isinf(self.p) else float((np.abs(s) ** self.p).sum()) ** (1.0 / self.p)
@@ -419,12 +419,6 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
     w = np.clip(weights, 0.0, None)
     total = w.sum()
     return np.full_like(w, 1.0 / len(w)) if total <= 0.0 else w / total
-
-
-def _plogp_bits_batch(p: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """``info._plogp_bits`` of every table in a stack, summed over ``axes``."""
-    positive = p > 0.0
-    return -np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0).sum(axis=axes)
 
 
 # candidates scored per batch of the grid stage; bounds its temporary arrays
@@ -507,17 +501,9 @@ class _SearchObjective:
             for values, (_, onehot) in zip(seed_values, self.pairs):
                 # (k, n, C) weighted outcome values times (C, a) -> (n, k, a)
                 tables = ((values[:, choice[part]] * weights) @ onehot).transpose(1, 0, 2)
-                total = tables.sum(axis=(1, 2))
-                if (tables.min(axis=(1, 2)) < -info.PROB_TOL).any() or (
-                    np.abs(total - 1.0) > max(info.PROB_TOL, 1e-9 * tables[0].size)
-                ).any():
+                if not info._is_distribution(tables, (1, 2)).all():
                     return None
-                tc = (
-                    _plogp_bits_batch(tables.sum(axis=2), (1,))
-                    + _plogp_bits_batch(tables.sum(axis=1), (1,))
-                    - _plogp_bits_batch(tables, (1, 2))
-                )
-                gains.append(np.maximum(tc, 0.0))
+                gains.append(np.maximum(info._total_correlation_stacked(tables), 0.0))
             value = sum(gains) - redundancy[family[part]]
             if self.penalized:
                 value -= 4.0 * (np.max(gains, axis=0) - np.min(gains, axis=0))

@@ -30,7 +30,7 @@ from .gpt import (
     observed_dimension,
     state_space_dimension,
 )
-from .info import AXIOM_TOL, IDENTITY_TOL, AxiomReport, _plogp_bits, von_neumann_entropy
+from .info import AXIOM_TOL, IDENTITY_TOL, AxiomReport, _plogp_bits, _total_correlation, von_neumann_entropy
 from .sampling import random_density_matrix, random_projective_measurement
 
 
@@ -42,7 +42,7 @@ def _shannon_axiom_i(rng: np.random.Generator) -> float:
     pf = table.sum(axis=0)
     direct = sum(pf[j] * _plogp_bits(table[:, j] / pf[j]) for j in range(f) if pf[j] > 0)
     via_joint = _plogp_bits(table) - _plogp_bits(pf)
-    i_joint = _plogp_bits(table.sum(axis=1)) + _plogp_bits(pf) - _plogp_bits(table)
+    i_joint = _total_correlation(table)
     i_def = _plogp_bits(table.sum(axis=1)) - direct
     return max(abs(direct - via_joint), abs(i_joint - i_def))
 
@@ -74,9 +74,7 @@ def _shannon_axiom_v(rng: np.random.Generator) -> float:
     joint = rng.dirichlet(np.ones(s * a)).reshape(s, a)
     channel = rng.dirichlet(np.ones(x), size=s)  # p(x|s) rows
     out = channel.T @ joint
-    i_sa = _plogp_bits(joint.sum(axis=1)) + _plogp_bits(joint.sum(axis=0)) - _plogp_bits(joint)
-    i_xa = _plogp_bits(out.sum(axis=1)) + _plogp_bits(out.sum(axis=0)) - _plogp_bits(out)
-    return max(0.0, i_xa - i_sa)
+    return max(0.0, _total_correlation(out) - _total_correlation(joint))
 
 
 def _random_cq(rng: np.random.Generator, n_classical: int, dim: int):
@@ -139,8 +137,7 @@ def _vn_axiom_v(rng: np.random.Generator) -> float:
     projectors = random_projective_measurement(rng, dim)
     out = np.array([[p * float(np.trace(proj @ r).real) for p, r in zip(probs, rhos)] for proj in projectors])
     out = np.clip(out, 0.0, None)
-    i_xa = _plogp_bits(out.sum(axis=1)) + _plogp_bits(out.sum(axis=0)) - _plogp_bits(out)
-    return max(0.0, i_xa - holevo)
+    return max(0.0, _total_correlation(out) - holevo)
 
 
 _AXIOM_FUNS: dict[str, dict[str, Callable[[np.random.Generator], float]]] = {
@@ -438,12 +435,7 @@ def proof_chain_check(
 
     gains = []
     for position, (measurement, _) in enumerate(assignment.pairs):
-        table = data.outcome_table(measurement, position)
-        gain = (
-            _plogp_bits(table.sum(axis=1))
-            + _plogp_bits(table.sum(axis=0))
-            - _plogp_bits(table)
-        )
+        gain = _total_correlation(data.outcome_table(measurement, position))
         gains.append(gain)
         steps.append(
             ChainStep(

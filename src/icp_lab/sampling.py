@@ -1,20 +1,14 @@
-"""Seeded random instances: joint tables, density matrices, ensembles."""
+"""Seeded random instances: states, density matrices, measurements, ensembles."""
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .catalog import CatalogEntry
 from .engine import CorrelatedEnsemble, _check_arrays
 from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
-
-
-def random_joint_table(rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
-    flat = rng.dirichlet(np.ones(int(np.prod(shape))))
-    return flat.reshape(tuple(shape))
 
 
 def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
@@ -31,17 +25,13 @@ def _density_from_draws(eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (u * eigs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _haar_from_gaussian(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-
-
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     eigs = rng.dirichlet(np.ones(dim))
     return _density_from_draws(eigs, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def random_projective_measurement(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
-    u = haar_unitary(rng, dim)
+    u = _haar_from_gaussian(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return [np.outer(u[:, i], u[:, i].conj()) for i in range(dim)]
 
 

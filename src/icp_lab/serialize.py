@@ -159,6 +159,18 @@ def assignment_to_json(assignment: ObservableAssignment) -> list:
     ]
 
 
+def assignment_from_json(doc) -> tuple[list[str], list[int]]:
+    """Measurement labels and registers of an assignment; errors carry the
+    JSON path of the offending field."""
+    _require(isinstance(doc, list), "assignment", "expected a list")
+    for i, item in enumerate(doc):
+        _require(isinstance(item, dict), f"assignment[{i}]", "expected an object")
+        _require(isinstance(item.get("measurement"), str), f"assignment[{i}].measurement", "expected a label")
+        reg = item.get("register")
+        _require(isinstance(reg, int) and not isinstance(reg, bool), f"assignment[{i}].register", "expected an integer")
+    return [item["measurement"] for item in doc], [item["register"] for item in doc]
+
+
 def certificate_to_json(cert) -> dict:
     return {
         "theory": cert.theory_id,

@@ -261,3 +261,45 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert "icp-lab" in out
+
+
+@pytest.mark.parametrize(
+    "entries, coordinate",
+    [((0, 1, 2, 3), None), ((2,), 1)],
+    ids=["every-p-nan", "one-coordinate-nan"],
+)
+def test_eval_rejects_non_finite_ensembles(tmp_path, capsys, entries, coordinate):
+    path = _demo_file(tmp_path, capsys)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for i in entries:
+        entry = doc["payload"]["ensemble"]["entries"][i]
+        if coordinate is None:
+            entry["p"] = float("nan")
+        else:
+            entry["state"][coordinate] = float("nan")
+    path.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN, which json reads back
+    code, out, err = run_cli(capsys, "eval", "--ensemble", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"entry {entries[0]}: probability or state coordinate is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "assignment, path",
+    [
+        ([{"measurement": "X"}, {"measurement": "Z", "register": 1}], "assignment[0].register"),
+        (["X", {"measurement": "Z", "register": 1}], "assignment[0]"),
+        ([{"measurement": "X", "register": 0}, {"register": 1}], "assignment[1].measurement"),
+        ({"measurement": "X", "register": 0}, "assignment"),
+    ],
+    ids=["no-register", "not-an-object", "no-measurement", "not-a-list"],
+)
+def test_eval_rejects_a_malformed_embedded_assignment(tmp_path, capsys, assignment, path):
+    demo = _demo_file(tmp_path, capsys)
+    doc = json.loads(demo.read_text(encoding="utf-8"))
+    doc["payload"]["assignment"] = assignment
+    demo.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--ensemble", str(demo))
+    assert code == 2
+    assert out == ""
+    assert f"{demo}: {path}: expected" in err

@@ -1,9 +1,13 @@
 """Violation constructions and their closed-form crosschecks."""
+import json
 import math
 
 import pytest
 
 from icp_lab import constructions
+from icp_lab.engine import ObservableAssignment, evaluate_icp, joint_outcome_table
+from icp_lab.gpt import apply_effect
+from icp_lab.serialize import assignment_from_json, certificate_to_json, ensemble_from_json
 from icp_lab.constructions import (
     PgnstSearchConfig,
     classical_bit_analysis,
@@ -134,8 +138,6 @@ def test_pgnst_search_config_validation():
         PgnstSearchConfig(grid_points=0)
     with pytest.raises(ValueError):
         PgnstSearchConfig(u_min=0.0)
-    with pytest.raises(ValueError):
-        PgnstSearchConfig(epsilon=-1.0)
 
 
 def test_pgnst_violation_certificates():
@@ -289,3 +291,56 @@ def test_violation_certificate_serialization():
     assert doc["theory"] == "sbit"
     assert "closed_form" in doc
     assert doc["crosscheck_max_abs_diff"] <= 1e-12
+
+
+def _conditionals(ensemble, measurement, register):
+    """p(outcome | register value) from the outcome table, column by column."""
+    table = joint_outcome_table(ensemble, measurement, register).probs
+    return lambda outcome, value: float(table[outcome, value] / table[:, value].sum())
+
+
+def _recomputed_differences(ensemble, assignment, report, closed):
+    """|closed form - recomputed value| for every derived key of ``closed``."""
+    recomputed = {
+        "I(X:A)": report["gains"][0],
+        "I(Z:B)": report["gains"][1],
+        "redundancy": report["redundancy"],
+        "extractable": report["extractable"],
+    }
+    diffs = [abs(closed[k] - v) for k, v in recomputed.items()]
+    (x_meas, x_reg), (z_meas, z_reg) = assignment.pairs
+    if "per_cell_success" in closed:
+        diffs.append(abs(closed["per_cell_success"] - _conditionals(ensemble, x_meas, x_reg)(0, 0)))
+    if "p(Z=0|B=0)" in closed:
+        cond = _conditionals(ensemble, z_meas, z_reg)
+        states = {e.registers: e.state for e in ensemble.entries}
+        for z in (0, 1):
+            key = f"p(Z={z}|B={z})"
+            effect = z_meas.effects[z]
+            direct = 0.5 * (apply_effect(effect, states[(0, z)]) + apply_effect(effect, states[(1, z)]))
+            diffs += [abs(closed[key] - direct), abs(closed[key] - cond(z, z))]
+    assert set(closed) - set(recomputed) <= {"per_cell_success", "p(Z=0|B=0)", "p(Z=1|B=1)", "s_x", "s_z", "entropy_min"}
+    return diffs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        sbit_violation,
+        hbit_violation,
+        qubit_rac_construction,
+        lambda: pgnst_violation(3.0),
+        lambda: polygon_violation(5),
+        lambda: polygon_violation(6),
+    ],
+    ids=["sbit", "hbit", "qubit-rac", "pgnst-3", "polygon-5", "polygon-6"],
+)
+def test_certificate_is_re_derived_from_its_json(make):
+    doc = json.loads(json.dumps(certificate_to_json(make())))
+    entry, ensemble = ensemble_from_json(doc["ensemble"])
+    labels, registers = assignment_from_json(doc["assignment"])
+    assignment = ObservableAssignment(tuple((entry.measurement(l), r) for l, r in zip(labels, registers)))
+    report = evaluate_icp(ensemble, assignment).to_json()
+    assert report == doc["report"]
+    diffs = _recomputed_differences(ensemble, assignment, report, doc["closed_form"])
+    assert doc["crosscheck_max_abs_diff"] == max(diffs)

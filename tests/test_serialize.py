@@ -1,5 +1,6 @@
 """Output documents: manifests, JSON/CSV rendering, the ensemble file format."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from icp_lab.constructions import sbit_violation
 from icp_lab.engine import REPORT_CSV_FIELDS
 from icp_lab.serialize import (
     RunManifest,
+    assignment_from_json,
     ensemble_from_json,
     ensemble_to_json,
     jsonable,
@@ -110,3 +112,33 @@ def test_ensemble_from_json_rejects_states_outside_theory():
     doc["entries"][0]["state"] = [5.0, 5.0, 1.0]
     with pytest.raises(ValueError):
         ensemble_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "entries, coordinate, value",
+    [((0, 1, 2, 3), None, math.nan), ((2,), 1, math.nan), ((1,), None, math.inf)],
+    ids=["every-p-nan", "one-coordinate-nan", "p-inf"],
+)
+def test_ensemble_from_json_rejects_non_finite_values(entries, coordinate, value):
+    doc = ensemble_to_json(sbit_violation().ensemble)
+    for i in entries:
+        if coordinate is None:
+            doc["entries"][i]["p"] = value
+        else:
+            doc["entries"][i]["state"][coordinate] = value
+    with pytest.raises(ValueError, match=rf"entry {entries[0]}: .* not finite"):
+        ensemble_from_json(doc)
+
+
+def test_assignment_from_json_error_paths():
+    good = [{"measurement": "X", "register": 0}, {"measurement": "Z", "register": 1}]
+    assert assignment_from_json(good) == (["X", "Z"], [0, 1])
+    for doc, path in (
+        ({"measurement": "X"}, r"^assignment: "),
+        ([good[0], "Z"], r"^assignment\[1\]: "),
+        ([{"measurement": "X"}], r"^assignment\[0\]\.register: "),
+        ([{"measurement": "X", "register": True}], r"^assignment\[0\]\.register: "),
+        ([{"register": 0}], r"^assignment\[0\]\.measurement: "),
+    ):
+        with pytest.raises(ValueError, match=path):
+            assignment_from_json(doc)
