@@ -293,10 +293,10 @@ def test_violation_certificate_serialization():
     assert doc["crosscheck_max_abs_diff"] <= 1e-12
 
 
-def _conditionals(ensemble, measurement, register):
-    """p(outcome | register value) from the outcome table, column by column."""
+def _conditional(ensemble, measurement, register, outcome, value):
+    """p(outcome | register value) from the outcome table."""
     table = joint_outcome_table(ensemble, measurement, register).probs
-    return lambda outcome, value: float(table[outcome, value] / table[:, value].sum())
+    return float(table[outcome, value] / table[:, value].sum())
 
 
 def _recomputed_differences(ensemble, assignment, report, closed):
@@ -310,15 +310,14 @@ def _recomputed_differences(ensemble, assignment, report, closed):
     diffs = [abs(closed[k] - v) for k, v in recomputed.items()]
     (x_meas, x_reg), (z_meas, z_reg) = assignment.pairs
     if "per_cell_success" in closed:
-        diffs.append(abs(closed["per_cell_success"] - _conditionals(ensemble, x_meas, x_reg)(0, 0)))
+        diffs.append(abs(closed["per_cell_success"] - _conditional(ensemble, x_meas, x_reg, 0, 0)))
     if "p(Z=0|B=0)" in closed:
-        cond = _conditionals(ensemble, z_meas, z_reg)
         states = {e.registers: e.state for e in ensemble.entries}
         for z in (0, 1):
             key = f"p(Z={z}|B={z})"
             effect = z_meas.effects[z]
             direct = 0.5 * (apply_effect(effect, states[(0, z)]) + apply_effect(effect, states[(1, z)]))
-            diffs += [abs(closed[key] - direct), abs(closed[key] - cond(z, z))]
+            diffs += [abs(closed[key] - direct), abs(closed[key] - _conditional(ensemble, z_meas, z_reg, z, z))]
     assert set(closed) - set(recomputed) <= {"per_cell_success", "p(Z=0|B=0)", "p(Z=1|B=1)", "s_x", "s_z", "entropy_min"}
     return diffs
 
