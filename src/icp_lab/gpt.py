@@ -311,6 +311,10 @@ def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL
     v = theory.variant
     if coords.shape[1] != ambient_dimension(theory):
         return 0, Validation(False, "ambient dimension mismatch")
+    # every row is first tested for finite coordinates, because every
+    # comparison with NaN is false and would let the tests below pass
+    finite = np.isfinite(coords).all(axis=1)
+    nonfinite = (~finite, lambda i: "state coordinate is not finite")
     if isinstance(v, Polytope):
         # dual feasibility: every extreme effect (and the unit) must stay in
         # [0, 1]. For the catalog polytopes the extreme effects cut out the
@@ -328,6 +332,7 @@ def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL
 
         return _first_failure(
             [
+                nonfinite,
                 (outside.any(axis=1), effect_detail),
                 (np.abs(vals[:, -1] - 1.0) > tol,
                  lambda i: f"unit effect evaluates to {float(vals[i, -1])!r}, not 1"),
@@ -339,6 +344,7 @@ def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL
         norm = s.max(axis=1) if math.isinf(v.p) else (s**v.p).sum(axis=1) ** (1.0 / v.p)
         return _first_failure(
             [
+                nonfinite,
                 (np.abs(coords[:, -1] - 1.0) > tol, lambda i: "normalization coordinate is not 1"),
                 (norm > 1.0 + tol, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
             ],
@@ -348,16 +354,19 @@ def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL
         total = coords.sum(axis=1)
         return _first_failure(
             [
+                nonfinite,
                 (coords.min(axis=1) < -tol, lambda i: "negative internal weight"),
                 (np.abs(total - 1.0) > tol, lambda i: f"weights sum to {float(total[i])!r}"),
             ],
             "internal simplex point",
         )
-    m = coords_to_density(coords, v.hilbert_dim)
+    # a non-finite row is set to 0 so that eigvalsh sees finite input only
+    m = coords_to_density(np.where(finite[:, None], coords, 0.0), v.hilbert_dim)
     trace = np.trace(m, axis1=1, axis2=2).real
     least = np.linalg.eigvalsh(m).min(axis=1)
     return _first_failure(
         [
+            nonfinite,
             (np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > tol,
              lambda i: "density matrix is not Hermitian"),
             (np.abs(trace - 1.0) > tol, lambda i: f"trace is {float(trace[i])!r}"),

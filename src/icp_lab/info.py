@@ -64,6 +64,30 @@ def _total_correlation(p: np.ndarray) -> float:
     return marginals - _plogp_bits(p)
 
 
+def _plogp_bits_rows(p: np.ndarray) -> np.ndarray:
+    """``_plogp_bits`` of every table p[i] of a stack (n, ...), bit for bit.
+
+    The tables whose entries are all positive take the scalar kernel's BLAS
+    dot product, stacked; a table with an entry <= 0 or NaN goes through
+    ``_plogp_bits`` on its own.
+    """
+    p = p.reshape(len(p), -1)
+    positive = (p > 0.0).all(axis=1)
+    out = np.empty(len(p))
+    q = p[positive]
+    out[positive] = ((-q)[:, None, :] @ np.log2(q)[:, :, None])[:, 0, 0]
+    for i in np.flatnonzero(~positive):
+        out[i] = _plogp_bits(p[i])
+    return out
+
+
+def _total_correlation_rows(p: np.ndarray) -> np.ndarray:
+    """``_total_correlation`` of every table p[i] of a stack, bit for bit."""
+    axes = range(1, p.ndim)
+    marginals = sum(_plogp_bits_rows(p.sum(axis=tuple(j for j in axes if j != i))) for i in axes)
+    return marginals - _plogp_bits_rows(p)
+
+
 def _plogp_bits_stacked(p: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """``_plogp_bits`` of every table in a stack, each spanning ``axes``; it
     agrees with the scalar kernel to a few ulps, not bit for bit."""
@@ -150,6 +174,34 @@ def multivariate_mutual_information(table: JointTable, names: Sequence[str] | No
     return sum(table.entropy([n]) for n in names) - table.entropy(names)
 
 
+def _density_spectra(m: np.ndarray) -> np.ndarray:
+    """``DensityOperator``'s checks on a stack (n, d, d) of complex matrices,
+    and their spectra (n, d).
+
+    The checks run in order: Hermitian, unit trace, then, on the eigenvalues,
+    positive semidefinite. The earliest check that some matrix fails raises
+    ValueError. They are written so that NaN fails them.
+    """
+    skew = np.abs(m - np.swapaxes(m.conj(), 1, 2)).max(axis=(1, 2))
+    trace = np.trace(m, axis1=1, axis2=2).real
+    not_hermitian = ~(skew <= 1e-9)
+    if not_hermitian.any():
+        raise ValueError("density operator is not Hermitian")
+    off_trace = ~(np.abs(trace - 1.0) <= 1e-9)
+    if off_trace.any():
+        raise ValueError(f"trace is {trace[off_trace.argmax()]!r}, not 1")
+    spectra = np.linalg.eigvalsh(m)
+    if not (spectra.min(axis=1) >= -1e-9).all():
+        raise ValueError("density operator has a negative eigenvalue")
+    return spectra
+
+
+def _von_neumann_rows(m: np.ndarray) -> np.ndarray:
+    """``von_neumann_entropy`` of every matrix of a stack (..., d, d), bit for bit."""
+    flat = m.reshape(-1, *m.shape[-2:])
+    return _plogp_bits_rows(_density_spectra(flat)).reshape(m.shape[:-2])
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian unit-trace positive-semidefinite matrix, with the spectrum
@@ -162,13 +214,7 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density operator must be square")
-        if np.max(np.abs(m - m.conj().T)) > 1e-9:
-            raise ValueError("density operator is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-9:
-            raise ValueError(f"trace is {np.trace(m).real!r}, not 1")
-        spectrum = np.linalg.eigvalsh(m)
-        if spectrum.min() < -1e-9:
-            raise ValueError("density operator has a negative eigenvalue")
+        spectrum = _density_spectra(m[None])[0]
         m = np.array(m)
         m.setflags(write=False)
         spectrum.setflags(write=False)

@@ -25,13 +25,24 @@ def _density_from_draws(eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (u * eigs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A dim x dim complex Gaussian matrix: the real part is drawn first."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _density_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one random density matrix, in their fixed order: the
+    Dirichlet eigenvalues, then the complex Gaussian matrix of its basis."""
     eigs = rng.dirichlet(np.ones(dim))
-    return _density_from_draws(eigs, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return eigs, _complex_gaussian(rng, dim)
+
+
+def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return _density_from_draws(*_density_draws(rng, dim))
 
 
 def random_projective_measurement(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
-    u = _haar_from_gaussian(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    u = _haar_from_gaussian(_complex_gaussian(rng, dim))
     return [np.outer(u[:, i], u[:, i].conj()) for i in range(dim)]
 
 
@@ -41,7 +52,8 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
     The generator is consumed exactly as by n calls of ``random_state``:
     Dirichlet draws with ``size=n`` equal n sequential draws, and quantum
     states keep their per-state order (eigenvalues, then the real and the
-    imaginary Gaussian matrix) with only the linear algebra stacked.
+    imaginary Gaussian matrix, as ``_density_draws``) with only the linear
+    algebra stacked.
     """
     v = theory.variant
     if isinstance(v, Polytope):
@@ -63,14 +75,8 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
             rows.append(np.append(direction / norm * radius, 1.0))
         return np.array(rows)
     if isinstance(v, Quantum):
-        dim = v.hilbert_dim
-        draws = [
-            (rng.dirichlet(np.ones(dim)), rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)))
-            for _ in range(n)
-        ]
-        eigs = np.array([e for e, _, _ in draws])
-        g = np.array([re + 1j * im for _, re, im in draws])
-        return density_to_coords(_density_from_draws(eigs, g))
+        eigs, g = zip(*(_density_draws(rng, v.hilbert_dim) for _ in range(n)))
+        return density_to_coords(_density_from_draws(np.array(eigs), np.array(g)))
     raise TypeError(f"unsupported variant {v!r}")  # pragma: no cover
 
 

@@ -16,6 +16,8 @@ from icp_lab import (
     validate_state,
     verify_distinguishable,
 )
+from icp_lab import sampling
+from icp_lab.gpt import check_states
 
 
 def test_apply_effect_snaps_boundary(sbit_entry):
@@ -65,6 +67,23 @@ def test_validate_state_restricted_classical(hbit_entry):
     th = hbit_entry.theory
     assert validate_state(th, catalog.hbit_state(1, 0))
     assert not validate_state(th, State(np.array([0.5, 0.7, -0.2, 0.0]), th.theory_id))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [catalog.sbit, catalog.classical_bit, catalog.qubit, lambda: catalog.pgnst(3, 2)],
+    ids=["sbit", "classical-bit", "qubit", "pgnst-3-2"],
+)
+def test_check_states_rejects_non_finite_coordinates(make):
+    th = make().theory
+    good = sampling.random_state(make(), np.random.default_rng(5)).coords
+    nan = np.full_like(good, np.nan)
+    ok = validate_state(th, State(nan, th.theory_id))
+    assert not ok and ok.detail == "state coordinate is not finite"
+    # a row is tested for finite coordinates before anything else
+    inf = good.copy()
+    inf[0] = np.inf
+    assert check_states(th, np.array([good, inf, nan])) == (1, ok)
 
 
 def test_validate_measurement_completeness(qubit_entry):

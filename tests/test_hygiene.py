@@ -1,5 +1,8 @@
 """Source hygiene checks that need no linter: stdlib ``ast`` only."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,14 @@ def test_unused_import_check_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_numpy_only():
+    # the runtime depends on numpy alone; the test-only packages stay unloaded
+    probe = (
+        "import sys, icp_lab.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

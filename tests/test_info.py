@@ -13,7 +13,15 @@ from icp_lab import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from icp_lab.info import _is_distribution
+from icp_lab.info import (
+    _density_spectra,
+    _is_distribution,
+    _plogp_bits,
+    _plogp_bits_rows,
+    _total_correlation,
+    _total_correlation_rows,
+)
+from icp_lab.sampling import random_density_matrix
 
 
 def test_binary_entropy_endpoints():
@@ -135,11 +143,47 @@ def test_von_neumann_entropy_unitary_invariance():
 
 
 def test_density_operator_validation():
-    with pytest.raises(ValueError):
-        DensityOperator(np.array([[0.5, 0.1], [0.4, 0.5]]))  # not hermitian
-    with pytest.raises(ValueError):
-        DensityOperator(np.diag([0.6, 0.6]))  # trace 1.2
-    with pytest.raises(ValueError):
-        DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="^density operator is not Hermitian$"):
+        DensityOperator(np.array([[0.5, 0.1], [0.4, 0.5]]))
+    with pytest.raises(ValueError, match=r"^trace is np.float64\(1.2\), not 1$"):
+        DensityOperator(np.diag([0.6, 0.6]))
+    with pytest.raises(ValueError, match="^density operator has a negative eigenvalue$"):
+        DensityOperator(np.diag([1.5, -0.5]))
     ok = DensityOperator(np.eye(3) / 3)
     assert ok.dim == 3
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.full((2, 2), np.nan), np.diag([np.nan, 0.5]), np.array([[0.5, np.nan], [np.nan, 0.5]])],
+)
+def test_von_neumann_entropy_rejects_nan(matrix):
+    with pytest.raises(ValueError):
+        von_neumann_entropy(matrix)
+
+
+def test_density_spectra_checks_a_stack_like_one_matrix():
+    rng = np.random.default_rng(8)
+    stack = np.array([random_density_matrix(rng, 3) for _ in range(20)])
+    spectra = _density_spectra(stack)
+    assert all(np.array_equal(s, DensityOperator(m).spectrum) for s, m in zip(spectra, stack))
+    bad = stack.copy()
+    bad[7] = np.diag([1.5, -0.5, 0.0])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        _density_spectra(bad)
+
+
+def test_plogp_bits_rows_equals_the_scalar_kernel_bitwise():
+    rng = np.random.default_rng(21)
+    rows = [rng.dirichlet(np.ones(k), size=300) for k in (2, 3, 5, 8, 16, 64)]
+    # rows that take the one-at-a-time path: zeros, float-noise negatives, NaN
+    mixed = rng.dirichlet(np.ones(4), size=40)
+    mixed[::3, 1] = 0.0
+    mixed[1::3, 2] = -1e-17
+    mixed[5, 0] = np.nan
+    for p in (*rows, mixed, np.zeros((3, 2))):
+        expected = np.array([_plogp_bits(row) for row in p])
+        assert _plogp_bits_rows(p).tobytes() == expected.tobytes()
+    tables = rng.dirichlet(np.ones(12), size=50).reshape(50, 3, 4)
+    expected = np.array([_total_correlation(t) for t in tables])
+    assert _total_correlation_rows(tables).tobytes() == expected.tobytes()

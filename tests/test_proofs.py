@@ -13,6 +13,7 @@ from icp_lab import (
     proof_chain_check,
     sampling,
 )
+from icp_lab.proofs import _AXIOMS, _draw_trials, _evaluate_trials
 
 
 @pytest.mark.parametrize("kind", ["shannon", "von-neumann"])
@@ -29,6 +30,39 @@ def test_axiom_suite_passes(kind):
 def test_axiom_suite_rejects_unknown_kind():
     with pytest.raises(ValueError):
         axiom_suite("renyi", trials=10)
+
+
+AXIOMS = [(kind, name) for kind in _AXIOMS for name in _AXIOMS[kind]]
+
+
+@pytest.mark.parametrize("kind, name", AXIOMS)
+def test_axiom_groups_evaluate_like_single_trials(kind, name):
+    draw, evaluate = _AXIOMS[kind][name]
+    drawn = _draw_trials(draw, np.random.SeedSequence([9, len(name)]), 200)
+    one_at_a_time = np.array([evaluate(*(a[None] for a in arrays))[0] for arrays in drawn])
+    assert _evaluate_trials(evaluate, drawn).tobytes() == one_at_a_time.tobytes()
+
+
+# max_violation reprs recorded from the scalar, trial-at-a-time suite; axiom i
+# is rounding noise, so only bit-identical trials reproduce it. Fewer than 64
+# trials leave blocks empty.
+PINNED_AXIOM_I = {
+    ("shannon", 0): ["2.220446049250313e-16", "8.881784197001252e-16", "8.881784197001252e-16",
+                     "1.1102230246251565e-15"],
+    ("shannon", 11): ["6.661338147750939e-16", "8.881784197001252e-16", "8.881784197001252e-16",
+                      "8.881784197001252e-16"],
+    ("von-neumann", 0): ["2.220446049250313e-16", "4.440892098500626e-16", "4.440892098500626e-16",
+                         "4.440892098500626e-16"],
+    ("von-neumann", 11): ["2.220446049250313e-16", "4.440892098500626e-16", "4.440892098500626e-16",
+                          "4.440892098500626e-16"],
+}
+
+
+@pytest.mark.parametrize("kind, seed", PINNED_AXIOM_I)
+def test_axiom_suite_max_violations_are_pinned(kind, seed):
+    for trials, axiom_i in zip((1, 63, 65, 1000), PINNED_AXIOM_I[kind, seed]):
+        reports = axiom_suite(kind, trials=trials, seed=seed)
+        assert [repr(r.max_violation) for r in reports] == [axiom_i] + ["0.0"] * 4
 
 
 def _two_register_assignment(entry):
