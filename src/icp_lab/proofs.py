@@ -15,9 +15,10 @@ margin; a failed step on an exotic theory is data, not an error.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,7 +41,13 @@ from .info import (
     _total_correlation_rows,
     _von_neumann_rows,
 )
-from .sampling import _complex_gaussian, _density_draws, _density_from_draws, _haar_from_gaussian
+from .sampling import (
+    _complex_gaussian,
+    _density_draws,
+    _density_from_draws,
+    _haar_from_gaussian,
+    _stacked_density_draws,
+)
 
 
 # --- random instances per axiom ----------------------------------------------
@@ -68,14 +75,9 @@ def _draw_channel(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     return joint, rng.dirichlet(np.ones(x), size=s)  # p(x|s) rows
 
 
-def _draw_densities(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    eigs, g = zip(*(_density_draws(rng, dim) for _ in range(n)))
-    return np.array(eigs), np.array(g)
-
-
 def _draw_cq(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     dim, nc = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-    return (rng.dirichlet(np.ones(nc)), *_draw_densities(rng, dim, nc))
+    return (rng.dirichlet(np.ones(nc)), *_stacked_density_draws(rng, dim, nc))
 
 
 def _draw_density(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -85,7 +87,7 @@ def _draw_density(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
 def _draw_cq_grid(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     # S quantum, A and B classical: rho = sum p_ab |a><a| x |b><b| x rho_ab
     p = rng.dirichlet(np.ones(4)).reshape(2, 2)
-    eigs, g = _draw_densities(rng, 2, 4)
+    eigs, g = _stacked_density_draws(rng, 2, 4)
     return p, eigs.reshape(2, 2, 2), g.reshape(2, 2, 2, 2)
 
 
@@ -201,16 +203,20 @@ _AXIOMS: dict[str, dict[str, tuple[Callable, Callable[..., np.ndarray]]]] = {
 }
 
 _N_BLOCKS = 64  # fixed blocks with per-block seeds fix the results
+# trials drawn before they are evaluated: bounds the memory a suite holds
+# while its shape groups stay large enough to amortise each stacked call
+_CHUNK = 256
 
 
-def _draw_trials(draw: Callable, axiom_seed: np.random.SeedSequence, trials: int) -> list[tuple]:
+def _draw_trials(
+    draw: Callable, axiom_seed: np.random.SeedSequence, trials: int
+) -> Iterator[tuple[np.ndarray, ...]]:
     """Every trial's draws in order: block i of the 64 takes its own child seed
     and holds trials // 64 trials, one more when i < trials % 64."""
-    drawn = []
     for i, block_seed in enumerate(axiom_seed.spawn(_N_BLOCKS)):
         rng = np.random.default_rng(block_seed)
-        drawn += [draw(rng) for _ in range(trials // _N_BLOCKS + (i < trials % _N_BLOCKS))]
-    return drawn
+        for _ in range(trials // _N_BLOCKS + (i < trials % _N_BLOCKS)):
+            yield draw(rng)
 
 
 def _evaluate_trials(evaluate: Callable[..., np.ndarray], drawn: list[tuple]) -> np.ndarray:
@@ -229,10 +235,11 @@ def axiom_suite(entropy_kind: str = "shannon", trials: int = 1000, seed: int = 0
     """Stress axioms (i)-(v) on seeded random instances; passed means
     the worst violation stays below 1e-9.
 
-    Each axiom draws all its trials first, in order, then evaluates them
-    stacked by shape. The draw order is part of the contract: the 64 blocks,
-    their child seeds and the order of draws within a trial fix every
-    reported value, so ``scan axioms`` output changes with any change of it.
+    Each axiom draws its trials in order and evaluates them stacked by shape,
+    256 drawn trials at a time; a trial's value does not depend on its stack.
+    The draw order is part of the contract: the 64 blocks, their child seeds
+    and the order of draws within a trial fix every reported value, so
+    ``scan axioms`` output changes with any change of it.
     """
     if entropy_kind not in _AXIOMS:
         raise ValueError(f"unknown entropy kind {entropy_kind!r}")
@@ -242,9 +249,12 @@ def axiom_suite(entropy_kind: str = "shannon", trials: int = 1000, seed: int = 0
     root = np.random.SeedSequence(seed)
     axiom_seeds = root.spawn(len(_AXIOMS[entropy_kind]))
     for (name, (draw, evaluate)), axiom_seed in zip(_AXIOMS[entropy_kind].items(), axiom_seeds):
-        values = _evaluate_trials(evaluate, _draw_trials(draw, axiom_seed, trials))
-        # a running max(worst, value) from 0.0: only values > 0 count, NaN never
-        worst = float(values[values > 0.0].max(initial=0.0))
+        drawn = _draw_trials(draw, axiom_seed, trials)
+        worst = 0.0
+        while chunk := list(itertools.islice(drawn, _CHUNK)):
+            values = _evaluate_trials(evaluate, chunk)
+            # a running max(worst, value) from 0.0: only values > 0 count, NaN never
+            worst = max(worst, float(values[values > 0.0].max(initial=0.0)))
         reports.append(AxiomReport(name, entropy_kind, trials, worst, worst <= AXIOM_TOL))
     return reports
 

@@ -37,6 +37,12 @@ def _density_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.n
     return eigs, _complex_gaussian(rng, dim)
 
 
+def _stacked_density_draws(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n calls of ``_density_draws`` in order, stacked: shapes (n, dim) and (n, dim, dim)."""
+    eigs, g = zip(*(_density_draws(rng, dim) for _ in range(n)))
+    return np.array(eigs), np.array(g)
+
+
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _density_from_draws(*_density_draws(rng, dim))
 
@@ -75,8 +81,7 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
             rows.append(np.append(direction / norm * radius, 1.0))
         return np.array(rows)
     if isinstance(v, Quantum):
-        eigs, g = zip(*(_density_draws(rng, v.hilbert_dim) for _ in range(n)))
-        return density_to_coords(_density_from_draws(np.array(eigs), np.array(g)))
+        return density_to_coords(_density_from_draws(*_stacked_density_draws(rng, v.hilbert_dim, n)))
     raise TypeError(f"unsupported variant {v!r}")  # pragma: no cover
 
 

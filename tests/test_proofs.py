@@ -38,7 +38,7 @@ AXIOMS = [(kind, name) for kind in _AXIOMS for name in _AXIOMS[kind]]
 @pytest.mark.parametrize("kind, name", AXIOMS)
 def test_axiom_groups_evaluate_like_single_trials(kind, name):
     draw, evaluate = _AXIOMS[kind][name]
-    drawn = _draw_trials(draw, np.random.SeedSequence([9, len(name)]), 200)
+    drawn = list(_draw_trials(draw, np.random.SeedSequence([9, len(name)]), 200))
     one_at_a_time = np.array([evaluate(*(a[None] for a in arrays))[0] for arrays in drawn])
     assert _evaluate_trials(evaluate, drawn).tobytes() == one_at_a_time.tobytes()
 
