@@ -91,7 +91,6 @@ from .engine import (
 from .sampling import (
     random_density_matrix,
     random_ensemble,
-    random_projective_measurement,
     random_state,
 )
 from .proofs import (

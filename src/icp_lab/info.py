@@ -183,10 +183,9 @@ def _density_spectra(m: np.ndarray) -> np.ndarray:
     ValueError. They are written so that NaN fails them.
     """
     skew = np.abs(m - np.swapaxes(m.conj(), 1, 2)).max(axis=(1, 2))
-    trace = np.trace(m, axis1=1, axis2=2).real
-    not_hermitian = ~(skew <= 1e-9)
-    if not_hermitian.any():
+    if not (skew <= 1e-9).all():
         raise ValueError("density operator is not Hermitian")
+    trace = np.trace(m, axis1=1, axis2=2).real
     off_trace = ~(np.abs(trace - 1.0) <= 1e-9)
     if off_trace.any():
         raise ValueError(f"trace is {trace[off_trace.argmax()]!r}, not 1")

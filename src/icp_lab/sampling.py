@@ -1,4 +1,4 @@
-"""Seeded random instances: states, density matrices, measurements, ensembles."""
+"""Seeded random instances: states, density matrices, ensembles."""
 from __future__ import annotations
 
 import itertools
@@ -45,11 +45,6 @@ def _stacked_density_draws(rng: np.random.Generator, dim: int, n: int) -> tuple[
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _density_from_draws(*_density_draws(rng, dim))
-
-
-def random_projective_measurement(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
-    u = _haar_from_gaussian(_complex_gaussian(rng, dim))
-    return [np.outer(u[:, i], u[:, i].conj()) for i in range(dim)]
 
 
 def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -11,12 +11,12 @@ from icp_lab import (
     composite_dimension_bound,
     measure,
     observed_dimension,
+    sampling,
     unit_effect,
     validate_measurement,
     validate_state,
     verify_distinguishable,
 )
-from icp_lab import sampling
 from icp_lab.gpt import check_states
 
 
@@ -75,8 +75,9 @@ def test_validate_state_restricted_classical(hbit_entry):
     ids=["sbit", "classical-bit", "qubit", "pgnst-3-2"],
 )
 def test_check_states_rejects_non_finite_coordinates(make):
-    th = make().theory
-    good = sampling.random_state(make(), np.random.default_rng(5)).coords
+    entry = make()
+    th = entry.theory
+    good = sampling.random_state(entry, np.random.default_rng(5)).coords
     nan = np.full_like(good, np.nan)
     ok = validate_state(th, State(nan, th.theory_id))
     assert not ok and ok.detail == "state coordinate is not finite"
