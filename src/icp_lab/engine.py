@@ -607,8 +607,11 @@ def maximize_extractable(
     start_points = [(families[fam[c]], np.array([seeds[i] for i in choice[c]]))]
     n_starts = 1 if config.strategy == "coordinate-descent" else 1 + config.restarts
     lo, hi = family.bounds
+    # imported here because sampling imports this module
+    from .sampling import _dirichlet_ones
+
     while len(start_points) < n_starts:
-        w = rng.dirichlet(np.ones(n_combo))
+        w = _dirichlet_ones(rng, n_combo)
         sparams = rng.uniform(lo, hi, size=(n_combo, sp))
         start_points.append((w, sparams))
 

@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -104,10 +104,22 @@ class Polytope:
     def __post_init__(self):
         if len(self.vertices) < 1:
             raise ValueError("polytope needs at least one vertex")
-        coords = np.array([v.coords for v in self.vertices])
-        for i, j in itertools.combinations(range(len(coords)), 2):
-            if np.max(np.abs(coords[i] - coords[j])) <= 1e-12:
-                raise ValueError(f"vertices {i + 1} and {j + 1} coincide")
+        coords = self.vertex_matrix
+        # every comparison with NaN is false, so a non-finite coordinate would
+        # pass the tests below and fail later in an SVD
+        nonfinite = ~np.isfinite(coords).all(axis=1)
+        if nonfinite.any():
+            raise ValueError(f"vertex {int(nonfinite.argmax()) + 1} has a non-finite coordinate")
+        for e in self.extreme_effects:
+            if not np.isfinite(e.coords).all():
+                raise ValueError(f"extreme effect {e.label or '?'} has a non-finite coordinate")
+        if not np.isfinite(self.unit.coords).all():
+            raise ValueError("unit effect has a non-finite coordinate")
+        # np.nonzero lists the pairs i < j in itertools.combinations order
+        close = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2) <= 1e-12
+        i, j = np.nonzero(np.triu(close, 1))
+        if i.size:
+            raise ValueError(f"vertices {i[0] + 1} and {j[0] + 1} coincide")
 
     @cached_property
     def vertex_matrix(self) -> np.ndarray:
@@ -494,7 +506,59 @@ def _dedupe_effects(effects: Iterable[Effect]) -> list[Effect]:
     return list(seen.values())
 
 
+def _readouts(effects: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks, shape (effect, state), of the (k, D) effect rows that read 1 and
+    that read 0 on the (n, D) state rows, within ``DISTINGUISH_TOL``."""
+    vals = effects @ states.T
+    return np.abs(vals - 1.0) <= DISTINGUISH_TOL, np.abs(vals) <= DISTINGUISH_TOL
+
+
+# m-subsets the dimension search's mask pre-filter tests at once, which bounds
+# the memory it holds
+_SUBSET_CHUNK = 4096
+
+
+def _subset_chunks(n: int, m: int) -> Iterator[np.ndarray]:
+    """The m-subsets of range(n) in ``itertools.combinations`` order, as index
+    rows, at most ``_SUBSET_CHUNK`` rows at a time."""
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(n), m))
+    while True:
+        rows = np.fromiter(itertools.islice(subsets, _SUBSET_CHUNK * m), dtype=np.intp)
+        if not rows.size:
+            return
+        yield rows.reshape(-1, m)
+
+
+def _readable_subsets(rows: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Positions, in ascending order, of the subsets (index rows) that give
+    each member a candidate effect reading 1 on it and 0 on the other members.
+
+    ``ones[i]`` and ``zeros[i]`` are the candidates reading 1 and 0 on vertex
+    i, packed along the candidate axis with ``np.packbits``.
+    """
+    kept = np.arange(len(rows))
+    for p in range(rows.shape[1]):
+        subsets = rows[kept]
+        fits = ones[subsets[:, p]]
+        for q in range(rows.shape[1]):
+            if q != p:
+                fits &= zeros[subsets[:, q]]
+        kept = kept[fits.any(axis=1)]
+    return kept
+
+
 def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
+    """Exhaustive search over the subsets of extreme states, smallest first.
+
+    A subset of m vertices is distinguishable only if each member has a
+    candidate effect (an extreme effect, its complement or the unit) reading
+    1 on it and 0 on the other members. Whole chunks of subsets are tested
+    for that with packed readout masks; each subset that passes goes to the
+    exact test, which tries every choice of one such effect per member (in
+    ``itertools.product`` order), completes it with the remainder effect and
+    verifies the certificate. ``budget`` counts every subset, screened out
+    or not, and every choice of effects tried.
+    """
     v = theory.variant
     vertices = v.vertices
     nv = len(vertices)
@@ -509,10 +573,8 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
             unit,
         ]
     )
-    P = np.array([[float(np.dot(e.coords, s.coords)) for s in vertices] for e in candidates])
-    ones = [int(sum(1 << i for i in range(nv) if abs(P[j, i] - 1.0) <= DISTINGUISH_TOL)) for j in range(len(candidates))]
-    zeros = [int(sum(1 << i for i in range(nv) if abs(P[j, i]) <= DISTINGUISH_TOL)) for j in range(len(candidates))]
-    by_one = [[j for j in range(len(candidates)) if ones[j] >> i & 1] for i in range(nv)]
+    one, zero = _readouts(np.array([e.coords for e in candidates]), v.vertex_matrix)
+    packed_ones, packed_zeros = np.packbits(one.T, axis=1), np.packbits(zero.T, axis=1)
     cap = min(nv, state_space_dimension(theory) + 1)
 
     best = DimensionReport(
@@ -523,47 +585,48 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
     )
     work = 0
     for m in range(2, cap + 1):
+        exhausted = DimensionReport(
+            best.d, best.certificate, False, f"search budget {budget} exhausted at size {m}"
+        )
         found = None
-        for subset in itertools.combinations(range(nv), m):
-            work += 1
-            if work > budget:
-                return DimensionReport(
-                    best.d, best.certificate, False, f"search budget {budget} exhausted at size {m}"
-                )
-            mask = sum(1 << i for i in subset)
-            selectors = []
-            for i in subset:
-                need = mask & ~(1 << i)
-                cand = [j for j in by_one[i] if zeros[j] & need == need]
-                if not cand:
-                    selectors = None
-                    break
-                selectors.append(cand)
-            if selectors is None:
-                continue
-            for combo in itertools.product(*selectors):
-                work += 1
+        for rows in _subset_chunks(nv, m):
+            counted = 0  # subsets of this chunk already in work
+            for pos in _readable_subsets(rows, packed_ones, packed_zeros).tolist():
+                work += pos + 1 - counted
+                counted = pos + 1
                 if work > budget:
-                    return DimensionReport(
-                        best.d, best.certificate, False, f"search budget {budget} exhausted at size {m}"
+                    return exhausted
+                subset = rows[pos].tolist()
+                selectors = [
+                    np.flatnonzero(one[:, i] & zero[:, [k for k in subset if k != i]].all(axis=1)).tolist()
+                    for i in subset
+                ]
+                for combo in itertools.product(*selectors):
+                    work += 1
+                    if work > budget:
+                        return exhausted
+                    remainder = unit.coords - np.sum([candidates[j].coords for j in combo], axis=0)
+                    rem_vals = np.array([float(np.dot(remainder, s.coords)) for s in vertices])
+                    if rem_vals.min() < -DISTINGUISH_TOL:
+                        continue
+                    effects = [candidates[j] for j in combo]
+                    if np.max(np.abs(rem_vals)) > PROB_TOL or np.max(np.abs(remainder)) > PROB_TOL:
+                        effects.append(Effect(remainder, theory.theory_id, "rest"))
+                    cert = verify_distinguishable(
+                        theory,
+                        [vertices[i] for i in subset],
+                        Measurement(f"distinguish-{m}", tuple(effects)),
                     )
-                remainder = unit.coords - np.sum([candidates[j].coords for j in combo], axis=0)
-                rem_vals = np.array([float(np.dot(remainder, s.coords)) for s in vertices])
-                if rem_vals.min() < -DISTINGUISH_TOL:
-                    continue
-                effects = [candidates[j] for j in combo]
-                if np.max(np.abs(rem_vals)) > PROB_TOL or np.max(np.abs(remainder)) > PROB_TOL:
-                    effects.append(Effect(remainder, theory.theory_id, "rest"))
-                cert = verify_distinguishable(
-                    theory,
-                    [vertices[i] for i in subset],
-                    Measurement(f"distinguish-{m}", tuple(effects)),
-                )
-                if cert.verified:
-                    found = cert
+                    if cert.verified:
+                        found = cert
+                        break
+                if found:
                     break
             if found:
                 break
+            work += len(rows) - counted
+            if work > budget:
+                return exhausted
         if found is None:
             return DimensionReport(best.d, best.certificate, True, "exhaustive over extreme points")
         best = DimensionReport(m, found, True, "exhaustive over extreme points")
@@ -621,7 +684,13 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
 
     Polytope theories are searched exhaustively over extreme states and
     extreme effects (distinguishing states can be taken extremal, and any
-    distinguishing measurement can be refined to extremal effects).
+    distinguishing measurement can be refined to extremal effects). Chunks
+    of vertex subsets are screened with packed masks of which effects read 1
+    and 0 on which vertices, and only the subsets that pass get the exact
+    test. ``budget`` counts every subset, screened out or not, and every
+    choice of effects tried; when it runs out, the report has
+    ``exhaustive=False`` and ``d`` is only a lower bound.
+
     Restricted and norm-constraint theories search their available
     measurements; quantum theories have an analytic basis certificate.
     """

@@ -45,6 +45,7 @@ from .sampling import (
     _complex_gaussian,
     _density_draws,
     _density_from_draws,
+    _dirichlet_ones,
     _haar_from_gaussian,
     _stacked_density_draws,
 )
@@ -64,20 +65,20 @@ def _draw_joint(*highs: int) -> Callable[[np.random.Generator], tuple[np.ndarray
 
     def draw(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         shape = tuple(int(rng.integers(2, high)) for high in highs)
-        return (rng.dirichlet(np.ones(math.prod(shape))).reshape(shape),)
+        return (_dirichlet_ones(rng, math.prod(shape)).reshape(shape),)
 
     return draw
 
 
 def _draw_channel(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     s, a, x = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
-    joint = rng.dirichlet(np.ones(s * a)).reshape(s, a)
-    return joint, rng.dirichlet(np.ones(x), size=s)  # p(x|s) rows
+    joint = _dirichlet_ones(rng, s * a).reshape(s, a)
+    return joint, _dirichlet_ones(rng, x, s)  # p(x|s) rows
 
 
 def _draw_cq(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     dim, nc = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-    return (rng.dirichlet(np.ones(nc)), *_stacked_density_draws(rng, dim, nc))
+    return (_dirichlet_ones(rng, nc), *_stacked_density_draws(rng, dim, nc))
 
 
 def _draw_density(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -86,7 +87,7 @@ def _draw_density(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
 
 def _draw_cq_grid(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     # S quantum, A and B classical: rho = sum p_ab |a><a| x |b><b| x rho_ab
-    p = rng.dirichlet(np.ones(4)).reshape(2, 2)
+    p = _dirichlet_ones(rng, 4).reshape(2, 2)
     eigs, g = _stacked_density_draws(rng, 2, 4)
     return p, eigs.reshape(2, 2, 2), g.reshape(2, 2, 2, 2)
 

@@ -11,6 +11,17 @@ from .engine import CorrelatedEnsemble, _check_arrays
 from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
 
 
+def _dirichlet_ones(rng: np.random.Generator, k: int, size: int | None = None) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k), size)``, bit for bit, without its per-call
+    argument checks.
+
+    Unit-shape gammas are standard exponentials, and numpy normalises each
+    row by its left-to-right sum and the reciprocal of that sum, as here.
+    """
+    draws = rng.standard_exponential((k,) if size is None else (size, k))
+    return draws * (1.0 / np.add.accumulate(draws, axis=-1)[..., -1:])
+
+
 def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
     """Haar unitaries from complex Gaussian matrices, shape (..., d, d)."""
     q, r = np.linalg.qr(g)
@@ -33,7 +44,7 @@ def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _density_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The draws of one random density matrix, in their fixed order: the
     Dirichlet eigenvalues, then the complex Gaussian matrix of its basis."""
-    eigs = rng.dirichlet(np.ones(dim))
+    eigs = _dirichlet_ones(rng, dim)
     return eigs, _complex_gaussian(rng, dim)
 
 
@@ -58,12 +69,12 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
     """
     v = theory.variant
     if isinstance(v, Polytope):
-        w = rng.dirichlet(np.ones(len(v.vertices)), size=n)
+        w = _dirichlet_ones(rng, len(v.vertices), n)
         # einsum forms each row on its own, so a state's coordinates do not
         # depend on n; a BLAS product can round differently by batch size
         return np.einsum("ij,jk->ik", w, v.vertex_matrix)
     if isinstance(v, RestrictedClassical):
-        return rng.dirichlet(np.ones(v.internal_states), size=n)
+        return _dirichlet_ones(rng, v.internal_states, n)
     if isinstance(v, NormConstraint):
         rows = []
         for _ in range(n):
@@ -100,7 +111,7 @@ def random_ensemble(
     if n_registers < 1:
         raise ValueError("entries need at least one register")
     registers = np.array(list(itertools.product(range(alphabet), repeat=n_registers)))
-    probs = rng.dirichlet(np.ones(len(registers)))
+    probs = _dirichlet_ones(rng, len(registers))
     coords = _random_coords(entry.theory, rng, len(registers))
     alphabets = (alphabet,) * n_registers
     _check_arrays(entry.theory, coords, registers, alphabets)

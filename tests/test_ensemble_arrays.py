@@ -102,6 +102,19 @@ def test_random_ensemble_draws_like_sequential_random_state(make):
             assert batched.bit_generator.state == sequential.bit_generator.state
 
 
+@pytest.mark.parametrize("size", [None, 1, 5])
+def test_dirichlet_ones_draws_like_generator_dirichlet(size):
+    # k >= 8 is where numpy's pairwise sum would differ from the left-to-right one
+    for seed in (0, 1, 20260816):
+        for k in range(1, 71):
+            helper, generator = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = sampling._dirichlet_ones(helper, k, size)
+            expected = generator.dirichlet(np.ones(k), size)
+            assert draws.shape == expected.shape
+            assert draws.tobytes() == expected.tobytes(), (seed, k)
+            assert helper.bit_generator.state == generator.bit_generator.state
+
+
 @pytest.mark.parametrize("make", [catalog.classical_bit, catalog.qubit])
 def test_evaluate_icp_rejects_effects_that_miss_the_unit(make):
     entry = make()

@@ -36,6 +36,18 @@ def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_dirichlet_draws_go_through_the_sampling_helper(path):
+    # sampling._dirichlet_ones draws the same numbers without Generator.dirichlet's per-call checks
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dirichlet"
+    ]
+    assert calls == []
+
+
 def test_cli_import_loads_numpy_only():
     # the runtime depends on numpy alone; the test-only packages stay unloaded
     probe = (
