@@ -115,8 +115,12 @@ class Polytope:
                 raise ValueError(f"extreme effect {e.label or '?'} has a non-finite coordinate")
         if not np.isfinite(self.unit.coords).all():
             raise ValueError("unit effect has a non-finite coordinate")
-        # np.nonzero lists the pairs i < j in itertools.combinations order
-        close = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2) <= 1e-12
+        # max-abs distance <= 1e-12, one coordinate at a time so that only an
+        # (n, n) array is held; np.nonzero lists the pairs i < j in
+        # itertools.combinations order
+        close = np.ones((len(coords), len(coords)), dtype=bool)
+        for column in coords.T:
+            close &= np.abs(column[:, None] - column) <= 1e-12
         i, j = np.nonzero(np.triu(close, 1))
         if i.size:
             raise ValueError(f"vertices {i[0] + 1} and {j[0] + 1} coincide")
