@@ -110,11 +110,9 @@ class Polytope:
         nonfinite = ~np.isfinite(coords).all(axis=1)
         if nonfinite.any():
             raise ValueError(f"vertex {int(nonfinite.argmax()) + 1} has a non-finite coordinate")
-        for e in self.extreme_effects:
+        for e in (*self.extreme_effects, self.unit):
             if not np.isfinite(e.coords).all():
-                raise ValueError(f"extreme effect {e.label or '?'} has a non-finite coordinate")
-        if not np.isfinite(self.unit.coords).all():
-            raise ValueError("unit effect has a non-finite coordinate")
+                raise ValueError(f"effect {e.label or '?'} has a non-finite coordinate")
         # max-abs distance <= 1e-12, one coordinate at a time so that only an
         # (n, n) array is held; np.nonzero lists the pairs i < j in
         # itertools.combinations order

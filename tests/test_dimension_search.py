@@ -174,11 +174,11 @@ def test_polytope_rejects_non_finite_coordinates():
     entry = catalog.polygon(5)
     v = entry.theory.variant
     bad = np.array([np.nan, 0.0, 1.0])
-    with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
+    with pytest.raises(ValueError, match="^vertex 2 has a non-finite coordinate$"):
         _pentagon([v.vertices[0].coords, bad, *(s.coords for s in v.vertices[2:])])
     effects = list(v.extreme_effects)
     effects[3] = Effect(np.array([np.inf, 0.0, 0.5]), entry.entry_id, "e4")
-    with pytest.raises(ValueError, match="extreme effect e4 has a non-finite coordinate"):
+    with pytest.raises(ValueError, match="^effect e4 has a non-finite coordinate$"):
         Polytope(v.vertices, tuple(effects), v.unit)
-    with pytest.raises(ValueError, match="unit effect has a non-finite coordinate"):
+    with pytest.raises(ValueError, match="^effect u has a non-finite coordinate$"):
         Polytope(v.vertices, v.extreme_effects, Effect(np.array([0.0, np.nan, 1.0]), entry.entry_id, "u"))
