@@ -11,6 +11,7 @@ B, and binary entropy is written H.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,7 +166,10 @@ class PgnstSearchConfig:
     """Grid for minimizing H(X)+H(Z) over the saturating boundary.
 
     The grid lives in u = 1 - s_x, log-spaced from u_min up to 1, and the
-    corner u = 0 is appended exactly. pgnst_bound_check takes its own epsilon.
+    corner u = 0 is appended exactly. It does not depend on p, so the grid
+    and H((1+s_x)/2) on it are built once per config (the config is frozen
+    and hashable) and shared by every p. pgnst_bound_check takes its own
+    epsilon.
     """
 
     grid_points: int = 100_000
@@ -188,12 +192,25 @@ def _entropy_from_gap(gap: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_entropy_sum(p: float, u: np.ndarray) -> np.ndarray:
-    """H((1+s_x)/2) + H((1+s_z)/2) on the curve s_x^p + s_z^p = 1, s_x = 1-u."""
+@functools.lru_cache(maxsize=4)
+def _pgnst_grid(config: PgnstSearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The config's grid u = 1 - s_x and H((1+s_x)/2) on it, read-only."""
+    u = np.concatenate(
+        [np.logspace(math.log10(config.u_min), 0.0, config.grid_points), [0.0]]
+    )
+    h_u = _entropy_from_gap(u)
+    u.setflags(write=False)
+    h_u.setflags(write=False)
+    return u, h_u
+
+
+def _boundary_entropy_sum(p: float, u: np.ndarray, h_u: np.ndarray) -> np.ndarray:
+    """H((1+s_x)/2) + H((1+s_z)/2) on the curve s_x^p + s_z^p = 1, s_x = 1-u,
+    given the first term ``h_u``."""
     with np.errstate(divide="ignore"):
         w = np.exp(p * np.log1p(-u))  # s_x^p
         v = -np.expm1(np.log1p(-w) / p)  # 1 - s_z
-    return _entropy_from_gap(u) + _entropy_from_gap(v)
+    return h_u + _entropy_from_gap(v)
 
 
 def pgnst_min_entropy_sum(
@@ -206,15 +223,13 @@ def pgnst_min_entropy_sum(
     smallest grid value, so it is an upper bound on the true boundary minimum
     (up to float rounding).
     """
-    if p < 2.0:
+    # written so that NaN fails: every comparison with NaN is false
+    if not p >= 2.0:
         raise ValueError(f"need p >= 2, got {p!r}")
     if math.isinf(p):
         return 1.0, 0.0
-    config = config or PgnstSearchConfig()
-    u = np.concatenate(
-        [np.logspace(math.log10(config.u_min), 0.0, config.grid_points), [0.0]]
-    )
-    sums = _boundary_entropy_sum(p, u)
+    u, h_u = _pgnst_grid(config or PgnstSearchConfig())
+    sums = _boundary_entropy_sum(p, u, h_u)
     best = int(np.argmin(sums))
     return float(1.0 - u[best]), float(sums[best])
 

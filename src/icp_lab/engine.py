@@ -706,15 +706,9 @@ def _optimal_register_correlation(c: float, s: float) -> float:
     if fprime(top) >= 0.0:
         return 1.0
 
-    def f(q: float) -> float:
-        m = q * c + (1.0 - q) * s
-        return (
-            2.0 * (1.0 - info.binary_entropy(m))
-            - (1.0 - info.binary_entropy(q))
-        )
-
     qs = np.linspace(0.5, top, 513)
-    vals = [f(q) for q in qs]
+    ms = qs * c + (1.0 - qs) * s
+    vals = 2.0 * (1.0 - info._binary_entropy_bits(ms)) - (1.0 - info._binary_entropy_bits(qs))
     i = int(np.argmax(vals))
     lo = qs[max(i - 1, 0)]
     hi = qs[min(i + 1, len(qs) - 1)]

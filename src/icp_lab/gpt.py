@@ -500,11 +500,11 @@ def _dimension_cache_key(theory: Theory) -> tuple:
 
 
 def _dedupe_effects(effects: Iterable[Effect]) -> list[Effect]:
+    """The first effect of each set whose coordinates agree to 12 decimals."""
+    effects = list(effects)
     seen = {}
-    for e in effects:
-        key = tuple(np.round(e.coords, 12))
-        if key not in seen:
-            seen[key] = e
+    for e, key in zip(effects, np.round(np.array([e.coords for e in effects]), 12)):
+        seen.setdefault(tuple(key), e)
     return list(seen.values())
 
 
@@ -515,20 +515,53 @@ def _readouts(effects: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.n
     return np.abs(vals - 1.0) <= DISTINGUISH_TOL, np.abs(vals) <= DISTINGUISH_TOL
 
 
-# m-subsets the dimension search's mask pre-filter tests at once, which bounds
-# the memory it holds
+def _readable_pairs(one: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """(n, n) graph of the vertex pairs i, k that some candidate reads as 1 on
+    i and 0 on k, and some candidate as 1 on k and 0 on i.
+
+    The (candidate, vertex) readout masks are multiplied as float32 counts,
+    which stay positive where a narrow integer count could wrap round to 0.
+    """
+    separable = one.T.astype(np.float32) @ zero.astype(np.float32) > 0.0
+    return separable & separable.T
+
+
+# vertex subsets the dimension search's mask pre-filter tests at once, which
+# bounds the memory it holds
 _SUBSET_CHUNK = 4096
 
 
-def _subset_chunks(n: int, m: int) -> Iterator[np.ndarray]:
-    """The m-subsets of range(n) in ``itertools.combinations`` order, as index
-    rows, at most ``_SUBSET_CHUNK`` rows at a time."""
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(n), m))
-    while True:
-        rows = np.fromiter(itertools.islice(subsets, _SUBSET_CHUNK * m), dtype=np.intp)
-        if not rows.size:
-            return
-        yield rows.reshape(-1, m)
+def _clique_chunks(adjacent: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """The m-cliques of the graph ``adjacent`` (symmetric, (n, n) bool) in
+    ``itertools.combinations`` order, as index rows, at most
+    ``_SUBSET_CHUNK`` rows at a time.
+
+    Each m-clique is an (m-1)-clique extended by a later vertex adjacent to
+    all its members, so extending the (m-1)-cliques in order keeps that
+    order. They are extended a few at a time, which bounds the (cliques, n)
+    extension mask by ``_SUBSET_CHUNK`` entries when n is at most that.
+    """
+    n = len(adjacent)
+    if m == 1:
+        yield from (np.arange(i, min(i + _SUBSET_CHUNK, n))[:, None] for i in range(0, n, _SUBSET_CHUNK))
+        return
+    step = max(1, _SUBSET_CHUNK // n)
+    vertices = np.arange(n)
+    for parents in _clique_chunks(adjacent, m - 1):
+        for start in range(0, len(parents), step):
+            block = parents[start : start + step]
+            extends = vertices > block[:, -1:]
+            for column in block.T:
+                extends &= adjacent[column]
+            parent, vertex = np.nonzero(extends)
+            rows = np.column_stack([block[parent], vertex])
+            yield from (rows[i : i + _SUBSET_CHUNK] for i in range(0, len(rows), _SUBSET_CHUNK))
+
+
+def _combination_rank(subset: Sequence[int], n: int) -> int:
+    """Position of a sorted subset among ``itertools.combinations(range(n), len(subset))``."""
+    m = len(subset)
+    return math.comb(n, m) - 1 - sum(math.comb(n - 1 - c, m - i) for i, c in enumerate(subset))
 
 
 def _readable_subsets(rows: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
@@ -554,12 +587,16 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
 
     A subset of m vertices is distinguishable only if each member has a
     candidate effect (an extreme effect, its complement or the unit) reading
-    1 on it and 0 on the other members. Whole chunks of subsets are tested
-    for that with packed readout masks; each subset that passes goes to the
-    exact test, which tries every choice of one such effect per member (in
+    1 on it and 0 on the other members. So every pair in it is readable
+    (``_readable_pairs``), and only the m-cliques of that pair graph are
+    built, in ``itertools.combinations`` order. Chunks of them are screened
+    with packed readout masks; each subset that passes goes to the exact
+    test, which tries every choice of one such effect per member (in
     ``itertools.product`` order), completes it with the remainder effect and
-    verifies the certificate. ``budget`` counts every subset, screened out
-    or not, and every choice of effects tried.
+    verifies the certificate. ``budget`` counts every m-subset up to the one
+    tested, by its position in combinations order, built or not, and every
+    choice of effects tried; a size that yields no certificate is charged
+    in full.
     """
     v = theory.variant
     vertices = v.vertices
@@ -577,6 +614,7 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
     )
     one, zero = _readouts(np.array([e.coords for e in candidates]), v.vertex_matrix)
     packed_ones, packed_zeros = np.packbits(one.T, axis=1), np.packbits(zero.T, axis=1)
+    pairs = _readable_pairs(one, zero)
     cap = min(nv, state_space_dimension(theory) + 1)
 
     best = DimensionReport(
@@ -591,14 +629,15 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
             best.d, best.certificate, False, f"search budget {budget} exhausted at size {m}"
         )
         found = None
-        for rows in _subset_chunks(nv, m):
-            counted = 0  # subsets of this chunk already in work
+        counted = 0  # m-subsets already in work
+        for rows in _clique_chunks(pairs, m):
             for pos in _readable_subsets(rows, packed_ones, packed_zeros).tolist():
-                work += pos + 1 - counted
-                counted = pos + 1
+                subset = rows[pos].tolist()
+                rank = _combination_rank(subset, nv)
+                work += rank + 1 - counted
+                counted = rank + 1
                 if work > budget:
                     return exhausted
-                subset = rows[pos].tolist()
                 selectors = [
                     np.flatnonzero(one[:, i] & zero[:, [k for k in subset if k != i]].all(axis=1)).tolist()
                     for i in subset
@@ -626,10 +665,10 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
                     break
             if found:
                 break
-            work += len(rows) - counted
+        if found is None:
+            work += math.comb(nv, m) - counted
             if work > budget:
                 return exhausted
-        if found is None:
             return DimensionReport(best.d, best.certificate, True, "exhaustive over extreme points")
         best = DimensionReport(m, found, True, "exhaustive over extreme points")
     return best
@@ -686,12 +725,13 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
 
     Polytope theories are searched exhaustively over extreme states and
     extreme effects (distinguishing states can be taken extremal, and any
-    distinguishing measurement can be refined to extremal effects). Chunks
-    of vertex subsets are screened with packed masks of which effects read 1
-    and 0 on which vertices, and only the subsets that pass get the exact
-    test. ``budget`` counts every subset, screened out or not, and every
-    choice of effects tried; when it runs out, the report has
-    ``exhaustive=False`` and ``d`` is only a lower bound.
+    distinguishing measurement can be refined to extremal effects). Only the
+    vertex subsets whose every pair some effects tell apart both ways are
+    built; chunks of them are screened with packed masks of which effects
+    read 1 and 0 on which vertices, and only the subsets that pass get the
+    exact test. ``budget`` counts every subset, built or not, screened out
+    or not, and every choice of effects tried; when it runs out, the report
+    has ``exhaustive=False`` and ``d`` is only a lower bound.
 
     Restricted and norm-constraint theories search their available
     measurements; quantum theories have an analytic basis certificate.

@@ -106,15 +106,23 @@ def shannon_entropy(p) -> float:
     return _plogp_bits(_as_prob_array(p))
 
 
+def _binary_entropy_bits(x: np.ndarray) -> np.ndarray:
+    """H(x) of every entry of an array in [0, 1]: the binary entropy kernel.
+
+    It is 0 at the endpoints; the entries are not checked.
+    """
+    inner = (x > 0.0) & (x < 1.0)
+    y = np.where(inner, x, 0.5)
+    # log1p keeps the (1-x) term accurate near the endpoints
+    return np.where(inner, -y * np.log2(y) - (1.0 - y) * np.log1p(-y) / LN2, 0.0)
+
+
 def binary_entropy(x: float) -> float:
     """H(x) for a two-outcome distribution (x, 1-x); 0 at the endpoints."""
-    if x < -PROB_TOL or x > 1.0 + PROB_TOL:
+    # written so that NaN fails: every comparison with NaN is false
+    if not -PROB_TOL <= x <= 1.0 + PROB_TOL:
         raise ValueError(f"binary_entropy argument {x!r} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    # log1p keeps the (1-x) term accurate near the endpoints
-    return float(-x * np.log2(x) - (1.0 - x) * np.log1p(-x) / LN2)
+    return float(_binary_entropy_bits(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,8 +37,13 @@ def _density_from_draws(eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A dim x dim complex Gaussian matrix: the real part is drawn first."""
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    """A dim x dim complex Gaussian matrix: the real part is drawn first.
+
+    One draw of shape (2, dim, dim) fills the real part and then the
+    imaginary part, as two (dim, dim) draws in that order would.
+    """
+    g = rng.normal(size=(2, dim, dim))
+    return g[0] + 1j * g[1]
 
 
 def _density_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from icp_lab import constructions
@@ -113,6 +114,29 @@ def test_pgnst_min_entropy_sum_mpmath_oracle():
             assert abs(entropy_sum(p, s_star) - h_literal) < 1e-15, p
             if p >= 3:  # the symmetric point s_x = s_z
                 assert abs(s_star - 2 ** (-1 / p)) < mp.mpf(10) ** -30, p
+
+
+def _per_p_min_entropy_sum(p, config):
+    """The search the shared grid replaced: the grid and both entropies built for each p."""
+    u = np.concatenate([np.logspace(math.log10(config.u_min), 0.0, config.grid_points), [0.0]])
+    with np.errstate(divide="ignore"):
+        w = np.exp(p * np.log1p(-u))
+        v = -np.expm1(np.log1p(-w) / p)
+    sums = constructions._entropy_from_gap(u) + constructions._entropy_from_gap(v)
+    best = int(np.argmin(sums))
+    return float(1.0 - u[best]), float(sums[best])
+
+
+@pytest.mark.parametrize("config", [PgnstSearchConfig(), PgnstSearchConfig(grid_points=2, u_min=0.5)])
+def test_pgnst_min_entropy_sum_matches_the_per_p_grid(config):
+    for p in (2.0, 2.5, 3.0, 4.0, 8.0):
+        assert pgnst_min_entropy_sum(p, config) == _per_p_min_entropy_sum(p, config), p
+
+
+def test_pgnst_min_entropy_sum_rejects_nan_and_small_p():
+    for p in (float("nan"), 1.999):
+        with pytest.raises(ValueError, match="need p >= 2"):
+            pgnst_min_entropy_sum(p)
 
 
 def test_pgnst_min_entropy_sum_infinite_p():

@@ -1,6 +1,8 @@
-"""Polytope dimension search: the mask pre-filter against the per-subset search."""
+"""Polytope dimension search: the clique search against the chunked mask
+search it replaced and the per-subset search."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,80 @@ def _scalar_polytope_dimension(theory, budget):
     return best
 
 
+def _subset_chunks(n, m, chunk=4096):
+    """All m-subsets of range(n) in combinations order, ``chunk`` rows at a time."""
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(n), m))
+    while True:
+        rows = np.fromiter(itertools.islice(subsets, chunk * m), dtype=np.intp)
+        if not rows.size:
+            return
+        yield rows.reshape(-1, m)
+
+
+def _chunked_polytope_dimension(theory, budget):
+    """The mask search before the pair graph: every m-subset is built and
+    screened, chunk by chunk, and the budget is charged a chunk at a time."""
+    v = theory.variant
+    vertices = v.vertices
+    nv = len(vertices)
+    unit = v.unit
+    candidates = _candidates(theory)
+    one, zero = gpt._readouts(np.array([e.coords for e in candidates]), v.vertex_matrix)
+    packed_ones, packed_zeros = np.packbits(one.T, axis=1), np.packbits(zero.T, axis=1)
+    cap = min(nv, state_space_dimension(theory) + 1)
+
+    best = DimensionReport(
+        1,
+        verify_distinguishable(theory, [vertices[0]], Measurement("trivial", (unit,))),
+        True,
+        "single state, unit effect",
+    )
+    work = 0
+    for m in range(2, cap + 1):
+        exhausted = DimensionReport(best.d, best.certificate, False, f"search budget {budget} exhausted at size {m}")
+        found = None
+        for rows in _subset_chunks(nv, m):
+            counted = 0
+            for pos in gpt._readable_subsets(rows, packed_ones, packed_zeros).tolist():
+                work += pos + 1 - counted
+                counted = pos + 1
+                if work > budget:
+                    return exhausted
+                subset = rows[pos].tolist()
+                selectors = [
+                    np.flatnonzero(one[:, i] & zero[:, [k for k in subset if k != i]].all(axis=1)).tolist()
+                    for i in subset
+                ]
+                for combo in itertools.product(*selectors):
+                    work += 1
+                    if work > budget:
+                        return exhausted
+                    remainder = unit.coords - np.sum([candidates[j].coords for j in combo], axis=0)
+                    rem_vals = np.array([float(np.dot(remainder, s.coords)) for s in vertices])
+                    if rem_vals.min() < -DISTINGUISH_TOL:
+                        continue
+                    effects = [candidates[j] for j in combo]
+                    if np.max(np.abs(rem_vals)) > PROB_TOL or np.max(np.abs(remainder)) > PROB_TOL:
+                        effects.append(Effect(remainder, theory.theory_id, "rest"))
+                    cert = verify_distinguishable(
+                        theory, [vertices[i] for i in subset], Measurement(f"distinguish-{m}", tuple(effects))
+                    )
+                    if cert.verified:
+                        found = cert
+                        break
+                if found:
+                    break
+            if found:
+                break
+            work += len(rows) - counted
+            if work > budget:
+                return exhausted
+        if found is None:
+            return DimensionReport(best.d, best.certificate, True, "exhaustive over extreme points")
+        best = DimensionReport(m, found, True, "exhaustive over extreme points")
+    return best
+
+
 def _report_bytes(report):
     cert = report.certificate
     return (
@@ -145,11 +221,68 @@ def test_readout_masks_match_the_per_pair_dot(make):
     assert np.array_equal(zero, np.abs(vals) <= DISTINGUISH_TOL)
 
 
+@pytest.mark.parametrize("n", range(3, 61))
+def test_search_matches_the_chunked_search(n):
+    theory = catalog.polygon(n).theory
+    report = observed_dimension(theory, use_cache=False)
+    assert _report_bytes(report) == _report_bytes(_chunked_polytope_dimension(theory, 2_000_000))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 60])
+def test_search_stops_where_the_chunked_search_does(n):
+    theory = catalog.polygon(n).theory
+    pairs, triples = math.comb(n, 2), math.comb(n, 3)
+    if n < 60:
+        budgets = range(1, pairs + triples + 2)  # every cut, the size-3 stage included
+    else:
+        budgets = [pairs + k for k in (1, 4095, 4096, 4097, 30_000, triples - 1, triples, triples + 1)]
+    for budget in budgets:
+        report = observed_dimension(theory, budget=budget, use_cache=False)
+        assert _report_bytes(report) == _report_bytes(_chunked_polytope_dimension(theory, budget)), budget
+
+
+def test_search_memory_stays_bounded():
+    # polygon(1000) stops at size 3 when the budget runs out; the three
+    # (candidate, vertex) float arrays of the readout masks set the peak,
+    # not the subsets or the pair graph
+    theory = catalog.polygon(1000).theory
+    k, n = len(_candidates(theory)), len(theory.variant.vertices)
+    tracemalloc.start()
+    try:
+        report = observed_dimension(theory, use_cache=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.d, report.exhaustive) == (2, False)
+    assert peak < 3 * k * n * 8 + 4_000_000
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_readable_pairs_match_the_candidate_masks(seed):
+    # random masks, so that "reads 1 on i and 0 on k" is not symmetric as on the polygons
+    rng = np.random.default_rng(seed)
+    one, zero = rng.random((2, 9, 7)) < 0.3
+    n = one.shape[1]
+    separable = [[bool((one[:, i] & zero[:, k]).any()) for k in range(n)] for i in range(n)]
+    expected = [[separable[i][k] and separable[k][i] for k in range(n)] for i in range(n)]
+    assert gpt._readable_pairs(one, zero).tolist() == expected
+
+
 @pytest.mark.parametrize("n,m", [(5, 2), (9, 4), (40, 3)])
-def test_subset_chunks_are_bounded_and_in_combinations_order(n, m):
-    chunks = list(gpt._subset_chunks(n, m))
-    assert all(1 <= len(rows) <= gpt._SUBSET_CHUNK for rows in chunks)
-    assert [tuple(r) for rows in chunks for r in rows.tolist()] == list(itertools.combinations(range(n), m))
+def test_clique_chunks_are_bounded_and_in_combinations_order(n, m):
+    rng = np.random.default_rng(n * 10 + m)
+    upper = np.triu(rng.random((n, n)) < 0.6, 1)
+    for adjacent in (np.ones((n, n), dtype=bool), upper | upper.T):
+        chunks = list(gpt._clique_chunks(adjacent, m))
+        assert all(1 <= len(rows) <= gpt._SUBSET_CHUNK for rows in chunks)
+        cliques = [c for c in itertools.combinations(range(n), m) if all(adjacent[i, k] for i, k in itertools.combinations(c, 2))]
+        assert [tuple(r) for rows in chunks for r in rows.tolist()] == cliques
+
+
+def test_combination_rank_is_the_position_in_combinations_order():
+    for m in range(1, 8):
+        for rank, subset in enumerate(itertools.combinations(range(7), m)):
+            assert gpt._combination_rank(subset, 7) == rank
 
 
 def _pentagon(coords):

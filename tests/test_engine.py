@@ -22,6 +22,7 @@ from icp_lab import (
     register_marginal,
     sampling,
 )
+from test_info import _scalar_binary_entropy
 
 
 def _bit_assignment(entry):
@@ -292,6 +293,52 @@ def test_qubit_rotation_sweep_monotone():
     values = [p.extractable for p in points]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-9
+
+
+def _per_point_register_correlation(c, s):
+    """The bracketing the array pass replaced: each grid point scored alone."""
+    if c - s <= 1e-15:
+        return 0.5
+
+    def fprime(q):
+        m = q * c + (1.0 - q) * s
+        return -2.0 * (c - s) * math.log2((1.0 - m) / m) + math.log2((1.0 - q) / q)
+
+    top = 1.0 - 1e-12
+    if fprime(top) >= 0.0:
+        return 1.0
+
+    def f(q):
+        m = q * c + (1.0 - q) * s
+        return 2.0 * (1.0 - _scalar_binary_entropy(m)) - (1.0 - _scalar_binary_entropy(q))
+
+    qs = np.linspace(0.5, top, 513)
+    vals = [f(q) for q in qs]
+    i = int(np.argmax(vals))
+    lo = qs[max(i - 1, 0)]
+    hi = qs[min(i + 1, len(qs) - 1)]
+    if fprime(lo) <= 0.0:
+        return 0.5 if i == 0 else float(qs[i])
+    if fprime(hi) >= 0.0:
+        return float(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fprime(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("points", [1, 2, 5, 50, 201])
+def test_register_correlation_matches_the_per_point_bracketing(points):
+    # the grid of `icp-lab scan sweep --points N`
+    step = (math.pi / 2.0) / (points - 1) if points > 1 else 1.0
+    for t in (i * step for i in range(points)):
+        c, s = (1.0 + math.cos(t / 2.0)) / 2.0, (1.0 + math.sin(t / 2.0)) / 2.0
+        assert engine._optimal_register_correlation(c, s) == _per_point_register_correlation(c, s), t
 
 
 def test_qubit_rotation_sweep_rejects_out_of_range():

@@ -115,6 +115,16 @@ def test_dirichlet_ones_draws_like_generator_dirichlet(size):
             assert helper.bit_generator.state == generator.bit_generator.state
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_complex_gaussian_draws_like_two_normal_calls(k):
+    for seed in range(200):
+        helper, generator = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = sampling._complex_gaussian(helper, k)
+        expected = generator.normal(size=(k, k)) + 1j * generator.normal(size=(k, k))
+        assert g.tobytes() == expected.tobytes(), seed
+        assert helper.bit_generator.state == generator.bit_generator.state
+
+
 @pytest.mark.parametrize("make", [catalog.classical_bit, catalog.qubit])
 def test_evaluate_icp_rejects_effects_that_miss_the_unit(make):
     entry = make()

@@ -48,6 +48,42 @@ def test_dirichlet_draws_go_through_the_sampling_helper(path):
     assert calls == []
 
 
+def _complex_gaussian_draws(source: str) -> list[str]:
+    """Functions that both draw with ``.normal(`` and multiply by ``1j``."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        draws = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "normal" for n in nodes)
+        imaginary = any(
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Mult)
+            and any(isinstance(side, ast.Constant) and side.value == 1j for side in (n.left, n.right))
+            for n in nodes
+        )
+        if draws and imaginary:
+            found.append(func.name)
+    return found
+
+
+def test_complex_gaussian_check_finds_a_draw():
+    source = (
+        "def a(rng, d):\n    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))\n"
+        "def b(rng, d):\n    g = rng.normal(size=(2, d, d))\n    return g[0] + g[1] * 1j\n"
+        "def c(rng, x):\n    return rng.normal(size=3), 1j * x\n"
+        "def d(x):\n    return 1j * x\n"
+    )
+    assert _complex_gaussian_draws(source) == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_complex_gaussians_go_through_the_sampling_helper(path):
+    # sampling._complex_gaussian fixes the draw order (real part first) in one call
+    allowed = ["_complex_gaussian"] if path.name == "sampling.py" else []
+    assert _complex_gaussian_draws(path.read_text(encoding="utf-8")) == allowed
+
+
 def test_cli_import_loads_numpy_only():
     # the runtime depends on numpy alone; the test-only packages stay unloaded
     probe = (

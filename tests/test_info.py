@@ -14,6 +14,8 @@ from icp_lab import (
     von_neumann_entropy,
 )
 from icp_lab.info import (
+    LN2,
+    _binary_entropy_bits,
     _density_spectra,
     _is_distribution,
     _plogp_bits,
@@ -42,6 +44,30 @@ def test_binary_entropy_rejects_out_of_range():
         binary_entropy(-0.01)
     with pytest.raises(ValueError):
         binary_entropy(1.01)
+    with pytest.raises(ValueError, match="outside"):
+        binary_entropy(float("nan"))
+
+
+def _scalar_binary_entropy(x: float) -> float:
+    """The per-point binary entropy the array kernel replaced."""
+    x = min(max(x, 0.0), 1.0)
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return float(-x * np.log2(x) - (1.0 - x) * np.log1p(-x) / LN2)
+
+
+def test_binary_entropy_kernel_matches_the_scalar_form_bitwise():
+    # the register-correlation grid and its readout probabilities on the
+    # default 50-point sweep, and the endpoints
+    qs = np.linspace(0.5, 1.0 - 1e-12, 513)
+    grids = [qs, np.array([0.0, 1.0, 1e-300, 1.0 - 1e-16])]
+    for t in np.linspace(0.0, math.pi / 2.0, 50):
+        c, s = (1.0 + math.cos(t / 2.0)) / 2.0, (1.0 + math.sin(t / 2.0)) / 2.0
+        grids.append(qs * c + (1.0 - qs) * s)
+    for x in grids:
+        expected = np.array([_scalar_binary_entropy(float(v)) for v in x])
+        assert _binary_entropy_bits(x).tobytes() == expected.tobytes()
+        assert np.array([binary_entropy(float(v)) for v in x]).tobytes() == expected.tobytes()
 
 
 def test_shannon_entropy_basic():
