@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +179,8 @@ class PgnstSearchConfig:
     def __post_init__(self):
         if not 0.0 < self.u_min < 1.0:
             raise ValueError("u_min must lie in (0, 1)")
-        if self.grid_points < 2:
+        # operator.index rejects a float count, as np.logspace would
+        if operator.index(self.grid_points) < 2:
             raise ValueError("grid needs at least two points")
 
 

@@ -519,10 +519,10 @@ def _readable_pairs(one: np.ndarray, zero: np.ndarray) -> np.ndarray:
     """(n, n) graph of the vertex pairs i, k that some candidate reads as 1 on
     i and 0 on k, and some candidate as 1 on k and 0 on i.
 
-    The (candidate, vertex) readout masks are multiplied as float32 counts,
+    The (candidate, vertex) readout masks are multiplied as float counts,
     which stay positive where a narrow integer count could wrap round to 0.
     """
-    separable = one.T.astype(np.float32) @ zero.astype(np.float32) > 0.0
+    separable = one.T.astype(float) @ zero.astype(float) > 0.0
     return separable & separable.T
 
 

@@ -133,12 +133,6 @@ def test_pgnst_min_entropy_sum_matches_the_per_p_grid(config):
         assert pgnst_min_entropy_sum(p, config) == _per_p_min_entropy_sum(p, config), p
 
 
-def test_pgnst_min_entropy_sum_rejects_nan_and_small_p():
-    for p in (float("nan"), 1.999):
-        with pytest.raises(ValueError, match="need p >= 2"):
-            pgnst_min_entropy_sum(p)
-
-
 def test_pgnst_min_entropy_sum_infinite_p():
     sx, hmin = pgnst_min_entropy_sum(float("inf"))
     assert sx == 1.0
@@ -153,8 +147,9 @@ def test_pgnst_min_entropy_monotone_in_p():
 
 
 def test_pgnst_min_entropy_rejects_small_p():
-    with pytest.raises(ValueError):
-        pgnst_min_entropy_sum(1.9)
+    for p in (1.9, float("nan")):
+        with pytest.raises(ValueError, match="need p >= 2"):
+            pgnst_min_entropy_sum(p)
 
 
 def test_pgnst_search_config_validation():
@@ -162,6 +157,9 @@ def test_pgnst_search_config_validation():
         PgnstSearchConfig(grid_points=0)
     with pytest.raises(ValueError):
         PgnstSearchConfig(u_min=0.0)
+    # equal to the default config, so it must fail before it can share the default's grid
+    with pytest.raises(TypeError):
+        PgnstSearchConfig(grid_points=100_000.0)
 
 
 def test_pgnst_violation_certificates():
