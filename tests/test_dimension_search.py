@@ -242,9 +242,9 @@ def test_search_stops_where_the_chunked_search_does(n):
 
 
 def test_search_memory_stays_bounded():
-    # polygon(1000) stops at size 3 when the budget runs out; the three
-    # (candidate, vertex) float arrays of the readout masks set the peak,
-    # not the subsets or the pair graph
+    # polygon(1000) stops at size 3 when the budget runs out. The float
+    # arrays behind the readout masks and the pair graph, three (candidate,
+    # vertex)-sized ones at most, set the peak; the subsets held stay small
     theory = catalog.polygon(1000).theory
     k, n = len(_candidates(theory)), len(theory.variant.vertices)
     tracemalloc.start()
