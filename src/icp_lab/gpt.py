@@ -512,7 +512,16 @@ def _readouts(effects: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.n
     """Masks, shape (effect, state), of the (k, D) effect rows that read 1 and
     that read 0 on the (n, D) state rows, within ``DISTINGUISH_TOL``."""
     vals = effects @ states.T
-    return np.abs(vals - 1.0) <= DISTINGUISH_TOL, np.abs(vals) <= DISTINGUISH_TOL
+    # one temporary beside vals: |vals| first, then |vals - 1| in its place
+    scratch = np.abs(vals)
+    zero = scratch <= DISTINGUISH_TOL
+    np.abs(np.subtract(vals, 1.0, out=scratch), out=scratch)
+    return scratch <= DISTINGUISH_TOL, zero
+
+
+# vertex rows of the pair graph formed per product: bounds the float copies
+# of the masks held at once
+_PAIR_ROWS = 256
 
 
 def _readable_pairs(one: np.ndarray, zero: np.ndarray) -> np.ndarray:
@@ -520,9 +529,14 @@ def _readable_pairs(one: np.ndarray, zero: np.ndarray) -> np.ndarray:
     i and 0 on k, and some candidate as 1 on k and 0 on i.
 
     The (candidate, vertex) readout masks are multiplied as float counts,
-    which stay positive where a narrow integer count could wrap round to 0.
+    which stay positive where a narrow integer count could wrap round to 0,
+    ``_PAIR_ROWS`` vertices of one side at a time.
     """
-    separable = one.T.astype(float) @ zero.astype(float) > 0.0
+    zeros = zero.astype(float)
+    separable = np.empty((one.shape[1],) * 2, dtype=bool)
+    for start in range(0, len(separable), _PAIR_ROWS):
+        rows = slice(start, start + _PAIR_ROWS)
+        separable[rows] = one[:, rows].T.astype(float) @ zeros > 0.0
     return separable & separable.T
 
 

@@ -15,10 +15,11 @@ margin; a failed step on an exotic theory is data, not an error.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,11 +35,12 @@ from .gpt import (
 from .info import (
     AXIOM_TOL,
     IDENTITY_TOL,
+    MEMBERSHIP_TOL,
     AxiomReport,
-    _plogp_bits,
     _plogp_bits_rows,
-    _total_correlation,
+    _plogp_bits_stacked,
     _total_correlation_rows,
+    _total_correlation_stacked,
     _von_neumann_rows,
 )
 from .sampling import (
@@ -318,13 +320,97 @@ class ProofChainLedger:
         }
 
 
-class _ClassicalChainData:
+class _LedgerLayout(NamedTuple):
+    codes: np.ndarray  # (2, subsets): mask << 1 | 1 of every subset, then mask << 1
+    scatter: np.ndarray  # where each (table cell, column, subset) adds into the stack
+    singles: np.ndarray  # the row of each singleton A_k
+    alphabet: int
+    width: int  # cells per row: alphabet ** n, the widest marginal
+
+
+@functools.lru_cache(maxsize=32)
+def _ledger_layout(alphabet: int, n: int, columns: int) -> _LedgerLayout:
+    """Where the marginals the ledger reads sit in one zero-padded stack.
+
+    The ledger reads the register subsets {}, the prefixes A_1..A_k and the
+    singletons A_k, at most 2n of the 2^n. The register table has shape
+    (alphabet,) * n with ``columns`` values per cell. Row i of the stack
+    (subsets, width, columns) holds the marginal on subset i, row-major over
+    its registers and zero past its alphabet ** |subset| cells; value j of
+    table cell c adds into flat cell ``scatter[c, j, i]``. Cached per shape,
+    with read-only arrays.
+    """
+    masks = sorted({0} | {(1 << k) - 1 for k in range(1, n + 1)} | {1 << k for k in range(n)})
+    # a kept register's stride is alphabet ** (kept registers after it); a dropped one's is 0
+    strides = np.array(
+        [[alphabet ** (m >> k + 1).bit_count() if m >> k & 1 else 0 for k in range(n)] for m in masks]
+    )
+    width = alphabet**n
+    cells = strides @ np.indices((alphabet,) * n).reshape(n, -1)
+    rows = np.arange(len(masks))[:, None] * width + cells
+    scatter = (rows.T[:, None, :] * columns + np.arange(columns)[:, None]).ravel()
+    codes = np.array(masks) << 1 | np.array([[1], [0]])
+    singles = np.array([masks.index(1 << k) for k in range(n)])
+    for arr in (codes, scatter, singles):
+        arr.setflags(write=False)
+    return _LedgerLayout(codes, scatter, singles, alphabet, width)
+
+
+def _register_marginals(
+    ensemble: CorrelatedEnsemble, registers: tuple[int, ...], values: np.ndarray, copies: int = 1
+) -> tuple[np.ndarray, _LedgerLayout]:
+    """The marginals the ledger reads of the register table, as a (copies,
+    subsets, width, columns) stack whose copies past the first are zeros,
+    and the stack's layout.
+
+    The table sums each entry's ``values`` row into the cell of its values
+    on ``registers``. It is laid out over (a,) * n with a the largest of
+    their alphabets; cells past a register's own alphabet stay 0.
+    """
+    n, columns = len(registers), values.shape[1]
+    alphabet = max(ensemble.register_alphabets[r] for r in registers)
+    layout = _ledger_layout(alphabet, n, columns)
+    index = np.ravel_multi_index(ensemble.registers[:, list(registers)].T, (alphabet,) * n)
+    flat = (index[:, None] * columns + np.arange(columns)).ravel()
+    table = np.bincount(flat, values.ravel(), minlength=layout.width * columns)
+    rows = layout.codes.shape[1]
+    stack = np.bincount(layout.scatter, table.repeat(rows), minlength=copies * rows * layout.width * columns)
+    return stack.reshape(copies, rows, layout.width, columns), layout
+
+
+class _ChainData:
+    """Every entropy and gain the ledger reads, taken in one pass."""
+
+    def __init__(self, layout: _LedgerLayout, entropies: np.ndarray, outcomes: np.ndarray):
+        # entropies (2, subsets) in the layout's order; outcomes (n, x, a): each
+        # gain's outcome-register table, zero-padded to a common shape
+        n = len(layout.singles)
+        lookup = np.full(2 << n, np.nan)
+        lookup[layout.codes] = entropies
+        self._entropies = lookup.tolist()
+        self.gains = _total_correlation_stacked(outcomes).tolist()
+
+    def ent(self, mask: int, with_s: bool) -> float:
+        """Entropy of S (optional) together with the registers in ``mask``."""
+        return self._entropies[mask << 1 | with_s]
+
+
+def _effect_stack(assignment: ObservableAssignment) -> np.ndarray:
+    """Every assigned measurement's effect rows, zero-padded to (n, outcomes, D)."""
+    matrices = [m.effect_matrix for m, _ in assignment.pairs]
+    out = np.zeros((len(matrices), max(len(e) for e in matrices), matrices[0].shape[1]))
+    for k, e in enumerate(matrices):
+        out[k, : len(e)] = e
+    return out
+
+
+class _ClassicalChainData(_ChainData):
     """Joint table over (S, registers) with measurement channels on S.
 
-    Register subsets are bitmasks over the positions in ``registers``.
+    Register subsets are bitmasks over the positions in the assignment.
     """
 
-    def __init__(self, ensemble: CorrelatedEnsemble, registers: tuple[int, ...]):
+    def __init__(self, ensemble: CorrelatedEnsemble, assignment: ObservableAssignment):
         theory = ensemble.theory
         v = theory.variant
         if isinstance(v, RestrictedClassical):
@@ -341,79 +427,49 @@ class _ClassicalChainData:
             target = np.hstack([ensemble.coords, np.ones((len(ensemble.probs), 1))])
             weights = target @ v.barycentric_map.T
             recon = weights @ verts
-            if np.max(np.abs(recon - ensemble.coords)) > 1e-9:
+            if np.max(np.abs(recon - ensemble.coords)) > MEMBERSHIP_TOL:
                 raise ChainNotApplicable("states do not decompose over the vertices")
-            if weights.min() < -1e-9:
+            if weights.min() < -MEMBERSHIP_TOL:
                 raise ChainNotApplicable("states fall outside the vertex simplex")
         else:
             raise ChainNotApplicable(f"{theory.theory_id!r} has no classical carrier")
-        self.basis = basis
-        # (S, joint register value) in one product: entry masses on S times
-        # the entries' one-hot joint register values
-        index, shape = ensemble.register_index(registers)
+        # the (registers, S) table: entry masses on S in their register cells
         mass = ensemble.probs[:, None] * np.clip(weights, 0.0, None)
-        self.table = (mass.T @ np.eye(math.prod(shape))[index]).reshape((len(basis),) + shape)
-        self.n = len(registers)
-        self._cache: dict[int, float] = {}
-
-    def ent(self, mask: int, with_s: bool) -> float:
-        """Entropy of S (optional) together with the registers in ``mask``."""
-        key = mask << 1 | with_s
-        if key not in self._cache:
-            axes = tuple(i + 1 for i in range(self.n) if not mask >> i & 1)
-            if not with_s:
-                axes = (0,) + axes
-            self._cache[key] = _plogp_bits(self.table.sum(axis=axes))
-        return self._cache[key]
-
-    def outcome_table(self, measurement, position: int) -> np.ndarray:
-        chan = np.clip(measurement.effect_matrix @ self.basis.T, 0.0, 1.0)
-        axes = tuple(i + 1 for i in range(self.n) if i != position)
-        s_ak = self.table.sum(axis=axes) if axes else self.table
-        return chan @ s_ak
+        # copy 0 holds the marginals with S; copy 1, summed over S, those without
+        stack, layout = _register_marginals(ensemble, assignment.registers, mass, copies=2)
+        stack[1, :, :, 0] = stack[0].sum(axis=2)
+        # the (S, A_k) marginals give the gains: channel (x, s) @ table (s, a)
+        s_a = stack[0, layout.singles, : layout.alphabet]
+        channels = np.clip(_effect_stack(assignment) @ basis.T, 0.0, 1.0)
+        super().__init__(layout, _plogp_bits_stacked(stack, (2, 3)), channels @ np.swapaxes(s_a, 1, 2))
 
 
-class _QuantumChainData:
+class _QuantumChainData(_ChainData):
     """Classical-quantum blocks p_c, p_c rho_c indexed by register values.
 
-    The blocks p_c rho_c are kept in state coordinates, shape (*alphabets,
-    2 d^2). Register subsets are bitmasks over the positions in
-    ``registers``.
+    The blocks p_c rho_c are kept in state coordinates, 2 d^2 per cell.
+    Register subsets are bitmasks over the positions in the assignment.
     """
 
-    def __init__(self, ensemble: CorrelatedEnsemble, registers: tuple[int, ...]):
+    def __init__(self, ensemble: CorrelatedEnsemble, assignment: ObservableAssignment):
         v = ensemble.theory.variant
         if not isinstance(v, Quantum):
             raise ChainNotApplicable("not a quantum theory")
-        index, shape = ensemble.register_index(registers)
-        size = math.prod(shape)
-        self.probs = np.bincount(index, weights=ensemble.probs, minlength=size).reshape(shape)
-        weighted = np.eye(size)[index].T @ (ensemble.probs[:, None] * ensemble.coords)
-        self.weighted = weighted.reshape(shape + (-1,))
-        self.n = len(registers)
-        self.dim = v.hilbert_dim
-        self._cache: dict[int, float] = {}
-
-    def ent(self, mask: int, with_s: bool) -> float:
-        key = mask << 1 | with_s
-        if key not in self._cache:
-            axes = tuple(i for i in range(self.n) if not mask >> i & 1)
-            if with_s:
-                # H(p) + sum_c p_c S(rho_c) is the entropy of the block-diagonal
-                # cq state, whose spectrum is that of the blocks p_c rho_c
-                w = self.weighted.sum(axis=axes) if axes else self.weighted
-                blocks = coords_to_density(w.reshape(-1, w.shape[-1]), self.dim)
-                value = _plogp_bits(np.linalg.eigvalsh(blocks))
-            else:
-                value = _plogp_bits(self.probs.sum(axis=axes))
-            self._cache[key] = value
-        return self._cache[key]
-
-    def outcome_table(self, measurement, position: int) -> np.ndarray:
-        axes = tuple(i for i in range(self.n) if i != position)
-        w = self.weighted.sum(axis=axes) if axes else self.weighted
+        # each cell holds p_c, then the coordinates of p_c rho_c
+        p = ensemble.probs[:, None]
+        (marginals,), layout = _register_marginals(
+            ensemble, assignment.registers, np.hstack([p, p * ensemble.coords])
+        )
+        d, rows = v.hilbert_dim, len(marginals)
+        # H(p) + sum_c p_c S(rho_c) is the entropy of the block-diagonal cq
+        # state, whose spectrum is that of the blocks p_c rho_c; zero blocks pad
+        spectra = np.zeros((2, rows, layout.width * d))
+        spectra[0] = np.linalg.eigvalsh(coords_to_density(marginals[:, :, 1:], d)).reshape(rows, -1)
+        spectra[1, :, : layout.width] = marginals[:, :, 0]
         # Tr(E w_a) is the dot product of their coordinates
-        return np.clip(measurement.effect_matrix @ w.T, 0.0, None)
+        w_a = marginals[layout.singles, : layout.alphabet, 1:]
+        outcomes = np.clip(_effect_stack(assignment) @ np.swapaxes(w_a, 1, 2), 0.0, None)
+        super().__init__(layout, _plogp_bits_stacked(spectra, (2,)), outcomes)
 
 
 def proof_chain_check(
@@ -425,13 +481,19 @@ def proof_chain_check(
     space, possibly with restricted readouts) or is quantum; otherwise
     raises ChainNotApplicable. Every step is recorded with a signed margin;
     negative margins on exotic theories show which step carries the blame.
+
+    The steps read entropies of S and the register subsets {}, A_1..A_k and
+    A_k. They come from one pass over the ensemble: one table, one stack of
+    its marginals, one entropy-kernel call (one stacked ``eigvalsh`` for the
+    quantum blocks) and one stacked call for the gains. They agree with the
+    per-subset formulas, one marginal and one kernel call each, to 1e-12.
     """
     registers = assignment.registers
     v = ensemble.theory.variant
     if isinstance(v, Quantum):
-        data: _ClassicalChainData | _QuantumChainData = _QuantumChainData(ensemble, registers)
+        data: _ChainData = _QuantumChainData(ensemble, assignment)
     else:
-        data = _ClassicalChainData(ensemble, registers)
+        data = _ClassicalChainData(ensemble, assignment)
 
     n = len(registers)
     # register subsets are bitmasks over assignment positions
@@ -509,10 +571,8 @@ def proof_chain_check(
     else:
         total_corr = 0.0
 
-    gains = []
-    for position, (measurement, _) in enumerate(assignment.pairs):
-        gain = _total_correlation(data.outcome_table(measurement, position))
-        gains.append(gain)
+    gains = data.gains
+    for position, ((measurement, _), gain) in enumerate(zip(assignment.pairs, gains)):
         steps.append(
             ChainStep(
                 f"I(S:{names[position]}) >= I({measurement.label}:{names[position]})",

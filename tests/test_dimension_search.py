@@ -243,8 +243,8 @@ def test_search_stops_where_the_chunked_search_does(n):
 
 def test_search_memory_stays_bounded():
     # polygon(1000) stops at size 3 when the budget runs out. The float
-    # arrays behind the readout masks and the pair graph, three (candidate,
-    # vertex)-sized ones at most, set the peak; the subsets held stay small
+    # arrays behind the readout masks and the pair graph set the peak; the
+    # subsets held stay small
     theory = catalog.polygon(1000).theory
     k, n = len(_candidates(theory)), len(theory.variant.vertices)
     tracemalloc.start()
@@ -255,6 +255,45 @@ def test_search_memory_stays_bounded():
         tracemalloc.stop()
     assert (report.d, report.exhaustive) == (2, False)
     assert peak < 3 * k * n * 8 + 4_000_000
+
+
+def test_readout_masks_hold_two_candidate_by_vertex_floats():
+    # vals and one temporary: the pair graph's blocks and the masks stay below
+    # the second (candidate, vertex) float array
+    theory = catalog.polygon(1000).theory
+    k, n = len(_candidates(theory)), len(theory.variant.vertices)
+    tracemalloc.start()
+    try:
+        report = observed_dimension(theory, use_cache=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.d, report.exhaustive) == (2, False)
+    assert peak < 2 * k * n * 8 + 4_000_000
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_readout_masks_match_the_three_array_form(seed):
+    rng = np.random.default_rng(seed)
+    effects, states = rng.random((7, 3)), rng.random((40, 3))
+    # rows that read exactly 0, exactly 1 and within or just past the tolerance
+    effects[0] = 0.0
+    states[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 + DISTINGUISH_TOL / 2], [0.0, 0.0, 1.0 + 2 * DISTINGUISH_TOL],
+                  [0.0, 0.0, DISTINGUISH_TOL]]
+    effects[1] = [0.0, 0.0, 1.0]
+    vals = effects @ states.T
+    one, zero = gpt._readouts(effects, states)
+    assert one.tobytes() == (np.abs(vals - 1.0) <= DISTINGUISH_TOL).tobytes()
+    assert zero.tobytes() == (np.abs(vals) <= DISTINGUISH_TOL).tobytes()
+    assert one[1, :2].all() and zero[0].all() and zero[1:, 3].any()
+
+
+def test_readable_pairs_match_one_product_across_row_blocks():
+    rng = np.random.default_rng(7)
+    n = 2 * gpt._PAIR_ROWS + 3
+    one, zero = rng.random((2, 5, n)) < 0.2
+    separable = one.T.astype(float) @ zero.astype(float) > 0.0
+    assert gpt._readable_pairs(one, zero).tobytes() == (separable & separable.T).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))

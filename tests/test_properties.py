@@ -1,4 +1,5 @@
-"""Property tests of evaluate_icp: invariances under relabelling and the bound on compliant theories."""
+"""Property tests of evaluate_icp and the derivation ledger: invariances under
+relabelling and splitting entries, and the bound on compliant theories."""
 import math
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from icp_lab import ObservableAssignment, build_ensemble, catalog, evaluate_icp, sampling  # noqa: E402
+from icp_lab import (  # noqa: E402
+    ObservableAssignment,
+    build_ensemble,
+    catalog,
+    evaluate_icp,
+    proof_chain_check,
+    sampling,
+)
 
 # compliant catalog theories and the measurements paired with registers A, B
 THEORIES = {
@@ -71,3 +79,25 @@ def test_extractable_stays_within_log2_d_on_compliant_theories(case):
     _, _, report = case
     assert report.extractable <= math.log2(report.observed_dim) + 1e-9
     assert not report.violated
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), case=ensembles())
+def test_splitting_an_entry_leaves_the_report_and_ledger_unchanged(data, case):
+    """An entry split in two with the same state and registers, one part in
+    its place and one at the end, is the same ensemble."""
+    ens, assignment, base = case
+    i = data.draw(st.integers(0, len(ens.entries) - 1))
+    share = data.draw(st.floats(0.0, 1.0))
+    entry = ens.entries[i]
+    entries = [(e.probability, e.state, e.registers) for e in ens.entries]
+    entries[i] = (share * entry.probability, entry.state, entry.registers)
+    entries.append(((1.0 - share) * entry.probability, entry.state, entry.registers))
+    split = build_ensemble(ens.theory, entries, ens.register_alphabets)
+    _assert_same_report(evaluate_icp(split, assignment), base)
+    ledger, reference = proof_chain_check(split, assignment), proof_chain_check(ens, assignment)
+    assert [s.name for s in ledger.steps] == [s.name for s in reference.steps]
+    for step, ref in zip(ledger.steps, reference.steps):
+        assert step.lhs == pytest.approx(ref.lhs, abs=1e-12)
+        assert step.rhs == pytest.approx(ref.rhs, abs=1e-12)
+    assert ledger.extractable == pytest.approx(reference.extractable, abs=1e-12)
