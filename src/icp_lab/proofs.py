@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -320,16 +320,7 @@ class ProofChainLedger:
         }
 
 
-class _LedgerLayout(NamedTuple):
-    codes: np.ndarray  # (2, subsets): mask << 1 | 1 of every subset, then mask << 1
-    scatter: np.ndarray  # where each (table cell, column, subset) adds into the stack
-    singles: np.ndarray  # the row of each singleton A_k
-    alphabet: int
-    width: int  # cells per row: alphabet ** n, the widest marginal
-
-
-@functools.lru_cache(maxsize=32)
-def _ledger_layout(alphabet: int, n: int, columns: int) -> _LedgerLayout:
+class _LedgerLayout:
     """Where the marginals the ledger reads sit in one zero-padded stack.
 
     The ledger reads the register subsets {}, the prefixes A_1..A_k and the
@@ -337,23 +328,29 @@ def _ledger_layout(alphabet: int, n: int, columns: int) -> _LedgerLayout:
     (alphabet,) * n with ``columns`` values per cell. Row i of the stack
     (subsets, width, columns) holds the marginal on subset i, row-major over
     its registers and zero past its alphabet ** |subset| cells; value j of
-    table cell c adds into flat cell ``scatter[c, j, i]``. Cached per shape,
-    with read-only arrays.
+    table cell c adds into flat cell ``scatter[c, j, i]``. The arrays are
+    read-only.
     """
-    masks = sorted({0} | {(1 << k) - 1 for k in range(1, n + 1)} | {1 << k for k in range(n)})
-    # a kept register's stride is alphabet ** (kept registers after it); a dropped one's is 0
-    strides = np.array(
-        [[alphabet ** (m >> k + 1).bit_count() if m >> k & 1 else 0 for k in range(n)] for m in masks]
-    )
-    width = alphabet**n
-    cells = strides @ np.indices((alphabet,) * n).reshape(n, -1)
-    rows = np.arange(len(masks))[:, None] * width + cells
-    scatter = (rows.T[:, None, :] * columns + np.arange(columns)[:, None]).ravel()
-    codes = np.array(masks) << 1 | np.array([[1], [0]])
-    singles = np.array([masks.index(1 << k) for k in range(n)])
-    for arr in (codes, scatter, singles):
-        arr.setflags(write=False)
-    return _LedgerLayout(codes, scatter, singles, alphabet, width)
+
+    def __init__(self, alphabet: int, n: int, columns: int):
+        masks = sorted({0} | {(1 << k) - 1 for k in range(1, n + 1)} | {1 << k for k in range(n)})
+        # a kept register's stride is alphabet ** (kept registers after it); a dropped one's is 0
+        strides = np.array(
+            [[alphabet ** (m >> k + 1).bit_count() if m >> k & 1 else 0 for k in range(n)] for m in masks]
+        )
+        self.alphabet, self.width = alphabet, alphabet**n  # the widest marginal is the whole table
+        cells = strides @ np.indices((alphabet,) * n).reshape(n, -1)
+        rows = np.arange(len(masks))[:, None] * self.width + cells
+        self.scatter = (rows.T[:, None, :] * columns + np.arange(columns)[:, None]).ravel()
+        # the entropies' keys: mask << 1 | 1 of every subset, then mask << 1
+        self.codes = np.array(masks) << 1 | np.array([[1], [0]])
+        self.singles = np.array([masks.index(1 << k) for k in range(n)])  # the row of each A_k
+        for arr in (self.codes, self.scatter, self.singles):
+            arr.setflags(write=False)
+
+
+# one layout per table shape
+_ledger_layout = functools.lru_cache(maxsize=32)(_LedgerLayout)
 
 
 def _register_marginals(
