@@ -187,7 +187,7 @@ def test_layout_cache_is_bounded_and_read_only():
 
 
 def test_layout_places_each_marginal_at_the_head_of_its_row():
-    # three registers of 2 values and 2 columns: subsets {}, A, AB, B, C, ABC
+    # three registers of 2 values and 2 columns: subsets {}, A, B, AB, C, ABC
     layout = proofs._ledger_layout(2, 3, 2)
     masks = (layout.codes[0] >> 1).tolist()
     assert masks == [0, 1, 2, 3, 4, 7]
