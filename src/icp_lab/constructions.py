@@ -43,7 +43,7 @@ from .engine import (
     joint_outcome_table,
     maximize_extractable,
 )
-from .gpt import apply_effect, composite_dimension_bound, observed_dimension
+from .gpt import _readable_clique_number, apply_effect, composite_dimension_bound, observed_dimension
 from .info import VIOLATION_TOL
 
 _LN2 = math.log(2.0)
@@ -473,51 +473,20 @@ class MismatchRecord:
         }
 
 
-def _max_clique_size(adj: list[set[int]]) -> int:
-    best = 0
-
-    def expand(r: int, candidates: set[int], excluded: set[int]):
-        nonlocal best
-        if not candidates and not excluded:
-            best = max(best, r)
-            return
-        if r + len(candidates) <= best:
-            return
-        pivot = max(candidates | excluded, key=lambda v: len(adj[v] & candidates))
-        for v in list(candidates - adj[pivot]):
-            expand(r + 1, candidates & adj[v], excluded & adj[v])
-            candidates.remove(v)
-            excluded.add(v)
-
-    expand(0, set(range(len(adj))), set())
-    return best
-
-
-def polygon_mismatch(n: int, tol: float = 1e-9) -> MismatchRecord:
+def polygon_mismatch(n: int) -> MismatchRecord:
     """Compare joint and pairwise perfect distinguishability on the n-gon.
 
-    measurement_dimension counts states one measurement separates jointly;
-    information_dimension is the largest vertex set whose members are
-    pairwise separated by some extreme two-outcome readout, found by exact
-    max-clique search (trivial at these sizes).
+    measurement_dimension counts states one measurement separates jointly
+    (``observed_dimension``); information_dimension is the largest vertex set
+    whose members are pairwise separated by some extreme two-outcome
+    readout: the clique number of the readable-pair graph that the
+    dimension search builds.
     """
     if not 3 <= n <= 20:
         raise ValueError(f"need 3 <= n <= 20, got {n}")
-    entry = polygon(n)
-    variant = entry.theory.variant
-    effects = list(variant.extreme_effects)
-    unit = variant.unit.coords
-    candidates = [e.coords for e in effects] + [unit - e.coords for e in effects]
-    verts = np.array([s.coords for s in variant.vertices])
-    vals = np.array(candidates) @ verts.T
-    ones = np.abs(vals - 1.0) <= tol
-    zeros = np.abs(vals) <= tol
-    hits = (ones.astype(int).T @ zeros.astype(int)) > 0
-    pairwise = hits | hits.T
-    np.fill_diagonal(pairwise, False)
-    adj = [set(np.flatnonzero(row)) for row in pairwise]
-    info_dim = _max_clique_size(adj)
-    meas_dim = observed_dimension(entry.theory).d
+    theory = polygon(n).theory
+    info_dim = _readable_clique_number(theory)
+    meas_dim = observed_dimension(theory).d
     return MismatchRecord(n, meas_dim, info_dim, info_dim > meas_dim)
 
 

@@ -572,12 +572,6 @@ def _clique_chunks(adjacent: np.ndarray, m: int) -> Iterator[np.ndarray]:
             yield from (rows[i : i + _SUBSET_CHUNK] for i in range(0, len(rows), _SUBSET_CHUNK))
 
 
-def _combination_rank(subset: Sequence[int], n: int) -> int:
-    """Position of a sorted subset among ``itertools.combinations(range(n), len(subset))``."""
-    m = len(subset)
-    return math.comb(n, m) - 1 - sum(math.comb(n - 1 - c, m - i) for i, c in enumerate(subset))
-
-
 def _readable_subsets(rows: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     """Positions, in ascending order, of the subsets (index rows) that give
     each member a candidate effect reading 1 on it and 0 on the other members.
@@ -596,6 +590,39 @@ def _readable_subsets(rows: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> 
     return kept
 
 
+def _readout_graph(theory: Theory) -> tuple[list[Effect], np.ndarray, np.ndarray, np.ndarray]:
+    """A polytope's candidate effects (its extreme effects, their complements
+    and the unit, deduplicated), their (candidate, vertex) masks of reading 1
+    and 0, and the readable-pair graph of its vertices."""
+    v = theory.variant
+    candidates = _dedupe_effects(
+        [
+            *v.extreme_effects,
+            *(
+                Effect(v.unit.coords - e.coords, theory.theory_id, f"u-{e.label or '?'}")
+                for e in v.extreme_effects
+            ),
+            v.unit,
+        ]
+    )
+    one, zero = _readouts(np.array([e.coords for e in candidates]), v.vertex_matrix)
+    return candidates, one, zero, _readable_pairs(one, zero)
+
+
+def _readable_clique_number(theory: Theory) -> int:
+    """Size of the largest set of a polytope's vertices that are pairwise
+    readable (the clique number of ``_readable_pairs``' graph).
+
+    Every set that one measurement distinguishes is such a clique, so this
+    bounds the observed dimension from above.
+    """
+    pairs = _readout_graph(theory)[3]
+    m = 1
+    while next(_clique_chunks(pairs, m + 1), None) is not None:
+        m += 1
+    return m
+
+
 def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
     """Exhaustive search over the subsets of extreme states, smallest first.
 
@@ -604,32 +631,21 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
     1 on it and 0 on the other members. So every pair in it is readable
     (``_readable_pairs``), and only the m-cliques of that pair graph are
     built, in ``itertools.combinations`` order. Chunks of them are screened
-    with packed readout masks; each subset that passes goes to the exact
+    with packed readout masks; each clique that passes goes to the exact
     test, which tries every choice of one such effect per member (in
     ``itertools.product`` order), completes it with the remainder effect and
-    verifies the certificate. ``budget`` counts every m-subset up to the one
-    tested, by its position in combinations order, built or not, and every
-    choice of effects tried; a size that yields no certificate is charged
-    in full.
+    verifies the certificate. ``budget`` counts every m-clique up to the one
+    tested and every choice of effects tried; the rest of a chunk is charged
+    once the chunk is done. Subsets that are not cliques are never built and
+    cost nothing, so a size with no clique ends the search as exhaustive
+    whatever the budget.
     """
     v = theory.variant
     vertices = v.vertices
-    nv = len(vertices)
     unit = v.unit
-    candidates = _dedupe_effects(
-        [
-            *v.extreme_effects,
-            *(
-                Effect(unit.coords - e.coords, theory.theory_id, f"u-{e.label or '?'}")
-                for e in v.extreme_effects
-            ),
-            unit,
-        ]
-    )
-    one, zero = _readouts(np.array([e.coords for e in candidates]), v.vertex_matrix)
+    candidates, one, zero, pairs = _readout_graph(theory)
     packed_ones, packed_zeros = np.packbits(one.T, axis=1), np.packbits(zero.T, axis=1)
-    pairs = _readable_pairs(one, zero)
-    cap = min(nv, state_space_dimension(theory) + 1)
+    cap = min(len(vertices), state_space_dimension(theory) + 1)
 
     best = DimensionReport(
         1,
@@ -643,15 +659,14 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
             best.d, best.certificate, False, f"search budget {budget} exhausted at size {m}"
         )
         found = None
-        counted = 0  # m-subsets already in work
         for rows in _clique_chunks(pairs, m):
+            counted = 0  # cliques of this chunk already in work
             for pos in _readable_subsets(rows, packed_ones, packed_zeros).tolist():
-                subset = rows[pos].tolist()
-                rank = _combination_rank(subset, nv)
-                work += rank + 1 - counted
-                counted = rank + 1
+                work += pos + 1 - counted
+                counted = pos + 1
                 if work > budget:
                     return exhausted
+                subset = rows[pos].tolist()
                 selectors = [
                     np.flatnonzero(one[:, i] & zero[:, [k for k in subset if k != i]].all(axis=1)).tolist()
                     for i in subset
@@ -679,10 +694,10 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
                     break
             if found:
                 break
-        if found is None:
-            work += math.comb(nv, m) - counted
+            work += len(rows) - counted
             if work > budget:
                 return exhausted
+        if found is None:
             return DimensionReport(best.d, best.certificate, True, "exhaustive over extreme points")
         best = DimensionReport(m, found, True, "exhaustive over extreme points")
     return best
@@ -743,9 +758,11 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
     vertex subsets whose every pair some effects tell apart both ways are
     built; chunks of them are screened with packed masks of which effects
     read 1 and 0 on which vertices, and only the subsets that pass get the
-    exact test. ``budget`` counts every subset, built or not, screened out
-    or not, and every choice of effects tried; when it runs out, the report
-    has ``exhaustive=False`` and ``d`` is only a lower bound.
+    exact test. ``budget`` counts every clique built, screened out or not,
+    and every choice of effects tried; when it runs out, the report has
+    ``exhaustive=False`` and ``d`` is only a lower bound. A size with no
+    clique proves that ``d`` is no larger, so the search is then exhaustive
+    whatever the budget.
 
     Restricted and norm-constraint theories search their available
     measurements; quantum theories have an analytic basis certificate.

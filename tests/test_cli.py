@@ -1,5 +1,9 @@
 """Command-line surface: output documents, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,18 @@ def test_catalog_lists_builtins(capsys):
     assert "X" in rows["hbit"]["measurements"]
     assert doc["manifest"]["command"] == "catalog"
     assert doc["manifest"]["seed"] == 42
+
+
+def test_module_run_prints_what_the_console_script_prints():
+    # ``icp-lab`` is the console script for ``icp_lab.cli:main_entry``
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = ["catalog", "--timestamp", STAMP]
+    script = [sys.executable, "-c", "from icp_lab.cli import main_entry; main_entry()"]
+    as_module = subprocess.run([sys.executable, "-m", "icp_lab.cli", *argv], capture_output=True, env=env)
+    as_script = subprocess.run([*script, *argv], capture_output=True, env=env)
+    assert as_script.returncode == as_module.returncode == 0
+    assert json.loads(as_script.stdout)["kind"] == "catalog"
+    assert as_module.stdout == as_script.stdout
 
 
 def test_catalog_csv(capsys):

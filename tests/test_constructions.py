@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icp_lab import constructions
+from icp_lab import catalog, constructions, gpt
 from icp_lab.engine import ObservableAssignment, evaluate_icp, joint_outcome_table
 from icp_lab.gpt import apply_effect
 from icp_lab.serialize import assignment_from_json, certificate_to_json, ensemble_from_json
@@ -268,6 +268,55 @@ def test_polygon_mismatch_range_check():
         polygon_mismatch(2)
     with pytest.raises(ValueError):
         polygon_mismatch(21)
+
+
+def _max_clique_size(adj):
+    """Largest clique of the graph ``adj`` (a set of neighbours per vertex),
+    by Bron-Kerbosch with pivoting."""
+    best = 0
+
+    def expand(r, candidates, excluded):
+        nonlocal best
+        if not candidates and not excluded:
+            best = max(best, r)
+            return
+        if r + len(candidates) <= best:
+            return
+        pivot = max(candidates | excluded, key=lambda v: len(adj[v] & candidates))
+        for v in list(candidates - adj[pivot]):
+            expand(r + 1, candidates & adj[v], excluded & adj[v])
+            candidates.remove(v)
+            excluded.add(v)
+
+    expand(0, set(range(len(adj))), set())
+    return best
+
+
+def _or_graph(n, tol=1e-9):
+    """The n-gon's vertex pairs that some extreme effect or its complement
+    reads as 1 on one and 0 on the other, in either direction."""
+    variant = catalog.polygon(n).theory.variant
+    effects = list(variant.extreme_effects)
+    unit = variant.unit.coords
+    candidates = [e.coords for e in effects] + [unit - e.coords for e in effects]
+    verts = np.array([s.coords for s in variant.vertices])
+    vals = np.array(candidates) @ verts.T
+    ones = np.abs(vals - 1.0) <= tol
+    zeros = np.abs(vals) <= tol
+    hits = (ones.astype(int).T @ zeros.astype(int)) > 0
+    pairwise = hits | hits.T
+    np.fill_diagonal(pairwise, False)
+    return pairwise
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_polygon_mismatch_matches_the_or_graph_clique_search(n):
+    # the candidates hold every complement u - e, so a pair read apart one way
+    # is read apart the other way too: the OR graph is the search's AND graph
+    pairwise = _or_graph(n)
+    assert gpt._readout_graph(catalog.polygon(n).theory)[3].tolist() == pairwise.tolist()
+    adj = [set(np.flatnonzero(row).tolist()) for row in pairwise]
+    assert polygon_mismatch(n).information_dimension == _max_clique_size(adj)
 
 
 # --- composites ---------------------------------------------------------------

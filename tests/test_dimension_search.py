@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icp_lab import catalog, gpt
+from icp_lab import catalog, constructions, gpt
 from icp_lab.gpt import (
     DimensionReport,
     Effect,
@@ -33,7 +33,11 @@ def _candidates(theory):
 
 
 def _scalar_polytope_dimension(theory, budget):
-    """The reference search: every subset and every readout one at a time."""
+    """The reference search: every subset and every readout one at a time.
+
+    A subset with a pair that no candidates read apart both ways is skipped
+    free; every other subset costs 1, and so does every choice of effects.
+    """
     v = theory.variant
     vertices = v.vertices
     nv = len(vertices)
@@ -43,6 +47,7 @@ def _scalar_polytope_dimension(theory, budget):
     ones = [int(sum(1 << i for i in range(nv) if abs(P[j, i] - 1.0) <= DISTINGUISH_TOL)) for j in range(len(candidates))]
     zeros = [int(sum(1 << i for i in range(nv) if abs(P[j, i]) <= DISTINGUISH_TOL)) for j in range(len(candidates))]
     by_one = [[j for j in range(len(candidates)) if ones[j] >> i & 1] for i in range(nv)]
+    reads = [[any(zeros[j] >> k & 1 for j in by_one[i]) for k in range(nv)] for i in range(nv)]
     cap = min(nv, state_space_dimension(theory) + 1)
 
     best = DimensionReport(
@@ -55,6 +60,8 @@ def _scalar_polytope_dimension(theory, budget):
     for m in range(2, cap + 1):
         found = None
         for subset in itertools.combinations(range(nv), m):
+            if not all(reads[i][k] and reads[k][i] for i, k in itertools.combinations(subset, 2)):
+                continue
             work += 1
             if work > budget:
                 return DimensionReport(best.d, best.certificate, False, f"search budget {budget} exhausted at size {m}")
@@ -110,7 +117,9 @@ def _subset_chunks(n, m, chunk=4096):
 
 def _chunked_polytope_dimension(theory, budget):
     """The mask search before the pair graph: every m-subset is built and
-    screened, chunk by chunk, and the budget is charged a chunk at a time."""
+    screened, chunk by chunk, and the budget is charged a chunk at a time.
+    Its reports at the default budget are the reference; its cut-offs charge
+    subsets the clique search never builds."""
     v = theory.variant
     vertices = v.vertices
     nv = len(vertices)
@@ -230,6 +239,8 @@ def test_search_matches_the_chunked_search(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 60])
 def test_search_stops_where_the_chunked_search_does(n):
+    # the chunked search's cut points, checked against the scalar search,
+    # which charges only the cliques
     theory = catalog.polygon(n).theory
     pairs, triples = math.comb(n, 2), math.comb(n, 3)
     if n < 60:
@@ -238,13 +249,44 @@ def test_search_stops_where_the_chunked_search_does(n):
         budgets = [pairs + k for k in (1, 4095, 4096, 4097, 30_000, triples - 1, triples, triples + 1)]
     for budget in budgets:
         report = observed_dimension(theory, budget=budget, use_cache=False)
-        assert _report_bytes(report) == _report_bytes(_chunked_polytope_dimension(theory, budget)), budget
+        assert _report_bytes(report) == _report_bytes(_scalar_polytope_dimension(theory, budget)), budget
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: catalog.polygon(3), catalog.classical_bit, catalog.classical_trit, catalog.sbit],
+    ids=["polygon3", "classical-bit", "classical-trit", "sbit"],
+)
+def test_search_stops_where_the_scalar_search_does_at_every_cut(make):
+    theory = make().theory
+    n = len(theory.variant.vertices)
+    for budget in range(1, math.comb(n, 2) + math.comb(n, 3) + 2):
+        report = observed_dimension(theory, budget=budget, use_cache=False)
+        assert _report_bytes(report) == _report_bytes(_scalar_polytope_dimension(theory, budget)), budget
+
+
+@pytest.mark.parametrize("n", [230, 500, 1000])
+def test_polygon_without_a_readable_triple_is_exhaustive_at_any_size(n):
+    # no three vertices of an n-gon with n >= 7 are pairwise readable, so the
+    # size-3 stage builds nothing and d = 2 is proven however many triples
+    # the budget could hold
+    theory = catalog.polygon(n).theory
+    report = observed_dimension(theory, use_cache=False)
+    assert (report.d, report.exhaustive, report.notes) == (2, True, "exhaustive over extreme points")
+    assert gpt._readable_clique_number(theory) == 2
+    assert observed_dimension(theory) is observed_dimension(theory)
+
+
+@pytest.mark.parametrize("n", [230, 500, 1000])
+def test_polygon_violation_holds_on_large_polygons(n):
+    cert = constructions.polygon_violation(n)
+    assert cert.report.extractable > 1.0
+    assert cert.violated
 
 
 def test_search_memory_stays_bounded():
-    # polygon(1000) stops at size 3 when the budget runs out. The float
-    # arrays behind the readout masks and the pair graph set the peak; the
-    # subsets held stay small
+    # polygon(1000) has no readable triple, so the size-3 stage holds no
+    # subsets. The float arrays behind the readout masks and the pair graph
+    # set the peak
     theory = catalog.polygon(1000).theory
     k, n = len(_candidates(theory)), len(theory.variant.vertices)
     tracemalloc.start()
@@ -253,7 +295,7 @@ def test_search_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (report.d, report.exhaustive) == (2, False)
+    assert (report.d, report.exhaustive) == (2, True)
     assert peak < 3 * k * n * 8 + 4_000_000
 
 
@@ -268,7 +310,7 @@ def test_readout_masks_hold_two_candidate_by_vertex_floats():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (report.d, report.exhaustive) == (2, False)
+    assert (report.d, report.exhaustive) == (2, True)
     assert peak < 2 * k * n * 8 + 4_000_000
 
 
@@ -318,12 +360,6 @@ def test_clique_chunks_are_bounded_and_in_combinations_order(n, m):
         assert [tuple(r) for rows in chunks for r in rows.tolist()] == cliques
 
 
-def test_combination_rank_is_the_position_in_combinations_order():
-    for m in range(1, 8):
-        for rank, subset in enumerate(itertools.combinations(range(7), m)):
-            assert gpt._combination_rank(subset, 7) == rank
-
-
 def _pentagon(coords):
     entry = catalog.polygon(5)
     v = entry.theory.variant
@@ -354,3 +390,20 @@ def test_polytope_rejects_non_finite_coordinates():
         Polytope(v.vertices, tuple(effects), v.unit)
     with pytest.raises(ValueError, match="^effect u has a non-finite coordinate$"):
         Polytope(v.vertices, v.extreme_effects, Effect(np.array([0.0, np.nan, 1.0]), entry.entry_id, "u"))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_norm_cube_fiducial_dimension_matches_the_polytope_search(k):
+    # pgnst:inf:k reads d off its catalogued readouts alone; the polytope
+    # with the same vertices (+-1, ..., +-1, 1) and the same fiducial effects
+    # searches every vertex subset
+    entry = catalog.pgnst(math.inf, k)
+    theory = entry.theory
+    fiducial = observed_dimension(theory, use_cache=False)
+    assert (fiducial.d, fiducial.exhaustive, fiducial.notes) == (2, True, "fiducial readouts")
+    vertices = tuple(State(np.array([*signs, 1.0]), entry.entry_id) for signs in itertools.product((1.0, -1.0), repeat=k))
+    effects = tuple(e for m in theory.measurements.values() for e in m.effects)
+    body = gpt.Theory(entry.entry_id, Polytope(vertices, effects, gpt.unit_effect(theory)), theory.measurements)
+    searched = observed_dimension(body, use_cache=False)
+    assert (searched.d, searched.exhaustive) == (fiducial.d, True)
+    assert searched.certificate.verified
