@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -416,8 +416,9 @@ def _register_families(alphabets: tuple[int, ...]) -> list[np.ndarray]:
 def _normalized(weights: np.ndarray) -> np.ndarray:
     """Entry probabilities from raw search weights: clipped at 0, then
     normalized, uniform when nothing is left."""
-    w = np.clip(weights, 0.0, None)
-    total = w.sum()
+    # np.clip(weights, 0.0, None) and w.sum(), without their wrapper cost
+    w = np.maximum(weights, 0.0)
+    total = np.add.reduce(w)
     return np.full_like(w, 1.0 / len(w)) if total <= 0.0 else w / total
 
 
@@ -437,6 +438,14 @@ class _SearchObjective:
     included, so it gives the same bits as the objective taken from
     ``evaluate_icp`` on the assembled ensemble; ``grid_scores`` scores many
     candidates at once to within a few ulps of ``value``.
+
+    A descent line search moves either one state coordinate, with the entry
+    weights fixed, or one weight, with the states fixed. ``state_line`` and
+    ``weight_line`` are ``value`` with the part that cannot move along such a
+    line computed once: the redundancy term of the fixed weights, or every
+    pair's effect values on the fixed states. They run the same kernels on
+    the same arrays, so each returns ``value``'s bits at every point and
+    raises its errors.
     """
 
     def __init__(self, theory: Theory, assignment: ObservableAssignment, equal_gain: bool):
@@ -461,14 +470,32 @@ class _SearchObjective:
             value -= 4.0 * (max(gains) - min(gains))
         return value
 
-    def value(self, w: np.ndarray, coords: np.ndarray) -> float:
-        """Objective at entry probabilities ``w`` and state coordinates ``coords``."""
+    def _redundancy(self, w: np.ndarray) -> float:
+        return max(info._total_correlation(info._as_prob_array(self._marginal(w))), 0.0)
+
+    def value(self, w: np.ndarray, coords: np.ndarray, values=None, redundancy=None) -> float:
+        """Objective at entry probabilities ``w`` and state coordinates ``coords``.
+
+        ``values`` (each pair's ``effect_values`` on ``coords``) and
+        ``redundancy`` (``_redundancy(w)``) are computed here unless given.
+        """
+        if values is None:
+            values = [effect_values(E, coords) for E, _ in self.pairs]
         gains = [
-            max(info._total_correlation(info._as_prob_array((effect_values(E, coords) * w) @ onehot)), 0.0)
-            for E, onehot in self.pairs
+            max(info._total_correlation(info._as_prob_array((v * w) @ onehot)), 0.0)
+            for v, (_, onehot) in zip(values, self.pairs)
         ]
-        redundancy = max(info._total_correlation(info._as_prob_array(self._marginal(w))), 0.0)
+        if redundancy is None:
+            redundancy = self._redundancy(w)
         return self._combine(gains, redundancy)
+
+    def state_line(self, w: np.ndarray):
+        """``value`` as a function of ``coords`` alone, at the fixed weights ``w``."""
+        return partial(self.value, w, redundancy=self._redundancy(w))
+
+    def weight_line(self, coords: np.ndarray):
+        """``value`` as a function of ``w`` alone, on the fixed states ``coords``."""
+        return partial(self.value, coords=coords, values=[effect_values(E, coords) for E, _ in self.pairs])
 
     def report(self, w: np.ndarray, coords: np.ndarray) -> tuple[float, CorrelatedEnsemble, ICPReport]:
         """The objective with the ensemble it assembles and its ``evaluate_icp`` report."""
@@ -627,11 +654,14 @@ def maximize_extractable(
         budget[0] -= 1
         for _ in range(12):
             improved = False
-            w = _normalized(weights)
+            # a phase builds its line scorer after the budget check, so a phase
+            # that runs no line search pays nothing for it
+            score = None
             for idx in range(n_combo):
                 for j in range(sp):
                     if budget[0] <= 0:
                         return current
+                    score = score or objective.state_line(_normalized(weights))
                     base, base_row = state_params[idx, j], coords[idx].copy()
 
                     def line(x):
@@ -639,7 +669,7 @@ def maximize_extractable(
                         state_params[idx, j] = x
                         coords[idx] = family.build(state_params[idx])
                         state_params[idx, j] = base
-                        val = objective.value(w, coords)
+                        val = score(coords)
                         coords[idx] = base_row
                         return val
 
@@ -649,15 +679,17 @@ def maximize_extractable(
                         coords[idx] = family.build(state_params[idx])
                         current = accept(weights, coords)
                         improved = True
+            score = None
             for i in range(n_combo):
                 if budget[0] <= 0:
                     return current
+                score = score or objective.weight_line(coords)
                 base = weights[i]
 
                 def wline(x):
                     evaluations[0] += 1
                     weights[i] = x
-                    val = objective.value(_normalized(weights), coords)
+                    val = score(_normalized(weights))
                     weights[i] = base
                     return val
 

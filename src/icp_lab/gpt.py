@@ -277,7 +277,8 @@ def effect_values(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
     if effects.shape[1] != states.shape[1]:
         raise ValueError(f"effect dimension {effects.shape[1]} != state dimension {states.shape[1]}")
     vals = effects @ states.T
-    lo, hi = vals.min(), vals.max()
+    # vals.min() and vals.max() without their wrapper cost
+    lo, hi = np.minimum.reduce(vals, None), np.maximum.reduce(vals, None)
     if lo < -MEMBERSHIP_TOL or hi > 1.0 + MEMBERSHIP_TOL:
         value = float(lo if lo < -MEMBERSHIP_TOL else hi)
         raise ValueError(f"effect value {value!r} outside [0, 1]; invalid effect/state pair")
@@ -552,16 +553,27 @@ def _clique_chunks(adjacent: np.ndarray, m: int) -> Iterator[np.ndarray]:
 
     Each m-clique is an (m-1)-clique extended by a later vertex adjacent to
     all its members, so extending the (m-1)-cliques in order keeps that
-    order. They are extended a few at a time, which bounds the (cliques, n)
+    order.
+    """
+    n = len(adjacent)
+    chunks = (np.arange(i, min(i + _SUBSET_CHUNK, n))[:, None] for i in range(0, n, _SUBSET_CHUNK))
+    for _ in range(m - 1):
+        chunks = _extended_cliques(adjacent, chunks)
+    return chunks
+
+
+def _extended_cliques(adjacent: np.ndarray, cliques: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Every clique of the chunks ``cliques``, in order, extended by each later
+    vertex adjacent to all its members, as chunks of at most ``_SUBSET_CHUNK``
+    rows, none empty.
+
+    The cliques are extended a few at a time, which bounds the (cliques, n)
     extension mask by ``_SUBSET_CHUNK`` entries when n is at most that.
     """
     n = len(adjacent)
-    if m == 1:
-        yield from (np.arange(i, min(i + _SUBSET_CHUNK, n))[:, None] for i in range(0, n, _SUBSET_CHUNK))
-        return
     step = max(1, _SUBSET_CHUNK // n)
     vertices = np.arange(n)
-    for parents in _clique_chunks(adjacent, m - 1):
+    for parents in cliques:
         for start in range(0, len(parents), step):
             block = parents[start : start + step]
             extends = vertices > block[:, -1:]
@@ -617,8 +629,10 @@ def _readable_clique_number(theory: Theory) -> int:
     bounds the observed dimension from above.
     """
     pairs = _readout_graph(theory)[3]
-    m = 1
-    while next(_clique_chunks(pairs, m + 1), None) is not None:
+    # one walk up the levels, each held whole: the m-cliques extend to the
+    # (m+1)-cliques until a level is empty
+    m, cliques = 1, list(_clique_chunks(pairs, 1))
+    while cliques := list(_extended_cliques(pairs, cliques)):
         m += 1
     return m
 

@@ -59,6 +59,10 @@ def _total_correlation(p: np.ndarray) -> float:
     axes, 0 on one."""
     if p.ndim <= 1:
         return 0.0
+    if p.ndim == 2:
+        # the general sum below, bit for bit, without its generator and the
+        # ndarray.sum wrapper around the same reduce
+        return _plogp_bits(np.add.reduce(p, 1)) + _plogp_bits(np.add.reduce(p, 0)) - _plogp_bits(p)
     axes = range(p.ndim)
     marginals = sum(_plogp_bits(p.sum(axis=tuple(j for j in axes if j != i))) for i in axes)
     return marginals - _plogp_bits(p)

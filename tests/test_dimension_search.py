@@ -360,6 +360,34 @@ def test_clique_chunks_are_bounded_and_in_combinations_order(n, m):
         assert [tuple(r) for rows in chunks for r in rows.tolist()] == cliques
 
 
+# the clique numbers of polygon 3...20, then sbit and classical-trit
+CLIQUE_NUMBERS = [3, 4, 2, 3, *[2] * 14, 4, 3]
+
+
+def test_readable_clique_number_walks_the_levels_once(monkeypatch):
+    makes = [*(lambda n=n: catalog.polygon(n) for n in range(3, 21)), catalog.sbit, catalog.classical_trit]
+    calls = []
+    extend = gpt._extended_cliques
+
+    def counted(adjacent, cliques):
+        calls.append(1)
+        return extend(adjacent, cliques)
+
+    monkeypatch.setattr(gpt, "_extended_cliques", counted)
+    for make, expected in zip(makes, CLIQUE_NUMBERS, strict=True):
+        theory = make().theory
+        pairs = gpt._readout_graph(theory)[3]
+        # the old walk, restarted from size 1 for every size it tried
+        m = 1
+        while next(gpt._clique_chunks(pairs, m + 1), None) is not None:
+            m += 1
+        assert m == expected
+        calls.clear()
+        assert gpt._readable_clique_number(theory) == expected
+        # one extension per level: sizes 2...m, then the empty level m + 1
+        assert len(calls) == expected
+
+
 def _pentagon(coords):
     entry = catalog.polygon(5)
     v = entry.theory.variant

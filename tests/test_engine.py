@@ -269,8 +269,105 @@ def test_maximize_extractable_checks_every_table_as_a_distribution(bit_entry, st
     # the line searches score through the same checks
     objective = engine._SearchObjective(th, assignment, True)
     coords = np.array([engine._StateFamily(th).build(np.array([1.0, 0.0]))] * 4)
-    with pytest.raises(ValueError, match="distribution sums to"):
-        objective.value(np.full(4, 0.25), coords)
+    w = np.full(4, 0.25)
+    with pytest.raises(ValueError, match="distribution sums to") as expected:
+        objective.value(w, coords)
+    with pytest.raises(ValueError, match="distribution sums to") as state_line:
+        objective.state_line(w)(coords)
+    with pytest.raises(ValueError, match="distribution sums to") as weight_line:
+        objective.weight_line(coords)(w)
+    assert str(state_line.value) == str(weight_line.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
+def test_line_scorers_give_the_bits_of_value(case):
+    _, make, labels, strategy, max_evals = case[:5]
+    theory, assignment, config = _case(make, labels, strategy, max_evals)
+    family = engine._StateFamily(theory)
+    objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
+    n_combo, sp = len(objective.combos), family.n_params
+    lo, hi = family.bounds
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        weights = rng.random(n_combo)
+        weights[rng.random(n_combo) < 0.3] = 0.0
+        state_params = rng.uniform(lo, hi, size=(n_combo, sp))
+        coords = np.array([family.build(params) for params in state_params])
+        # a state line, the end points included
+        w = engine._normalized(weights)
+        score = objective.state_line(w)
+        idx, j = rng.integers(n_combo), rng.integers(sp)
+        for x in (lo, hi, *rng.uniform(lo, hi, 6)):
+            state_params[idx, j] = x
+            coords[idx] = family.build(state_params[idx])
+            assert score(coords) == objective.value(w, coords)
+        # a weight line: at 0 and 1 the tables get zero entries
+        score = objective.weight_line(coords)
+        i = rng.integers(n_combo)
+        for x in (0.0, 1.0, *rng.random(6)):
+            weights[i] = x
+            w = engine._normalized(weights)
+            assert score(w) == objective.value(w, coords)
+
+
+def _count_scorer_builds(monkeypatch):
+    """Record, in order, each line scorer built and each line search run,
+    as the name of the descent's line for that kind."""
+    builds, searches = [], []
+    for method, name in (("state_line", "line"), ("weight_line", "wline")):
+
+        def counted(self, arg, build=getattr(engine._SearchObjective, method), name=name):
+            builds.append(name)
+            return build(self, arg)
+
+        monkeypatch.setattr(engine._SearchObjective, method, counted)
+    golden_max = engine._golden_max
+
+    def counted_search(fun, *args):
+        searches.append(fun.__name__)
+        return golden_max(fun, *args)
+
+    monkeypatch.setattr(engine, "_golden_max", counted_search)
+    return builds, searches
+
+
+def test_exhausted_budget_builds_no_line_scorer(monkeypatch):
+    # the qubit grid spends all 4000 evaluations, so every start point returns
+    # before its first line search
+    builds, searches = _count_scorer_builds(monkeypatch)
+    _, make, labels, strategy, max_evals = next(c for c in OPTIMIZER_CASES if c[0] == "qubit")[:5]
+    result = maximize_extractable(*_case(make, labels, strategy, max_evals))
+    assert result.evaluations == 4021
+    assert builds == searches == []
+
+
+@pytest.mark.parametrize(
+    "make,strategy,max_evals,evaluations",
+    [
+        (catalog.sbit, "random-restart", 4000, 4273),
+        # the budget runs out with the last line search of a state phase, so
+        # the weight phase after it returns before its first line search
+        (catalog.classical_bit, "coordinate-descent", 260, 276),
+    ],
+    ids=["sbit", "classical-bit-260"],
+)
+def test_each_descent_phase_builds_one_line_scorer(monkeypatch, make, strategy, max_evals, evaluations):
+    builds, searches = _count_scorer_builds(monkeypatch)
+    result = maximize_extractable(*_case(make, ("X", "Z"), strategy, max_evals))
+    assert (result.evaluations, result.converged, searches[-1]) == (evaluations, False, "line")
+    # a phase is a run of line searches of one kind; the kinds alternate
+    phases = [name for name, _ in itertools.groupby(searches)]
+    assert builds == phases != []
+
+
+def test_normalized_equals_its_clip_form():
+    rng = np.random.default_rng(43)
+    rows = [rng.normal(size=n) for n in (1, 2, 4, 9) for _ in range(50)]
+    rows += [np.zeros(4), -np.ones(3), np.array([0.0, -0.0, -1e-300]), np.array([0.2, np.nan, 0.5]), np.array([np.nan])]
+    for weights in rows:
+        w = np.clip(weights, 0.0, None)
+        expected = np.full_like(w, 1.0 / len(w)) if w.sum() <= 0.0 else w / w.sum()
+        assert engine._normalized(weights).tobytes() == expected.tobytes()
 
 
 def test_qubit_rotation_sweep_endpoints_and_shape():

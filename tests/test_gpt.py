@@ -1,4 +1,6 @@
 """State/effect layer: membership tests, measurement statistics, observed dimension."""
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from icp_lab import (
     validate_state,
     verify_distinguishable,
 )
-from icp_lab.gpt import check_states
+from icp_lab.gpt import check_states, effect_values
 
 
 def test_apply_effect_snaps_boundary(sbit_entry):
@@ -34,6 +36,19 @@ def test_apply_effect_rejects_out_of_range_value(qubit_entry):
     e = qubit_entry.theory.measurement("Z").effects[0]
     with pytest.raises(ValueError):
         apply_effect(e, bad)
+
+
+def test_effect_values_names_the_value_out_of_range():
+    effects = np.eye(2)
+    message = "effect value {} outside [0, 1]; invalid effect/state pair"
+    # the low end is reported when both ends are out of range
+    with pytest.raises(ValueError, match=re.escape(message.format(-0.5))):
+        effect_values(effects, np.array([[0.2, -0.5], [1.5, 0.3]]))
+    with pytest.raises(ValueError, match=re.escape(message.format(1.5))):
+        effect_values(effects, np.array([[0.2, 0.5], [1.5, 0.3]]))
+    # within the tolerance the values snap to the boundary
+    vals = effect_values(effects, np.array([[1.0 + MEMBERSHIP_TOL / 2, -MEMBERSHIP_TOL / 2]]))
+    assert vals.tolist() == [[1.0], [0.0]]
 
 
 def test_apply_effect_rejects_dimension_mismatch(sbit_entry, qubit_entry):

@@ -199,6 +199,30 @@ def test_density_spectra_checks_a_stack_like_one_matrix():
         _density_spectra(bad)
 
 
+def _generic_total_correlation(p):
+    """``_total_correlation``'s formula for any number of axes, as it reads
+    for more than two."""
+    axes = range(p.ndim)
+    marginals = sum(_plogp_bits(p.sum(axis=tuple(j for j in axes if j != i))) for i in axes)
+    return marginals - _plogp_bits(p)
+
+
+def test_two_axis_total_correlation_equals_the_general_formula_bitwise():
+    rng = np.random.default_rng(23)
+    for k in range(2, 7):
+        for a in range(2, 7):
+            tables = rng.dirichlet(np.ones(k * a), size=60).reshape(60, k, a)
+            tables[rng.random(tables.shape) < 0.3] = 0.0
+            tables[::7, 0, 1] = -1e-17
+            # one-hot tables: every entropy is a signed zero
+            tables[1::9] = 0.0
+            tables[1::9, 0, 0] = 1.0
+            for p in tables:
+                assert repr(_total_correlation(p)) == repr(_generic_total_correlation(p))
+    for p in (np.zeros((2, 3)), np.full((3, 2), np.nan), np.ones((2, 2))):
+        assert repr(_total_correlation(p)) == repr(_generic_total_correlation(p))
+
+
 def test_plogp_bits_rows_equals_the_scalar_kernel_bitwise():
     rng = np.random.default_rng(21)
     rows = [rng.dirichlet(np.ones(k), size=300) for k in (2, 3, 5, 8, 16, 64)]
