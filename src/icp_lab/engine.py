@@ -473,7 +473,9 @@ class _SearchObjective:
     def _redundancy(self, w: np.ndarray) -> float:
         return max(info._total_correlation(info._as_prob_array(self._marginal(w))), 0.0)
 
-    def value(self, w: np.ndarray, coords: np.ndarray, values=None, redundancy=None) -> float:
+    def value(
+        self, w: np.ndarray, coords: np.ndarray, values: list[np.ndarray] | None = None, redundancy: float | None = None
+    ) -> float:
         """Objective at entry probabilities ``w`` and state coordinates ``coords``.
 
         ``values`` (each pair's ``effect_values`` on ``coords``) and
@@ -599,7 +601,10 @@ def maximize_extractable(
     which descent checks only between line searches and per start point (see
     ``OptimizerConfig``). Only the grid winner, each descent start and each accepted move become an
     ensemble with an ``evaluate_icp`` report; every other point is scored on
-    bare arrays with the same bits.
+    bare arrays with the same bits. Each descent phase scores its line
+    searches with one ``_SearchObjective.state_line`` or ``weight_line``
+    scorer, built once the budget check lets a first line search run; a
+    scorer returns ``value``'s bits at every point.
     """
     config = config or OptimizerConfig()
     if config.strategy not in ("grid", "coordinate-descent", "random-restart"):
