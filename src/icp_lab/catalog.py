@@ -42,6 +42,8 @@ from .gpt import (
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
+    """A named catalog theory with notes on what it models."""
+
     entry_id: str
     theory: Theory
     notes: str = ""

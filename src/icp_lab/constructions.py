@@ -278,6 +278,9 @@ def pgnst_violation(p: float, config: PgnstSearchConfig | None = None) -> Violat
 
 @dataclass(frozen=True)
 class BoundCheckPoint:
+    """One grid point s_x of ``pgnst_bound_check``: both sides of the inequality,
+    lhs < rhs to hold."""
+
     s_x: float
     lhs: float
     rhs: float
@@ -292,6 +295,9 @@ class BoundCheckPoint:
 
 @dataclass(frozen=True, eq=False)
 class BoundCheckLedger:
+    """``pgnst_bound_check``'s points near s_x = 1, whether rhs > lhs at every
+    interior point, and whether rhs/lhs grows toward the corner."""
+
     p: float
     epsilon: float
     points: tuple[BoundCheckPoint, ...]
@@ -459,6 +465,9 @@ def polygon_violation(n: int) -> ViolationCertificate:
 
 @dataclass(frozen=True)
 class MismatchRecord:
+    """The n-gon's measurement dimension (jointly distinguishable states) against
+    its information dimension (pairwise readable vertices)."""
+
     n: int
     measurement_dimension: int
     information_dimension: int
@@ -494,6 +503,9 @@ def polygon_mismatch(n: int) -> MismatchRecord:
 
 @dataclass(frozen=True)
 class CompositeGbitRecord:
+    """The super-strong code on n cube systems: its extractable bits against log2
+    of the composite dimension bound."""
+
     n: int
     p_rec: float
     encoded_bits: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +46,9 @@ def register_name(index: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleEntry:
+    """One (probability, state, register values) entry of an ensemble; a
+    probability below -PROB_TOL is rejected."""
+
     probability: float
     state: State
     registers: tuple[int, ...]
@@ -94,23 +97,19 @@ class CorrelatedEnsemble:
         return np.ravel_multi_index(self.registers[:, list(registers)].T, shape), shape
 
 
-def _check_arrays(
-    theory: Theory,
-    coords: np.ndarray,
-    registers: np.ndarray,
-    register_alphabets: tuple[int, ...],
-    validate: bool = True,
-) -> None:
-    """Raise ValueError for the first register value outside its alphabet,
-    then, with ``validate``, for the first state outside the state space."""
+def _check_registers(registers: np.ndarray, register_alphabets: tuple[int, ...]) -> None:
+    """Raise ValueError for the first register value outside its alphabet."""
     outside = (registers < 0) | (registers >= np.array(register_alphabets))
     if outside.any():
         i, j = np.argwhere(outside)[0]
         raise ValueError(f"register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
-    if validate:
-        _, ok = check_states(theory, coords)
-        if not ok:
-            raise ValueError(f"invalid state in ensemble: {ok.detail}")
+
+
+def _check_states(theory: Theory, coords: np.ndarray) -> None:
+    """Raise ValueError for the first state outside the state space."""
+    _, ok = check_states(theory, coords)
+    if not ok:
+        raise ValueError(f"invalid state in ensemble: {ok.detail}")
 
 
 def build_ensemble(
@@ -159,7 +158,9 @@ def build_ensemble(
         raise ValueError("ensemble states differ in dimension") from exc
     probs = np.array([max(e.probability, 0.0) for e in norm_entries])
     registers = np.array([e.registers for e in norm_entries], dtype=int)
-    _check_arrays(theory, coords, registers, register_alphabets, validate)
+    _check_registers(registers, register_alphabets)
+    if validate:
+        _check_states(theory, coords)
     return CorrelatedEnsemble(theory, probs, coords, registers, register_alphabets)
 
 
@@ -178,12 +179,25 @@ class ObservableAssignment:
             raise ValueError("assignment registers must be distinct")
         object.__setattr__(self, "pairs", pairs)
 
-    @property
+    @cached_property
     def registers(self) -> tuple[int, ...]:
         return tuple(r for _, r in self.pairs)
 
-    def labels(self) -> tuple[str, ...]:
+    @cached_property
+    def _labels(self) -> tuple[str, ...]:
         return tuple(f"{m.label}:{register_name(r)}" for m, r in self.pairs)
+
+    def labels(self) -> tuple[str, ...]:
+        """Each pair as "measurement:register", computed once per assignment."""
+        return self._labels
+
+
+@lru_cache(maxsize=32)
+def _one_hot_rows(alphabet: int) -> np.ndarray:
+    """The alphabet x alphabet identity, read-only: row a is value a's one-hot row."""
+    eye = np.eye(alphabet)
+    eye.setflags(write=False)
+    return eye
 
 
 def joint_outcome_table(
@@ -192,15 +206,20 @@ def joint_outcome_table(
     """Joint distribution p(x, a) of outcome x against register value a.
 
     One product: the weighted outcome probabilities (outcomes x entries)
-    times the entries' one-hot register values (entries x alphabet). The
-    table is checked as a distribution, so a measurement whose effects do
-    not sum to the unit raises ValueError.
+    times the entries' one-hot register values (entries x alphabet). A
+    register value outside the alphabet raises ValueError, and the table is
+    checked as a distribution, so a measurement whose effects do not sum to
+    the unit raises ValueError too.
     """
     if not 0 <= register < ensemble.n_registers:
         raise ValueError(f"no register {register} in ensemble")
-    index, (alphabet,) = ensemble.register_index((register,))
+    alphabet = ensemble.register_alphabets[register]
+    index = ensemble.registers[:, register]
+    # both ends: a negative value would pick a row counted from the end
+    if np.minimum.reduce(index, initial=0) < 0 or np.maximum.reduce(index, initial=0) >= alphabet:
+        raise ValueError(f"a value of register {register} is outside alphabet {alphabet}")
     values = effect_values(measurement.effect_matrix, ensemble.coords)
-    table = (values * ensemble.probs) @ np.eye(alphabet)[index]
+    table = (values * ensemble.probs) @ _one_hot_rows(alphabet)[index]
     out_name = measurement.label or "X"
     reg_name = register_name(register)
     if out_name == reg_name:
@@ -233,6 +252,9 @@ REPORT_CSV_FIELDS = (
 
 @dataclass(frozen=True, eq=False)
 class ICPReport:
+    """``evaluate_icp``'s result: the gains I(X_i:A_i), the redundancy, their
+    difference against log2(d), and the register marginal."""
+
     pair_labels: tuple[str, ...]
     gains: tuple[float, ...]
     redundancy: float
@@ -313,6 +335,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
+    """The best ensemble ``maximize_extractable`` found, its report, whether the
+    search converged and how many points it scored."""
+
     ensemble: CorrelatedEnsemble
     report: ICPReport
     converged: bool
@@ -719,6 +744,9 @@ def maximize_extractable(
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """The best balanced two-bit encoding at one Bloch angle theta of
+    ``qubit_rotation_sweep``."""
+
     theta: float
     gains_sum: float
     redundancy: float

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -97,6 +97,9 @@ class Measurement:
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
+    """State space spanned by its vertices, cut out by its extreme effects and
+    the unit."""
+
     vertices: tuple[State, ...]
     extreme_effects: tuple[Effect, ...]
     unit: Effect
@@ -165,6 +168,9 @@ class NormConstraint:
 
 @dataclass(frozen=True, eq=False)
 class RestrictedClassical:
+    """A classical simplex of ``internal_states`` points read only through
+    ``allowed_measurements``."""
+
     internal_states: int
     allowed_measurements: tuple[Measurement, ...]
 
@@ -177,6 +183,8 @@ class RestrictedClassical:
 
 @dataclass(frozen=True)
 class Quantum:
+    """Density matrices on a Hilbert space of dimension 2..8."""
+
     hilbert_dim: int
 
     def __post_init__(self):
@@ -189,6 +197,8 @@ Variant = Polytope | NormConstraint | RestrictedClassical | Quantum
 
 @dataclass(frozen=True, eq=False)
 class Theory:
+    """A state space (``variant``) with its named measurements."""
+
     theory_id: str
     variant: Variant
     measurements: Mapping[str, Measurement] = field(default_factory=dict)
@@ -294,6 +304,8 @@ def apply_effect(effect: Effect, state: State) -> float:
 
 @dataclass(frozen=True)
 class Validation:
+    """A check's verdict and its detail; true when it passed."""
+
     ok: bool
     detail: str = ""
 
@@ -544,6 +556,9 @@ def _readable_pairs(one: np.ndarray, zero: np.ndarray) -> np.ndarray:
 # vertex subsets the dimension search's mask pre-filter tests at once, which
 # bounds the memory it holds
 _SUBSET_CHUNK = 4096
+# entries of the (cliques, vertices) extension mask formed at once: bounds the
+# mask and the index arrays of its extensions
+_EXTEND_ENTRIES = 1 << 16
 
 
 def _clique_chunks(adjacent: np.ndarray, m: int) -> Iterator[np.ndarray]:
@@ -567,11 +582,11 @@ def _extended_cliques(adjacent: np.ndarray, cliques: Iterable[np.ndarray]) -> It
     vertex adjacent to all its members, as chunks of at most ``_SUBSET_CHUNK``
     rows, none empty.
 
-    The cliques are extended a few at a time, which bounds the (cliques, n)
-    extension mask by ``_SUBSET_CHUNK`` entries when n is at most that.
+    The cliques are extended a block at a time, which bounds the (cliques, n)
+    extension mask by ``_EXTEND_ENTRIES`` entries when n is at most that.
     """
     n = len(adjacent)
-    step = max(1, _SUBSET_CHUNK // n)
+    step = max(1, _EXTEND_ENTRIES // n)
     vertices = np.arange(n)
     for parents in cliques:
         for start in range(0, len(parents), step):
@@ -579,7 +594,8 @@ def _extended_cliques(adjacent: np.ndarray, cliques: Iterable[np.ndarray]) -> It
             extends = vertices > block[:, -1:]
             for column in block.T:
                 extends &= adjacent[column]
-            parent, vertex = np.nonzero(extends)
+            # row-major positions, as np.nonzero gives them, from one flat pass
+            parent, vertex = np.divmod(np.flatnonzero(extends), n)
             rows = np.column_stack([block[parent], vertex])
             yield from (rows[i : i + _SUBSET_CHUNK] for i in range(0, len(rows), _SUBSET_CHUNK))
 
@@ -602,10 +618,16 @@ def _readable_subsets(rows: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> 
     return kept
 
 
-def _readout_graph(theory: Theory) -> tuple[list[Effect], np.ndarray, np.ndarray, np.ndarray]:
+# the last two theories' graphs: ``polygon_mismatch`` reads one twice, once
+# through ``_readable_clique_number`` and once in the dimension search
+@lru_cache(maxsize=2)
+def _readout_graph(theory: Theory) -> tuple[tuple[Effect, ...], np.ndarray, np.ndarray, np.ndarray]:
     """A polytope's candidate effects (its extreme effects, their complements
     and the unit, deduplicated), their (candidate, vertex) masks of reading 1
-    and 0, and the readable-pair graph of its vertices."""
+    and 0, and the readable-pair graph of its vertices, all read-only.
+
+    Cached per theory object: a theory is frozen, so its graph cannot change.
+    """
     v = theory.variant
     candidates = _dedupe_effects(
         [
@@ -618,7 +640,10 @@ def _readout_graph(theory: Theory) -> tuple[list[Effect], np.ndarray, np.ndarray
         ]
     )
     one, zero = _readouts(np.array([e.coords for e in candidates]), v.vertex_matrix)
-    return candidates, one, zero, _readable_pairs(one, zero)
+    pairs = _readable_pairs(one, zero)
+    for arr in (one, zero, pairs):
+        arr.setflags(write=False)
+    return tuple(candidates), one, zero, pairs
 
 
 def _readable_clique_number(theory: Theory) -> int:

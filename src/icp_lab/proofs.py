@@ -28,6 +28,7 @@ from .gpt import (
     Polytope,
     Quantum,
     RestrictedClassical,
+    Theory,
     coords_to_density,
     observed_dimension,
     state_space_dimension,
@@ -270,6 +271,9 @@ class ChainNotApplicable(ValueError):
 
 @dataclass(frozen=True)
 class ChainStep:
+    """One step of the derivation ledger: an identity lhs = rhs or an inequality
+    lhs <= rhs, with its signed margin."""
+
     name: str
     kind: str  # "identity" | "inequality"
     lhs: float
@@ -294,6 +298,9 @@ class ChainStep:
 
 @dataclass(frozen=True, eq=False)
 class ProofChainLedger:
+    """Every step of ``proof_chain_check`` in derivation order, with the observed
+    dimension, its bound log2(d) and the extractable information."""
+
     steps: tuple[ChainStep, ...]
     observed_dim: int
     bound: float
@@ -401,6 +408,53 @@ def _effect_stack(assignment: ObservableAssignment) -> np.ndarray:
     return out
 
 
+class _LedgerPlan:
+    """What a ledger reads of its assignment alone: the read-only
+    ``_effect_stack`` and every step's name and kind, in step order."""
+
+    def __init__(self, assignment: ObservableAssignment):
+        self.effects = _effect_stack(assignment)
+        self.effects.setflags(write=False)
+        names = [register_name(r) for r in assignment.registers]
+        regs = "".join(names)
+        steps = [
+            (f"I(S:{regs}) = H(S) - H(S|{regs})", "identity"),
+            (f"H(S|{regs}) >= 0", "inequality"),
+            ("H(S) <= log2(d)", "inequality"),
+            (f"I(S:{regs}) = sum of conditional terms", "identity"),
+        ]
+        for k in range(1, len(names)):
+            prefix, a_k = "".join(names[:k]), names[k]
+            steps += [
+                (f"I(S:{a_k}|{prefix}) = I({prefix}S:{a_k}) - I({prefix}:{a_k})", "identity"),
+                (f"I({prefix}S:{a_k}) >= I(S:{a_k})", "inequality"),
+            ]
+        if len(names) > 1:
+            steps.append(("sum of prefix correlations = total correlation", "identity"))
+        steps += [
+            (f"I(S:{a_k}) >= I({m.label}:{a_k})", "inequality") for (m, _), a_k in zip(assignment.pairs, names)
+        ]
+        steps.append((f"sum of gains - I({':'.join(names)}) <= log2(d)", "inequality"))
+        self.names, self.kinds = zip(*steps)
+
+
+# one plan per assignment object (assignments compare by identity)
+_ledger_plan = functools.lru_cache(maxsize=64)(_LedgerPlan)
+
+
+@functools.lru_cache(maxsize=64)
+def _classical_channels(assignment: ObservableAssignment, theory: Theory) -> np.ndarray:
+    """Each assigned measurement's channel p(x|s) on the basis states of a
+    classical carrier (a simplex's vertices, a restricted theory's internal
+    states), clipped to [0, 1], shape (n, outcomes, states); read-only, one
+    per assignment and theory object."""
+    v = theory.variant
+    basis = np.eye(v.internal_states) if isinstance(v, RestrictedClassical) else v.vertex_matrix
+    channels = np.clip(_ledger_plan(assignment).effects @ basis.T, 0.0, 1.0)
+    channels.setflags(write=False)
+    return channels
+
+
 class _ClassicalChainData(_ChainData):
     """Joint table over (S, registers) with measurement channels on S.
 
@@ -411,7 +465,6 @@ class _ClassicalChainData(_ChainData):
         theory = ensemble.theory
         v = theory.variant
         if isinstance(v, RestrictedClassical):
-            basis = np.eye(v.internal_states)
             weights = ensemble.coords
         elif isinstance(v, Polytope):
             verts = v.vertex_matrix
@@ -419,25 +472,27 @@ class _ClassicalChainData(_ChainData):
                 raise ChainNotApplicable(
                     f"{theory.theory_id!r} state space is not a simplex"
                 )
-            basis = verts
             # augment with a normalization column so the weights are barycentric
-            target = np.hstack([ensemble.coords, np.ones((len(ensemble.probs), 1))])
+            coords = ensemble.coords
+            target = np.empty((len(coords), coords.shape[1] + 1))
+            target[:, :-1], target[:, -1] = coords, 1.0
             weights = target @ v.barycentric_map.T
-            recon = weights @ verts
-            if np.max(np.abs(recon - ensemble.coords)) > MEMBERSHIP_TOL:
+            # the reduces behind np.max and np.min, without their wrapper cost
+            if np.maximum.reduce(np.abs(weights @ verts - coords), None) > MEMBERSHIP_TOL:
                 raise ChainNotApplicable("states do not decompose over the vertices")
-            if weights.min() < -MEMBERSHIP_TOL:
+            if np.minimum.reduce(weights, None) < -MEMBERSHIP_TOL:
                 raise ChainNotApplicable("states fall outside the vertex simplex")
         else:
             raise ChainNotApplicable(f"{theory.theory_id!r} has no classical carrier")
-        # the (registers, S) table: entry masses on S in their register cells
-        mass = ensemble.probs[:, None] * np.clip(weights, 0.0, None)
+        # the (registers, S) table: entry masses on S in their register cells;
+        # np.maximum is what np.clip runs with no upper bound
+        mass = ensemble.probs[:, None] * np.maximum(weights, 0.0)
         # copy 0 holds the marginals with S; copy 1, summed over S, those without
         stack, layout = _register_marginals(ensemble, assignment.registers, mass, copies=2)
         stack[1, :, :, 0] = stack[0].sum(axis=2)
         # the (S, A_k) marginals give the gains: channel (x, s) @ table (s, a)
         s_a = stack[0, layout.singles, : layout.alphabet]
-        channels = np.clip(_effect_stack(assignment) @ basis.T, 0.0, 1.0)
+        channels = _classical_channels(assignment, theory)
         super().__init__(layout, _plogp_bits_stacked(stack, (2, 3)), channels @ np.swapaxes(s_a, 1, 2))
 
 
@@ -465,7 +520,7 @@ class _QuantumChainData(_ChainData):
         spectra[1, :, : layout.width] = marginals[:, :, 0]
         # Tr(E w_a) is the dot product of their coordinates
         w_a = marginals[layout.singles, : layout.alphabet, 1:]
-        outcomes = np.clip(_effect_stack(assignment) @ np.swapaxes(w_a, 1, 2), 0.0, None)
+        outcomes = np.maximum(_ledger_plan(assignment).effects @ np.swapaxes(w_a, 1, 2), 0.0)
         super().__init__(layout, _plogp_bits_stacked(spectra, (2,)), outcomes)
 
 
@@ -484,107 +539,50 @@ def proof_chain_check(
     its marginals, one entropy-kernel call (one stacked ``eigvalsh`` for the
     quantum blocks) and one stacked call for the gains. They agree with the
     per-subset formulas, one marginal and one kernel call each, to 1e-12.
+    Each information term is computed once, and the steps' names and kinds
+    come from the assignment's cached ``_LedgerPlan``.
     """
-    registers = assignment.registers
     v = ensemble.theory.variant
     if isinstance(v, Quantum):
         data: _ChainData = _QuantumChainData(ensemble, assignment)
     else:
         data = _ClassicalChainData(ensemble, assignment)
+    ent = data.ent
 
-    n = len(registers)
     # register subsets are bitmasks over assignment positions
+    n = len(assignment.pairs)
     every = (1 << n) - 1
-    names = [register_name(r) for r in registers]
-    all_regs = "".join(names)
-
-    def i_s(mask: int) -> float:
-        return data.ent(0, True) + data.ent(mask, False) - data.ent(mask, True)
-
-    def i_cond(k: int) -> float:
-        # I(S:A_k | A_1..A_{k-1})
+    h_s = ent(0, True)
+    h_s_given = ent(every, True) - ent(every, False)
+    i_s_all = h_s + ent(every, False) - ent(every, True)
+    i_single = [h_s + ent(1 << k, False) - ent(1 << k, True) for k in range(n)]  # I(S:A_k)
+    i_cond, i_prefix_s, i_prefix = [], [], []
+    for k in range(1, n):
         prefix, with_k = (1 << k) - 1, (1 << (k + 1)) - 1
-        return (
-            data.ent(prefix, True)
-            + data.ent(with_k, False)
-            - data.ent(with_k, True)
-            - data.ent(prefix, False)
-        )
-
-    def i_prefix_s(k: int) -> float:
-        # I(A_1..A_{k-1} S : A_k)
-        prefix, with_k = (1 << k) - 1, (1 << (k + 1)) - 1
-        return data.ent(prefix, True) + data.ent(1 << k, False) - data.ent(with_k, True)
-
-    def i_prefix(k: int) -> float:
-        prefix, with_k = (1 << k) - 1, (1 << (k + 1)) - 1
-        return data.ent(prefix, False) + data.ent(1 << k, False) - data.ent(with_k, False)
-
-    steps: list[ChainStep] = []
-    h_s = data.ent(0, True)
-    h_s_given = data.ent(every, True) - data.ent(every, False)
-    i_s_all = i_s(every)
-    steps.append(
-        ChainStep(f"I(S:{all_regs}) = H(S) - H(S|{all_regs})", "identity", i_s_all, h_s - h_s_given)
-    )
-    steps.append(ChainStep(f"H(S|{all_regs}) >= 0", "inequality", 0.0, h_s_given))
+        # I(S:A_k | A_1..A_{k-1}), I(A_1..A_{k-1} S : A_k) and I(A_1..A_{k-1} : A_k)
+        i_cond.append(ent(prefix, True) + ent(with_k, False) - ent(with_k, True) - ent(prefix, False))
+        i_prefix_s.append(ent(prefix, True) + ent(1 << k, False) - ent(with_k, True))
+        i_prefix.append(ent(prefix, False) + ent(1 << k, False) - ent(with_k, False))
 
     dim_report = observed_dimension(ensemble.theory)
     bound = math.log2(dim_report.d)
-    steps.append(ChainStep("H(S) <= log2(d)", "inequality", h_s, bound))
-
-    chain_sum = i_s(1) + sum(i_cond(k) for k in range(1, n))
-    steps.append(
-        ChainStep(f"I(S:{all_regs}) = sum of conditional terms", "identity", i_s_all, chain_sum)
-    )
-    for k in range(1, n):
-        prefix = "".join(names[:k])
-        steps.append(
-            ChainStep(
-                f"I(S:{names[k]}|{prefix}) = I({prefix}S:{names[k]}) - I({prefix}:{names[k]})",
-                "identity",
-                i_cond(k),
-                i_prefix_s(k) - i_prefix(k),
-            )
-        )
-        steps.append(
-            ChainStep(
-                f"I({prefix}S:{names[k]}) >= I(S:{names[k]})",
-                "inequality",
-                i_s(1 << k),
-                i_prefix_s(k),
-            )
-        )
+    values = [
+        (i_s_all, h_s - h_s_given),
+        (0.0, h_s_given),
+        (h_s, bound),
+        (i_s_all, i_single[0] + sum(i_cond)),
+    ]
+    for cond, prefix_s, prefix, single in zip(i_cond, i_prefix_s, i_prefix, i_single[1:]):
+        values += [(cond, prefix_s - prefix), (single, prefix_s)]
     if n > 1:
-        total_corr = sum(data.ent(1 << k, False) for k in range(n)) - data.ent(every, False)
-        steps.append(
-            ChainStep(
-                "sum of prefix correlations = total correlation",
-                "identity",
-                sum(i_prefix(k) for k in range(1, n)),
-                total_corr,
-            )
-        )
+        total_corr = sum(ent(1 << k, False) for k in range(n)) - ent(every, False)
+        values.append((sum(i_prefix), total_corr))
     else:
         total_corr = 0.0
-
     gains = data.gains
-    for position, ((measurement, _), gain) in enumerate(zip(assignment.pairs, gains)):
-        steps.append(
-            ChainStep(
-                f"I(S:{names[position]}) >= I({measurement.label}:{names[position]})",
-                "inequality",
-                gain,
-                i_s(1 << position),
-            )
-        )
+    values += zip(gains, i_single)
     extractable = sum(gains) - total_corr
-    steps.append(
-        ChainStep(
-            f"sum of gains - I({':'.join(names)}) <= log2(d)",
-            "inequality",
-            extractable,
-            bound,
-        )
-    )
-    return ProofChainLedger(tuple(steps), dim_report.d, bound, extractable)
+    values.append((extractable, bound))
+    plan = _ledger_plan(assignment)
+    steps = tuple(map(ChainStep, plan.names, plan.kinds, *zip(*values)))
+    return ProofChainLedger(steps, dim_report.d, bound, extractable)

@@ -1,13 +1,14 @@
 """Seeded random instances: states, density matrices, ensembles."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from .catalog import CatalogEntry
-from .engine import CorrelatedEnsemble, _check_arrays
+from .engine import CorrelatedEnsemble, _check_registers, _check_states
 from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
 
 
@@ -16,9 +17,15 @@ def _dirichlet_ones(rng: np.random.Generator, k: int, size: int | None = None) -
     argument checks.
 
     Unit-shape gammas are standard exponentials, and numpy normalises each
-    row by its left-to-right sum and the reciprocal of that sum, as here.
+    row as ``_dirichlet_rows`` does.
     """
-    draws = rng.standard_exponential((k,) if size is None else (size, k))
+    return _dirichlet_rows(rng.standard_exponential((k,) if size is None else (size, k)))
+
+
+def _dirichlet_rows(draws: np.ndarray) -> np.ndarray:
+    """Standard exponential draws (..., k) normalised as numpy's Dirichlet
+    normalises them: each row by its left-to-right sum and the reciprocal of
+    that sum."""
     return draws * (1.0 / np.add.accumulate(draws, axis=-1)[..., -1:])
 
 
@@ -36,14 +43,16 @@ def _density_from_draws(eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (u * eigs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
-def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _complex_gaussian(rng: np.random.Generator, dim: int, parts: np.ndarray | None = None) -> np.ndarray:
     """A dim x dim complex Gaussian matrix: the real part is drawn first.
 
     One draw of shape (2, dim, dim) fills the real part and then the
-    imaginary part, as two (dim, dim) draws in that order would.
+    imaginary part, as two (dim, dim) draws in that order would. Given
+    ``parts``, a stack (..., 2, dim, dim) of such draws already made, it
+    draws nothing and returns their stack of matrices.
     """
-    g = rng.normal(size=(2, dim, dim))
-    return g[0] + 1j * g[1]
+    g = rng.normal(size=(2, dim, dim)) if parts is None else parts
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def _density_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,9 +63,18 @@ def _density_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.n
 
 
 def _stacked_density_draws(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n calls of ``_density_draws`` in order, stacked: shapes (n, dim) and (n, dim, dim)."""
-    eigs, g = zip(*(_density_draws(rng, dim) for _ in range(n)))
-    return np.array(eigs), np.array(g)
+    """n calls of ``_density_draws`` in order, stacked: shapes (n, dim) and (n, dim, dim).
+
+    Each state's exponentials and then its (2, dim, dim) Gaussian parts are
+    drawn into its rows of two buffers, in the order of the n calls; the
+    Dirichlet normalisation and the complex combination then run once on
+    the whole stack, row by row as each call would.
+    """
+    exponentials, parts = np.empty((n, dim)), np.empty((n, 2, dim, dim))
+    for i in range(n):
+        rng.standard_exponential(out=exponentials[i])
+        rng.standard_normal(out=parts[i])
+    return _dirichlet_rows(exponentials), _complex_gaussian(rng, dim, parts)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -100,6 +118,17 @@ def random_state(entry: CatalogEntry, rng: np.random.Generator) -> State:
     return State(_random_coords(entry.theory, rng, 1)[0], entry.theory.theory_id)
 
 
+# typed, so that 2.0 is not served the product of 2: range() rejects a float
+@functools.lru_cache(maxsize=32, typed=True)
+def _register_product(n_registers: int, alphabet: int) -> np.ndarray:
+    """Every combination of n_registers values in ``range(alphabet)``, in
+    row-major order, read-only; its range is tested here, once."""
+    registers = np.array(list(itertools.product(range(alphabet), repeat=n_registers)))
+    _check_registers(registers, (alphabet,) * n_registers)
+    registers.setflags(write=False)
+    return registers
+
+
 def random_ensemble(
     entry: CatalogEntry,
     rng: np.random.Generator,
@@ -109,15 +138,15 @@ def random_ensemble(
     """Random correlated ensemble with one entry per register combination.
 
     Draws the entry probabilities, then all states at once, and checks the
-    register values and the states as ``build_ensemble`` does. The draw order
+    states as ``build_ensemble`` does. The register values are the cached
+    product of ``_register_product``, range-tested when built. The draw order
     is part of the contract: ``perfbench/reference.json`` replays fixed
     seeds, so a change of order changes every recorded value.
     """
     if n_registers < 1:
         raise ValueError("entries need at least one register")
-    registers = np.array(list(itertools.product(range(alphabet), repeat=n_registers)))
+    registers = _register_product(n_registers, alphabet)
     probs = _dirichlet_ones(rng, len(registers))
     coords = _random_coords(entry.theory, rng, len(registers))
-    alphabets = (alphabet,) * n_registers
-    _check_arrays(entry.theory, coords, registers, alphabets)
-    return CorrelatedEnsemble(entry.theory, probs, coords, registers, alphabets)
+    _check_states(entry.theory, coords)
+    return CorrelatedEnsemble(entry.theory, probs, coords, registers, (alphabet,) * n_registers)

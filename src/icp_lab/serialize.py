@@ -23,6 +23,9 @@ from .gpt import State
 
 @dataclass(frozen=True)
 class RunManifest:
+    """What reproduces a run: command, parameters, seed, tool version and
+    timestamp."""
+
     command: str
     parameters: dict
     seed: int

@@ -49,13 +49,17 @@ def test_dirichlet_draws_go_through_the_sampling_helper(path):
 
 
 def _complex_gaussian_draws(source: str) -> list[str]:
-    """Functions that both draw with ``.normal(`` and multiply by ``1j``."""
+    """Functions that both draw with ``.normal(`` or ``.standard_normal(``
+    and multiply by ``1j``."""
     found = []
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         nodes = list(ast.walk(func))
-        draws = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "normal" for n in nodes)
+        draws = any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("normal", "standard_normal")
+            for n in nodes
+        )
         imaginary = any(
             isinstance(n, ast.BinOp)
             and isinstance(n.op, ast.Mult)
@@ -73,8 +77,9 @@ def test_complex_gaussian_check_finds_a_draw():
         "def b(rng, d):\n    g = rng.normal(size=(2, d, d))\n    return g[0] + g[1] * 1j\n"
         "def c(rng, x):\n    return rng.normal(size=3), 1j * x\n"
         "def d(x):\n    return 1j * x\n"
+        "def e(rng, g):\n    rng.standard_normal(out=g)\n    return g[0] + 1j * g[1]\n"
     )
-    assert _complex_gaussian_draws(source) == ["a", "b", "c"]
+    assert _complex_gaussian_draws(source) == ["a", "b", "c", "e"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -82,6 +87,54 @@ def test_complex_gaussians_go_through_the_sampling_helper(path):
     # sampling._complex_gaussian fixes the draw order (real part first) in one call
     allowed = ["_complex_gaussian"] if path.name == "sampling.py" else []
     assert _complex_gaussian_draws(path.read_text(encoding="utf-8")) == allowed
+
+
+def _unbounded_caches(source: str) -> list[str]:
+    """``lru_cache`` uses without an explicit finite ``maxsize``, and every
+    ``functools.cache``, as "line N"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            size = next((k.value for k in node.keywords if k.arg == "maxsize"), args[0] if args else None)
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "lru_cache" and not (
+                isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0
+            ):
+                found.append(f"line {node.lineno}")
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            # a bare decorator: ``@lru_cache`` or ``@functools.cache``, called with no arguments
+            for deco in node.decorator_list:
+                name = deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.append(f"line {deco.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and getattr(node.value, "id", None) == "functools":
+            found.append(f"line {node.lineno}")
+    return sorted(set(found), key=lambda s: int(s.split()[1]))
+
+
+def test_unbounded_cache_check_finds_each_form():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=8)\ndef a(): pass\n"  # bounded
+        "@lru_cache(16)\ndef b(): pass\n"  # bounded, positional
+        "c = functools.lru_cache(maxsize=32)(len)\n"  # bounded
+        "@functools.lru_cache\ndef d(): pass\n"  # line 8: default size, not explicit
+        "@lru_cache(maxsize=None)\ndef e(): pass\n"  # line 10: unbounded
+        "@functools.cache\ndef f(): pass\n"  # line 12: unbounded
+        "g = lru_cache(maxsize=None)(len)\n"  # line 14
+        "h = functools.cache(len)\n"  # line 15
+        "@lru_cache()\ndef i(): pass\n"  # line 16: default size, not explicit
+        "j = functools.lru_cache(maxsize=True)(len)\n"  # line 18: a bool is no size
+    )
+    assert _unbounded_caches(source) == ["line 8", "line 10", "line 12", "line 14", "line 15", "line 16", "line 18"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_lru_cache_has_an_explicit_finite_maxsize(path):
+    # a cache that holds arrays or theories must not grow with the inputs it has seen
+    assert _unbounded_caches(path.read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_loads_numpy_only():
