@@ -103,9 +103,12 @@ def _total_correlation_stacked(p: np.ndarray) -> np.ndarray:
     """I(X:A) of every two-axis table p[i] of a stack (n, k, a).
 
     One kernel call takes every table's row, column and joint entropies from
-    a zero-padded (n, 3, k a) stack. Zeros add nothing to a sum, so it gives
-    three separate calls' bits unless a marginal of 4 or more entries meets
-    numpy's pairwise summation (k a >= 8); then they agree to a few ulps.
+    a zero-padded (n, 3, k a) stack, which saves two calls' fixed cost on a
+    small stack. Zeros add nothing to a sum, so on a C-contiguous stack it
+    gives the bits of one call per entropy unless a marginal of 4 or more
+    entries meets numpy's pairwise summation (k a >= 8). There, and on a
+    strided stack such as ``grid_scores``' transposed tables, whose joint sum
+    numpy orders by memory layout, the two agree to a few ulps.
     """
     n, k, a = p.shape
     parts = np.zeros((n, 3, k * a))

@@ -234,6 +234,27 @@ def test_one_call_gain_kernel_keeps_the_three_call_bits_on_small_tables(shape):
     assert np.abs(new - old).max() <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["sbit", "qubit", "polygon:5", "pgnst:3:2", "classical-trit"])
+def test_one_call_gain_kernel_moves_grid_scores_by_ulps_only(case):
+    # grid_scores passes transposed tables, whose joint sums numpy orders by
+    # memory layout; the candidates it then rescores exactly stay the same
+    entry = catalog.resolve(case)
+    labels = ("E1", "E2") if case in ("polygon:5", "classical-trit") else ("X", "Z")
+    objective = engine._SearchObjective(entry.theory, _assignment(entry, labels), True)
+    family = engine._StateFamily(entry.theory)
+    seeds = family.seed_states(objective.assignment)
+    seed_coords = np.array([family.build(params) for params in seeds])
+    w = np.array([engine._normalized(f) for f in engine._register_families(objective.alphabets)])
+    fam, choice = engine._grid_candidates(len(seeds), len(objective.combos), len(w), 20_000)
+    scores = objective.grid_scores(w, seed_coords, fam, choice)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(info, "_total_correlation_stacked", old_gains_kernel)
+        reference = objective.grid_scores(w, seed_coords, fam, choice)
+    assert np.abs(scores - reference).max() <= 1e-12
+    near_top = np.flatnonzero(scores >= scores.max() - 1e-12)
+    assert near_top.tolist() == np.flatnonzero(reference >= reference.max() - 1e-12).tolist()
+
+
 def test_ledger_plan_is_cached_per_assignment_and_read_only():
     entry = catalog.classical_trit()
     assignment = _assignment(entry, ("E1", "E2", "E3"))
