@@ -59,12 +59,28 @@ class EnsembleEntry:
             raise ValueError(f"negative entry probability {self.probability!r}")
 
 
+def _check_registers(registers: np.ndarray, register_alphabets: tuple[int, ...]) -> None:
+    """Raise ValueError for the first register value outside its alphabet."""
+    outside = (registers < 0) | (registers >= np.array(register_alphabets))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(f"register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
+
+
+def _flat_index(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Each row of ``values`` (E, k), a cell of an array of ``shape``, as its
+    row-major flat index; the values are not range-tested here."""
+    return values @ np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))], dtype=values.dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelatedEnsemble:
     """Entry probabilities ``probs`` (E,), state coordinates ``coords`` (E, D)
     and register values ``registers`` (E, R), all read-only.
 
-    ``build_ensemble`` makes one from entries and checks it.
+    Every ensemble checks itself when built, however it is built: first that
+    each register value lies in its alphabet, then that each state lies in
+    the theory's state space. An error reports the first entry at fault.
     """
 
     theory: Theory
@@ -74,6 +90,10 @@ class CorrelatedEnsemble:
     register_alphabets: tuple[int, ...]
 
     def __post_init__(self):
+        _check_registers(self.registers, self.register_alphabets)
+        _, ok = check_states(self.theory, self.coords)
+        if not ok:
+            raise ValueError(f"invalid state in ensemble: {ok.detail}")
         for arr in (self.probs, self.coords, self.registers):
             arr.setflags(write=False)
 
@@ -90,39 +110,30 @@ class CorrelatedEnsemble:
     def n_registers(self) -> int:
         return len(self.register_alphabets)
 
+    def require_registers(self, registers: Iterable[int]) -> None:
+        """Raise ValueError for the first of ``registers`` the ensemble does
+        not have: every call that reads registers by index checks them here."""
+        for r in registers:
+            if not 0 <= r < self.n_registers:
+                raise ValueError(f"no register {r} in ensemble")
+
     def register_index(self, registers: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
         """Each entry's values on ``registers`` as one row-major flat index,
         and the shape of the joint alphabet they index."""
+        self.require_registers(registers)
         shape = tuple(self.register_alphabets[r] for r in registers)
-        return np.ravel_multi_index(self.registers[:, list(registers)].T, shape), shape
-
-
-def _check_registers(registers: np.ndarray, register_alphabets: tuple[int, ...]) -> None:
-    """Raise ValueError for the first register value outside its alphabet."""
-    outside = (registers < 0) | (registers >= np.array(register_alphabets))
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
-        raise ValueError(f"register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
-
-
-def _check_states(theory: Theory, coords: np.ndarray) -> None:
-    """Raise ValueError for the first state outside the state space."""
-    _, ok = check_states(theory, coords)
-    if not ok:
-        raise ValueError(f"invalid state in ensemble: {ok.detail}")
+        return _flat_index(self.registers[:, list(registers)], shape), shape
 
 
 def build_ensemble(
     theory: Theory,
     entries: Iterable[tuple[float, State, Sequence[int]]] | Iterable[EnsembleEntry],
     register_alphabets: Sequence[int] | None = None,
-    validate: bool = True,
 ) -> CorrelatedEnsemble:
-    """Stack entries into an ensemble and check it; alphabets default to max
-    value + 1.
+    """Stack entries into an ensemble; alphabets default to max value + 1.
 
-    Register values and, with ``validate``, state membership are checked on
-    the ensemble's arrays; an error reports the first entry at fault.
+    The entries' count, finiteness and probability sum are checked here;
+    the ensemble then checks its register values and states when built.
     """
     norm_entries = []
     for item in entries:
@@ -158,9 +169,6 @@ def build_ensemble(
         raise ValueError("ensemble states differ in dimension") from exc
     probs = np.array([max(e.probability, 0.0) for e in norm_entries])
     registers = np.array([e.registers for e in norm_entries], dtype=int)
-    _check_registers(registers, register_alphabets)
-    if validate:
-        _check_states(theory, coords)
     return CorrelatedEnsemble(theory, probs, coords, registers, register_alphabets)
 
 
@@ -206,20 +214,16 @@ def joint_outcome_table(
     """Joint distribution p(x, a) of outcome x against register value a.
 
     One product: the weighted outcome probabilities (outcomes x entries)
-    times the entries' one-hot register values (entries x alphabet). A
-    register value outside the alphabet raises ValueError, and the table is
-    checked as a distribution, so a measurement whose effects do not sum to
-    the unit raises ValueError too.
+    times the entries' one-hot register values (entries x alphabet). The
+    ensemble range-tested its register values when it was built; a register
+    it does not have raises ValueError here. The table is checked as a
+    distribution, so a measurement whose effects do not sum to the unit
+    raises ValueError too.
     """
-    if not 0 <= register < ensemble.n_registers:
-        raise ValueError(f"no register {register} in ensemble")
-    alphabet = ensemble.register_alphabets[register]
-    index = ensemble.registers[:, register]
-    # both ends: a negative value would pick a row counted from the end
-    if np.minimum.reduce(index, initial=0) < 0 or np.maximum.reduce(index, initial=0) >= alphabet:
-        raise ValueError(f"a value of register {register} is outside alphabet {alphabet}")
+    ensemble.require_registers((register,))
     values = effect_values(measurement.effect_matrix, ensemble.coords)
-    table = (values * ensemble.probs) @ _one_hot_rows(alphabet)[index]
+    one_hot = _one_hot_rows(ensemble.register_alphabets[register])[ensemble.registers[:, register]]
+    table = (values * ensemble.probs) @ one_hot
     out_name = measurement.label or "X"
     reg_name = register_name(register)
     if out_name == reg_name:
@@ -361,7 +365,7 @@ class _StateFamily:
             self.bounds = (0.0, 1.0)
         elif isinstance(v, NormConstraint):
             self.kind = "norm"
-            self.p = v.p
+            self.norm = v.norm
             self.n_params = v.k
             self.bounds = (-1.0, 1.0)
         elif isinstance(v, Quantum):
@@ -379,7 +383,7 @@ class _StateFamily:
             return _normalized(params) @ self.vertex_coords
         if self.kind == "norm":
             s = np.asarray(params, dtype=float)
-            norm = np.abs(s).max() if math.isinf(self.p) else float((np.abs(s) ** self.p).sum()) ** (1.0 / self.p)
+            norm = self.norm(s)
             if norm > 1.0:
                 s = s / norm
             return np.append(s, 1.0)
@@ -524,11 +528,10 @@ class _SearchObjective:
         """``value`` as a function of ``w`` alone, on the fixed states ``coords``."""
         return partial(self.value, coords=coords, values=[effect_values(E, coords) for E, _ in self.pairs])
 
-    def report(self, w: np.ndarray, coords: np.ndarray) -> tuple[float, CorrelatedEnsemble, ICPReport]:
-        """The objective with the ensemble it assembles and its ``evaluate_icp`` report."""
+    def report(self, w: np.ndarray, coords: np.ndarray) -> tuple[CorrelatedEnsemble, ICPReport]:
+        """The ensemble of a point, checked when built, and its ``evaluate_icp`` report."""
         ens = CorrelatedEnsemble(self.theory, w.copy(), coords.copy(), self.combos, self.alphabets)
-        rep = evaluate_icp(ens, self.assignment)
-        return self._combine(rep.gains, rep.redundancy), ens, rep
+        return ens, evaluate_icp(ens, self.assignment)
 
     def grid_scores(
         self, w: np.ndarray, seed_coords: np.ndarray, family: np.ndarray, choice: np.ndarray
@@ -624,12 +627,13 @@ def maximize_extractable(
 
     ``evaluations`` counts every scored point; it can exceed ``max_evals``,
     which descent checks only between line searches and per start point (see
-    ``OptimizerConfig``). Only the grid winner, each descent start and each accepted move become an
-    ensemble with an ``evaluate_icp`` report; every other point is scored on
-    bare arrays with the same bits. Each descent phase scores its line
-    searches with one ``_SearchObjective.state_line`` or ``weight_line``
-    scorer, built once the budget check lets a first line search run; a
-    scorer returns ``value``'s bits at every point.
+    ``OptimizerConfig``). Every point, accepted moves included, is scored on
+    bare arrays with ``_SearchObjective.value``, which gives the bits of the
+    objective taken from an ``evaluate_icp`` report; only the winner becomes
+    an ensemble, checked like every other, with its report. Each descent
+    phase scores its line searches with one ``_SearchObjective.state_line``
+    or ``weight_line`` scorer, built once the budget check lets a first line
+    search run; a scorer returns ``value``'s bits at every point.
     """
     config = config or OptimizerConfig()
     if config.strategy not in ("grid", "coordinate-descent", "random-restart"):
@@ -654,11 +658,11 @@ def maximize_extractable(
         val = objective.value(w_families[fam[c]], seed_coords[choice[c]])
         if best is None or val > best[0] + 1e-15:
             best = (val, c)
-    _, c = best
-    best_val, best_ens, best_rep = objective.report(w_families[fam[c]], seed_coords[choice[c]])
+    best_val, c = best
+    best_point = (w_families[fam[c]], seed_coords[choice[c]])
     evaluations = [len(choice)]
     if config.strategy == "grid":
-        return OptimizationResult(best_ens, best_rep, evaluations[0] < config.max_evals, evaluations[0])
+        return OptimizationResult(*objective.report(*best_point), evaluations[0] < config.max_evals, evaluations[0])
 
     rng = np.random.default_rng(config.seed)
     start_points = [(families[fam[c]], np.array([seeds[i] for i in choice[c]]))]
@@ -676,7 +680,8 @@ def maximize_extractable(
 
     def accept(weights: np.ndarray, coords: np.ndarray):
         evaluations[0] += 1
-        return objective.report(_normalized(weights), coords)
+        w = _normalized(weights)
+        return objective.value(w, coords), w, coords.copy()
 
     def descend(weights: np.ndarray, state_params: np.ndarray):
         coords = np.array([family.build(params) for params in state_params])
@@ -733,11 +738,11 @@ def maximize_extractable(
         return current
 
     for weights, state_params in start_points:
-        val, ens, rep = descend(weights.copy(), np.array(state_params, dtype=float))
+        val, *point = descend(weights.copy(), np.array(state_params, dtype=float))
         # deterministic merge: strictly better wins, ties keep the earlier start
         if val > best_val + 1e-15:
-            best_val, best_ens, best_rep = val, ens, rep
-    return OptimizationResult(best_ens, best_rep, budget[0] > 0, evaluations[0])
+            best_val, best_point = val, point
+    return OptimizationResult(*objective.report(*best_point), budget[0] > 0, evaluations[0])
 
 
 # --- qubit rotation sweep -----------------------------------------------------

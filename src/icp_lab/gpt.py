@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .info import DISTINGUISH_TOL, MEMBERSHIP_TOL, PROB_TOL
+from .info import DISTINGUISH_TOL, MEMBERSHIP_TOL, PROB_TOL, UNIT_TOL
 
 
 def _frozen_vector(coords) -> np.ndarray:
@@ -164,6 +164,11 @@ class NormConstraint:
             raise ValueError(f"norm exponent must be >= 2, got {self.p!r}")
         if self.k not in (2, 3):
             raise ValueError(f"unsupported fiducial count {self.k!r}")
+
+    def norm(self, s: np.ndarray) -> np.ndarray:
+        """The p-norm of fiducial values ``s`` over the last axis."""
+        a = np.abs(s)
+        return a.max(axis=-1) if math.isinf(self.p) else (a**self.p).sum(axis=-1) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,7 +333,7 @@ def _first_failure(
     return i, Validation(False, next(detail(i) for mask, detail in checks if mask[i]))
 
 
-def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL) -> tuple[int, Validation]:
+def check_states(theory: Theory, coords: np.ndarray) -> tuple[int, Validation]:
     """Membership test for each row of an (n, D) array of state coordinates.
 
     Returns ``(-1, passing Validation)`` when every row lies in the state
@@ -351,7 +356,7 @@ def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL
         # einsum forms each row on its own, so a row's values (and the detail
         # below) do not depend on the other rows
         vals = np.einsum("ij,kj->ik", coords, v.bounding_matrix)
-        outside = (vals < -tol) | (vals > 1.0 + tol)
+        outside = (vals < -MEMBERSHIP_TOL) | (vals > 1.0 + MEMBERSHIP_TOL)
 
         def effect_detail(i: int) -> str:
             j = int(outside[i].argmax())
@@ -361,19 +366,18 @@ def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL
             [
                 nonfinite,
                 (outside.any(axis=1), effect_detail),
-                (np.abs(vals[:, -1] - 1.0) > tol,
+                (np.abs(vals[:, -1] - 1.0) > MEMBERSHIP_TOL,
                  lambda i: f"unit effect evaluates to {float(vals[i, -1])!r}, not 1"),
             ],
             "inside all supporting halfspaces",
         )
     if isinstance(v, NormConstraint):
-        s = np.abs(coords[:, :-1])
-        norm = s.max(axis=1) if math.isinf(v.p) else (s**v.p).sum(axis=1) ** (1.0 / v.p)
+        norm = v.norm(coords[:, :-1])
         return _first_failure(
             [
                 nonfinite,
-                (np.abs(coords[:, -1] - 1.0) > tol, lambda i: "normalization coordinate is not 1"),
-                (norm > 1.0 + tol, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
+                (np.abs(coords[:, -1] - 1.0) > MEMBERSHIP_TOL, lambda i: "normalization coordinate is not 1"),
+                (norm > 1.0 + MEMBERSHIP_TOL, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
             ],
             f"p-norm {float(norm.max())!r}",
         )
@@ -382,8 +386,8 @@ def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL
         return _first_failure(
             [
                 nonfinite,
-                (coords.min(axis=1) < -tol, lambda i: "negative internal weight"),
-                (np.abs(total - 1.0) > tol, lambda i: f"weights sum to {float(total[i])!r}"),
+                (coords.min(axis=1) < -MEMBERSHIP_TOL, lambda i: "negative internal weight"),
+                (np.abs(total - 1.0) > MEMBERSHIP_TOL, lambda i: f"weights sum to {float(total[i])!r}"),
             ],
             "internal simplex point",
         )
@@ -394,18 +398,18 @@ def check_states(theory: Theory, coords: np.ndarray, tol: float = MEMBERSHIP_TOL
     return _first_failure(
         [
             nonfinite,
-            (np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > tol,
+            (np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > MEMBERSHIP_TOL,
              lambda i: "density matrix is not Hermitian"),
-            (np.abs(trace - 1.0) > tol, lambda i: f"trace is {float(trace[i])!r}"),
-            (least < -tol, lambda i: f"negative eigenvalue {float(least[i])!r}"),
+            (np.abs(trace - 1.0) > MEMBERSHIP_TOL, lambda i: f"trace is {float(trace[i])!r}"),
+            (least < -MEMBERSHIP_TOL, lambda i: f"negative eigenvalue {float(least[i])!r}"),
         ],
         f"least eigenvalue {float(least.min())!r}",
     )
 
 
-def validate_state(theory: Theory, state: State, tol: float = MEMBERSHIP_TOL) -> Validation:
+def validate_state(theory: Theory, state: State) -> Validation:
     """Membership test for a state in the theory's state space."""
-    return check_states(theory, state.coords[None, :], tol)[1]
+    return check_states(theory, state.coords[None, :])[1]
 
 
 def validate_measurement(theory: Theory, measurement: Measurement, tol: float = PROB_TOL) -> Validation:
@@ -427,7 +431,7 @@ def measure(theory: Theory, measurement: Measurement, state: State) -> np.ndarra
             )
     probs = effect_values(measurement.effect_matrix, state.coords[None, :]).ravel()
     total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > UNIT_TOL:
         raise ValueError(f"outcome probabilities sum to {total!r}")
     return probs
 
@@ -448,7 +452,6 @@ def verify_distinguishable(
     theory: Theory,
     states: Sequence[State],
     measurement: Measurement,
-    tol: float = DISTINGUISH_TOL,
 ) -> DistinguishabilityCertificate:
     """Check that outcome j fires exactly on state j (pairing by position)."""
     states = tuple(states)
@@ -458,7 +461,7 @@ def verify_distinguishable(
         _, ok = check_states(theory, np.array([s.coords for s in states]))
         if not ok:
             raise ValueError(f"state outside the state space: {ok.detail}")
-    ok = validate_measurement(theory, measurement, tol=1e-9)
+    ok = validate_measurement(theory, measurement, tol=UNIT_TOL)
     if not ok:
         raise ValueError(ok.detail)
     worst = 0.0
@@ -466,7 +469,7 @@ def verify_distinguishable(
         for j, e in enumerate(measurement.effects[: len(states)]):
             target = 1.0 if i == j else 0.0
             worst = max(worst, abs(float(np.dot(e.coords, s.coords)) - target))
-    return DistinguishabilityCertificate(states, measurement, worst <= tol, worst)
+    return DistinguishabilityCertificate(states, measurement, worst <= DISTINGUISH_TOL, worst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,8 +556,7 @@ def _readable_pairs(one: np.ndarray, zero: np.ndarray) -> np.ndarray:
     return separable & separable.T
 
 
-# vertex subsets the dimension search's mask pre-filter tests at once, which
-# bounds the memory it holds
+# cliques the dimension search holds at once, which bounds their memory
 _SUBSET_CHUNK = 4096
 # entries of the (cliques, vertices) extension mask formed at once: bounds the
 # mask and the index arrays of its extensions
@@ -598,24 +600,6 @@ def _extended_cliques(adjacent: np.ndarray, cliques: Iterable[np.ndarray]) -> It
             parent, vertex = np.divmod(np.flatnonzero(extends), n)
             rows = np.column_stack([block[parent], vertex])
             yield from (rows[i : i + _SUBSET_CHUNK] for i in range(0, len(rows), _SUBSET_CHUNK))
-
-
-def _readable_subsets(rows: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """Positions, in ascending order, of the subsets (index rows) that give
-    each member a candidate effect reading 1 on it and 0 on the other members.
-
-    ``ones[i]`` and ``zeros[i]`` are the candidates reading 1 and 0 on vertex
-    i, packed along the candidate axis with ``np.packbits``.
-    """
-    kept = np.arange(len(rows))
-    for p in range(rows.shape[1]):
-        subsets = rows[kept]
-        fits = ones[subsets[:, p]]
-        for q in range(rows.shape[1]):
-            if q != p:
-                fits &= zeros[subsets[:, q]]
-        kept = kept[fits.any(axis=1)]
-    return kept
 
 
 # the last two theories' graphs: ``polygon_mismatch`` reads one twice, once
@@ -669,21 +653,18 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
     candidate effect (an extreme effect, its complement or the unit) reading
     1 on it and 0 on the other members. So every pair in it is readable
     (``_readable_pairs``), and only the m-cliques of that pair graph are
-    built, in ``itertools.combinations`` order. Chunks of them are screened
-    with packed readout masks; each clique that passes goes to the exact
+    built, in ``itertools.combinations`` order. Each clique goes to the exact
     test, which tries every choice of one such effect per member (in
-    ``itertools.product`` order), completes it with the remainder effect and
-    verifies the certificate. ``budget`` counts every m-clique up to the one
-    tested and every choice of effects tried; the rest of a chunk is charged
-    once the chunk is done. Subsets that are not cliques are never built and
-    cost nothing, so a size with no clique ends the search as exhaustive
-    whatever the budget.
+    ``itertools.product`` order; a member with none leaves nothing to try),
+    completes it with the remainder effect and verifies the certificate.
+    ``budget`` counts each clique tested and each choice of effects tried.
+    Subsets that are not cliques are never built and cost nothing, so a size
+    with no clique ends the search as exhaustive whatever the budget.
     """
     v = theory.variant
     vertices = v.vertices
     unit = v.unit
     candidates, one, zero, pairs = _readout_graph(theory)
-    packed_ones, packed_zeros = np.packbits(one.T, axis=1), np.packbits(zero.T, axis=1)
     cap = min(len(vertices), state_space_dimension(theory) + 1)
 
     best = DimensionReport(
@@ -698,44 +679,35 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
             best.d, best.certificate, False, f"search budget {budget} exhausted at size {m}"
         )
         found = None
-        for rows in _clique_chunks(pairs, m):
-            counted = 0  # cliques of this chunk already in work
-            for pos in _readable_subsets(rows, packed_ones, packed_zeros).tolist():
-                work += pos + 1 - counted
-                counted = pos + 1
+        for subset in itertools.chain.from_iterable(rows.tolist() for rows in _clique_chunks(pairs, m)):
+            work += 1
+            if work > budget:
+                return exhausted
+            selectors = [
+                np.flatnonzero(one[:, i] & zero[:, [k for k in subset if k != i]].all(axis=1)).tolist()
+                for i in subset
+            ]
+            for combo in itertools.product(*selectors):
+                work += 1
                 if work > budget:
                     return exhausted
-                subset = rows[pos].tolist()
-                selectors = [
-                    np.flatnonzero(one[:, i] & zero[:, [k for k in subset if k != i]].all(axis=1)).tolist()
-                    for i in subset
-                ]
-                for combo in itertools.product(*selectors):
-                    work += 1
-                    if work > budget:
-                        return exhausted
-                    remainder = unit.coords - np.sum([candidates[j].coords for j in combo], axis=0)
-                    rem_vals = np.array([float(np.dot(remainder, s.coords)) for s in vertices])
-                    if rem_vals.min() < -DISTINGUISH_TOL:
-                        continue
-                    effects = [candidates[j] for j in combo]
-                    if np.max(np.abs(rem_vals)) > PROB_TOL or np.max(np.abs(remainder)) > PROB_TOL:
-                        effects.append(Effect(remainder, theory.theory_id, "rest"))
-                    cert = verify_distinguishable(
-                        theory,
-                        [vertices[i] for i in subset],
-                        Measurement(f"distinguish-{m}", tuple(effects)),
-                    )
-                    if cert.verified:
-                        found = cert
-                        break
-                if found:
+                remainder = unit.coords - np.sum([candidates[j].coords for j in combo], axis=0)
+                rem_vals = np.array([float(np.dot(remainder, s.coords)) for s in vertices])
+                if rem_vals.min() < -DISTINGUISH_TOL:
+                    continue
+                effects = [candidates[j] for j in combo]
+                if np.max(np.abs(rem_vals)) > PROB_TOL or np.max(np.abs(remainder)) > PROB_TOL:
+                    effects.append(Effect(remainder, theory.theory_id, "rest"))
+                cert = verify_distinguishable(
+                    theory,
+                    [vertices[i] for i in subset],
+                    Measurement(f"distinguish-{m}", tuple(effects)),
+                )
+                if cert.verified:
+                    found = cert
                     break
             if found:
                 break
-            work += len(rows) - counted
-            if work > budget:
-                return exhausted
         if found is None:
             return DimensionReport(best.d, best.certificate, True, "exhaustive over extreme points")
         best = DimensionReport(m, found, True, "exhaustive over extreme points")
@@ -795,13 +767,11 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
     extreme effects (distinguishing states can be taken extremal, and any
     distinguishing measurement can be refined to extremal effects). Only the
     vertex subsets whose every pair some effects tell apart both ways are
-    built; chunks of them are screened with packed masks of which effects
-    read 1 and 0 on which vertices, and only the subsets that pass get the
-    exact test. ``budget`` counts every clique built, screened out or not,
-    and every choice of effects tried; when it runs out, the report has
-    ``exhaustive=False`` and ``d`` is only a lower bound. A size with no
-    clique proves that ``d`` is no larger, so the search is then exhaustive
-    whatever the budget.
+    built, and each goes straight to the exact test. ``budget`` counts every
+    such subset tested and every choice of effects tried; when it runs out,
+    the report has ``exhaustive=False`` and ``d`` is only a lower bound. A
+    size with no clique proves that ``d`` is no larger, so the search is
+    then exhaustive whatever the budget.
 
     Restricted and norm-constraint theories search their available
     measurements; quantum theories have an analytic basis certificate.

@@ -17,6 +17,7 @@ PROB_TOL = 1e-12  # a table's entries and sum as a probability distribution
 VIOLATION_TOL = 1e-9  # how far extractable information must exceed log2 d to count
 MEMBERSHIP_TOL = 1e-9  # state membership, and snapping effect values to 0 and 1
 DISTINGUISH_TOL = 1e-9  # perfect distinguishability in the dimension search
+UNIT_TOL = 1e-9  # a certificate's effects summing to the unit, a state's outcomes to 1
 AXIOM_TOL = 1e-9  # an entropy inequality's allowed violation
 IDENTITY_TOL = 1e-12  # an entropy identity's allowed error
 LN2 = math.log(2.0)
@@ -204,19 +205,20 @@ def _density_spectra(m: np.ndarray) -> np.ndarray:
     """``DensityOperator``'s checks on a stack (n, d, d) of complex matrices,
     and their spectra (n, d).
 
-    The checks run in order: Hermitian, unit trace, then, on the eigenvalues,
-    positive semidefinite. The earliest check that some matrix fails raises
+    The checks run in order, each to ``MEMBERSHIP_TOL``, as ``gpt.check_states``
+    runs them on quantum states: Hermitian, unit trace, then, on the
+    eigenvalues, positive semidefinite. The earliest check that some matrix fails raises
     ValueError. They are written so that NaN fails them.
     """
     skew = np.abs(m - np.swapaxes(m.conj(), 1, 2)).max(axis=(1, 2))
-    if not (skew <= 1e-9).all():
+    if not (skew <= MEMBERSHIP_TOL).all():
         raise ValueError("density operator is not Hermitian")
     trace = np.trace(m, axis1=1, axis2=2).real
-    off_trace = ~(np.abs(trace - 1.0) <= 1e-9)
+    off_trace = ~(np.abs(trace - 1.0) <= MEMBERSHIP_TOL)
     if off_trace.any():
         raise ValueError(f"trace is {trace[off_trace.argmax()]!r}, not 1")
     spectra = np.linalg.eigvalsh(m)
-    if not (spectra.min(axis=1) >= -1e-9).all():
+    if not (spectra.min(axis=1) >= -MEMBERSHIP_TOL).all():
         raise ValueError("density operator has a negative eigenvalue")
     return spectra
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .engine import CorrelatedEnsemble, ObservableAssignment, register_name
+from .engine import CorrelatedEnsemble, ObservableAssignment, _flat_index, register_name
 from .gpt import (
     Polytope,
     Quantum,
@@ -46,7 +46,6 @@ from .info import (
 )
 from .sampling import (
     _complex_gaussian,
-    _density_draws,
     _density_from_draws,
     _dirichlet_ones,
     _haar_from_gaussian,
@@ -85,7 +84,8 @@ def _draw_cq(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
 
 
 def _draw_density(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    return _density_draws(rng, int(rng.integers(2, 9)))
+    eigs, g = _stacked_density_draws(rng, int(rng.integers(2, 9)), 1)
+    return eigs[0], g[0]
 
 
 def _draw_cq_grid(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -312,11 +312,9 @@ class ProofChainLedger:
     def max_identity_error(self) -> float:
         return max(abs(s.lhs - s.rhs) for s in self.steps if s.kind == "identity")
 
-    def all_hold(self, ineq_tol: float = AXIOM_TOL, id_tol: float = IDENTITY_TOL) -> bool:
-        return (
-            self.min_inequality_margin() >= -ineq_tol
-            and self.max_identity_error() <= id_tol
-        )
+    def all_hold(self) -> bool:
+        """Every inequality holds to ``AXIOM_TOL`` and every identity to ``IDENTITY_TOL``."""
+        return self.min_inequality_margin() >= -AXIOM_TOL and self.max_identity_error() <= IDENTITY_TOL
 
     def to_json(self) -> dict:
         return {
@@ -369,12 +367,14 @@ def _register_marginals(
 
     The table sums each entry's ``values`` row into the cell of its values
     on ``registers``. It is laid out over (a,) * n with a the largest of
-    their alphabets; cells past a register's own alphabet stay 0.
+    their alphabets; cells past a register's own alphabet stay 0. A
+    register the ensemble does not have raises ValueError.
     """
+    ensemble.require_registers(registers)
     n, columns = len(registers), values.shape[1]
     alphabet = max(ensemble.register_alphabets[r] for r in registers)
     layout = _ledger_layout(alphabet, n, columns)
-    index = np.ravel_multi_index(ensemble.registers[:, list(registers)].T, (alphabet,) * n)
+    index = _flat_index(ensemble.registers[:, list(registers)], (alphabet,) * n)
     flat = (index[:, None] * columns + np.arange(columns)).ravel()
     table = np.bincount(flat, values.ravel(), minlength=layout.width * columns)
     rows = layout.codes.shape[1]

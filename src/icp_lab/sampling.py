@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
 from .catalog import CatalogEntry
-from .engine import CorrelatedEnsemble, _check_registers, _check_states
+from .engine import CorrelatedEnsemble
 from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
 
 
@@ -55,20 +54,17 @@ def _complex_gaussian(rng: np.random.Generator, dim: int, parts: np.ndarray | No
     return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
-def _density_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one random density matrix, in their fixed order: the
-    Dirichlet eigenvalues, then the complex Gaussian matrix of its basis."""
-    eigs = _dirichlet_ones(rng, dim)
-    return eigs, _complex_gaussian(rng, dim)
-
-
 def _stacked_density_draws(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n calls of ``_density_draws`` in order, stacked: shapes (n, dim) and (n, dim, dim).
+    """The draws of n random density matrices, stacked: their Dirichlet
+    eigenvalues (n, dim) and the complex Gaussian matrices of their bases
+    (n, dim, dim).
 
     Each state's exponentials and then its (2, dim, dim) Gaussian parts are
-    drawn into its rows of two buffers, in the order of the n calls; the
-    Dirichlet normalisation and the complex combination then run once on
-    the whole stack, row by row as each call would.
+    drawn into its rows of two buffers, state after state; the Dirichlet
+    normalisation and the complex combination then run once on the whole
+    stack, row by row. The draws and the generator's state equal those of
+    ``_dirichlet_ones(rng, dim)`` then ``_complex_gaussian(rng, dim)``, state
+    after state.
     """
     exponentials, parts = np.empty((n, dim)), np.empty((n, 2, dim, dim))
     for i in range(n):
@@ -78,7 +74,7 @@ def _stacked_density_draws(rng: np.random.Generator, dim: int, n: int) -> tuple[
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _density_from_draws(*_density_draws(rng, dim))
+    return _density_from_draws(*_stacked_density_draws(rng, dim, 1))[0]
 
 
 def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -87,8 +83,8 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
     The generator is consumed exactly as by n calls of ``random_state``:
     Dirichlet draws with ``size=n`` equal n sequential draws, and quantum
     states keep their per-state order (eigenvalues, then the real and the
-    imaginary Gaussian matrix, as ``_density_draws``) with only the linear
-    algebra stacked.
+    imaginary Gaussian matrix, as ``_stacked_density_draws``) with only the
+    linear algebra stacked.
     """
     v = theory.variant
     if isinstance(v, Polytope):
@@ -102,12 +98,8 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
         rows = []
         for _ in range(n):
             direction = rng.normal(size=v.k)
-            if math.isinf(v.p):
-                norm = np.abs(direction).max()
-            else:
-                norm = float((np.abs(direction) ** v.p).sum()) ** (1.0 / v.p)
             radius = rng.uniform() ** (1.0 / v.k)
-            rows.append(np.append(direction / norm * radius, 1.0))
+            rows.append(np.append(direction / v.norm(direction) * radius, 1.0))
         return np.array(rows)
     if isinstance(v, Quantum):
         return density_to_coords(_density_from_draws(*_stacked_density_draws(rng, v.hilbert_dim, n)))
@@ -122,9 +114,8 @@ def random_state(entry: CatalogEntry, rng: np.random.Generator) -> State:
 @functools.lru_cache(maxsize=32, typed=True)
 def _register_product(n_registers: int, alphabet: int) -> np.ndarray:
     """Every combination of n_registers values in ``range(alphabet)``, in
-    row-major order, read-only; its range is tested here, once."""
+    row-major order, read-only; every ensemble built on it range-tests it."""
     registers = np.array(list(itertools.product(range(alphabet), repeat=n_registers)))
-    _check_registers(registers, (alphabet,) * n_registers)
     registers.setflags(write=False)
     return registers
 
@@ -137,9 +128,9 @@ def random_ensemble(
 ) -> CorrelatedEnsemble:
     """Random correlated ensemble with one entry per register combination.
 
-    Draws the entry probabilities, then all states at once, and checks the
-    states as ``build_ensemble`` does. The register values are the cached
-    product of ``_register_product``, range-tested when built. The draw order
+    Draws the entry probabilities, then all states at once; the ensemble
+    checks its register values (the cached product of ``_register_product``)
+    and its states when built, as every ensemble does. The draw order
     is part of the contract: ``perfbench/reference.json`` replays fixed
     seeds, so a change of order changes every recorded value.
     """
@@ -148,5 +139,4 @@ def random_ensemble(
     registers = _register_product(n_registers, alphabet)
     probs = _dirichlet_ones(rng, len(registers))
     coords = _random_coords(entry.theory, rng, len(registers))
-    _check_states(entry.theory, coords)
     return CorrelatedEnsemble(entry.theory, probs, coords, registers, (alphabet,) * n_registers)

@@ -3,7 +3,7 @@
 Sampling, ``evaluate_icp`` and the derivation ledger build what depends only
 on the register shape, the alphabet or the assignment once and cache it
 read-only. The oracles below are the per-call forms: n sequential density
-draws, the ``ravel_multi_index`` outcome table, the three-call gain kernel
+draws, the ``register_index`` outcome table, the three-call gain kernel
 and the ledger's step assembly with its ``i_*`` helpers. The cached path
 must give their bits.
 """
@@ -26,16 +26,33 @@ def _assignment(entry, labels):
 
 # --- sampling -------------------------------------------------------------------
 
+def density_draws(rng, dim):
+    """One density matrix's draws as two calls: the Dirichlet eigenvalues,
+    then the complex Gaussian matrix of its basis."""
+    eigs = sampling._dirichlet_ones(rng, dim)
+    return eigs, sampling._complex_gaussian(rng, dim)
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_stacked_density_draws_equal_sequential_draws(dim):
     for seed in range(50):
         for n in range(1, 10):
             stacked, sequential = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
             eigs, g = sampling._stacked_density_draws(stacked, dim, n)
-            draws = [sampling._density_draws(sequential, dim) for _ in range(n)]
+            draws = [density_draws(sequential, dim) for _ in range(n)]
             assert eigs.tobytes() == np.array([e for e, _ in draws]).tobytes(), (seed, n)
             assert g.tobytes() == np.array([m for _, m in draws]).tobytes(), (seed, n)
             assert stacked.bit_generator.state == sequential.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_random_density_matrix_equals_its_two_call_draws(dim):
+    for seed in range(20):
+        new, old = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
+        rho = sampling.random_density_matrix(new, dim)
+        assert rho.tobytes() == sampling._density_from_draws(*density_draws(old, dim)).tobytes()
+        assert rho.shape == (dim, dim)
+        assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_register_product_is_cached_read_only_and_in_row_major_order():
@@ -101,13 +118,12 @@ def test_evaluate_icp_equals_the_old_outcome_table_path(case):
 
 @pytest.mark.parametrize("value", [-1, 2])
 def test_joint_outcome_table_rejects_a_register_value_outside_its_alphabet(value):
+    # the ensemble range-tests its register values when built, so no table
+    # is ever taken of a value outside its alphabet
     entry = catalog.classical_bit()
     registers = np.array([[0, 0], [value, 1]])
-    ens = engine.CorrelatedEnsemble(entry.theory, np.array([0.5, 0.5]), np.eye(2), registers, (2, 2))
-    with pytest.raises(ValueError, match="outside alphabet 2"):
-        engine.joint_outcome_table(ens, entry.theory.measurement("X"), 0)
-    # register 1 holds only valid values
-    assert engine.joint_outcome_table(ens, entry.theory.measurement("X"), 1).probs.shape == (2, 2)
+    with pytest.raises(ValueError, match=f"register value {value} outside alphabet 2"):
+        engine.CorrelatedEnsemble(entry.theory, np.array([0.5, 0.5]), np.eye(2), registers, (2, 2))
 
 
 def test_assignment_labels_are_computed_once():

@@ -115,6 +115,24 @@ def _subset_chunks(n, m, chunk=4096):
         yield rows.reshape(-1, m)
 
 
+def _readable_subsets(rows, ones, zeros):
+    """Positions, in ascending order, of the subsets (index rows) that give
+    each member a candidate effect reading 1 on it and 0 on the other members.
+
+    ``ones[i]`` and ``zeros[i]`` are the candidates reading 1 and 0 on vertex
+    i, packed along the candidate axis with ``np.packbits``.
+    """
+    kept = np.arange(len(rows))
+    for p in range(rows.shape[1]):
+        subsets = rows[kept]
+        fits = ones[subsets[:, p]]
+        for q in range(rows.shape[1]):
+            if q != p:
+                fits &= zeros[subsets[:, q]]
+        kept = kept[fits.any(axis=1)]
+    return kept
+
+
 def _chunked_polytope_dimension(theory, budget):
     """The mask search before the pair graph: every m-subset is built and
     screened, chunk by chunk, and the budget is charged a chunk at a time.
@@ -141,7 +159,7 @@ def _chunked_polytope_dimension(theory, budget):
         found = None
         for rows in _subset_chunks(nv, m):
             counted = 0
-            for pos in gpt._readable_subsets(rows, packed_ones, packed_zeros).tolist():
+            for pos in _readable_subsets(rows, packed_ones, packed_zeros).tolist():
                 work += pos + 1 - counted
                 counted = pos + 1
                 if work > budget:

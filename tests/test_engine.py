@@ -234,6 +234,42 @@ def _reference_objective(theory, assignment, family, weights, state_params, equa
 
 
 @pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
+def test_value_gives_the_bits_of_the_per_ensemble_objective(case):
+    """Accepted moves are scored with ``value`` alone, so it must give the
+    bits of the objective taken from an ensemble and its report."""
+    _, make, labels, strategy, max_evals = case[:5]
+    theory, assignment, config = _case(make, labels, strategy, max_evals)
+    family = engine._StateFamily(theory)
+    objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
+    n_combo, sp = len(objective.combos), family.n_params
+    lo, hi = family.bounds
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        weights = rng.random(n_combo)
+        weights[rng.random(n_combo) < 0.3] = 0.0
+        state_params = rng.uniform(lo, hi, size=(n_combo, sp))
+        coords = np.array([family.build(params) for params in state_params])
+        expected = _reference_objective(
+            theory, assignment, family, weights, state_params, config.equal_gain_constraint
+        )
+        assert objective.value(engine._normalized(weights), coords) == expected
+
+
+@pytest.mark.parametrize("index", [0, 4], ids=[OPTIMIZER_CASES[i][0] for i in (0, 4)])
+def test_maximize_extractable_builds_one_ensemble_and_one_report(monkeypatch, index):
+    """Only the winner becomes an ensemble, checked when built, with its report."""
+    _, make, labels, strategy, max_evals, extractable = OPTIMIZER_CASES[index][:6]
+    built, reported = [], []
+    check = CorrelatedEnsemble.__post_init__
+    monkeypatch.setattr(CorrelatedEnsemble, "__post_init__", lambda self: built.append(self) or check(self))
+    evaluate = engine.evaluate_icp
+    monkeypatch.setattr(engine, "evaluate_icp", lambda ens, a: reported.append(ens) or evaluate(ens, a))
+    result = maximize_extractable(*_case(make, labels, strategy, max_evals))
+    assert repr(result.report.extractable) == extractable
+    assert built == reported == [result.ensemble]
+
+
+@pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
 def test_grid_scores_match_the_per_ensemble_objective(case):
     _, make, labels, strategy, max_evals = case[:5]
     theory, assignment, config = _case(make, labels, strategy, max_evals)

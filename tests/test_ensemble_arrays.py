@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from icp_lab import (
+    CorrelatedEnsemble,
     Effect,
     Measurement,
     ObservableAssignment,
@@ -10,6 +11,7 @@ from icp_lab import (
     apply_effect,
     build_ensemble,
     catalog,
+    engine,
     evaluate_icp,
     joint_outcome_table,
     multivariate_mutual_information,
@@ -162,6 +164,52 @@ def test_build_ensemble_reports_the_invalid_state(make, outside):
     with pytest.raises(ValueError) as err:
         build_ensemble(th, [(0.25, s, (i % 2, i // 2)) for i, s in enumerate(states)], (2, 2))
     assert str(err.value) == f"invalid state in ensemble: {ok.detail}"
+
+
+@pytest.mark.parametrize("make, outside", INVALID_STATES)
+def test_an_ensemble_built_from_arrays_checks_itself(make, outside):
+    """The checks and messages of ``build_ensemble``, registers first."""
+    entry = make()
+    th = entry.theory
+    coords = sampling._random_coords(th, np.random.default_rng(5), 4)
+    registers = np.indices((2, 2)).reshape(2, -1).T
+    probs = np.full(4, 0.25)
+    CorrelatedEnsemble(th, probs, coords.copy(), registers.copy(), (2, 2))
+    coords[2] = outside()
+    ok = check_states(th, coords)[1]
+    with pytest.raises(ValueError) as err:
+        CorrelatedEnsemble(th, probs, coords, registers.copy(), (2, 2))
+    assert str(err.value) == f"invalid state in ensemble: {ok.detail}"
+    registers[3, 1] = 2
+    with pytest.raises(ValueError, match="^register value 2 outside alphabet 2$"):
+        CorrelatedEnsemble(th, probs, coords, registers, (2, 2))
+
+
+@pytest.mark.parametrize("make, labels", ORACLE_CASES[:3])
+def test_a_register_outside_the_ensemble_is_rejected(make, labels):
+    """Register -1 and register n_registers: no call reads another register
+    in their place, and every call names the missing one."""
+    entry = make()
+    th = entry.theory
+    ens = sampling.random_ensemble(entry, np.random.default_rng(7))
+    for missing in (-1, ens.n_registers):
+        message = f"^no register {missing} in ensemble$"
+        assignment = ObservableAssignment(((th.measurement(labels[0]), 0), (th.measurement(labels[1]), missing)))
+        with pytest.raises(ValueError, match=message):
+            register_marginal(ens, (missing,))
+        with pytest.raises(ValueError, match=message):
+            register_marginal(ens, (0, missing))
+        with pytest.raises(ValueError, match=message):
+            evaluate_icp(ens, assignment)
+        with pytest.raises(ValueError, match=message):
+            proof_chain_check(ens, assignment)
+
+
+def test_flat_index_is_the_row_major_index():
+    rng = np.random.default_rng(11)
+    for shape in ((1,), (5,), (2, 2), (3, 2, 4), (2, 3, 2, 2, 3)):
+        values = np.stack([rng.integers(0, a, size=50) for a in shape], axis=1)
+        assert engine._flat_index(values, shape).tolist() == np.ravel_multi_index(values.T, shape).tolist()
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from icp_lab import (
     validate_state,
     verify_distinguishable,
 )
-from icp_lab.gpt import check_states, effect_values
+from icp_lab.gpt import NormConstraint, check_states, effect_values
 
 
 def test_apply_effect_snaps_boundary(sbit_entry):
@@ -183,3 +183,18 @@ def test_dimension_cache_is_keyed_by_content():
     assert observed_dimension(impostor, use_cache=False).d == 3
     assert observed_dimension(impostor).d == 3
     assert observed_dimension(catalog.sbit().theory).d == 2
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5, float("inf")])
+@pytest.mark.parametrize("k", [2, 3])
+def test_norm_equals_the_row_and_the_scalar_forms(p, k):
+    """The one p-norm against the row form the membership test took and the
+    scalar form the sampler and the optimizer took, bit for bit."""
+    v = NormConstraint(p, k)
+    rows = np.random.default_rng([k, int(min(p, 9))]).normal(size=(40, k)) * 0.8
+    s = np.abs(rows)
+    row_form = s.max(axis=1) if np.isinf(p) else (s**p).sum(axis=1) ** (1.0 / p)
+    assert v.norm(rows).tobytes() == row_form.tobytes()
+    for row in rows:
+        scalar = np.abs(row).max() if np.isinf(p) else float((np.abs(row) ** p).sum()) ** (1.0 / p)
+        assert float(v.norm(row)).hex() == float(scalar).hex()

@@ -48,6 +48,33 @@ def test_dirichlet_draws_go_through_the_sampling_helper(path):
     assert calls == []
 
 
+def _ravel_multi_index_calls(source: str) -> list[int]:
+    """Lines that call ``ravel_multi_index``, as ``np.ravel_multi_index`` or by name."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None))
+        == "ravel_multi_index"
+    ]
+
+
+def test_ravel_multi_index_check_finds_a_call():
+    source = (
+        "import numpy as np\nfrom numpy import ravel_multi_index\n"
+        "a = np.ravel_multi_index(x.T, shape)\n"
+        "b = ravel_multi_index(x.T, shape)\n"
+        "c = np.unravel_index(i, shape)\n"
+    )
+    assert _ravel_multi_index_calls(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_register_cells_go_through_the_flat_index_helper(path):
+    # engine._flat_index is the one row-major index of register cells
+    assert _ravel_multi_index_calls(path.read_text(encoding="utf-8")) == []
+
+
 def _complex_gaussian_draws(source: str) -> list[str]:
     """Functions that both draw with ``.normal(`` or ``.standard_normal(``
     and multiply by ``1j``."""
