@@ -205,9 +205,9 @@ def _density_spectra(m: np.ndarray) -> np.ndarray:
     """``DensityOperator``'s checks on a stack (n, d, d) of complex matrices,
     and their spectra (n, d).
 
-    The checks run in order, each to ``MEMBERSHIP_TOL``, as ``gpt.check_states``
-    runs them on quantum states: Hermitian, unit trace, then, on the
-    eigenvalues, positive semidefinite. The earliest check that some matrix fails raises
+    The checks run in order, each to ``MEMBERSHIP_TOL`` as in
+    ``gpt.check_states``: Hermitian, unit trace, then, on the eigenvalues,
+    positive semidefinite. The earliest check that some matrix fails raises
     ValueError. They are written so that NaN fails them.
     """
     skew = np.abs(m - np.swapaxes(m.conj(), 1, 2)).max(axis=(1, 2))
