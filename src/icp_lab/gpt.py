@@ -287,18 +287,22 @@ def effect_values(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
 
     Values within ``MEMBERSHIP_TOL`` of 0 or 1 snap to the boundary so that
     exactly distinguishable configurations produce exactly deterministic
-    statistics; a value further outside [0, 1] raises ValueError.
+    statistics; a value further outside [0, 1], or NaN, raises ValueError.
     """
     if effects.shape[1] != states.shape[1]:
         raise ValueError(f"effect dimension {effects.shape[1]} != state dimension {states.shape[1]}")
     vals = effects @ states.T
-    # vals.min() and vals.max() without their wrapper cost
+    # vals.min() and vals.max() without their wrapper cost; both are NaN when
+    # a value is, and the test is written so that NaN fails
     lo, hi = np.minimum.reduce(vals, None), np.maximum.reduce(vals, None)
-    if lo < -MEMBERSHIP_TOL or hi > 1.0 + MEMBERSHIP_TOL:
-        value = float(lo if lo < -MEMBERSHIP_TOL else hi)
+    if not (lo >= -MEMBERSHIP_TOL and hi <= 1.0 + MEMBERSHIP_TOL):
+        value = float(hi if lo >= -MEMBERSHIP_TOL else lo)
         raise ValueError(f"effect value {value!r} outside [0, 1]; invalid effect/state pair")
-    vals[np.abs(vals) <= MEMBERSHIP_TOL] = 0.0
-    vals[np.abs(vals - 1.0) <= MEMBERSHIP_TOL] = 1.0
+    # a snap runs only when some value can meet its condition
+    if not lo > MEMBERSHIP_TOL:
+        vals[np.abs(vals) <= MEMBERSHIP_TOL] = 0.0
+    if not hi < 1.0 - MEMBERSHIP_TOL:
+        vals[np.abs(vals - 1.0) <= MEMBERSHIP_TOL] = 1.0
     return vals
 
 
@@ -318,19 +322,39 @@ class Validation:
         return self.ok
 
 
+def _fails(values: np.ndarray, lo: float | None, hi: float | None) -> np.ndarray:
+    """True where a value lies outside [lo, hi] (None: no bound) or is NaN."""
+    ok = True
+    if lo is not None:
+        ok = values >= lo
+    if hi is not None:
+        ok = ok & (values <= hi)
+    return ~ok
+
+
 def _first_failure(
-    checks: Sequence[tuple[np.ndarray, Callable[[int], str]]], passed: str
+    checks: Sequence[tuple[np.ndarray, float | None, float | None, Callable[[int], str]]], passed: str
 ) -> tuple[int, Validation]:
     """First failing row of per-row checks, given in the order a row is tested.
 
-    Each check is a boolean row mask (True = fails) and the detail message of
-    a failing row.
+    Each check is an array of values, one row per state (a row may hold
+    several values), the bounds ``lo`` and ``hi`` every value must meet
+    (None: no bound) and the detail message of a failing row. A NaN value
+    fails. The whole stack is tested first, one minimum or maximum per bound;
+    only a stack that fails is scanned row by row.
     """
-    failing = np.logical_or.reduce([mask for mask, _ in checks])
-    if not failing.any():
+    for values, lo, hi, _ in checks:
+        # written so that NaN fails: every comparison with NaN is false
+        if values.size and not (
+            (lo is None or np.minimum.reduce(values, None) >= lo)
+            and (hi is None or np.maximum.reduce(values, None) <= hi)
+        ):
+            break
+    else:
         return -1, Validation(True, passed)
-    i = int(failing.argmax())
-    return i, Validation(False, next(detail(i) for mask, detail in checks if mask[i]))
+    failing = [_fails(values, lo, hi).reshape(len(values), -1).any(axis=1) for values, lo, hi, _ in checks]
+    i = int(np.logical_or.reduce(failing).argmax())
+    return i, Validation(False, next(check[-1](i) for row, check in zip(failing, checks) if row[i]))
 
 
 def check_states(theory: Theory, coords: np.ndarray) -> tuple[int, Validation]:
@@ -343,10 +367,11 @@ def check_states(theory: Theory, coords: np.ndarray) -> tuple[int, Validation]:
     v = theory.variant
     if coords.shape[1] != ambient_dimension(theory):
         return 0, Validation(False, "ambient dimension mismatch")
-    # every row is first tested for finite coordinates, because every
-    # comparison with NaN is false and would let the tests below pass
-    finite = np.isfinite(coords).all(axis=1)
-    nonfinite = (~finite, lambda i: "state coordinate is not finite")
+    # every row is first tested for finite coordinates, because NaN and
+    # infinite values would make the details below meaningless
+    finite = np.isfinite(coords)
+    nonfinite = (finite, True, None, lambda i: "state coordinate is not finite")
+    tol = MEMBERSHIP_TOL
     if isinstance(v, Polytope):
         # dual feasibility: every extreme effect (and the unit) must stay in
         # [0, 1]. For the catalog polytopes the extreme effects cut out the
@@ -356,17 +381,16 @@ def check_states(theory: Theory, coords: np.ndarray) -> tuple[int, Validation]:
         # einsum forms each row on its own, so a row's values (and the detail
         # below) do not depend on the other rows
         vals = np.einsum("ij,kj->ik", coords, v.bounding_matrix)
-        outside = (vals < -MEMBERSHIP_TOL) | (vals > 1.0 + MEMBERSHIP_TOL)
 
         def effect_detail(i: int) -> str:
-            j = int(outside[i].argmax())
+            j = int(_fails(vals[i], -tol, 1.0 + tol).argmax())
             return f"effect {bounding[j].label or '?'} evaluates to {float(vals[i, j])!r}"
 
         return _first_failure(
             [
                 nonfinite,
-                (outside.any(axis=1), effect_detail),
-                (np.abs(vals[:, -1] - 1.0) > MEMBERSHIP_TOL,
+                (vals, -tol, 1.0 + tol, effect_detail),
+                (np.abs(vals[:, -1] - 1.0), None, tol,
                  lambda i: f"unit effect evaluates to {float(vals[i, -1])!r}, not 1"),
             ],
             "inside all supporting halfspaces",
@@ -376,8 +400,8 @@ def check_states(theory: Theory, coords: np.ndarray) -> tuple[int, Validation]:
         return _first_failure(
             [
                 nonfinite,
-                (np.abs(coords[:, -1] - 1.0) > MEMBERSHIP_TOL, lambda i: "normalization coordinate is not 1"),
-                (norm > 1.0 + MEMBERSHIP_TOL, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
+                (np.abs(coords[:, -1] - 1.0), None, tol, lambda i: "normalization coordinate is not 1"),
+                (norm, None, 1.0 + tol, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
             ],
             f"p-norm {float(norm.max())!r}",
         )
@@ -386,24 +410,24 @@ def check_states(theory: Theory, coords: np.ndarray) -> tuple[int, Validation]:
         return _first_failure(
             [
                 nonfinite,
-                (coords.min(axis=1) < -MEMBERSHIP_TOL, lambda i: "negative internal weight"),
-                (np.abs(total - 1.0) > MEMBERSHIP_TOL, lambda i: f"weights sum to {float(total[i])!r}"),
+                (coords, -tol, None, lambda i: "negative internal weight"),
+                (np.abs(total - 1.0), None, tol, lambda i: f"weights sum to {float(total[i])!r}"),
             ],
             "internal simplex point",
         )
-    # a non-finite row is set to 0 so that eigvalsh sees finite input only
-    m = coords_to_density(np.where(finite[:, None], coords, 0.0), v.hilbert_dim)
+    # non-finite entries are set to 0 so that eigvalsh sees finite input
+    # only; their rows fail the first check whatever the later ones find
+    m = coords_to_density(np.where(finite, coords, 0.0), v.hilbert_dim)
     trace = np.trace(m, axis1=1, axis2=2).real
-    least = np.linalg.eigvalsh(m).min(axis=1)
+    eigs = np.linalg.eigvalsh(m)
     return _first_failure(
         [
             nonfinite,
-            (np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > MEMBERSHIP_TOL,
-             lambda i: "density matrix is not Hermitian"),
-            (np.abs(trace - 1.0) > MEMBERSHIP_TOL, lambda i: f"trace is {float(trace[i])!r}"),
-            (least < -MEMBERSHIP_TOL, lambda i: f"negative eigenvalue {float(least[i])!r}"),
+            (np.abs(m - m.conj().transpose(0, 2, 1)), None, tol, lambda i: "density matrix is not Hermitian"),
+            (np.abs(trace - 1.0), None, tol, lambda i: f"trace is {float(trace[i])!r}"),
+            (eigs, -tol, None, lambda i: f"negative eigenvalue {float(eigs[i].min())!r}"),
         ],
-        f"least eigenvalue {float(least.min())!r}",
+        f"least eigenvalue {float(eigs.min())!r}",
     )
 
 

@@ -51,6 +51,19 @@ def test_effect_values_names_the_value_out_of_range():
     assert vals.tolist() == [[1.0], [0.0]]
 
 
+def test_effect_values_rejects_nan():
+    # min and max are NaN once one value is, and every comparison with NaN is
+    # false, so a test written as "lo < -tol or hi > 1 + tol" let this stack
+    # through as [[nan, 2.5], [nan, 3.5]]
+    effects = np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 1.0]])
+    states = np.array([[np.nan, np.nan, np.nan], [5.0, 0.0, 1.0]])
+    message = "effect value {} outside [0, 1]; invalid effect/state pair"
+    with pytest.raises(ValueError, match=re.escape(message.format("nan"))):
+        effect_values(effects, states)
+    with pytest.raises(ValueError, match=re.escape(message.format(3.5))):
+        effect_values(effects, states[1:])
+
+
 def test_apply_effect_rejects_dimension_mismatch(sbit_entry, qubit_entry):
     s = catalog.sbit_state(0.0, 0.0)
     e = qubit_entry.theory.measurement("Z").effects[0]
