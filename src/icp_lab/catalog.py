@@ -34,6 +34,7 @@ from .gpt import (
     RestrictedClassical,
     State,
     Theory,
+    bloch_coords,
     density_to_coords,
     validate_measurement,
     validate_state,
@@ -154,7 +155,8 @@ def sbit() -> CatalogEntry:
 
 def sbit_state(sx: float, sz: float, entry: CatalogEntry | None = None) -> State:
     """Square-model state with mean values (s_x, s_z); corners at (+-1, +-1)."""
-    if max(abs(sx), abs(sz)) > 1.0 + 1e-12:
+    # written so that NaN fails: every comparison with NaN is false
+    if not (-1.0 - 1e-12 <= sx <= 1.0 + 1e-12 and -1.0 - 1e-12 <= sz <= 1.0 + 1e-12):
         raise ValueError("square-model mean values must lie in [-1, 1]")
     r = 1.0 / math.sqrt(math.cos(math.pi / 4.0))
     tid = entry.entry_id if entry is not None else "sbit"
@@ -232,11 +234,11 @@ def qubit_z_rotated(theta: float) -> Measurement:
 
 
 def qubit_state_from_bloch(bx: float, by: float, bz: float) -> State:
-    b = np.array([bx, by, bz])
-    if np.linalg.norm(b) > 1.0 + 1e-12:
+    b = np.array([bx, by, bz], dtype=float)
+    # written so that NaN fails: every comparison with NaN is false
+    if not np.linalg.norm(b) <= 1.0 + 1e-12:
         raise ValueError("Bloch vector lies outside the unit ball")
-    rho = (np.eye(2) + bx * _SIGMA_X + by * _SIGMA_Y + bz * _SIGMA_Z) / 2.0
-    return State(density_to_coords(rho), "qubit")
+    return State(bloch_coords(b), "qubit")
 
 
 _PGNST_AXES = ("X", "Y", "Z")
@@ -255,9 +257,7 @@ def pgnst(p: float, k: int = 2) -> CatalogEntry:
     in fiducial coordinates (a gbit for k = 3).
     """
     tid = pgnst_id(p, k)
-    names = _PGNST_AXES[:k] if k < 3 else _PGNST_AXES
-    if k == 2:
-        names = ("X", "Z")
+    names = ("X", "Z") if k == 2 else _PGNST_AXES[:k]
     measurements = {}
     for axis, name in enumerate(names):
         plus = np.zeros(k + 1)

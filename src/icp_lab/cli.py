@@ -8,6 +8,7 @@ same seed produce byte-identical output. Exit codes: 0 success, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -18,6 +19,8 @@ from pathlib import Path
 from . import __version__
 from .catalog import list_catalog, pgnst, polygon, qubit_z_rotated
 from .constructions import (
+    CompositeGbitRecord,
+    MismatchRecord,
     classical_bit_analysis,
     composite_gbit_extractable,
     hbit_violation,
@@ -27,8 +30,9 @@ from .constructions import (
     qubit_rac_construction,
     sbit_violation,
 )
-from .engine import REPORT_CSV_FIELDS, ObservableAssignment, evaluate_icp, qubit_rotation_sweep
+from .engine import REPORT_CSV_FIELDS, ObservableAssignment, SweepPoint, evaluate_icp, qubit_rotation_sweep
 from .gpt import ambient_dimension, observed_dimension, state_space_dimension
+from .info import AxiomReport
 from .proofs import axiom_suite
 from .serialize import (
     RunManifest,
@@ -145,6 +149,11 @@ def cmd_demo(args) -> int:
     )
 
 
+def _field_names(record_type) -> tuple[str, ...]:
+    """A record's CSV columns: its dataclass fields, in ``to_json``'s order."""
+    return tuple(f.name for f in dataclasses.fields(record_type))
+
+
 def _scan_rows(args):
     target = args.target
     if target == "pgnst":
@@ -197,34 +206,21 @@ def _scan_rows(args):
             )
         return fields, rows
     if target == "composite":
-        fields = ("n", "p_rec", "encoded_bits", "extractable", "bound", "violated")
         rows = [composite_gbit_extractable(n).to_json() for n in args.n or _int_range("1:8")]
-        return fields, rows
+        return _field_names(CompositeGbitRecord), rows
     if target == "mismatch":
-        fields = ("n", "measurement_dimension", "information_dimension", "mismatch")
         rows = [polygon_mismatch(n).to_json() for n in args.n or _int_range("4:13")]
-        return fields, rows
+        return _field_names(MismatchRecord), rows
     if target == "axioms":
-        fields = ("axiom", "entropy_kind", "trials", "max_violation", "passed")
         kinds = ("shannon", "von-neumann") if args.entropy == "both" else (args.entropy,)
         rows = []
         for kind in kinds:
             rows += [r.to_json() for r in axiom_suite(kind, args.trials, args.seed)]
-        return fields, rows
+        return _field_names(AxiomReport), rows
     # sweep
-    fields = ("theta", "gains_sum", "redundancy", "extractable")
     step = (math.pi / 2.0) / (args.points - 1) if args.points > 1 else 1.0
     grid = [i * step for i in range(args.points)]
-    rows = [
-        {
-            "theta": pt.theta,
-            "gains_sum": pt.gains_sum,
-            "redundancy": pt.redundancy,
-            "extractable": pt.extractable,
-        }
-        for pt in qubit_rotation_sweep(grid)
-    ]
-    return fields, rows
+    return _field_names(SweepPoint), [dataclasses.asdict(pt) for pt in qubit_rotation_sweep(grid)]
 
 
 def cmd_scan(args) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -323,16 +323,17 @@ def pgnst_bound_check(
     s_x -> 1; the ledger also records whether the rhs/lhs ratio grows
     monotonically toward the corner. At s_x = 1 both sides vanish.
     """
-    if epsilon <= 0.0:
+    # written so that NaN fails: every comparison with NaN is false
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    if (1.0 + epsilon) * p <= 2.0:
+    if not (1.0 + epsilon) * p > 2.0:
         raise ValueError(f"need (1+epsilon)*p > 2, got p={p!r}, epsilon={epsilon!r}")
     if s_x_grid is None:
         u = np.logspace(-8, -2, 200)[::-1]  # ascending s_x
         s_x_grid = 1.0 - u
     else:
         s_x_grid = np.asarray(s_x_grid, dtype=float)
-        if np.any(s_x_grid < 0.0) or np.any(s_x_grid > 1.0):
+        if not ((s_x_grid >= 0.0) & (s_x_grid <= 1.0)).all():
             raise ValueError("s_x values must lie in [0, 1]")
         u = 1.0 - s_x_grid
     with np.errstate(divide="ignore"):
@@ -353,7 +354,7 @@ def pgnst_bound_check(
 
 def rac_recovery_halfpower(p: float) -> float:
     """Recovery probability (1/2)^(1/p) for the two-bit code on one system."""
-    if p < 2.0:
+    if not p >= 2.0:
         raise ValueError(f"need p >= 2, got {p!r}")
     return 0.5 ** (1.0 / p)
 
@@ -365,7 +366,7 @@ def rac_recovery_optimized(p: float) -> float:
     p = 2, where it reproduces the qubit code's success rate); the two
     coincide in the p -> infinity corner, where both reach 1.
     """
-    if p < 2.0:
+    if not p >= 2.0:
         raise ValueError(f"need p >= 2, got {p!r}")
     return (1.0 + 0.5 ** (1.0 / p)) / 2.0
 
@@ -474,12 +475,7 @@ class MismatchRecord:
     mismatch: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "measurement_dimension": self.measurement_dimension,
-            "information_dimension": self.information_dimension,
-            "mismatch": self.mismatch,
-        }
+        return asdict(self)
 
 
 def polygon_mismatch(n: int) -> MismatchRecord:
@@ -514,14 +510,7 @@ class CompositeGbitRecord:
     violated: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p_rec": self.p_rec,
-            "encoded_bits": self.encoded_bits,
-            "extractable": self.extractable,
-            "bound": self.bound,
-            "violated": self.violated,
-        }
+        return asdict(self)
 
 
 def composite_gbit_extractable(n: int) -> CompositeGbitRecord:

@@ -31,9 +31,9 @@ from .gpt import (
     RestrictedClassical,
     State,
     Theory,
+    bloch_coords,
     check_states,
     coords_to_density,
-    density_to_coords,
     effect_values,
     observed_dimension,
 )
@@ -46,8 +46,8 @@ def register_name(index: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleEntry:
-    """One (probability, state, register values) entry of an ensemble; a
-    probability below -PROB_TOL is rejected."""
+    """One (probability, state, register values) entry of an ensemble; the
+    ensemble checks the probability."""
 
     probability: float
     state: State
@@ -55,8 +55,34 @@ class EnsembleEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "registers", tuple(int(r) for r in self.registers))
-        if self.probability < -info.PROB_TOL:
-            raise ValueError(f"negative entry probability {self.probability!r}")
+
+
+def _checked_probs(probs: np.ndarray) -> np.ndarray:
+    """``probs`` (E,) with float-noise negatives set to 0, if every entry is
+    finite and at least -PROB_TOL and the sum lies within PROB_TOL max(1, E)
+    of 1; else ValueError naming the first entry at fault, or the sum. A
+    passing array costs one sum, left to right, and one minimum."""
+    values = probs.tolist()
+    total = sum(values)
+    # written so that NaN fails: a NaN or infinite entry makes the sum NaN or
+    # infinite, and every comparison with NaN is false
+    if abs(total - 1.0) <= info.PROB_TOL * max(1, len(values)):
+        lo = min(values)
+        if lo >= -info.PROB_TOL:
+            # max(p, 0.0) entry by entry: -0.0 is kept
+            return np.where(probs < 0.0, 0.0, probs) if lo < 0.0 else probs
+    for i, p in enumerate(values):
+        if not (math.isfinite(p) and p >= -info.PROB_TOL):
+            raise ValueError(f"entry {i}: probability {p!r} is negative or not finite")
+    raise ValueError(f"entry probabilities sum to {total!r}")
+
+
+def _require_registers(registers: Iterable[int], n_registers: int) -> None:
+    """Raise ValueError for the first of ``registers`` outside range(n_registers):
+    the one register-position check."""
+    for r in registers:
+        if not 0 <= r < n_registers:
+            raise ValueError(f"no register {r} in ensemble")
 
 
 def _check_registers(registers: np.ndarray, register_alphabets: tuple[int, ...]) -> None:
@@ -92,8 +118,10 @@ class CorrelatedEnsemble:
     and register values ``registers`` (E, R), all read-only.
 
     Every ensemble checks itself when built, however it is built: first that
-    each register value lies in its alphabet, then that each state lies in
-    the theory's state space. An error reports the first entry at fault.
+    its probabilities form a distribution, then that each register value lies
+    in its alphabet, then that each state lies in the theory's state space.
+    An error reports the first entry at fault. Entries within PROB_TOL below
+    0 are float noise and are held as 0.
     """
 
     theory: Theory
@@ -103,6 +131,7 @@ class CorrelatedEnsemble:
     register_alphabets: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "probs", _checked_probs(self.probs))
         _check_registers(self.registers, self.register_alphabets)
         _, ok = check_states(self.theory, self.coords)
         if not ok:
@@ -123,17 +152,10 @@ class CorrelatedEnsemble:
     def n_registers(self) -> int:
         return len(self.register_alphabets)
 
-    def require_registers(self, registers: Iterable[int]) -> None:
-        """Raise ValueError for the first of ``registers`` the ensemble does
-        not have: every call that reads registers by index checks them here."""
-        for r in registers:
-            if not 0 <= r < self.n_registers:
-                raise ValueError(f"no register {r} in ensemble")
-
     def register_index(self, registers: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
         """Each entry's values on ``registers`` as one row-major flat index,
         and the shape of the joint alphabet they index."""
-        self.require_registers(registers)
+        _require_registers(registers, self.n_registers)
         shape = tuple(self.register_alphabets[r] for r in registers)
         return _flat_index(self.registers[:, list(registers)], shape), shape
 
@@ -145,8 +167,8 @@ def build_ensemble(
 ) -> CorrelatedEnsemble:
     """Stack entries into an ensemble; alphabets default to max value + 1.
 
-    The entries' count, finiteness and probability sum are checked here;
-    the ensemble then checks its register values and states when built.
+    The entries' count and register counts are checked here; the ensemble
+    then checks its probabilities, register values and states when built.
     """
     norm_entries = []
     for item in entries:
@@ -163,12 +185,6 @@ def build_ensemble(
     n_regs = counts.pop()
     if n_regs == 0:
         raise ValueError("entries need at least one register")
-    for i, e in enumerate(norm_entries):
-        if not (math.isfinite(e.probability) and np.isfinite(e.state.coords).all()):
-            raise ValueError(f"entry {i}: probability or state coordinate is not finite")
-    total = sum(e.probability for e in norm_entries)
-    if abs(total - 1.0) > info.PROB_TOL * max(1, len(norm_entries)):
-        raise ValueError(f"entry probabilities sum to {total!r}")
     if register_alphabets is None:
         register_alphabets = tuple(
             max(e.registers[i] for e in norm_entries) + 1 for i in range(n_regs)
@@ -180,7 +196,7 @@ def build_ensemble(
         coords = np.array([e.state.coords for e in norm_entries])
     except ValueError as exc:  # ragged rows
         raise ValueError("ensemble states differ in dimension") from exc
-    probs = np.array([max(e.probability, 0.0) for e in norm_entries])
+    probs = np.array([e.probability for e in norm_entries], dtype=float)
     registers = np.array([e.registers for e in norm_entries], dtype=int)
     return CorrelatedEnsemble(theory, probs, coords, registers, register_alphabets)
 
@@ -233,7 +249,7 @@ def joint_outcome_table(
     distribution, so a measurement whose effects do not sum to the unit
     raises ValueError too.
     """
-    ensemble.require_registers((register,))
+    _require_registers((register,), ensemble.n_registers)
     values = effect_values(measurement.effect_matrix, ensemble.coords)
     one_hot = _one_hot_rows(ensemble.register_alphabets[register])[ensemble.registers[:, register]]
     table = (values * ensemble.probs) @ one_hot
@@ -402,16 +418,7 @@ class _StateFamily:
             return np.append(s, 1.0)
         b = np.asarray(params, dtype=float)
         norm = np.linalg.norm(b)
-        if norm > 1.0:
-            b = b / norm
-        rho = np.array(
-            [
-                [1.0 + b[2], b[0] - 1j * b[1]],
-                [b[0] + 1j * b[1], 1.0 - b[2]],
-            ],
-            dtype=complex,
-        ) / 2.0
-        return density_to_coords(rho)
+        return bloch_coords(b / norm if norm > 1.0 else b)
 
     def seed_states(self, assignment: ObservableAssignment) -> list[np.ndarray]:
         """Parameter vectors of extremal states worth trying on a grid."""
@@ -495,11 +502,10 @@ class _SearchObjective:
         self.assignment = assignment
         self.alphabets = tuple(len(m.effects) for m, _ in assignment.pairs)
         self.combos = np.array(list(itertools.product(*[range(a) for a in self.alphabets])))
-        self.pairs = []
-        for m, reg in assignment.pairs:
-            if not 0 <= reg < len(self.alphabets):
-                raise ValueError(f"no register {reg} in ensemble")
-            self.pairs.append((m.effect_matrix, np.eye(self.alphabets[reg])[self.combos[:, reg]]))
+        _require_registers(assignment.registers, len(self.alphabets))
+        self.pairs = [
+            (m.effect_matrix, np.eye(self.alphabets[reg])[self.combos[:, reg]]) for m, reg in assignment.pairs
+        ]
         self.penalized = equal_gain and len(self.pairs) > 1
 
     def _marginal(self, w: np.ndarray) -> np.ndarray:

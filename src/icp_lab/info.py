@@ -7,8 +7,8 @@ multivariate generalization are computed directly from marginal entropies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,82 @@ def _as_prob_array(p) -> np.ndarray:
     if not abs(total - 1.0) <= max(PROB_TOL, 1e-9 * arr.size):
         raise ValueError(f"distribution sums to {total!r}, not 1")
     return arr
+
+
+@dataclass(frozen=True)
+class Validation:
+    """A check's verdict and its detail; true when it passed."""
+
+    ok: bool
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _fails(values: np.ndarray, lo: float | None, hi: float | None) -> np.ndarray:
+    """True where a value lies outside [lo, hi] (None: no bound) or is NaN."""
+    ok = True
+    if lo is not None:
+        ok = values >= lo
+    if hi is not None:
+        ok = ok & (values <= hi)
+    return ~ok
+
+
+def _first_failure(
+    checks: Sequence[tuple[np.ndarray, float | None, float | None, Callable[[int], str]]], passed: str
+) -> tuple[int, Validation]:
+    """First failing row of per-row checks, given in the order a row is tested.
+
+    Each check is an array of values, one row per state (a row may hold
+    several values), the bounds ``lo`` and ``hi`` every value must meet
+    (None: no bound) and the detail message of a failing row. A NaN value
+    fails. The whole stack is tested first, one minimum or maximum per bound;
+    only a stack that fails is scanned row by row.
+    """
+    for values, lo, hi, _ in checks:
+        # written so that NaN fails: every comparison with NaN is false
+        if values.size and not (
+            (lo is None or np.minimum.reduce(values, None) >= lo)
+            and (hi is None or np.maximum.reduce(values, None) <= hi)
+        ):
+            break
+    else:
+        return -1, Validation(True, passed)
+    failing = [_fails(values, lo, hi).reshape(len(values), -1).any(axis=1) for values, lo, hi, _ in checks]
+    i = int(np.logical_or.reduce(failing).argmax())
+    return i, Validation(False, next(check[-1](i) for row, check in zip(failing, checks) if row[i]))
+
+
+def _finite(values: np.ndarray) -> tuple:
+    """Every state check's first condition, in ``_first_failure`` form: finite
+    entries, without which the later details would mean nothing."""
+    return (np.isfinite(values), True, None, lambda i: "state coordinate is not finite")
+
+
+def _density_check(m: np.ndarray) -> tuple[int, Validation, np.ndarray]:
+    """The one quantum-state check, on a stack (n, d, d) of complex matrices:
+    finite entries, Hermitian, unit trace, least eigenvalue >= -MEMBERSHIP_TOL,
+    in that order and each to ``MEMBERSHIP_TOL``. Returns ``_first_failure``'s
+    row and verdict, and the spectra (n, d). Non-finite entries are set to 0
+    so that eigvalsh sees finite input only; their rows fail the first test.
+    """
+    finite = _finite(m)
+    m = np.where(finite[0], m, 0.0)
+    trace = np.trace(m, axis1=1, axis2=2).real
+    eigs = np.linalg.eigvalsh(m)
+    tol = MEMBERSHIP_TOL
+    i, verdict = _first_failure(
+        [
+            finite,
+            (np.abs(m - m.conj().transpose(0, 2, 1)), None, tol, lambda i: "density matrix is not Hermitian"),
+            (np.abs(trace - 1.0), None, tol, lambda i: f"trace is {float(trace[i])!r}"),
+            (eigs, -tol, None, lambda i: f"negative eigenvalue {float(eigs[i].min())!r}"),
+        ],
+        f"least eigenvalue {float(np.minimum.reduce(eigs, None, initial=np.inf))!r}",
+    )
+    return i, verdict, eigs
 
 
 def _is_distribution(p: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -201,32 +277,12 @@ def multivariate_mutual_information(table: JointTable, names: Sequence[str] | No
     return sum(table.entropy([n]) for n in names) - table.entropy(names)
 
 
-def _density_spectra(m: np.ndarray) -> np.ndarray:
-    """``DensityOperator``'s checks on a stack (n, d, d) of complex matrices,
-    and their spectra (n, d).
-
-    The checks run in order, each to ``MEMBERSHIP_TOL`` as in
-    ``gpt.check_states``: Hermitian, unit trace, then, on the eigenvalues,
-    positive semidefinite. The earliest check that some matrix fails raises
-    ValueError. They are written so that NaN fails them.
-    """
-    skew = np.abs(m - np.swapaxes(m.conj(), 1, 2)).max(axis=(1, 2))
-    if not (skew <= MEMBERSHIP_TOL).all():
-        raise ValueError("density operator is not Hermitian")
-    trace = np.trace(m, axis1=1, axis2=2).real
-    off_trace = ~(np.abs(trace - 1.0) <= MEMBERSHIP_TOL)
-    if off_trace.any():
-        raise ValueError(f"trace is {trace[off_trace.argmax()]!r}, not 1")
-    spectra = np.linalg.eigvalsh(m)
-    if not (spectra.min(axis=1) >= -MEMBERSHIP_TOL).all():
-        raise ValueError("density operator has a negative eigenvalue")
-    return spectra
-
-
 def _von_neumann_rows(m: np.ndarray) -> np.ndarray:
     """``von_neumann_entropy`` of every matrix of a stack (..., d, d), bit for bit."""
-    flat = m.reshape(-1, *m.shape[-2:])
-    return _plogp_bits_rows(_density_spectra(flat)).reshape(m.shape[:-2])
+    _, ok, spectra = _density_check(m.reshape(-1, *m.shape[-2:]))
+    if not ok:
+        raise ValueError(ok.detail)
+    return _plogp_bits_rows(spectra).reshape(m.shape[:-2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +297,10 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density operator must be square")
-        spectrum = _density_spectra(m[None])[0]
+        _, ok, spectra = _density_check(m[None])
+        if not ok:
+            raise ValueError(ok.detail)
+        spectrum = spectra[0]
         m = np.array(m)
         m.setflags(write=False)
         spectrum.setflags(write=False)
@@ -270,10 +329,4 @@ class AxiomReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "entropy_kind": self.entropy_kind,
-            "trials": self.trials,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-        }
+        return asdict(self)

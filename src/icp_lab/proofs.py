@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .engine import CorrelatedEnsemble, ObservableAssignment, _flat_index, register_name
+from .engine import CorrelatedEnsemble, ObservableAssignment, _flat_index, _require_registers, register_name
 from .gpt import (
     Polytope,
     Quantum,
@@ -370,7 +370,7 @@ def _register_marginals(
     their alphabets; cells past a register's own alphabet stay 0. A
     register the ensemble does not have raises ValueError.
     """
-    ensemble.require_registers(registers)
+    _require_registers(registers, ensemble.n_registers)
     n, columns = len(registers), values.shape[1]
     alphabet = max(ensemble.register_alphabets[r] for r in registers)
     layout = _ledger_layout(alphabet, n, columns)

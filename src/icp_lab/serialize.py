@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,13 +33,7 @@ class RunManifest:
     timestamp: str
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": dict(self.parameters),
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
 
 def jsonable(value):

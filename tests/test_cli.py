@@ -152,6 +152,27 @@ def test_scan_sweep(capsys):
     assert rows[-1]["extractable"] == pytest.approx(0.7982479266142879, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "args, header",
+    [
+        (("pgnst", "--p", "3:3"), "p,s_x,s_z,entropy_min,extractable,bound,margin,violated"),
+        (
+            ("polygon", "--n", "5:5"),
+            "n,cond_00,cond_11,gain_x,gain_z,extractable,bound,margin,violated,crosscheck_max_abs_diff",
+        ),
+        (("composite", "--n", "1:1"), "n,p_rec,encoded_bits,extractable,bound,violated"),
+        (("mismatch", "--n", "4:4"), "n,measurement_dimension,information_dimension,mismatch"),
+        (("axioms", "--trials", "5", "--entropy", "shannon"), "axiom,entropy_kind,trials,max_violation,passed"),
+        (("sweep", "--points", "2"), "theta,gains_sum,redundancy,extractable"),
+    ],
+    ids=["pgnst", "polygon", "composite", "mismatch", "axioms", "sweep"],
+)
+def test_scan_csv_columns(capsys, args, header):
+    code, out, err = run_cli(capsys, "scan", *args, "--format", "csv", "--timestamp", STAMP)
+    assert code == 0, err
+    assert [l for l in out.splitlines() if not l.startswith("# ")][0] == header
+
+
 def test_scan_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "scan", "polygon", "--n", "6:2")
     assert code == 2
@@ -280,11 +301,14 @@ def test_version_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "entries, coordinate",
-    [((0, 1, 2, 3), None), ((2,), 1)],
+    "entries, coordinate, message",
+    [
+        ((0, 1, 2, 3), None, "entry 0: probability nan is negative or not finite"),
+        ((2,), 1, "invalid state in ensemble: state coordinate is not finite"),
+    ],
     ids=["every-p-nan", "one-coordinate-nan"],
 )
-def test_eval_rejects_non_finite_ensembles(tmp_path, capsys, entries, coordinate):
+def test_eval_rejects_non_finite_ensembles(tmp_path, capsys, entries, coordinate, message):
     path = _demo_file(tmp_path, capsys)
     doc = json.loads(path.read_text(encoding="utf-8"))
     for i in entries:
@@ -297,7 +321,7 @@ def test_eval_rejects_non_finite_ensembles(tmp_path, capsys, entries, coordinate
     code, out, err = run_cli(capsys, "eval", "--ensemble", str(path))
     assert code == 2
     assert out == ""
-    assert f"entry {entries[0]}: probability or state coordinate is not finite" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(

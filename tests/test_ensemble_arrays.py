@@ -7,6 +7,7 @@ from icp_lab import (
     Effect,
     Measurement,
     ObservableAssignment,
+    OptimizerConfig,
     State,
     apply_effect,
     build_ensemble,
@@ -14,6 +15,7 @@ from icp_lab import (
     engine,
     evaluate_icp,
     joint_outcome_table,
+    maximize_extractable,
     multivariate_mutual_information,
     mutual_information,
     proof_chain_check,
@@ -166,9 +168,20 @@ def test_build_ensemble_reports_the_invalid_state(make, outside):
     assert str(err.value) == f"invalid state in ensemble: {ok.detail}"
 
 
+NOT_DISTRIBUTIONS = {
+    "sum-1.6": ([0.7, 0.7, 0.1, 0.1], "^entry probabilities sum to 1.6$"),
+    "nan": ([0.5, np.nan, 0.25, 0.25], "^entry 1: probability nan is negative or not finite$"),
+    "negative": ([0.75, 0.75, -0.5, 0.0], "^entry 2: probability -0.5 is negative or not finite$"),
+    "infinite": ([0.5, np.inf, -np.inf, 0.5], "^entry 1: probability inf is negative or not finite$"),
+    "empty": ([], "^entry probabilities sum to 0$"),
+}
+
+
 @pytest.mark.parametrize("make, outside", INVALID_STATES)
 def test_an_ensemble_built_from_arrays_checks_itself(make, outside):
-    """The checks and messages of ``build_ensemble``, registers first."""
+    """The checks and messages of ``build_ensemble``: probabilities first,
+    then registers, then states. Probabilities that are no distribution
+    raise before any report or ledger can be taken of them."""
     entry = make()
     th = entry.theory
     coords = sampling._random_coords(th, np.random.default_rng(5), 4)
@@ -183,6 +196,25 @@ def test_an_ensemble_built_from_arrays_checks_itself(make, outside):
     registers[3, 1] = 2
     with pytest.raises(ValueError, match="^register value 2 outside alphabet 2$"):
         CorrelatedEnsemble(th, probs, coords, registers, (2, 2))
+    for bad, message in NOT_DISTRIBUTIONS.values():
+        with pytest.raises(ValueError, match=message):
+            CorrelatedEnsemble(th, np.array(bad, dtype=float), coords, registers, (2, 2))
+
+
+def test_float_noise_probabilities_are_held_as_zero_and_the_sum_sees_them():
+    th = catalog.classical_bit().theory
+    coords, registers = np.eye(2), np.array([[0], [1]])
+    ens = CorrelatedEnsemble(th, np.array([1.0 - 1e-13, -1e-13]), coords, registers, (2,))
+    assert ens.probs.tolist() == [1.0 - 1e-13, 0.0]
+    ens = CorrelatedEnsemble(th, np.array([1.0, -0.0]), coords, registers, (2,))
+    assert repr(ens.probs[1]) == repr(np.float64(-0.0))
+    # the sum is taken before the clip: |1 - 2.5e-12 - 1| > PROB_TOL * 2
+    # rejects, where the clipped sum 1 - 1.5e-12 would pass
+    with pytest.raises(ValueError, match="^entry probabilities sum to"):
+        CorrelatedEnsemble(th, np.array([1.0 - 1.5e-12, -1e-12]), coords, registers, (2,))
+    s = State(coords[0], th.theory_id)
+    with pytest.raises(ValueError, match="^entry probabilities sum to"):
+        build_ensemble(th, [(1.0 - 1.5e-12, s, (0,)), (-1e-12, s, (1,))])
 
 
 @pytest.mark.parametrize("make, labels", ORACLE_CASES[:3])
@@ -203,6 +235,8 @@ def test_a_register_outside_the_ensemble_is_rejected(make, labels):
             evaluate_icp(ens, assignment)
         with pytest.raises(ValueError, match=message):
             proof_chain_check(ens, assignment)
+        with pytest.raises(ValueError, match=message):
+            maximize_extractable(th, assignment, OptimizerConfig(strategy="grid", max_evals=1))
 
 
 def test_flat_index_is_the_row_major_index():

@@ -164,6 +164,48 @@ def test_every_lru_cache_has_an_explicit_finite_maxsize(path):
     assert _unbounded_caches(path.read_text(encoding="utf-8")) == []
 
 
+def _eigvalsh_callers(source: str) -> list[str]:
+    """The innermost class or function around each ``eigvalsh`` call, by its
+    dotted name, once per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "eigvalsh":
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_eigvalsh_check_finds_each_caller():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import eigvalsh\n"
+        "def a(m):\n    return np.linalg.eigvalsh(m)\n"
+        "class B:\n    def __init__(self, m):\n        self.s = eigvalsh(m)\n"
+        "    def c(self, m):\n        return np.linalg.eigh(m)\n"
+        "s = np.linalg.eigvalsh(np.eye(2))\n"
+    )
+    assert _eigvalsh_callers(source) == ["a", "B.__init__", "<module>"]
+
+
+# the one density check, and the ledger's classical-quantum blocks p_c rho_c,
+# whose traces are the cell masses, not 1, so they are no density operators
+EIGVALSH_CALLERS = {"info.py": ["_density_check"], "proofs.py": ["_QuantumChainData.__init__"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_spectra_come_from_the_one_density_check(path):
+    assert _eigvalsh_callers(path.read_text(encoding="utf-8")) == EIGVALSH_CALLERS.get(path.name, [])
+
+
 def test_cli_import_loads_numpy_only():
     # the runtime depends on numpy alone; the test-only packages stay unloaded
     probe = (

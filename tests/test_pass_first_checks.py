@@ -5,7 +5,9 @@ test a whole stack with one minimum or maximum per bound and build per-row
 masks only when that test fails. The oracles below are the forms that built
 every mask on every call. On finite input the fast paths must give their
 index, verdict, detail, message and bits; where the oracles let a NaN pass,
-the fast paths must raise or fail instead.
+the fast paths must raise or fail instead. ``info._density_check`` is the one
+quantum-state check: ``check_states``, ``DensityOperator`` and
+``_von_neumann_rows`` must reach the same verdict through it.
 """
 import re
 from typing import Callable, Sequence
@@ -13,7 +15,19 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from icp_lab import MEMBERSHIP_TOL, State, apply_effect, build_ensemble, catalog, engine, gpt, info, sampling
+from icp_lab import (
+    MEMBERSHIP_TOL,
+    CorrelatedEnsemble,
+    State,
+    apply_effect,
+    build_ensemble,
+    catalog,
+    constructions,
+    engine,
+    gpt,
+    info,
+    sampling,
+)
 from icp_lab.gpt import (
     NormConstraint,
     Polytope,
@@ -267,6 +281,25 @@ def test_effect_values_equals_the_two_pass_oracle(name):
     check()
 
 
+@PROPERTY_SETTINGS
+@given(case=stacks("qubit"))
+def test_density_check_gives_one_verdict_through_every_caller(case):
+    entry, coords = case
+    index, verdict = check_states(entry.theory, coords)
+    with np.errstate(invalid="ignore"):  # 1j * inf in the matrices of infinite rows
+        m = coords_to_density(coords, entry.theory.variant.hilbert_dim)
+    assert info._density_check(m)[:2] == (index, verdict)
+    # DensityOperator row by row: the first row it rejects, with the same detail
+    details = [_outcome(info.DensityOperator, rho) for rho in m]
+    failing = [i for i, detail in enumerate(details) if isinstance(detail, str)]
+    assert (failing[0] if failing else -1) == index
+    if verdict:
+        assert info._von_neumann_rows(m).tobytes() == np.array([info.von_neumann_entropy(rho) for rho in m]).tobytes()
+    else:
+        assert details[index] == verdict.detail
+        assert _outcome(info._von_neumann_rows, m) == verdict.detail
+
+
 @st.composite
 def register_stacks(draw):
     n, r = draw(st.integers(1, 6)), draw(st.integers(1, 4))
@@ -317,6 +350,17 @@ NAN_INPUTS = {
         BIT, [(np.nan, State(np.array([1.0, 0.0])), (0,)), (1.0, State(np.array([0.0, 1.0])), (1,))]
     ),
     "build_ensemble-state": lambda: build_ensemble(BIT, [(1.0, NAN_STATE, (0,))]),
+    "CorrelatedEnsemble-probability": lambda: CorrelatedEnsemble(
+        BIT, np.array([np.nan, 1.0]), np.eye(2), np.array([[0], [1]]), (2,)
+    ),
+    "DensityOperator": lambda: info.DensityOperator(np.diag([np.nan, 1.0])),
+    "rac_recovery_halfpower": lambda: constructions.rac_recovery_halfpower(np.nan),
+    "rac_recovery_optimized": lambda: constructions.rac_recovery_optimized(np.nan),
+    "pgnst_bound_check-grid": lambda: constructions.pgnst_bound_check(3.0, 0.5, [0.9, np.nan]),
+    "pgnst_bound_check-epsilon": lambda: constructions.pgnst_bound_check(3.0, np.nan),
+    "pgnst_bound_check-p": lambda: constructions.pgnst_bound_check(np.nan, 0.5),
+    "sbit_state": lambda: catalog.sbit_state(np.nan, 0.0),
+    "qubit_state_from_bloch": lambda: catalog.qubit_state_from_bloch(np.nan, 0.0, 0.0),
 }
 
 

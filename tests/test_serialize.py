@@ -115,18 +115,22 @@ def test_ensemble_from_json_rejects_states_outside_theory():
 
 
 @pytest.mark.parametrize(
-    "entries, coordinate, value",
-    [((0, 1, 2, 3), None, math.nan), ((2,), 1, math.nan), ((1,), None, math.inf)],
+    "entries, coordinate, value, message",
+    [
+        ((0, 1, 2, 3), None, math.nan, "entry 0: probability nan is negative or not finite"),
+        ((2,), 1, math.nan, "invalid state in ensemble: state coordinate is not finite"),
+        ((1,), None, math.inf, "entry 1: probability inf is negative or not finite"),
+    ],
     ids=["every-p-nan", "one-coordinate-nan", "p-inf"],
 )
-def test_ensemble_from_json_rejects_non_finite_values(entries, coordinate, value):
+def test_ensemble_from_json_rejects_non_finite_values(entries, coordinate, value, message):
     doc = ensemble_to_json(sbit_violation().ensemble)
     for i in entries:
         if coordinate is None:
             doc["entries"][i]["p"] = value
         else:
             doc["entries"][i]["state"][coordinate] = value
-    with pytest.raises(ValueError, match=rf"entry {entries[0]}: .* not finite"):
+    with pytest.raises(ValueError, match=f"^ensemble: {message}$"):
         ensemble_from_json(doc)
 
 
