@@ -3,7 +3,9 @@
 Every command emits a single JSON (default) or CSV document with an embedded
 run manifest. Passing --timestamp pins the manifest so repeated runs with the
 same seed produce byte-identical output. Exit codes: 0 success, 2 bad input,
-3 I/O failure; a violated inequality is data, never an error.
+3 I/O failure; a violated inequality is data, never an error. Each command
+imports the modules it runs when it runs, so that no command pays to load
+the others.
 """
 from __future__ import annotations
 
@@ -17,23 +19,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .catalog import list_catalog, pgnst, polygon, qubit_z_rotated
-from .constructions import (
-    CompositeGbitRecord,
-    MismatchRecord,
-    classical_bit_analysis,
-    composite_gbit_extractable,
-    hbit_violation,
-    pgnst_violation,
-    polygon_mismatch,
-    polygon_violation,
-    qubit_rac_construction,
-    sbit_violation,
-)
-from .engine import REPORT_CSV_FIELDS, ObservableAssignment, SweepPoint, evaluate_icp, qubit_rotation_sweep
-from .gpt import ambient_dimension, observed_dimension, state_space_dimension
-from .info import AxiomReport
-from .proofs import axiom_suite
 from .serialize import (
     RunManifest,
     assignment_from_json,
@@ -42,12 +27,6 @@ from .serialize import (
     render_csv,
     render_json,
 )
-
-_DEMOS = {
-    "sbit": sbit_violation,
-    "hbit": hbit_violation,
-    "qubit-rac": qubit_rac_construction,
-}
 
 _ROTATED_Z = re.compile(r"^Z\((?P<theta>[-+0-9.eE]+)\)$")
 
@@ -110,6 +89,8 @@ def _manifest(args, command: str, **parameters) -> RunManifest:
 
 
 def _catalog_entries():
+    from .catalog import list_catalog, pgnst, polygon
+
     entries = list_catalog()
     entries += [polygon(3), polygon(4), polygon(5), polygon(6)]
     entries += [pgnst(3.0, 2), pgnst(math.inf, 3)]
@@ -117,6 +98,8 @@ def _catalog_entries():
 
 
 def cmd_catalog(args) -> int:
+    from .gpt import ambient_dimension, observed_dimension, state_space_dimension
+
     rows = []
     for entry in _catalog_entries():
         rows.append(
@@ -134,11 +117,15 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .constructions import classical_bit_analysis, hbit_violation, qubit_rac_construction, sbit_violation
+    from .engine import REPORT_CSV_FIELDS
+
     manifest = _manifest(args, "demo", name=args.name)
     if args.name == "classical":
         row = classical_bit_analysis().to_json()
         return _emit(args, "report", {"report": row}, manifest, REPORT_CSV_FIELDS, [row])
-    cert = _DEMOS[args.name]()
+    demos = {"sbit": sbit_violation, "hbit": hbit_violation, "qubit-rac": qubit_rac_construction}
+    cert = demos[args.name]()
     return _emit(
         args,
         "certificate",
@@ -157,6 +144,8 @@ def _field_names(record_type) -> tuple[str, ...]:
 def _scan_rows(args):
     target = args.target
     if target == "pgnst":
+        from .constructions import pgnst_violation
+
         fields = ("p", "s_x", "s_z", "entropy_min", "extractable", "bound", "margin", "violated")
         rows = []
         for p in args.p or _float_range("2:6:0.25"):
@@ -175,6 +164,8 @@ def _scan_rows(args):
             )
         return fields, rows
     if target == "polygon":
+        from .constructions import polygon_violation
+
         fields = (
             "n",
             "cond_00",
@@ -206,18 +197,27 @@ def _scan_rows(args):
             )
         return fields, rows
     if target == "composite":
+        from .constructions import CompositeGbitRecord, composite_gbit_extractable
+
         rows = [composite_gbit_extractable(n).to_json() for n in args.n or _int_range("1:8")]
         return _field_names(CompositeGbitRecord), rows
     if target == "mismatch":
+        from .constructions import MismatchRecord, polygon_mismatch
+
         rows = [polygon_mismatch(n).to_json() for n in args.n or _int_range("4:13")]
         return _field_names(MismatchRecord), rows
     if target == "axioms":
+        from .info import AxiomReport
+        from .proofs import axiom_suite
+
         kinds = ("shannon", "von-neumann") if args.entropy == "both" else (args.entropy,)
         rows = []
         for kind in kinds:
             rows += [r.to_json() for r in axiom_suite(kind, args.trials, args.seed)]
         return _field_names(AxiomReport), rows
     # sweep
+    from .engine import SweepPoint, qubit_rotation_sweep
+
     step = (math.pi / 2.0) / (args.points - 1) if args.points > 1 else 1.0
     grid = [i * step for i in range(args.points)]
     return _field_names(SweepPoint), [dataclasses.asdict(pt) for pt in qubit_rotation_sweep(grid)]
@@ -249,11 +249,15 @@ def _resolve_measurement(entry, name: str):
     except KeyError:
         rotated = _ROTATED_Z.match(name)
         if rotated and entry.entry_id == "qubit":
+            from .catalog import qubit_z_rotated
+
             return qubit_z_rotated(float(rotated.group("theta")))
         raise
 
 
 def cmd_eval(args) -> int:
+    from .engine import REPORT_CSV_FIELDS, ObservableAssignment, evaluate_icp
+
     manifest = _manifest(
         args,
         "eval",

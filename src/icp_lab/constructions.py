@@ -215,6 +215,11 @@ def _boundary_entropy_sum(p: float, u: np.ndarray, h_u: np.ndarray) -> np.ndarra
     return h_u + _entropy_from_gap(v)
 
 
+# grid points per slice of ``pgnst_min_entropy_sum``: its temporaries stay
+# small, and the elementwise ufuncs give the same bits as one pass
+_GRID_CHUNK = 8192
+
+
 def pgnst_min_entropy_sum(
     p: float, config: PgnstSearchConfig | None = None
 ) -> tuple[float, float]:
@@ -231,7 +236,10 @@ def pgnst_min_entropy_sum(
     if math.isinf(p):
         return 1.0, 0.0
     u, h_u = _pgnst_grid(config or PgnstSearchConfig())
-    sums = _boundary_entropy_sum(p, u, h_u)
+    sums = np.empty_like(u)
+    for start in range(0, len(u), _GRID_CHUNK):
+        part = slice(start, start + _GRID_CHUNK)
+        sums[part] = _boundary_entropy_sum(p, u[part], h_u[part])
     best = int(np.argmin(sums))
     return float(1.0 - u[best]), float(sums[best])
 
@@ -321,7 +329,9 @@ def pgnst_bound_check(
 
     Requires (1+epsilon)p > 2, which makes the right side dominate as
     s_x -> 1; the ledger also records whether the rhs/lhs ratio grows
-    monotonically toward the corner. At s_x = 1 both sides vanish.
+    monotonically toward the corner. At s_x = 1 both sides vanish, so the
+    grid needs at least two interior points (s_x < 1) for either verdict to
+    test anything.
     """
     # written so that NaN fails: every comparison with NaN is false
     if not epsilon > 0.0:
@@ -336,15 +346,17 @@ def pgnst_bound_check(
         if not ((s_x_grid >= 0.0) & (s_x_grid <= 1.0)).all():
             raise ValueError("s_x values must lie in [0, 1]")
         u = 1.0 - s_x_grid
+    interior = u > 0.0
+    if np.count_nonzero(interior) < 2:
+        raise ValueError("s_x grid needs at least two points below 1")
     with np.errstate(divide="ignore"):
-        lhs = np.where(u > 0.0, (u / 2.0) ** (1.0 + epsilon), 0.0)
+        lhs = np.where(interior, (u / 2.0) ** (1.0 + epsilon), 0.0)
         one_minus_sxp = -np.expm1(p * np.log1p(-u))
-        rhs = np.where(u > 0.0, 0.25 * one_minus_sxp ** (2.0 / p), 0.0)
+        rhs = np.where(interior, 0.25 * one_minus_sxp ** (2.0 / p), 0.0)
     points = tuple(
         BoundCheckPoint(float(s), float(l), float(r))
         for s, l, r in zip(s_x_grid, lhs, rhs)
     )
-    interior = u > 0.0
     holds = bool(np.all(rhs[interior] > lhs[interior]))
     ratio = rhs[interior] / lhs[interior]
     order = np.argsort(s_x_grid[interior])

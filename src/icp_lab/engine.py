@@ -683,17 +683,19 @@ def maximize_extractable(
     if config.strategy == "grid":
         return OptimizationResult(*objective.report(*best_point), evaluations[0] < config.max_evals, evaluations[0])
 
-    rng = np.random.default_rng(config.seed)
     start_points = [(families[fam[c]], np.array([seeds[i] for i in choice[c]]))]
     n_starts = 1 if config.strategy == "coordinate-descent" else 1 + config.restarts
     lo, hi = family.bounds
-    # imported here because sampling imports this module
-    from .sampling import _dirichlet_ones
+    if n_starts > 1:
+        # imported here because sampling imports this module; a search that
+        # draws no restart point loads neither it nor numpy.random
+        from .sampling import _dirichlet_ones
 
-    while len(start_points) < n_starts:
-        w = _dirichlet_ones(rng, n_combo)
-        sparams = rng.uniform(lo, hi, size=(n_combo, sp))
-        start_points.append((w, sparams))
+        rng = np.random.default_rng(config.seed)
+        for _ in range(n_starts - 1):
+            w = _dirichlet_ones(rng, n_combo)
+            sparams = rng.uniform(lo, hi, size=(n_combo, sp))
+            start_points.append((w, sparams))
 
     budget = [config.max_evals - evaluations[0]]
 

@@ -275,7 +275,8 @@ def density_to_coords(matrix) -> np.ndarray:
     of matrices, shape (..., d, d), gives a stack of vectors, (..., 2 d^2).
     """
     m = np.asarray(matrix, dtype=complex)
-    flat = m.shape[:-2] + (-1,)
+    d = m.shape[-1]
+    flat = m.shape[:-2] + (d * d,)  # not -1, which an empty stack cannot infer
     return np.concatenate([m.real.reshape(flat), m.imag.reshape(flat)], axis=-1)
 
 

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalog import CatalogEntry
 from .engine import CorrelatedEnsemble
 from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
+
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
 
 
 def _dirichlet_ones(rng: np.random.Generator, k: int, size: int | None = None) -> np.ndarray:
@@ -100,7 +103,7 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
             direction = rng.normal(size=v.k)
             radius = rng.uniform() ** (1.0 / v.k)
             rows.append(np.append(direction / v.norm(direction) * radius, 1.0))
-        return np.array(rows)
+        return np.array(rows).reshape(n, v.k + 1)  # (0, k + 1) when n = 0
     if isinstance(v, Quantum):
         return density_to_coords(_density_from_draws(*_stacked_density_draws(rng, v.hilbert_dim, n)))
     raise TypeError(f"unsupported variant {v!r}")  # pragma: no cover

@@ -13,12 +13,13 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalog import CatalogEntry, resolve
-from .engine import CorrelatedEnsemble, ObservableAssignment, build_ensemble
-from .gpt import State
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
+    from .engine import CorrelatedEnsemble, ObservableAssignment
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,11 @@ def _require(cond: bool, path: str, message: str):
 
 def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
     """Rebuild an ensemble; errors carry the JSON path of the offending field."""
+    # imported here: rendering output needs none of these modules
+    from .catalog import resolve
+    from .engine import build_ensemble
+    from .gpt import State
+
     _require(isinstance(doc, dict), "ensemble", "expected an object")
     theory_id = doc.get("theory")
     _require(isinstance(theory_id, str), "ensemble.theory", "expected a theory id string")

@@ -194,6 +194,15 @@ def test_pgnst_bound_check_precondition():
     assert ok.holds_pointwise
 
 
+@pytest.mark.parametrize("grid", [[], [1.0], [0.99], [1.0, 0.99, 1.0]])
+def test_pgnst_bound_check_needs_two_interior_points(grid):
+    # both sides vanish at s_x = 1, so such a grid would test neither verdict
+    with pytest.raises(ValueError, match="^s_x grid needs at least two points below 1$"):
+        pgnst_bound_check(3.0, 0.5, grid)
+    ledger = pgnst_bound_check(3.0, 0.5, [*grid, 0.999, 0.9999])
+    assert len(ledger.points) == len(grid) + 2 and ledger.holds_pointwise and ledger.ratio_monotone
+
+
 def test_rac_recovery_values():
     assert rac_recovery_halfpower(2.0) == pytest.approx(0.7071067811865476, abs=1e-15)
     assert rac_recovery_optimized(2.0) == pytest.approx(0.8535533905932737, abs=1e-15)

@@ -83,11 +83,14 @@ def test_evaluate_icp_matches_the_public_composition(make, labels):
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "make",
-    [catalog.classical_bit, catalog.classical_trit, catalog.sbit, lambda: catalog.polygon(5),
-     catalog.hbit, _pgnst, catalog.qubit],
-)
+# one theory of each variant: polytopes, restricted classical, norm body, quantum
+EVERY_VARIANT = [
+    catalog.classical_bit, catalog.classical_trit, catalog.sbit, lambda: catalog.polygon(5),
+    catalog.hbit, _pgnst, catalog.qubit,
+]
+
+
+@pytest.mark.parametrize("make", EVERY_VARIANT)
 def test_random_ensemble_draws_like_sequential_random_state(make):
     entry = make()
     quantum = entry.entry_id == "qubit"
@@ -127,6 +130,25 @@ def test_complex_gaussian_draws_like_two_normal_calls(k):
         expected = generator.normal(size=(k, k)) + 1j * generator.normal(size=(k, k))
         assert g.tobytes() == expected.tobytes(), seed
         assert helper.bit_generator.state == generator.bit_generator.state
+
+
+def test_density_to_coords_flattens_an_empty_stack_and_keeps_the_bytes_of_others():
+    assert density_to_coords(np.zeros((0, 2, 2))).shape == (0, 8)
+    rng = np.random.default_rng(3)
+    for shape in ((2, 2), (5, 2, 2), (3, 4, 3, 3)):
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        flat = m.shape[:-2] + (-1,)
+        expected = np.concatenate([m.real.reshape(flat), m.imag.reshape(flat)], axis=-1)
+        assert density_to_coords(m).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("make", EVERY_VARIANT)
+def test_random_coords_of_no_states_is_an_empty_stack(make):
+    th = make().theory
+    rng = np.random.default_rng(7)
+    empty = sampling._random_coords(th, rng, 0)
+    assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+    assert empty.shape == (0, sampling._random_coords(th, rng, 3).shape[1])
 
 
 @pytest.mark.parametrize("make", [catalog.classical_bit, catalog.qubit])

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: stdlib ``ast`` only."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,24 +12,53 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "icp_lab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def _unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope_imports(scope) -> dict[str, int]:
+    """Names bound by the imports of one scope, the module or a function, and
+    their lines; the imports of nested functions belong to those."""
     imported = {}
-    for node in tree.body:
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+        elif not isinstance(node, _FUNCTIONS):
+            pending.extend(ast.iter_child_nodes(node))
+    return imported
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Imported names that their scope never reads: a module import must be
+    used in the module, a function's import in that function."""
+    tree = ast.parse(source)
+    found = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS))]:
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        found += [(line, name) for name, line in _scope_imports(scope).items() if name not in used]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 def test_unused_import_check_finds_an_unused_name():
     assert _unused_imports("import os\nfrom typing import Iterable, Sequence\nx: Sequence = os.sep\n") == [
         "line 2: Iterable"
     ]
+
+
+def test_unused_import_check_reads_each_function_on_its_own():
+    source = (
+        "import os\n"
+        "def a():\n    from json import dumps, loads\n    return dumps\n"  # line 3: loads
+        "def b(x):\n    if x:\n        import re\n        return lambda: re\n"  # read in a nested scope
+        "def c():\n    import sys\n    def d():\n        import math\n        return sys\n    return os\n"
+        "def e():\n    return math\n"  # math is imported by d alone, and d never reads it: line 12
+    )
+    assert _unused_imports(source) == ["line 3: loads", "line 12: math"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -206,12 +236,44 @@ def test_spectra_come_from_the_one_density_check(path):
     assert _eigvalsh_callers(path.read_text(encoding="utf-8")) == EIGVALSH_CALLERS.get(path.name, [])
 
 
-def test_cli_import_loads_numpy_only():
-    # the runtime depends on numpy alone; the test-only packages stay unloaded
-    probe = (
-        "import sys, icp_lab.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))"
-    )
+def _modules_loaded_by(statements: str) -> set[str]:
+    """The modules that a fresh interpreter holds after running ``statements``."""
+    probe = f"import sys\n{statements}\nprint(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_numpy_only():
+    # the runtime depends on numpy alone; the test-only packages stay unloaded,
+    # and of the package only the command line and its renderers load
+    loaded = _modules_loaded_by("import icp_lab.cli")
+    assert {m.split(".")[0] for m in loaded} & {"scipy", "mpmath", "hypothesis", "pytest"} == set()
+    assert {m for m in loaded if m.startswith("icp_lab")} == {"icp_lab", "icp_lab.cli", "icp_lab.serialize"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        (["catalog"], {"icp_lab.gpt", "icp_lab.catalog"},
+         {"icp_lab.engine", "icp_lab.constructions", "icp_lab.proofs", "icp_lab.sampling"}),
+        # coordinate descent draws no restart point
+        (["demo", "classical"], {"icp_lab.constructions", "icp_lab.engine"}, {"numpy.random", "icp_lab.sampling"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, loads, skips):
+    loaded = _modules_loaded_by(f"import os, icp_lab.cli\nassert icp_lab.cli.main({argv!r} + ['--out', os.devnull]) == 0")
+    assert loads <= loaded and not skips & loaded
+
+
+def test_every_exported_name_loads_from_its_home_module():
+    import icp_lab
+
+    namespace = {}
+    exec("from icp_lab import *", namespace)
+    for name in icp_lab.__all__:
+        home = importlib.import_module(f"icp_lab.{icp_lab._HOME.get(name, name)}")
+        expected = getattr(home, name) if name in icp_lab._HOME else home
+        assert getattr(icp_lab, name) is expected and namespace[name] is expected, name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        icp_lab.no_such_name
