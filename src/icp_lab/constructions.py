@@ -188,7 +188,8 @@ def _entropy_from_gap(gap: np.ndarray) -> np.ndarray:
     """H(m) for m = 1 - gap/2, accurate for gaps near 0."""
     gap = np.asarray(gap, dtype=float)
     out = np.zeros_like(gap)
-    pos = (gap > 0.0) & (gap < 2.0)
+    # a gap whose half underflows to 0 counts as 0: the 0 log 0 = 0 convention
+    pos = (gap / 2.0 > 0.0) & (gap < 2.0)
     g = gap[pos]
     out[pos] = -(1.0 - g / 2.0) * np.log1p(-g / 2.0) / _LN2 - (g / 2.0) * np.log2(g / 2.0)
     return out

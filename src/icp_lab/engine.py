@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
@@ -365,6 +366,18 @@ class OptimizerConfig:
     seed: int = 0
     restarts: int = 20
 
+    def __post_init__(self):
+        if self.strategy not in ("grid", "coordinate-descent", "random-restart"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        # written so that NaN fails: every comparison with NaN is false
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be finite and positive, got {self.resolution!r}")
+        # operator.index rejects a float count
+        if operator.index(self.max_evals) < 1:
+            raise ValueError(f"max_evals must be at least 1, got {self.max_evals!r}")
+        if operator.index(self.restarts) < 0:
+            raise ValueError(f"restarts must be at least 0, got {self.restarts!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
@@ -482,9 +495,12 @@ class _SearchObjective:
     An ensemble of the search holds one entry per register combination
     (``combos``, the full product in row-major order), so each pair's
     one-hot register matrix is fixed, and the register marginal is the entry
-    weights reshaped to the alphabets. ``value`` runs the kernels of
-    ``evaluate_icp`` in its order on bare arrays, distribution checks
-    included, so it gives the same bits as the objective taken from
+    weights reshaped to the alphabets. Every pair's effect rows are stacked
+    in one (sum k_i, D) matrix, so each point takes all its effect values
+    from one ``effect_values`` product, split into each pair's rows; state
+    lines, weight lines and the grid's seed values share it. ``value`` runs
+    the kernels of ``evaluate_icp`` in its order on bare arrays, distribution
+    checks included, so it gives the same bits as the objective taken from
     ``evaluate_icp`` on the assembled ensemble; ``grid_scores`` scores many
     candidates at once to within a few ulps of ``value``.
 
@@ -503,10 +519,15 @@ class _SearchObjective:
         self.alphabets = tuple(len(m.effects) for m, _ in assignment.pairs)
         self.combos = np.array(list(itertools.product(*[range(a) for a in self.alphabets])))
         _require_registers(assignment.registers, len(self.alphabets))
-        self.pairs = [
-            (m.effect_matrix, np.eye(self.alphabets[reg])[self.combos[:, reg]]) for m, reg in assignment.pairs
-        ]
-        self.penalized = equal_gain and len(self.pairs) > 1
+        self.effects = np.concatenate([m.effect_matrix for m, _ in assignment.pairs])
+        self.rows = [slice(end - k, end) for k, end in zip(self.alphabets, itertools.accumulate(self.alphabets))]
+        self.onehots = [np.eye(self.alphabets[reg])[self.combos[:, reg]] for _, reg in assignment.pairs]
+        self.penalized = equal_gain and len(self.onehots) > 1
+
+    def _effect_values(self, coords: np.ndarray) -> list[np.ndarray]:
+        """Each pair's ``effect_values`` on ``coords``: row views of one product."""
+        values = effect_values(self.effects, coords)
+        return [values[rows] for rows in self.rows]
 
     def _marginal(self, w: np.ndarray) -> np.ndarray:
         # the table register_marginal builds: axes in assignment order
@@ -530,10 +551,10 @@ class _SearchObjective:
         ``redundancy`` (``_redundancy(w)``) are computed here unless given.
         """
         if values is None:
-            values = [effect_values(E, coords) for E, _ in self.pairs]
+            values = self._effect_values(coords)
         gains = [
             max(info._total_correlation(info._as_prob_array((v * w) @ onehot)), 0.0)
-            for v, (_, onehot) in zip(values, self.pairs)
+            for v, onehot in zip(values, self.onehots)
         ]
         if redundancy is None:
             redundancy = self._redundancy(w)
@@ -545,7 +566,7 @@ class _SearchObjective:
 
     def weight_line(self, coords: np.ndarray):
         """``value`` as a function of ``w`` alone, on the fixed states ``coords``."""
-        return partial(self.value, coords=coords, values=[effect_values(E, coords) for E, _ in self.pairs])
+        return partial(self.value, coords=coords, values=self._effect_values(coords))
 
     def report(self, w: np.ndarray, coords: np.ndarray) -> tuple[CorrelatedEnsemble, ICPReport]:
         """The ensemble of a point, checked when built, and its ``evaluate_icp`` report."""
@@ -563,18 +584,16 @@ class _SearchObjective:
         caller then scores the candidates one by one, which raises as they do.
         """
         redundancy = np.array([max(info._total_correlation(self._marginal(row)), 0.0) for row in w])
-        seed_values = []
-        for E, _ in self.pairs:
-            try:
-                seed_values.append(effect_values(E, seed_coords))
-            except ValueError:
-                return None
+        try:
+            seed_values = self._effect_values(seed_coords)
+        except ValueError:
+            return None
         scores = np.empty(len(choice))
         for start in range(0, len(choice), _GRID_CHUNK):
             part = slice(start, start + _GRID_CHUNK)
             weights = w[family[part]]
             gains = []
-            for values, (_, onehot) in zip(seed_values, self.pairs):
+            for values, onehot in zip(seed_values, self.onehots):
                 # (k, n, C) weighted outcome values times (C, a) -> (n, k, a)
                 tables = ((values[:, choice[part]] * weights) @ onehot).transpose(1, 0, 2)
                 if not info._is_distribution(tables, (1, 2)).all():
@@ -655,8 +674,6 @@ def maximize_extractable(
     search run; a scorer returns ``value``'s bits at every point.
     """
     config = config or OptimizerConfig()
-    if config.strategy not in ("grid", "coordinate-descent", "random-restart"):
-        raise ValueError(f"unknown strategy {config.strategy!r}")
     family = _StateFamily(theory)
     objective = _SearchObjective(theory, assignment, config.equal_gain_constraint)
     n_combo = len(objective.combos)

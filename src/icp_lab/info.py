@@ -27,11 +27,11 @@ def _as_prob_array(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.size == 0:
         raise ValueError("empty distribution")
-    # written so that a NaN entry fails: every comparison with NaN is false
-    lo = arr.min()
+    # min and sum without ndarray's wrappers; NaN fails: every comparison with NaN is false
+    lo = np.minimum.reduce(arr, None)
     if not lo >= -PROB_TOL:
         raise ValueError(f"negative or NaN probability: min entry {float(lo)!r}")
-    total = float(arr.sum())
+    total = float(np.add.reduce(arr, None))
     if not abs(total - 1.0) <= max(PROB_TOL, 1e-9 * arr.size):
         raise ValueError(f"distribution sums to {total!r}, not 1")
     return arr
@@ -128,7 +128,8 @@ def _plogp_bits(p: np.ndarray) -> float:
     count as zero mass. The entries are not checked to form a distribution.
     """
     q = p[p > 0.0]
-    return float(-q @ np.log2(q))
+    # the bits of (-q) . log2 q without negating q; 0.0 - keeps a one-hot table's +0.0
+    return 0.0 - float(np.dot(q, np.log2(q)))
 
 
 def _total_correlation(p: np.ndarray) -> float:

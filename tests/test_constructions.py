@@ -133,6 +133,24 @@ def test_pgnst_min_entropy_sum_matches_the_per_p_grid(config):
         assert pgnst_min_entropy_sum(p, config) == _per_p_min_entropy_sum(p, config), p
 
 
+@pytest.mark.parametrize("p", [200.0, 500.0, 1e3, 1e4, 1e6])
+def test_pgnst_min_entropy_sum_is_finite_for_large_p(p):
+    """Where a gap's half underflows to 0, its entropy term is 0 log 0 = 0,
+    not NaN, so the minimum is a number no larger than any finite grid value."""
+    config = PgnstSearchConfig()
+    u = np.concatenate([np.logspace(math.log10(config.u_min), 0.0, config.grid_points), [0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.exp(p * np.log1p(-u))
+        v = -np.expm1(np.log1p(-w) / p)
+        # H(1 - g/2) of both gaps, term by term: NaN where g/2 is 0
+        half = np.stack([u, v]) / 2.0
+        sums = (-(1.0 - half) * np.log2(1.0 - half) - half * np.log2(half)).sum(axis=0)
+    _, h = pgnst_min_entropy_sum(p)
+    assert math.isfinite(h)
+    assert h <= np.min(sums[np.isfinite(sums)]) + 1e-12
+    assert constructions._entropy_from_gap(np.array([5e-324])).tolist() == [0.0]
+
+
 def test_pgnst_min_entropy_sum_infinite_p():
     sx, hmin = pgnst_min_entropy_sum(float("inf"))
     assert sx == 1.0

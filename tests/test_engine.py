@@ -16,13 +16,14 @@ from icp_lab import (
     engine,
     evaluate_icp,
     gpt,
+    info,
     joint_outcome_table,
     maximize_extractable,
     qubit_rotation_sweep,
     register_marginal,
     sampling,
 )
-from test_info import _scalar_binary_entropy
+from test_info import _negated_dot_plogp_bits, _scalar_binary_entropy
 
 
 def _bit_assignment(entry):
@@ -394,6 +395,109 @@ def test_each_descent_phase_builds_one_line_scorer(monkeypatch, make, strategy, 
     # a phase is a run of line searches of one kind; the kinds alternate
     phases = [name for name, _ in itertools.groupby(searches)]
     assert builds == phases != []
+
+
+def _per_pair_total_correlation(p):
+    if p.ndim == 2:
+        return (
+            _negated_dot_plogp_bits(np.add.reduce(p, 1))
+            + _negated_dot_plogp_bits(np.add.reduce(p, 0))
+            - _negated_dot_plogp_bits(p)
+        )
+    axes = range(p.ndim)
+    marginals = sum(_negated_dot_plogp_bits(p.sum(axis=tuple(j for j in axes if j != i))) for i in axes)
+    return marginals - _negated_dot_plogp_bits(p)
+
+
+def _per_pair_objective(objective, w, coords):
+    """The search objective as it was computed before the effect rows were
+    stacked: one ``effect_values`` call per pair, each table checked with
+    ``_as_prob_array`` and scored with the negated-dot kernel."""
+    gains = []
+    for m, reg in objective.assignment.pairs:
+        onehot = np.eye(objective.alphabets[reg])[objective.combos[:, reg]]
+        table = (gpt.effect_values(m.effect_matrix, coords) * w) @ onehot
+        gains.append(max(_per_pair_total_correlation(info._as_prob_array(table)), 0.0))
+    marginal = np.ascontiguousarray(w.reshape(objective.alphabets).transpose(objective.assignment.registers))
+    value = sum(gains) - max(_per_pair_total_correlation(info._as_prob_array(marginal)), 0.0)
+    if objective.penalized:
+        value -= 4.0 * (max(gains) - min(gains))
+    return value
+
+
+# the budgets leave descent some evaluations after the grid: 6 561 and 3 750
+# candidates
+ORACLE_CASES = OPTIMIZER_CASES + (
+    ("classical-trit-3", catalog.classical_trit, ("E1", "E2", "E3"), "coordinate-descent", 7200),
+    ("polygon:5", lambda: catalog.polygon(5), ("E1", "E2"), "random-restart", 4400),
+)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_every_scored_point_keeps_the_per_pair_bits(monkeypatch, case):
+    """Each point's effect values come from one stacked product; every point
+    ``value`` scores in a search, line scorers included, gives the bits of
+    the per-pair objective."""
+    _, make, labels, strategy, max_evals = case[:5]
+    checked = []
+    value = engine._SearchObjective.value
+
+    def compared(self, w, coords, *args, **kwargs):
+        got = value(self, w, coords, *args, **kwargs)
+        checked.append(repr(got) == repr(_per_pair_objective(self, w, coords)))
+        return got
+
+    monkeypatch.setattr(engine._SearchObjective, "value", compared)
+    maximize_extractable(*_case(make, labels, strategy, max_evals))
+    assert checked and all(checked)
+
+
+def test_a_state_line_point_makes_one_effect_values_call(monkeypatch):
+    theory, assignment, config = _case(catalog.classical_trit, ("E1", "E2", "E3"), "grid", 1)
+    family = engine._StateFamily(theory)
+    objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
+    n_combo = len(objective.combos)
+    coords = np.array([family.build(np.eye(family.n_params)[i % family.n_params]) for i in range(n_combo)])
+    score = objective.state_line(np.full(n_combo, 1.0 / n_combo))
+    calls = []
+    monkeypatch.setattr(engine, "effect_values", lambda E, s: calls.append(E.shape) or gpt.effect_values(E, s))
+    score(coords)
+    assert calls == [(6, family.n_params)]
+    objective.weight_line(coords)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"resolution": float("nan")}, "resolution"),
+        ({"resolution": float("inf")}, "resolution"),
+        ({"resolution": 0.0}, "resolution"),
+        ({"resolution": -1e-4}, "resolution"),
+        ({"max_evals": 0}, "max_evals"),
+        ({"max_evals": -5}, "max_evals"),
+        ({"restarts": -3}, "restarts"),
+    ],
+)
+def test_optimizer_config_rejects_bad_settings(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        OptimizerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_evals": 1.0}, {"max_evals": 4000.5}, {"restarts": 2.0}])
+def test_optimizer_config_takes_counts_as_integers(kwargs):
+    with pytest.raises(TypeError):
+        OptimizerConfig(**kwargs)
+
+
+def test_optimizer_config_accepts_the_settings_in_use():
+    for kwargs in (
+        {},
+        {"strategy": "grid", "max_evals": 1},
+        {"strategy": "coordinate-descent", "max_evals": 8000},
+        {"max_evals": np.int64(4000), "restarts": 0, "resolution": 1e-12},
+    ):
+        OptimizerConfig(**kwargs)
 
 
 def test_normalized_equals_its_clip_form():

@@ -238,3 +238,27 @@ def test_plogp_bits_rows_equals_the_scalar_kernel_bitwise():
     tables = rng.dirichlet(np.ones(12), size=50).reshape(50, 3, 4)
     expected = np.array([_total_correlation(t) for t in tables])
     assert _total_correlation_rows(tables).tobytes() == expected.tobytes()
+
+
+def _negated_dot_plogp_bits(p):
+    """The entropy kernel as it read with the negation inside the dot product."""
+    q = p[p > 0.0]
+    return float(-q @ np.log2(q))
+
+
+def test_plogp_bits_gives_the_bits_of_the_negated_dot_product():
+    rng = np.random.default_rng(29)
+    # length 1 is a one-hot table: its entropy is a signed zero
+    for n in range(1, 65):
+        for p in rng.dirichlet(np.ones(n), size=20):
+            assert repr(_plogp_bits(p)) == repr(_negated_dot_plogp_bits(p))
+    tables = rng.dirichlet(np.ones(12), size=60).reshape(60, 3, 4)
+    tables[::3, 0, 1] = 0.0
+    tables[1::3, 2, 2] = -1e-17
+    tables[5::11, 1, 0] = np.nan
+    tables[2::7] = 0.0
+    tables[2::7, 1, 3] = 1.0
+    tables[4::9, 0] = [1.0, 0.0, 0.0, 0.0]
+    for p in (*tables, np.zeros((2, 2)), np.ones((1, 1))):
+        assert repr(_plogp_bits(p)) == repr(_negated_dot_plogp_bits(p))
+    assert repr(_plogp_bits(np.eye(3)[1])) == "0.0"
