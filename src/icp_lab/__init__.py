@@ -51,7 +51,7 @@ _EXPORTS = {
     ),
     "constructions": (
         "BoundCheckLedger", "BoundCheckPoint", "CompositeGbitRecord", "MismatchRecord",
-        "PgnstSearchConfig", "ViolationCertificate", "classical_bit_analysis",
+        "ViolationCertificate", "classical_bit_analysis",
         "composite_gbit_extractable", "hbit_violation", "minimal_violating_gbits",
         "pgnst_bound_check", "pgnst_min_entropy_sum", "pgnst_violation", "polygon_mismatch",
         "polygon_violation", "qubit_rac_construction", "rac_recovery_halfpower",

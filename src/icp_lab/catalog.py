@@ -153,14 +153,13 @@ def sbit() -> CatalogEntry:
     )
 
 
-def sbit_state(sx: float, sz: float, entry: CatalogEntry | None = None) -> State:
+def sbit_state(sx: float, sz: float) -> State:
     """Square-model state with mean values (s_x, s_z); corners at (+-1, +-1)."""
     # written so that NaN fails: every comparison with NaN is false
     if not (-1.0 - 1e-12 <= sx <= 1.0 + 1e-12 and -1.0 - 1e-12 <= sz <= 1.0 + 1e-12):
         raise ValueError("square-model mean values must lie in [-1, 1]")
     r = 1.0 / math.sqrt(math.cos(math.pi / 4.0))
-    tid = entry.entry_id if entry is not None else "sbit"
-    return State(np.array([-r * (sx + sz) / 2.0, r * (sx - sz) / 2.0, 1.0]), tid)
+    return State(np.array([-r * (sx + sz) / 2.0, r * (sx - sz) / 2.0, 1.0]), "sbit")
 
 
 def hbit() -> CatalogEntry:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -162,28 +161,6 @@ def qubit_rac_construction() -> ViolationCertificate:
 
 # --- norm-constraint family ----------------------------------------------------
 
-@dataclass(frozen=True)
-class PgnstSearchConfig:
-    """Grid for minimizing H(X)+H(Z) over the saturating boundary.
-
-    The grid lives in u = 1 - s_x, log-spaced from u_min up to 1, and the
-    corner u = 0 is appended exactly. It does not depend on p, so the grid
-    and H((1+s_x)/2) on it are built once per config (the config is frozen
-    and hashable) and shared by every p. pgnst_bound_check takes its own
-    epsilon.
-    """
-
-    grid_points: int = 100_000
-    u_min: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 < self.u_min < 1.0:
-            raise ValueError("u_min must lie in (0, 1)")
-        # operator.index rejects a float count, as np.logspace would
-        if operator.index(self.grid_points) < 2:
-            raise ValueError("grid needs at least two points")
-
-
 def _entropy_from_gap(gap: np.ndarray) -> np.ndarray:
     """H(m) for m = 1 - gap/2, accurate for gaps near 0."""
     gap = np.asarray(gap, dtype=float)
@@ -195,12 +172,15 @@ def _entropy_from_gap(gap: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _pgnst_grid(config: PgnstSearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The config's grid u = 1 - s_x and H((1+s_x)/2) on it, read-only."""
-    u = np.concatenate(
-        [np.logspace(math.log10(config.u_min), 0.0, config.grid_points), [0.0]]
-    )
+@functools.lru_cache(maxsize=1)
+def _pgnst_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The boundary grid u = 1 - s_x and H((1+s_x)/2) on it, read-only.
+
+    u is log-spaced over 100 000 points from 1e-12 up to 1, and the corner
+    u = 0 is appended exactly. The grid does not depend on p, so it is built
+    once and shared by every p.
+    """
+    u = np.concatenate([np.logspace(-12.0, 0.0, 100_000), [0.0]])
     h_u = _entropy_from_gap(u)
     u.setflags(write=False)
     h_u.setflags(write=False)
@@ -221,9 +201,7 @@ def _boundary_entropy_sum(p: float, u: np.ndarray, h_u: np.ndarray) -> np.ndarra
 _GRID_CHUNK = 8192
 
 
-def pgnst_min_entropy_sum(
-    p: float, config: PgnstSearchConfig | None = None
-) -> tuple[float, float]:
+def pgnst_min_entropy_sum(p: float) -> tuple[float, float]:
     """Minimize H(X)+H(Z) over boundary states; returns (s_x*, min value).
 
     Pure grid evaluation: the same grid serves every p, which keeps the
@@ -236,7 +214,7 @@ def pgnst_min_entropy_sum(
         raise ValueError(f"need p >= 2, got {p!r}")
     if math.isinf(p):
         return 1.0, 0.0
-    u, h_u = _pgnst_grid(config or PgnstSearchConfig())
+    u, h_u = _pgnst_grid()
     sums = np.empty_like(u)
     for start in range(0, len(u), _GRID_CHUNK):
         part = slice(start, start + _GRID_CHUNK)
@@ -245,7 +223,7 @@ def pgnst_min_entropy_sum(
     return float(1.0 - u[best]), float(sums[best])
 
 
-def pgnst_violation(p: float, config: PgnstSearchConfig | None = None) -> ViolationCertificate:
+def pgnst_violation(p: float) -> ViolationCertificate:
     """Four sign-flipped copies of the sharpest boundary state.
 
     The state minimizing H(X)+H(Z) is reflected through both axes to give
@@ -255,7 +233,7 @@ def pgnst_violation(p: float, config: PgnstSearchConfig | None = None) -> Violat
     minimum, which exceeds 1 whenever p > 2.
     """
     entry = pgnst(p, 2)
-    sx, h_min = pgnst_min_entropy_sum(p, config)
+    sx, h_min = pgnst_min_entropy_sum(p)
     if math.isinf(p):
         sz = 1.0
     elif sx >= 1.0:

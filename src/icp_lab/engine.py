@@ -346,37 +346,27 @@ def evaluate_icp(ensemble: CorrelatedEnsemble, assignment: ObservableAssignment)
 
 # --- extractable-information search ------------------------------------------
 
+# golden-section line searches stop once their interval is this narrow
+_RESOLUTION = 1e-4
+# random-restart descends from the grid's best point and this many random ones
+_RESTARTS = 20
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search settings.
-
-    ``max_evals`` is a budget, not a hard cap. The grid stops at it, but
-    descent checks what is left only between line searches and per start
-    point: every start point is scored even with nothing left, and neither
-    the two extra opening points of a golden-section line search nor the
-    re-scoring of an accepted move is charged. So ``evaluations`` can exceed
-    ``max_evals``: 4273 of 4000 on sbit and 4021 of 4000 on qubit, both with
-    random restarts.
-    """
+    """Search settings. ``max_evals`` caps the points a search scores."""
 
     strategy: str = "random-restart"  # grid | coordinate-descent | random-restart
-    resolution: float = 1e-4
     max_evals: int = 60_000
     equal_gain_constraint: bool = True
     seed: int = 0
-    restarts: int = 20
 
     def __post_init__(self):
         if self.strategy not in ("grid", "coordinate-descent", "random-restart"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        # written so that NaN fails: every comparison with NaN is false
-        if not 0.0 < self.resolution < math.inf:
-            raise ValueError(f"resolution must be finite and positive, got {self.resolution!r}")
         # operator.index rejects a float count
         if operator.index(self.max_evals) < 1:
             raise ValueError(f"max_evals must be at least 1, got {self.max_evals!r}")
-        if operator.index(self.restarts) < 0:
-            raise ValueError(f"restarts must be at least 0, got {self.restarts!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,16 +616,19 @@ def _grid_candidates(n_seeds: int, n_combo: int, n_families: int, max_evals: int
     return family, choice
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float, budget: list[int]):
-    """Golden-section maximization including the interval endpoints."""
+def _golden_max(fun, lo: float, hi: float, points: int):
+    """Golden-section maximization including the interval endpoints, in at
+    most ``points`` (>= 4) scored points. Returns the best point, its value
+    and whether the interval shrank to ``_RESOLUTION``."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     pts = {lo: fun(lo), hi: fun(hi)}
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fun(c), fun(d)
-    budget[0] -= 2
-    while (b - a) > tol and budget[0] > 0:
+    for _ in range(points - 4):
+        if b - a <= _RESOLUTION:
+            break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -644,10 +637,9 @@ def _golden_max(fun, lo: float, hi: float, tol: float, budget: list[int]):
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = fun(d)
-        budget[0] -= 1
     candidates = [(fc, c), (fd, d)] + [(v, k) for k, v in pts.items()]
     best_val, best_x = max(candidates, key=lambda t: t[0])
-    return best_x, best_val
+    return best_x, best_val, b - a <= _RESOLUTION
 
 
 def maximize_extractable(
@@ -663,15 +655,20 @@ def maximize_extractable(
     coordinate-wise golden-section refinement. With the equal-gain constraint
     on, gain spread is penalized so the best reported point is balanced.
 
-    ``evaluations`` counts every scored point; it can exceed ``max_evals``,
-    which descent checks only between line searches and per start point (see
-    ``OptimizerConfig``). Every point, accepted moves included, is scored on
-    bare arrays with ``_SearchObjective.value``, which gives the bits of the
-    objective taken from an ``evaluate_icp`` report; only the winner becomes
-    an ensemble, checked like every other, with its report. Each descent
-    phase scores its line searches with one ``_SearchObjective.state_line``
-    or ``weight_line`` scorer, built once the budget check lets a first line
-    search run; a scorer returns ``value``'s bits at every point.
+    ``evaluations`` counts every scored point once: the grid's candidates,
+    each start point and each line-search point. It never exceeds
+    ``max_evals``: a start point is scored only while a point is left, a
+    line search begins only when its 4 opening points fit, and its steps
+    stop when no point is left. ``converged`` is True when the grid scored
+    every candidate and no budget check cut descent short. Points are scored
+    on bare arrays with ``_SearchObjective.value``, which gives the bits of
+    the objective taken from an ``evaluate_icp`` report; only the winner
+    becomes an ensemble, checked like every other, with its report. Each
+    descent phase scores its line searches with one
+    ``_SearchObjective.state_line`` or ``weight_line`` scorer, built once the
+    budget check lets a first line search run; a scorer returns ``value``'s
+    bits at every point, so an accepted move keeps the value its line search
+    found.
     """
     config = config or OptimizerConfig()
     family = _StateFamily(theory)
@@ -696,12 +693,13 @@ def maximize_extractable(
             best = (val, c)
     best_val, c = best
     best_point = (w_families[fam[c]], seed_coords[choice[c]])
-    evaluations = [len(choice)]
+    evaluations = len(choice)
+    stopped = evaluations < len(families) * len(seeds) ** n_combo
     if config.strategy == "grid":
-        return OptimizationResult(*objective.report(*best_point), evaluations[0] < config.max_evals, evaluations[0])
+        return OptimizationResult(*objective.report(*best_point), not stopped, evaluations)
 
     start_points = [(families[fam[c]], np.array([seeds[i] for i in choice[c]]))]
-    n_starts = 1 if config.strategy == "coordinate-descent" else 1 + config.restarts
+    n_starts = 1 if config.strategy == "coordinate-descent" else 1 + _RESTARTS
     lo, hi = family.bounds
     if n_starts > 1:
         # imported here because sampling imports this module; a search that
@@ -714,17 +712,13 @@ def maximize_extractable(
             sparams = rng.uniform(lo, hi, size=(n_combo, sp))
             start_points.append((w, sparams))
 
-    budget = [config.max_evals - evaluations[0]]
-
-    def accept(weights: np.ndarray, coords: np.ndarray):
-        evaluations[0] += 1
-        w = _normalized(weights)
-        return objective.value(w, coords), w, coords.copy()
-
     def descend(weights: np.ndarray, state_params: np.ndarray):
+        """The descent's best (value, weights, coords), and whether a budget
+        check stopped it."""
+        nonlocal evaluations
         coords = np.array([family.build(params) for params in state_params])
-        current = accept(weights, coords)
-        budget[0] -= 1
+        evaluations += 1
+        current = (objective.value(_normalized(weights), coords), _normalized(weights), coords.copy())
         for _ in range(12):
             improved = False
             # a phase builds its line scorer after the budget check, so a phase
@@ -732,13 +726,14 @@ def maximize_extractable(
             score = None
             for idx in range(n_combo):
                 for j in range(sp):
-                    if budget[0] <= 0:
-                        return current
+                    if config.max_evals - evaluations < 4:
+                        return current, True
                     score = score or objective.state_line(_normalized(weights))
                     base, base_row = state_params[idx, j], coords[idx].copy()
 
                     def line(x):
-                        evaluations[0] += 1
+                        nonlocal evaluations
+                        evaluations += 1
                         state_params[idx, j] = x
                         coords[idx] = family.build(state_params[idx])
                         state_params[idx, j] = base
@@ -746,41 +741,50 @@ def maximize_extractable(
                         coords[idx] = base_row
                         return val
 
-                    x, val = _golden_max(line, lo, hi, config.resolution, budget)
+                    x, val, done = _golden_max(line, lo, hi, config.max_evals - evaluations)
                     if val > current[0] + 1e-12:
                         state_params[idx, j] = x
                         coords[idx] = family.build(state_params[idx])
-                        current = accept(weights, coords)
+                        current = (val, _normalized(weights), coords.copy())
                         improved = True
+                    if not done:
+                        return current, True
             score = None
             for i in range(n_combo):
-                if budget[0] <= 0:
-                    return current
+                if config.max_evals - evaluations < 4:
+                    return current, True
                 score = score or objective.weight_line(coords)
                 base = weights[i]
 
                 def wline(x):
-                    evaluations[0] += 1
+                    nonlocal evaluations
+                    evaluations += 1
                     weights[i] = x
                     val = score(_normalized(weights))
                     weights[i] = base
                     return val
 
-                x, val = _golden_max(wline, 0.0, 1.0, config.resolution, budget)
+                x, val, done = _golden_max(wline, 0.0, 1.0, config.max_evals - evaluations)
                 if val > current[0] + 1e-12:
                     weights[i] = x
-                    current = accept(weights, coords)
+                    current = (val, _normalized(weights), coords.copy())
                     improved = True
+                if not done:
+                    return current, True
             if not improved:
                 break
-        return current
+        return current, False
 
     for weights, state_params in start_points:
-        val, *point = descend(weights.copy(), np.array(state_params, dtype=float))
+        if evaluations >= config.max_evals:
+            stopped = True
+            break
+        (val, *point), cut = descend(weights.copy(), np.array(state_params, dtype=float))
+        stopped |= cut
         # deterministic merge: strictly better wins, ties keep the earlier start
         if val > best_val + 1e-15:
             best_val, best_point = val, point
-    return OptimizationResult(*objective.report(*best_point), budget[0] > 0, evaluations[0])
+    return OptimizationResult(*objective.report(*best_point), not stopped, evaluations)
 
 
 # --- qubit rotation sweep -----------------------------------------------------

@@ -10,7 +10,6 @@ from icp_lab.engine import ObservableAssignment, evaluate_icp, joint_outcome_tab
 from icp_lab.gpt import apply_effect
 from icp_lab.serialize import assignment_from_json, certificate_to_json, ensemble_from_json
 from icp_lab.constructions import (
-    PgnstSearchConfig,
     classical_bit_analysis,
     composite_gbit_extractable,
     hbit_violation,
@@ -116,9 +115,14 @@ def test_pgnst_min_entropy_sum_mpmath_oracle():
                 assert abs(s_star - 2 ** (-1 / p)) < mp.mpf(10) ** -30, p
 
 
-def _per_p_min_entropy_sum(p, config):
+def _default_grid():
+    """The boundary grid u = 1 - s_x: 100 000 log points from 1e-12 to 1, then u = 0."""
+    return np.concatenate([np.logspace(math.log10(1e-12), 0.0, 100_000), [0.0]])
+
+
+def _per_p_min_entropy_sum(p):
     """The search the shared grid replaced: the grid and both entropies built for each p."""
-    u = np.concatenate([np.logspace(math.log10(config.u_min), 0.0, config.grid_points), [0.0]])
+    u = _default_grid()
     with np.errstate(divide="ignore"):
         w = np.exp(p * np.log1p(-u))
         v = -np.expm1(np.log1p(-w) / p)
@@ -127,18 +131,16 @@ def _per_p_min_entropy_sum(p, config):
     return float(1.0 - u[best]), float(sums[best])
 
 
-@pytest.mark.parametrize("config", [PgnstSearchConfig(), PgnstSearchConfig(grid_points=2, u_min=0.5)])
-def test_pgnst_min_entropy_sum_matches_the_per_p_grid(config):
+def test_pgnst_min_entropy_sum_matches_the_per_p_grid():
     for p in (2.0, 2.5, 3.0, 4.0, 8.0):
-        assert pgnst_min_entropy_sum(p, config) == _per_p_min_entropy_sum(p, config), p
+        assert pgnst_min_entropy_sum(p) == _per_p_min_entropy_sum(p), p
 
 
 @pytest.mark.parametrize("p", [200.0, 500.0, 1e3, 1e4, 1e6])
 def test_pgnst_min_entropy_sum_is_finite_for_large_p(p):
     """Where a gap's half underflows to 0, its entropy term is 0 log 0 = 0,
     not NaN, so the minimum is a number no larger than any finite grid value."""
-    config = PgnstSearchConfig()
-    u = np.concatenate([np.logspace(math.log10(config.u_min), 0.0, config.grid_points), [0.0]])
+    u = _default_grid()
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.exp(p * np.log1p(-u))
         v = -np.expm1(np.log1p(-w) / p)
@@ -170,16 +172,6 @@ def test_pgnst_min_entropy_rejects_small_p():
             pgnst_min_entropy_sum(p)
 
 
-def test_pgnst_search_config_validation():
-    with pytest.raises(ValueError):
-        PgnstSearchConfig(grid_points=0)
-    with pytest.raises(ValueError):
-        PgnstSearchConfig(u_min=0.0)
-    # equal to the default config, so it must fail before it can share the default's grid
-    with pytest.raises(TypeError):
-        PgnstSearchConfig(grid_points=100_000.0)
-
-
 def test_pgnst_violation_certificates():
     for p, hmin in ((3.0, 0.9578024777106202), (4.0, 0.8011958615964645)):
         cert = pgnst_violation(p)
@@ -188,6 +180,31 @@ def test_pgnst_violation_certificates():
         assert cert.report.extractable == pytest.approx(2.0 - hmin, abs=1e-9)
         assert cert.violated
         assert cert.crosscheck_max_abs_diff <= 1e-9
+
+
+# the p values of the default ``icp-lab scan pgnst``, 2 to 6 in steps of 0.25
+SCAN_PGNST_P = [2.0 + 0.25 * k for k in range(17)]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(
+            p,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="effect_values snaps an X value of 1 - 4.7e-11 to 1, so the report reads extractable "
+                "1.0000000017977657, margin -1.8e-9 and violated=True, where the closed form gives "
+                "1.0000000001327898, margin -1.3e-10, inside VIOLATION_TOL (FOUND in CHANGES.md)",
+            ),
+        )
+        if p == 2.25
+        else p
+        for p in SCAN_PGNST_P
+    ],
+)
+def test_scan_pgnst_certificates_match_their_closed_form(p):
+    assert pgnst_violation(p).crosscheck_max_abs_diff <= 1e-12
 
 
 def test_pgnst_violation_infinite_p_reaches_two():

@@ -191,12 +191,13 @@ def test_maximize_extractable_rejects_unknown_strategy(sbit_entry):
 
 
 # (name, catalog entry, measurement labels, strategy, max_evals, extractable repr,
-#  evaluations, converged), as the search gave them when every grid candidate
-#  and every line-search point still built its own ensemble and report
+#  evaluations, converged). The extractable values are those the search gave
+#  when every grid candidate and every line-search point still built its own
+#  ensemble and report; sbit and qubit spend their whole budget
 OPTIMIZER_CASES = (
     ("classical-bit", catalog.classical_bit, ("X", "Z"), "coordinate-descent", 8000, "1.0", 385, True),
-    ("sbit", catalog.sbit, ("X", "Z"), "random-restart", 4000, "2.0", 4273, False),
-    ("qubit", catalog.qubit, ("X", "Z"), "random-restart", 4000, "0.7982479266142879", 4021, False),
+    ("sbit", catalog.sbit, ("X", "Z"), "random-restart", 4000, "2.0", 4000, False),
+    ("qubit", catalog.qubit, ("X", "Z"), "random-restart", 4000, "0.7982479266142879", 4000, False),
     ("pgnst:3:2", lambda: catalog.pgnst(3.0, 2), ("X", "Z"), "coordinate-descent", 8000,
      "0.3774437510817341", 1833, True),
     ("classical-trit", catalog.classical_trit, ("E1", "E2"), "grid", 8000, "1.0", 486, True),
@@ -236,8 +237,9 @@ def _reference_objective(theory, assignment, family, weights, state_params, equa
 
 @pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
 def test_value_gives_the_bits_of_the_per_ensemble_objective(case):
-    """Accepted moves are scored with ``value`` alone, so it must give the
-    bits of the objective taken from an ensemble and its report."""
+    """Every point is scored with ``value`` or a line scorer built on it, so
+    it must give the bits of the objective taken from an ensemble and its
+    report."""
     _, make, labels, strategy, max_evals = case[:5]
     theory, assignment, config = _case(make, labels, strategy, max_evals)
     family = engine._StateFamily(theory)
@@ -369,22 +371,21 @@ def _count_scorer_builds(monkeypatch):
 
 
 def test_exhausted_budget_builds_no_line_scorer(monkeypatch):
-    # the qubit grid spends all 4000 evaluations, so every start point returns
-    # before its first line search
+    # the qubit grid spends all 4000 evaluations, so no start point is scored
     builds, searches = _count_scorer_builds(monkeypatch)
     _, make, labels, strategy, max_evals = next(c for c in OPTIMIZER_CASES if c[0] == "qubit")[:5]
     result = maximize_extractable(*_case(make, labels, strategy, max_evals))
-    assert result.evaluations == 4021
+    assert (result.evaluations, result.converged) == (4000, False)
     assert builds == searches == []
 
 
 @pytest.mark.parametrize(
     "make,strategy,max_evals,evaluations",
     [
-        (catalog.sbit, "random-restart", 4000, 4273),
-        # the budget runs out with the last line search of a state phase, so
-        # the weight phase after it returns before its first line search
-        (catalog.classical_bit, "coordinate-descent", 260, 276),
+        (catalog.sbit, "random-restart", 4000, 4000),
+        # the budget runs out inside the first state phase: its seventh line
+        # search stops after 19 of its 24 points, so no weight scorer is built
+        (catalog.classical_bit, "coordinate-descent", 260, 260),
     ],
     ids=["sbit", "classical-bit-260"],
 )
@@ -395,6 +396,77 @@ def test_each_descent_phase_builds_one_line_scorer(monkeypatch, make, strategy, 
     # a phase is a run of line searches of one kind; the kinds alternate
     phases = [name for name, _ in itertools.groupby(searches)]
     assert builds == phases != []
+
+
+def test_golden_max_scores_at_most_its_points():
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return -((x - 0.3) ** 2)
+
+    x, _, done = engine._golden_max(fun, 0.0, 1.0, 10**6)
+    natural = len(calls)
+    assert done and abs(x - 0.3) <= 1e-4
+    for points in (4, 5, natural - 1, natural):
+        calls.clear()
+        *_, done = engine._golden_max(fun, 0.0, 1.0, points)
+        assert (len(calls), done) == (points, points == natural)
+
+
+# budgets of the contract matrix below. At 147 classical-bit's coordinate
+# descent stops with 2 points left: 96 grid candidates, the start point and
+# two line searches of 24 points leave too few for a third.
+BUDGETS = (1, 4, 5, 147, 260, 4000, 8000)
+
+
+def _count_points(monkeypatch):
+    """Count, from outside the search, the points it scores: the grid's
+    candidates, plus every ``_SearchObjective.value`` call (the line scorers
+    are ``value`` with some arguments fixed), less the grid's exact re-scoring
+    of the candidates within 1e-12 of its best batched score."""
+    counted = [0]
+    value, grid_scores = engine._SearchObjective.value, engine._SearchObjective.grid_scores
+
+    def counted_value(self, *args, **kwargs):
+        counted[0] += 1
+        return value(self, *args, **kwargs)
+
+    def counted_grid_scores(self, w, seed_coords, family, choice):
+        scores = grid_scores(self, w, seed_coords, family, choice)
+        top = len(choice) if scores is None else np.count_nonzero(scores >= scores.max() - 1e-12)
+        counted[0] += len(choice) - top
+        return scores
+
+    monkeypatch.setattr(engine._SearchObjective, "value", counted_value)
+    monkeypatch.setattr(engine._SearchObjective, "grid_scores", counted_grid_scores)
+    return counted
+
+
+@pytest.mark.parametrize("strategy", ["grid", "coordinate-descent", "random-restart"])
+@pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
+def test_max_evals_caps_the_points_scored(monkeypatch, case, strategy):
+    """``evaluations`` counts each scored point once and never exceeds
+    ``max_evals``; ``converged`` is False exactly when a budget check stopped
+    the search."""
+    _, make, labels = case[:3]
+    counted = _count_points(monkeypatch)
+    budgets = BUDGETS + (BUDGETS[-1] + 4,)
+    results = {}
+    for max_evals in budgets:
+        counted[0] = 0
+        results[max_evals] = maximize_extractable(*_case(make, labels, strategy, max_evals))
+        assert results[max_evals].evaluations == counted[0] <= max_evals, max_evals
+    for max_evals in BUDGETS:
+        result = results[max_evals]
+        # a search that a budget check stopped scores more with 4 more points
+        # or any larger budget; one that none stopped does the same search
+        more = results[min(b for b in budgets if b >= max_evals + 4)]
+        assert result.converged is (more.evaluations == result.evaluations), max_evals
+        if result.converged:
+            assert repr(more.report.extractable) == repr(result.report.extractable)
+    if (case[0], strategy) == ("classical-bit", "coordinate-descent"):
+        assert (results[147].evaluations, results[147].converged) == (145, False)
 
 
 def _per_pair_total_correlation(p):
@@ -470,13 +542,8 @@ def test_a_state_line_point_makes_one_effect_values_call(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs,match",
     [
-        ({"resolution": float("nan")}, "resolution"),
-        ({"resolution": float("inf")}, "resolution"),
-        ({"resolution": 0.0}, "resolution"),
-        ({"resolution": -1e-4}, "resolution"),
         ({"max_evals": 0}, "max_evals"),
         ({"max_evals": -5}, "max_evals"),
-        ({"restarts": -3}, "restarts"),
     ],
 )
 def test_optimizer_config_rejects_bad_settings(kwargs, match):
@@ -484,7 +551,7 @@ def test_optimizer_config_rejects_bad_settings(kwargs, match):
         OptimizerConfig(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [{"max_evals": 1.0}, {"max_evals": 4000.5}, {"restarts": 2.0}])
+@pytest.mark.parametrize("kwargs", [{"max_evals": 1.0}, {"max_evals": 4000.5}])
 def test_optimizer_config_takes_counts_as_integers(kwargs):
     with pytest.raises(TypeError):
         OptimizerConfig(**kwargs)
@@ -495,9 +562,11 @@ def test_optimizer_config_accepts_the_settings_in_use():
         {},
         {"strategy": "grid", "max_evals": 1},
         {"strategy": "coordinate-descent", "max_evals": 8000},
-        {"max_evals": np.int64(4000), "restarts": 0, "resolution": 1e-12},
+        {"max_evals": np.int64(4000), "equal_gain_constraint": False, "seed": 1},
     ):
         OptimizerConfig(**kwargs)
+    fields = [f.name for f in dataclasses.fields(OptimizerConfig)]
+    assert fields == ["strategy", "max_evals", "equal_gain_constraint", "seed"]
 
 
 def test_normalized_equals_its_clip_form():
