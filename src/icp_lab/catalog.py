@@ -35,7 +35,6 @@ from .gpt import (
     State,
     Theory,
     bloch_coords,
-    density_to_coords,
     validate_measurement,
     validate_state,
 )
@@ -179,8 +178,7 @@ def hbit() -> CatalogEntry:
             Effect(np.array([0.0, 1.0, 0.0, 1.0]), tid, "Z1"),
         ),
     )
-    measurements = {"X": x, "Z": z}
-    theory = Theory(tid, RestrictedClassical(4, (x, z)), measurements)
+    theory = Theory(tid, RestrictedClassical(4), {"X": x, "Z": z})
     return _checked(
         CatalogEntry(
             tid,
@@ -199,19 +197,10 @@ def hbit_state(a: int, b: int) -> State:
     return State(coords, "hbit")
 
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
 def _qubit_axis_measurement(axis: np.ndarray, label: str, tid: str) -> Measurement:
-    ops = (np.eye(2) + axis[0] * _SIGMA_X + axis[1] * _SIGMA_Y + axis[2] * _SIGMA_Z) / 2.0, (
-        np.eye(2) - axis[0] * _SIGMA_X - axis[1] * _SIGMA_Y - axis[2] * _SIGMA_Z
-    ) / 2.0
-    return Measurement(
-        label,
-        tuple(Effect(density_to_coords(op), tid, f"{label}{i}") for i, op in enumerate(ops)),
-    )
+    # (I + a.sigma)/2 and (I - a.sigma)/2
+    effects = (Effect(bloch_coords(b), tid, f"{label}{i}") for i, b in enumerate((axis, -axis)))
+    return Measurement(label, tuple(effects))
 
 
 def qubit() -> CatalogEntry:

@@ -31,33 +31,24 @@ from .serialize import (
 _ROTATED_Z = re.compile(r"^Z\((?P<theta>[-+0-9.eE]+)\)$")
 
 
-def _int_range(text: str) -> list[int]:
+def _range(text: str, number: type) -> list:
+    """The values a, a + step, ... <= b of ``a:b[:step]`` as ``number`` (int or float), all finite."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(f"expected a:b[:step], got {text!r}")
     try:
-        a, b = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        a, b, step = (number(part) for part in [*parts, "1"][:3])
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer range {text!r}") from exc
-    if step < 1 or b < a:
+        kind = "integer" if number is int else "numeric"
+        raise argparse.ArgumentTypeError(f"bad {kind} range {text!r}") from exc
+    if step <= 0 or b < a:
         raise argparse.ArgumentTypeError(f"empty or backwards range {text!r}")
-    return list(range(a, b + 1, step))
-
-
-def _float_range(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(f"expected a:b[:step], got {text!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad numeric range {text!r}") from exc
-    if step <= 0.0 or b < a:
-        raise argparse.ArgumentTypeError(f"empty or backwards range {text!r}")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + i * step for i in range(count)]
+    if number is int:
+        return list(range(a, b + 1, step))
+    span = (b - a) / step + 1e-9
+    if not all(math.isfinite(x) for x in (a, b, step, span)):
+        raise argparse.ArgumentTypeError(f"non-finite range {text!r}")
+    return [a + i * step for i in range(math.floor(span) + 1)]
 
 
 def _write(text: str, out: str | None) -> int:
@@ -72,12 +63,10 @@ def _write(text: str, out: str | None) -> int:
     return 0
 
 
-def _emit(args, kind: str, payload, manifest: RunManifest, csv_fields=None, csv_rows=None) -> int:
+def _emit(args, kind: str, payload, manifest: RunManifest, rows, fields=None) -> int:
+    """Write ``payload`` as JSON, or ``rows`` as CSV with columns ``fields`` or the first row's keys."""
     if args.format == "csv":
-        if csv_fields is None:
-            print(f"error: no tabular form for {kind} output", file=sys.stderr)
-            return 2
-        return _write(render_csv(csv_fields, csv_rows, manifest), args.out)
+        return _write(render_csv(fields or tuple(rows[0]), rows, manifest), args.out)
     return _write(render_json(kind, payload, manifest), args.out)
 
 
@@ -112,8 +101,7 @@ def cmd_catalog(args) -> int:
             }
         )
     manifest = _manifest(args, "catalog")
-    fields = ("id", "ambient_dimension", "state_dimension", "observed_dimension", "measurements")
-    return _emit(args, "catalog", {"entries": rows}, manifest, fields, rows)
+    return _emit(args, "catalog", {"entries": rows}, manifest, rows)
 
 
 def cmd_demo(args) -> int:
@@ -123,7 +111,7 @@ def cmd_demo(args) -> int:
     manifest = _manifest(args, "demo", name=args.name)
     if args.name == "classical":
         row = classical_bit_analysis().to_json()
-        return _emit(args, "report", {"report": row}, manifest, REPORT_CSV_FIELDS, [row])
+        return _emit(args, "report", {"report": row}, manifest, [row], REPORT_CSV_FIELDS)
     demos = {"sbit": sbit_violation, "hbit": hbit_violation, "qubit-rac": qubit_rac_construction}
     cert = demos[args.name]()
     return _emit(
@@ -131,14 +119,9 @@ def cmd_demo(args) -> int:
         "certificate",
         certificate_to_json(cert),
         manifest,
-        REPORT_CSV_FIELDS,
         [cert.report.to_json()],
+        REPORT_CSV_FIELDS,
     )
-
-
-def _field_names(record_type) -> tuple[str, ...]:
-    """A record's CSV columns: its dataclass fields, in ``to_json``'s order."""
-    return tuple(f.name for f in dataclasses.fields(record_type))
 
 
 def _scan_rows(args):
@@ -146,9 +129,8 @@ def _scan_rows(args):
     if target == "pgnst":
         from .constructions import pgnst_violation
 
-        fields = ("p", "s_x", "s_z", "entropy_min", "extractable", "bound", "margin", "violated")
         rows = []
-        for p in args.p or _float_range("2:6:0.25"):
+        for p in args.p or _range("2:6:0.25", float):
             cert = pgnst_violation(p)
             rows.append(
                 {
@@ -162,24 +144,12 @@ def _scan_rows(args):
                     "violated": cert.report.violated,
                 }
             )
-        return fields, rows
+        return rows
     if target == "polygon":
         from .constructions import polygon_violation
 
-        fields = (
-            "n",
-            "cond_00",
-            "cond_11",
-            "gain_x",
-            "gain_z",
-            "extractable",
-            "bound",
-            "margin",
-            "violated",
-            "crosscheck_max_abs_diff",
-        )
         rows = []
-        for n in args.n or _int_range("4:50"):
+        for n in args.n or _range("4:50", int):
             cert = polygon_violation(n)
             rows.append(
                 {
@@ -195,32 +165,29 @@ def _scan_rows(args):
                     "crosscheck_max_abs_diff": cert.crosscheck_max_abs_diff,
                 }
             )
-        return fields, rows
+        return rows
     if target == "composite":
-        from .constructions import CompositeGbitRecord, composite_gbit_extractable
+        from .constructions import composite_gbit_extractable
 
-        rows = [composite_gbit_extractable(n).to_json() for n in args.n or _int_range("1:8")]
-        return _field_names(CompositeGbitRecord), rows
+        return [composite_gbit_extractable(n).to_json() for n in args.n or _range("1:8", int)]
     if target == "mismatch":
-        from .constructions import MismatchRecord, polygon_mismatch
+        from .constructions import polygon_mismatch
 
-        rows = [polygon_mismatch(n).to_json() for n in args.n or _int_range("4:13")]
-        return _field_names(MismatchRecord), rows
+        return [polygon_mismatch(n).to_json() for n in args.n or _range("4:13", int)]
     if target == "axioms":
-        from .info import AxiomReport
         from .proofs import axiom_suite
 
         kinds = ("shannon", "von-neumann") if args.entropy == "both" else (args.entropy,)
         rows = []
         for kind in kinds:
             rows += [r.to_json() for r in axiom_suite(kind, args.trials, args.seed)]
-        return _field_names(AxiomReport), rows
+        return rows
     # sweep
-    from .engine import SweepPoint, qubit_rotation_sweep
+    from .engine import qubit_rotation_sweep
 
     step = (math.pi / 2.0) / (args.points - 1) if args.points > 1 else 1.0
     grid = [i * step for i in range(args.points)]
-    return _field_names(SweepPoint), [dataclasses.asdict(pt) for pt in qubit_rotation_sweep(grid)]
+    return [dataclasses.asdict(pt) for pt in qubit_rotation_sweep(grid)]
 
 
 def cmd_scan(args) -> int:
@@ -235,12 +202,12 @@ def cmd_scan(args) -> int:
         points=args.points if args.target == "sweep" else None,
     )
     try:
-        fields, rows = _scan_rows(args)
+        rows = _scan_rows(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {"target": args.target, "rows": rows}
-    return _emit(args, "scan", payload, manifest, fields, rows)
+    return _emit(args, "scan", payload, manifest, rows)
 
 
 def _resolve_measurement(entry, name: str):
@@ -325,7 +292,7 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     row = report.to_json()
-    return _emit(args, "report", {"report": row}, manifest, REPORT_CSV_FIELDS, [row])
+    return _emit(args, "report", {"report": row}, manifest, [row], REPORT_CSV_FIELDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,17 +346,15 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     if getattr(args, "command", None) == "scan":
         try:
-            args.n = _int_range(args.n_raw) if args.n_raw else None
-            args.p = _float_range(args.p_raw) if args.p_raw else None
+            args.n = _range(args.n_raw, int) if args.n_raw else None
+            args.p = _range(args.p_raw, float) if args.p_raw else None
         except argparse.ArgumentTypeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.points < 1:
-            print("error: --points must be positive", file=sys.stderr)
-            return 2
-        if args.trials < 1:
-            print("error: --trials must be positive", file=sys.stderr)
-            return 2
+        for flag in ("points", "trials"):
+            if getattr(args, flag) < 1:
+                print(f"error: --{flag} must be positive", file=sys.stderr)
+                return 2
     handlers = {
         "catalog": cmd_catalog,
         "demo": cmd_demo,

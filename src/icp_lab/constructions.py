@@ -45,8 +45,6 @@ from .engine import (
 from .gpt import _readable_clique_number, apply_effect, composite_dimension_bound, observed_dimension
 from .info import VIOLATION_TOL
 
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True, eq=False)
 class ViolationCertificate:
@@ -168,7 +166,7 @@ def _entropy_from_gap(gap: np.ndarray) -> np.ndarray:
     # a gap whose half underflows to 0 counts as 0: the 0 log 0 = 0 convention
     pos = (gap / 2.0 > 0.0) & (gap < 2.0)
     g = gap[pos]
-    out[pos] = -(1.0 - g / 2.0) * np.log1p(-g / 2.0) / _LN2 - (g / 2.0) * np.log2(g / 2.0)
+    out[pos] = -(1.0 - g / 2.0) * np.log1p(-g / 2.0) / info.LN2 - (g / 2.0) * np.log2(g / 2.0)
     return out
 
 

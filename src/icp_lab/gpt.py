@@ -11,8 +11,8 @@ so that this single convention covers all of them:
   normalization coordinate, ``(s_1, ..., s_k, 1)``, constrained by
   ``sum_i |s_i|^p <= 1``. The fiducial effects ``(1 +/- s_i)/2`` are then
   linear in the embedded vector.
-* ``RestrictedClassical`` -- probability vectors over an internal simplex
-  whose measurements are restricted to a fixed list of coarse readouts.
+* ``RestrictedClassical`` -- probability vectors over an internal simplex,
+  read only through the theory's named measurements.
 * ``Quantum`` -- density matrices flattened to concatenated real and
   imaginary parts, so the dot product of effect and state coordinates equals
   ``Tr(E rho)`` exactly for Hermitian operators.
@@ -183,17 +183,14 @@ class NormConstraint:
 
 @dataclass(frozen=True, eq=False)
 class RestrictedClassical:
-    """A classical simplex of ``internal_states`` points read only through
-    ``allowed_measurements``."""
+    """A classical simplex of ``internal_states`` points; its readouts are its
+    theory's named measurements and no others."""
 
     internal_states: int
-    allowed_measurements: tuple[Measurement, ...]
 
     def __post_init__(self):
         if self.internal_states < 2:
             raise ValueError("need at least two internal states")
-        if not self.allowed_measurements:
-            raise ValueError("restricted theory needs at least one measurement")
 
 
 @dataclass(frozen=True)
@@ -407,8 +404,7 @@ def validate_measurement(theory: Theory, measurement: Measurement, tol: float = 
 def measure(theory: Theory, measurement: Measurement, state: State) -> np.ndarray:
     """Outcome distribution of a measurement on a state."""
     if isinstance(theory.variant, RestrictedClassical):
-        allowed = theory.variant.allowed_measurements
-        if all(m is not measurement and m.label != measurement.label for m in allowed):
+        if all(m is not measurement and m.label != measurement.label for m in theory.measurements.values()):
             raise ValueError(
                 f"measurement {measurement.label!r} is not available in {theory.theory_id!r}"
             )
@@ -490,7 +486,7 @@ def _dimension_cache_key(theory: Theory) -> tuple:
             tuple(e.label for e in (*v.extreme_effects, v.unit)),
         )
     elif isinstance(v, RestrictedClassical):
-        content = (v.internal_states, tuple(_measurement_key(m) for m in v.allowed_measurements))
+        content = (v.internal_states, tuple(_measurement_key(m) for m in theory.measurements.values()))
     elif isinstance(v, NormConstraint):
         content = (v.p, v.k, tuple(_measurement_key(m) for m in theory.measurements.values()))
     else:
@@ -701,7 +697,7 @@ def _restricted_dimension(theory: Theory, states: Sequence[State], label: str) -
     # a state is a deterministic pointer for outcome j when e_j fires with
     # certainty; effects of one measurement then exclude each other
     best: tuple[int, DistinguishabilityCertificate] | None = None
-    for m in _allowed_measurements(theory):
+    for m in theory.measurements.values():
         chosen: list[State] = []
         for e in m.effects:
             hit = next(
@@ -722,13 +718,6 @@ def _restricted_dimension(theory: Theory, states: Sequence[State], label: str) -
         cert = verify_distinguishable(theory, [states[0]], Measurement("trivial", (u,)))
         return DimensionReport(1, cert, True, "no deterministic readout found")
     return DimensionReport(best[0], best[1], True, label)
-
-
-def _allowed_measurements(theory: Theory) -> tuple[Measurement, ...]:
-    v = theory.variant
-    if isinstance(v, RestrictedClassical):
-        return v.allowed_measurements
-    return tuple(theory.measurements.values())
 
 
 def _norm_corner_states(theory: Theory) -> list[State]:
@@ -774,14 +763,9 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
         report = _restricted_dimension(theory, _norm_corner_states(theory), "fiducial readouts")
     else:
         dim = v.hilbert_dim
-        states = tuple(
-            State(density_to_coords(np.outer(b, b.conj())), theory.theory_id)
-            for b in np.eye(dim)
-        )
-        effects = tuple(
-            Effect(density_to_coords(np.outer(b, b.conj())), theory.theory_id, f"P{i}")
-            for i, b in enumerate(np.eye(dim))
-        )
+        projectors = [density_to_coords(np.outer(b, b.conj())) for b in np.eye(dim)]
+        states = tuple(State(c, theory.theory_id) for c in projectors)
+        effects = tuple(Effect(c, theory.theory_id, f"P{i}") for i, c in enumerate(projectors))
         cert = verify_distinguishable(theory, states, Measurement("basis", effects))
         report = DimensionReport(dim, cert, True, "projective basis (analytic)")
     if use_cache and report.exhaustive:

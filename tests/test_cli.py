@@ -184,6 +184,37 @@ def test_scan_rejects_malformed_range(capsys):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("text", ["nan:1", "1:inf", "inf:inf", "2:3:nan", "2:1e300:1e-300", "2:3:inf"])
+def test_scan_rejects_a_non_finite_range(capsys, text):
+    # a bound, step or grid count that is not finite is bad input, not a crash
+    code, out, err = run_cli(capsys, "scan", "pgnst", "--p", text)
+    assert (code, out) == (2, "")
+    assert "range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog",),
+        ("scan", "pgnst", "--p", "3:3.5:0.5"),
+        ("scan", "polygon", "--n", "5:6"),
+        ("scan", "composite", "--n", "1:2"),
+        ("scan", "mismatch", "--n", "4:5"),
+        ("scan", "axioms", "--trials", "5"),
+        ("scan", "sweep", "--points", "2"),
+    ],
+    ids=["catalog", "pgnst", "polygon", "composite", "mismatch", "axioms", "sweep"],
+)
+def test_csv_columns_are_the_keys_of_the_first_json_row(capsys, argv):
+    payload = run_json(capsys, *argv)["payload"]
+    rows = payload["entries"] if argv[0] == "catalog" else payload["rows"]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv", "--timestamp", STAMP)
+    assert code == 0, err
+    header = [l for l in out.splitlines() if not l.startswith("# ")][0].split(",")
+    # the JSON document sorts its keys; the columns keep the row's own order
+    assert len(set(header)) == len(header) and set(header) == set(rows[0])
+
 def _demo_file(tmp_path, capsys, name="sbit"):
     path = tmp_path / f"{name}.json"
     code, _, err = run_cli(

@@ -6,6 +6,8 @@ import pytest
 
 from icp_lab import (
     MEMBERSHIP_TOL,
+    Effect,
+    Measurement,
     State,
     Theory,
     apply_effect,
@@ -197,6 +199,22 @@ def test_dimension_cache_is_keyed_by_content():
     assert observed_dimension(impostor).d == 3
     assert observed_dimension(catalog.sbit().theory).d == 2
 
+
+
+def test_a_restricted_theory_reads_its_own_named_measurements():
+    # the hbit's simplex with a fine 4-outcome readout B added: B is allowed,
+    # and it tells the four internal states apart
+    hbit = catalog.hbit().theory
+    basis = Measurement("B", tuple(Effect(row, "hbit", f"B{i}") for i, row in enumerate(np.eye(4))))
+    fine = Theory("hbit", hbit.variant, {**hbit.measurements, "B": basis})
+    assert observed_dimension(fine).d == 4
+    state = State(np.array([0.1, 0.2, 0.3, 0.4]), "hbit")
+    assert measure(fine, basis, state).tolist() == [0.1, 0.2, 0.3, 0.4]
+    # the catalog's hbit keeps only its two coarse readouts
+    assert observed_dimension(hbit).d == 2
+    with pytest.raises(ValueError, match="is not available"):
+        measure(hbit, basis, state)
+    assert observed_dimension(catalog.hbit().theory).d == 2
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.5, float("inf")])
 @pytest.mark.parametrize("k", [2, 3])

@@ -236,6 +236,35 @@ def test_spectra_come_from_the_one_density_check(path):
     assert _eigvalsh_callers(path.read_text(encoding="utf-8")) == EIGVALSH_CALLERS.get(path.name, [])
 
 
+def _ln2_calls(source: str) -> list[int]:
+    """Lines that call ``log`` of the constant 2, as ``math.log``, ``np.log`` or by name."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)) == "log"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == 2
+    ]
+
+
+def test_ln2_check_finds_each_form():
+    source = (
+        "import math\nimport numpy as np\nfrom math import log\n"
+        "a = math.log(2.0)\n"  # line 4
+        "b = np.log(2)\n"  # line 5
+        "c = log(2.0)\n"  # line 6
+        "d = math.log(3.0) + np.log2(x) + math.log(x, 2) + info.LN2\n"
+    )
+    assert _ln2_calls(source) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_ln2_is_formed_only_in_info(path):
+    # info.LN2 is the one natural log of 2 that bit conversions divide by
+    assert len(_ln2_calls(path.read_text(encoding="utf-8"))) == (path.name == "info.py")
+
 def _modules_loaded_by(statements: str) -> set[str]:
     """The modules that a fresh interpreter holds after running ``statements``."""
     probe = f"import sys\n{statements}\nprint(*sys.modules)"
