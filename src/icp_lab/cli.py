@@ -29,6 +29,7 @@ from .serialize import (
 )
 
 _ROTATED_Z = re.compile(r"^Z\((?P<theta>[-+0-9.eE]+)\)$")
+MAX_GRID = 100_000  # most values one scan grid (--n, --p or --points) may hold
 
 
 def _range(text: str, number: type) -> list:
@@ -44,11 +45,16 @@ def _range(text: str, number: type) -> list:
     if step <= 0 or b < a:
         raise argparse.ArgumentTypeError(f"empty or backwards range {text!r}")
     if number is int:
-        return list(range(a, b + 1, step))
-    span = (b - a) / step + 1e-9
-    if not all(math.isfinite(x) for x in (a, b, step, span)):
-        raise argparse.ArgumentTypeError(f"non-finite range {text!r}")
-    return [a + i * step for i in range(math.floor(span) + 1)]
+        count = (b - a) // step + 1
+    else:
+        span = (b - a) / step + 1e-9
+        if not all(math.isfinite(x) for x in (a, b, step, span)):
+            raise argparse.ArgumentTypeError(f"non-finite range {text!r}")
+        count = math.floor(span) + 1
+    # counted before any value is built, so that a huge grid costs nothing
+    if count > MAX_GRID:
+        raise argparse.ArgumentTypeError(f"range {text!r} has {count} values, more than {MAX_GRID}")
+    return [a + i * step for i in range(count)]
 
 
 def _write(text: str, out: str | None) -> int:
@@ -355,6 +361,9 @@ def main(argv=None) -> int:
             if getattr(args, flag) < 1:
                 print(f"error: --{flag} must be positive", file=sys.stderr)
                 return 2
+        if args.points > MAX_GRID:
+            print(f"error: --points {args.points} is more than {MAX_GRID}", file=sys.stderr)
+            return 2
     handlers = {
         "catalog": cmd_catalog,
         "demo": cmd_demo,

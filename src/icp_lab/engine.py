@@ -398,6 +398,7 @@ class _StateFamily:
         elif isinstance(v, NormConstraint):
             self.kind = "norm"
             self.norm = v.norm
+            self.corners = v.corners()[:, :-1]
             self.n_params = v.k
             self.bounds = (-1.0, 1.0)
         elif isinstance(v, Quantum):
@@ -428,13 +429,7 @@ class _StateFamily:
         if self.kind in ("polytope", "simplex"):
             return [np.eye(self.n_params)[i] for i in range(self.n_params)]
         if self.kind == "norm":
-            seeds = []
-            for axis in range(self.n_params):
-                for sign in (1.0, -1.0):
-                    v = np.zeros(self.n_params)
-                    v[axis] = sign
-                    seeds.append(v)
-            return seeds
+            return list(self.corners)
         # bloch: measurement axes and their bisectors
         axes = []
         for m, _ in assignment.pairs:

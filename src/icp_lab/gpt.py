@@ -180,6 +180,14 @@ class NormConstraint:
         a = np.abs(s)
         return a.max(axis=-1) if math.isinf(self.p) else (a**self.p).sum(axis=-1) ** (1.0 / self.p)
 
+    def corners(self) -> np.ndarray:
+        """The 2k states +-1 on one fiducial axis, as (s_1, ..., s_k, 1) rows, + before -."""
+        out = np.zeros((2 * self.k, self.k + 1))
+        out[:, -1] = 1.0
+        # each +-1 set on its own: a product with -1 would leave -0.0 off the axis
+        out[np.arange(2 * self.k), np.arange(2 * self.k) // 2] = np.tile([1.0, -1.0], self.k)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class RestrictedClassical:
@@ -396,7 +404,7 @@ def validate_measurement(theory: Theory, measurement: Measurement, tol: float = 
     u = unit_effect(theory)
     total = measurement.effect_matrix.sum(axis=0)
     dev = float(np.max(np.abs(total - u.coords)))
-    if dev > tol:
+    if not dev <= tol:
         return Validation(False, f"effects sum deviates from unit by {dev!r}")
     return Validation(True, f"effects sum to unit within {dev!r}")
 
@@ -404,7 +412,8 @@ def validate_measurement(theory: Theory, measurement: Measurement, tol: float = 
 def measure(theory: Theory, measurement: Measurement, state: State) -> np.ndarray:
     """Outcome distribution of a measurement on a state."""
     if isinstance(theory.variant, RestrictedClassical):
-        if all(m is not measurement and m.label != measurement.label for m in theory.measurements.values()):
+        rows = measurement.effect_matrix
+        if not any(np.array_equal(m.effect_matrix, rows) for m in theory.measurements.values()):
             raise ValueError(
                 f"measurement {measurement.label!r} is not available in {theory.theory_id!r}"
             )
@@ -436,18 +445,17 @@ def verify_distinguishable(
     states = tuple(states)
     if len(measurement.effects) < len(states):
         raise ValueError("measurement has fewer outcomes than states")
+    coords = np.array([s.coords for s in states]) if states else np.empty((0, measurement.effect_matrix.shape[1]))
     if states:
-        _, ok = check_states(theory, np.array([s.coords for s in states]))
+        _, ok = check_states(theory, coords)
         if not ok:
             raise ValueError(f"state outside the state space: {ok.detail}")
     ok = validate_measurement(theory, measurement, tol=UNIT_TOL)
     if not ok:
         raise ValueError(ok.detail)
-    worst = 0.0
-    for i, s in enumerate(states):
-        for j, e in enumerate(measurement.effects[: len(states)]):
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(float(np.dot(e.coords, s.coords)) - target))
+    # NaN propagates through the max and fails the test below
+    vals = measurement.effect_matrix[: len(states)] @ coords.T
+    worst = float(np.max(np.abs(vals - np.eye(len(states))), initial=0.0))
     return DistinguishabilityCertificate(states, measurement, worst <= DISTINGUISH_TOL, worst)
 
 
@@ -671,7 +679,7 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
                 if work > budget:
                     return exhausted
                 remainder = unit.coords - np.sum([candidates[j].coords for j in combo], axis=0)
-                rem_vals = np.array([float(np.dot(remainder, s.coords)) for s in vertices])
+                rem_vals = v.vertex_matrix @ remainder
                 if rem_vals.min() < -DISTINGUISH_TOL:
                     continue
                 effects = [candidates[j] for j in combo]
@@ -693,43 +701,25 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
     return best
 
 
-def _restricted_dimension(theory: Theory, states: Sequence[State], label: str) -> DimensionReport:
-    # a state is a deterministic pointer for outcome j when e_j fires with
-    # certainty; effects of one measurement then exclude each other
-    best: tuple[int, DistinguishabilityCertificate] | None = None
-    for m in theory.measurements.values():
-        chosen: list[State] = []
-        for e in m.effects:
-            hit = next(
-                (s for s in states if abs(float(np.dot(e.coords, s.coords)) - 1.0) <= DISTINGUISH_TOL),
-                None,
-            )
-            if hit is not None:
-                chosen.append(hit)
-            else:
-                break
-        if len(chosen) >= 1 and (best is None or len(chosen) > best[0]):
-            if len(chosen) == len(m.effects):
-                cert = verify_distinguishable(theory, chosen, m)
-                if cert.verified:
-                    best = (len(chosen), cert)
+def _pointer_dimension(
+    theory: Theory, states: np.ndarray, measurements: Iterable[Measurement], label: str
+) -> DimensionReport:
+    """The most outcomes of one of ``measurements`` that each have a pointer,
+    the first row of ``states`` on which that outcome reads 1, and that
+    ``verify_distinguishable`` tells apart by their pointers; with none, d = 1
+    by the unit effect."""
+    best = None
+    for m in measurements:
+        one, _ = _readouts(m.effect_matrix, states)
+        if one.any(axis=1).all() and (best is None or len(m) > best.d):
+            cert = verify_distinguishable(theory, [State(states[i], theory.theory_id) for i in one.argmax(axis=1)], m)
+            if cert.verified:
+                best = DimensionReport(len(m), cert, True, label)
     if best is None:
-        u = unit_effect(theory)
-        cert = verify_distinguishable(theory, [states[0]], Measurement("trivial", (u,)))
-        return DimensionReport(1, cert, True, "no deterministic readout found")
-    return DimensionReport(best[0], best[1], True, label)
-
-
-def _norm_corner_states(theory: Theory) -> list[State]:
-    v = theory.variant
-    states = []
-    for axis in range(v.k):
-        for sign in (1.0, -1.0):
-            coords = np.zeros(v.k + 1)
-            coords[axis] = sign
-            coords[-1] = 1.0
-            states.append(State(coords, theory.theory_id))
-    return states
+        trivial = Measurement("trivial", (unit_effect(theory),))
+        cert = verify_distinguishable(theory, [State(states[0], theory.theory_id)], trivial)
+        best = DimensionReport(1, cert, True, "no deterministic readout found")
+    return best
 
 
 def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool = True) -> DimensionReport:
@@ -745,29 +735,26 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
     size with no clique proves that ``d`` is no larger, so the search is
     then exhaustive whatever the budget.
 
-    Restricted and norm-constraint theories search their available
-    measurements; quantum theories have an analytic basis certificate.
+    Restricted, norm-constraint and quantum theories read d off pointer
+    states (``_pointer_dimension``): the simplex vertices or the norm body's
+    corners with the theory's named measurements, or the basis projectors
+    with the basis measurement.
     """
     if use_cache and theory._dimension_key in _DIMENSION_CACHE:
         return _DIMENSION_CACHE[theory._dimension_key]
     v = theory.variant
+    named = theory.measurements.values()
     if isinstance(v, Polytope):
         report = _polytope_dimension(theory, budget)
     elif isinstance(v, RestrictedClassical):
-        basis = [
-            State(np.eye(v.internal_states)[i], theory.theory_id)
-            for i in range(v.internal_states)
-        ]
-        report = _restricted_dimension(theory, basis, "restricted measurement catalog")
+        report = _pointer_dimension(theory, np.eye(v.internal_states), named, "restricted measurement catalog")
     elif isinstance(v, NormConstraint):
-        report = _restricted_dimension(theory, _norm_corner_states(theory), "fiducial readouts")
+        report = _pointer_dimension(theory, v.corners(), named, "fiducial readouts")
     else:
-        dim = v.hilbert_dim
-        projectors = [density_to_coords(np.outer(b, b.conj())) for b in np.eye(dim)]
-        states = tuple(State(c, theory.theory_id) for c in projectors)
-        effects = tuple(Effect(c, theory.theory_id, f"P{i}") for i, c in enumerate(projectors))
-        cert = verify_distinguishable(theory, states, Measurement("basis", effects))
-        report = DimensionReport(dim, cert, True, "projective basis (analytic)")
+        # the basis projectors |i><i|: entry (i, j, k) of the stack is 1 where i = j = k
+        coords = density_to_coords(np.eye(v.hilbert_dim)[:, :, None] * np.eye(v.hilbert_dim))
+        basis = Measurement("basis", tuple(Effect(c, theory.theory_id, f"P{i}") for i, c in enumerate(coords)))
+        report = _pointer_dimension(theory, coords, [basis], "projective basis (analytic)")
     if use_cache and report.exhaustive:
         _DIMENSION_CACHE[theory._dimension_key] = report
     return report

@@ -1,13 +1,16 @@
 """Command-line surface: output documents, determinism, exit codes."""
+import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from icp_lab.cli import main
+from icp_lab.cli import MAX_GRID, _range, main
 
 STAMP = "2026-01-01T00:00:00+00:00"
 
@@ -191,6 +194,57 @@ def test_scan_rejects_a_non_finite_range(capsys, text):
     code, out, err = run_cli(capsys, "scan", "pgnst", "--p", text)
     assert (code, out) == (2, "")
     assert "range" in err
+
+
+@contextlib.contextmanager
+def _bounded_address_space(headroom=1 << 29):
+    """Cap this process's address space at its present size plus ``headroom``
+    bytes, so that a grid built by mistake raises MemoryError instead of
+    filling the machine's memory."""
+    resource = pytest.importorskip("resource")
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("needs /proc/self/statm")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(statm.read_text().split()[0]) * resource.getpagesize() + headroom
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scan", "polygon", "--n", "4:100000000000"), "range '4:100000000000' has 99999999997 values"),
+        # more values than a C index can count
+        (("scan", "mismatch", "--n", "0:100000000000000000000"), "has 100000000000000000001 values"),
+        (("scan", "pgnst", "--p", "2:1e15:1e-5"), "range '2:1e15:1e-5' has"),
+        (("scan", "sweep", "--points", "1000000000000"), "--points 1000000000000 is more than 100000"),
+        (("scan", "sweep", "--points", str(MAX_GRID + 1)), f"--points {MAX_GRID + 1} is more than"),
+    ],
+    ids=["int-range", "int-range-past-ssize", "float-range", "points", "points-past-the-cap"],
+)
+def test_a_grid_past_the_cap_exits_2_before_it_is_built(capsys, argv, message):
+    tracemalloc.start()
+    try:
+        with _bounded_address_space():
+            code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert message in err
+    assert peak < 1 << 20
+
+
+def test_the_grid_cap_admits_exactly_max_grid_values():
+    assert len(_range(f"4:{MAX_GRID + 3}", int)) == MAX_GRID
+    assert len(_range(f"0:{MAX_GRID - 1}:1.0", float)) == MAX_GRID
+    for text, number in [(f"4:{MAX_GRID + 4}", int), (f"0:{MAX_GRID}:1.0", float), (f"1:{1 + MAX_GRID // 2}:0.5", float)]:
+        with pytest.raises(argparse.ArgumentTypeError, match=f"has {MAX_GRID + 1} values, more than {MAX_GRID}$"):
+            _range(text, number)
 
 
 @pytest.mark.parametrize(

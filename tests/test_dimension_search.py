@@ -1,5 +1,6 @@
-"""Polytope dimension search: the clique search against the chunked mask
-search it replaced and the per-subset search."""
+"""Dimension search: the polytope clique search against the chunked mask
+search it replaced and the per-subset search, and the pointer search of
+restricted, norm and quantum theories against a state-by-state one."""
 import itertools
 import math
 import tracemalloc
@@ -453,3 +454,84 @@ def test_norm_cube_fiducial_dimension_matches_the_polytope_search(k):
     searched = observed_dimension(body, use_cache=False)
     assert (searched.d, searched.exhaustive) == (fiducial.d, True)
     assert searched.certificate.verified
+
+
+def _scalar_certificate(theory, states, measurement):
+    """A certificate checked one state and one effect at a time."""
+    worst = 0.0
+    for i, s in enumerate(states):
+        for j, e in enumerate(measurement.effects[: len(states)]):
+            worst = max(worst, abs(float(np.dot(e.coords, s.coords)) - (1.0 if i == j else 0.0)))
+    return gpt.DistinguishabilityCertificate(tuple(states), measurement, worst <= DISTINGUISH_TOL, worst)
+
+
+def _scalar_pointer_dimension(theory, states, label):
+    """The reference search: for each effect of each named measurement, the
+    first state on which it reads 1, one dot product at a time."""
+    best = None
+    for m in theory.measurements.values():
+        chosen = []
+        for e in m.effects:
+            hit = next((s for s in states if abs(float(np.dot(e.coords, s.coords)) - 1.0) <= DISTINGUISH_TOL), None)
+            if hit is None:
+                break
+            chosen.append(hit)
+        if len(chosen) == len(m.effects) and (best is None or len(chosen) > best[0]):
+            cert = _scalar_certificate(theory, chosen, m)
+            if cert.verified:
+                best = (len(chosen), cert)
+    if best is None:
+        trivial = Measurement("trivial", (gpt.unit_effect(theory),))
+        return DimensionReport(1, _scalar_certificate(theory, [states[0]], trivial), True, "no deterministic readout found")
+    return DimensionReport(*best, True, label)
+
+
+def _scalar_observed_dimension(theory):
+    """The pointer readouts of restricted, norm and quantum theories, state by state."""
+    v, tid = theory.variant, theory.theory_id
+    if isinstance(v, gpt.RestrictedClassical):
+        basis = [State(np.eye(v.internal_states)[i], tid) for i in range(v.internal_states)]
+        return _scalar_pointer_dimension(theory, basis, "restricted measurement catalog")
+    if isinstance(v, gpt.NormConstraint):
+        corners = []
+        for axis in range(v.k):
+            for sign in (1.0, -1.0):
+                coords = np.zeros(v.k + 1)
+                coords[axis] = sign
+                coords[-1] = 1.0
+                corners.append(State(coords, tid))
+        return _scalar_pointer_dimension(theory, corners, "fiducial readouts")
+    projectors = [gpt.density_to_coords(np.outer(b, b.conj())) for b in np.eye(v.hilbert_dim)]
+    states = tuple(State(c, tid) for c in projectors)
+    effects = tuple(Effect(c, tid, f"P{i}") for i, c in enumerate(projectors))
+    cert = _scalar_certificate(theory, states, Measurement("basis", effects))
+    return DimensionReport(v.hilbert_dim, cert, True, "projective basis (analytic)")
+
+
+def _restricted_edge(name):
+    half = np.full(3, 0.5)
+    measurements = {
+        # no outcome reads 1 on any internal state
+        "no-readout": {"H": Measurement("H", (Effect(half, name, "h0"), Effect(half, name, "h1")))},
+        # the unit alone fires everywhere: d = 1 under the search's own label
+        "one-outcome": {"U": Measurement("U", (Effect(np.ones(3), name, "u"),))},
+        "no-measurement": {},
+    }[name]
+    return gpt.Theory(name, gpt.RestrictedClassical(3), measurements)
+
+
+POINTER_THEORIES = {
+    "hbit": lambda: catalog.hbit().theory,
+    **{f"pgnst-{p}-{k}": (lambda p=p, k=k: catalog.pgnst(p, k).theory) for p in (2, 2.5, 3, 8, math.inf) for k in (2, 3)},
+    **{f"quantum-{d}": (lambda d=d: gpt.Theory(f"quantum-{d}", gpt.Quantum(d))) for d in range(2, 9)},
+    **{name: (lambda name=name: _restricted_edge(name)) for name in ("no-readout", "one-outcome", "no-measurement")},
+}
+
+
+@pytest.mark.parametrize("make", POINTER_THEORIES.values(), ids=POINTER_THEORIES.keys())
+def test_pointer_search_matches_the_scalar_readouts(make):
+    theory = make()
+    report = observed_dimension(theory, use_cache=False)
+    assert report.certificate.verified
+    assert _report_bytes(report) == _report_bytes(_scalar_observed_dimension(theory))
+

@@ -216,6 +216,43 @@ def test_a_restricted_theory_reads_its_own_named_measurements():
         measure(hbit, basis, state)
     assert observed_dimension(catalog.hbit().theory).d == 2
 
+
+def test_a_restricted_theory_reads_only_the_effect_rows_of_its_named_measurements():
+    # a label names a measurement but does not make one: the four fine basis
+    # effects under the hbit's label "X" would read its hidden internal state
+    hbit = catalog.hbit().theory
+    state = State(np.array([0.1, 0.2, 0.3, 0.4]), "hbit")
+    fine = Measurement("X", tuple(Effect(row, "hbit", f"X{i}") for i, row in enumerate(np.eye(4))))
+    with pytest.raises(ValueError, match="'X' is not available in 'hbit'"):
+        measure(hbit, fine, state)
+    x = hbit.measurement("X")
+    assert measure(hbit, x, state).tolist() == pytest.approx([0.3, 0.7], abs=1e-12)
+    relabelled = Measurement("parity", tuple(Effect(e.coords, "hbit", f"p{i}") for i, e in enumerate(x.effects)))
+    assert measure(hbit, relabelled, state).tolist() == measure(hbit, x, state).tolist()
+
+
+def test_a_measurement_with_a_nan_effect_is_neither_valid_nor_a_certificate():
+    # every comparison with NaN is false, so a test written "dev > tol" passed it
+    th = catalog.classical_bit().theory
+    bad = Measurement("bad", (Effect([1.0, np.nan], "classical-bit"), Effect([0.0, 1.0], "classical-bit")))
+    ok = validate_measurement(th, bad)
+    assert not ok and ok.detail == "effects sum deviates from unit by nan"
+    with pytest.raises(ValueError, match="deviates from unit by nan"):
+        verify_distinguishable(th, th.variant.vertices, bad)
+
+
+def test_verify_distinguishable_with_no_states_is_vacuous(bit_entry):
+    cert = verify_distinguishable(bit_entry.theory, [], bit_entry.theory.measurement("X"))
+    assert cert.verified and cert.max_deviation == 0.0 and cert.states == ()
+
+
+def test_norm_corners_are_the_fiducial_extremes_without_negative_zeros():
+    corners = NormConstraint(3.0, 3).corners()
+    expected = [[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 0, 1], [0, -1, 0, 1], [0, 0, 1, 1], [0, 0, -1, 1]]
+    assert corners.tolist() == expected
+    assert not np.signbit(corners[corners == 0.0]).any()
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.5, float("inf")])
 @pytest.mark.parametrize("k", [2, 3])
 def test_norm_equals_the_row_and_the_scalar_forms(p, k):

@@ -265,6 +265,32 @@ def test_ln2_is_formed_only_in_info(path):
     # info.LN2 is the one natural log of 2 that bit conversions divide by
     assert len(_ln2_calls(path.read_text(encoding="utf-8"))) == (path.name == "info.py")
 
+
+def _dot_calls(source: str) -> list[int]:
+    """Lines that call ``dot``, as ``np.dot``, by name or as an array's method."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)) == "dot"
+    ]
+
+
+def test_dot_check_finds_each_form():
+    source = (
+        "import numpy as np\nfrom numpy import dot\n"
+        "a = np.dot(e, s)\n"  # line 3
+        "b = dot(e, s)\n"  # line 4
+        "c = e.dot(s)\n"  # line 5
+        "d = e @ s + np.vdot(e, s) + np.einsum('i,i', e, s)\n"
+    )
+    assert _dot_calls(source) == [3, 4, 5]
+
+
+def test_gpt_reads_effects_on_states_by_whole_products():
+    # every readout in gpt is one product of effect rows and state rows
+    assert _dot_calls((SRC / "gpt.py").read_text(encoding="utf-8")) == []
+
 def _modules_loaded_by(statements: str) -> set[str]:
     """The modules that a fresh interpreter holds after running ``statements``."""
     probe = f"import sys\n{statements}\nprint(*sys.modules)"
