@@ -18,8 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -46,58 +47,76 @@ from .info import (
 )
 from .sampling import (
     _complex_gaussian,
+    _density_draw_parts,
     _density_from_draws,
-    _dirichlet_ones,
+    _dirichlet_rows,
+    _finish_density_draws,
     _haar_from_gaussian,
-    _stacked_density_draws,
 )
 
 
 # --- random instances per axiom ----------------------------------------------
 #
 # Each axiom is a draw and an evaluation. A draw takes one trial's random
-# numbers from the generator and returns them as arrays; an evaluation takes a
-# stack of trials of one shape, each array with a leading trial axis, and
-# returns every trial's violation before the clip at 0. The arithmetic is that
-# of a single trial done on every trial at once, in the same order, so a
-# trial's value does not depend on the stack it is evaluated in.
+# numbers from the generator and returns them raw, with the same generator
+# calls, sizes and order as drawing them finished would make: standard
+# exponentials in the shape of the table or rows they normalise into, and
+# (2, d, d) Gaussian parts. It returns them with a shape key, the sizes it
+# drew, so trials are grouped without reading their arrays' shapes. An
+# evaluation takes a stack of trials of one key, each array with a leading
+# trial axis, finishes the whole stack once (the Dirichlet normalisation and
+# the complex combination, both row by row, so with each trial's bits) and
+# returns every trial's violation before the clip at 0. The arithmetic is
+# that of a single trial done on every trial at once, in the same order, so
+# a trial's value does not depend on the stack it is evaluated in.
 
-def _draw_joint(*highs: int) -> Callable[[np.random.Generator], tuple[np.ndarray, ...]]:
+def _draw_joint(*highs: int) -> Callable[[np.random.Generator], tuple[tuple, tuple[np.ndarray, ...]]]:
     """The draw of one Dirichlet table, its axis lengths drawn from [2, high)."""
 
-    def draw(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    def draw(rng: np.random.Generator) -> tuple[tuple, tuple[np.ndarray, ...]]:
         shape = tuple(int(rng.integers(2, high)) for high in highs)
-        return (_dirichlet_ones(rng, math.prod(shape)).reshape(shape),)
+        # numbers of standard_exponential(prod(shape)), in row-major order
+        return shape, (rng.standard_exponential(shape),)
 
     return draw
 
 
-def _draw_channel(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+def _draw_channel(rng: np.random.Generator) -> tuple[tuple, tuple[np.ndarray, ...]]:
     s, a, x = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
-    joint = _dirichlet_ones(rng, s * a).reshape(s, a)
-    return joint, _dirichlet_ones(rng, x, s)  # p(x|s) rows
+    return (s, a, x), (rng.standard_exponential((s, a)), rng.standard_exponential((s, x)))  # joint, p(x|s) rows
 
 
-def _draw_cq(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+def _draw_cq(rng: np.random.Generator) -> tuple[tuple, tuple[np.ndarray, ...]]:
     dim, nc = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-    return (_dirichlet_ones(rng, nc), *_stacked_density_draws(rng, dim, nc))
+    return (dim, nc), (rng.standard_exponential((nc,)), *_density_draw_parts(rng, dim, nc))
 
 
-def _draw_density(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    eigs, g = _stacked_density_draws(rng, int(rng.integers(2, 9)), 1)
-    return eigs[0], g[0]
+def _draw_density(rng: np.random.Generator) -> tuple[int, tuple[np.ndarray, ...]]:
+    dim = int(rng.integers(2, 9))
+    exponentials, parts = _density_draw_parts(rng, dim, 1)
+    return dim, (exponentials[0], parts[0])
 
 
-def _draw_cq_grid(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+def _draw_cq_grid(rng: np.random.Generator) -> tuple[tuple, tuple[np.ndarray, ...]]:
     # S quantum, A and B classical: rho = sum p_ab |a><a| x |b><b| x rho_ab
-    p = _dirichlet_ones(rng, 4).reshape(2, 2)
-    eigs, g = _stacked_density_draws(rng, 2, 4)
-    return p, eigs.reshape(2, 2, 2), g.reshape(2, 2, 2, 2)
+    p = rng.standard_exponential((2, 2))
+    exponentials, parts = _density_draw_parts(rng, 2, 4)
+    return (), (p, exponentials.reshape(2, 2, 2), parts.reshape(2, 2, 2, 2, 2))
 
 
-def _draw_cq_measured(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    probs, eigs, g = _draw_cq(rng)
-    return probs, eigs, g, _complex_gaussian(rng, eigs.shape[1])
+def _draw_cq_measured(rng: np.random.Generator) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    (dim, nc), drawn = _draw_cq(rng)
+    return (dim, nc), (*drawn, rng.normal(size=(2, dim, dim)))
+
+
+def _tables(exponentials: np.ndarray) -> np.ndarray:
+    """Each trial's Dirichlet table: all of its exponentials normalised as one row."""
+    return _dirichlet_rows(exponentials.reshape(len(exponentials), -1)).reshape(exponentials.shape)
+
+
+def _densities(exponentials: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """The density matrices of a stack of ``_density_draw_parts`` draws."""
+    return _density_from_draws(*_finish_density_draws(exponentials, parts))
 
 
 def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -105,7 +124,8 @@ def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def _shannon_axiom_i(table: np.ndarray) -> np.ndarray:
+def _shannon_axiom_i(exponentials: np.ndarray) -> np.ndarray:
+    table = _tables(exponentials)
     pf = table.sum(axis=1)
     direct = np.zeros(len(table))
     for j in range(table.shape[2]):
@@ -117,15 +137,17 @@ def _shannon_axiom_i(table: np.ndarray) -> np.ndarray:
     return _larger(np.abs(direct - via_joint), np.abs(i_joint - i_def))
 
 
-def _shannon_axiom_ii(p: np.ndarray) -> np.ndarray:
-    return _plogp_bits_rows(p) - math.log2(p.shape[1])
+def _shannon_axiom_ii(exponentials: np.ndarray) -> np.ndarray:
+    return _plogp_bits_rows(_tables(exponentials)) - math.log2(exponentials.shape[1])
 
 
-def _shannon_axiom_iii(table: np.ndarray) -> np.ndarray:
+def _shannon_axiom_iii(exponentials: np.ndarray) -> np.ndarray:
+    table = _tables(exponentials)
     return -(_plogp_bits_rows(table) - _plogp_bits_rows(table.sum(axis=1)))
 
 
-def _shannon_axiom_iv(t: np.ndarray) -> np.ndarray:
+def _shannon_axiom_iv(exponentials: np.ndarray) -> np.ndarray:
+    t = _tables(exponentials)
     h_sa = _plogp_bits_rows(t.sum(axis=3))
     h_sb = _plogp_bits_rows(t.sum(axis=2))
     h_sab = _plogp_bits_rows(t)
@@ -133,7 +155,8 @@ def _shannon_axiom_iv(t: np.ndarray) -> np.ndarray:
     return h_sab + h_s - h_sa - h_sb
 
 
-def _shannon_axiom_v(joint: np.ndarray, channel: np.ndarray) -> np.ndarray:
+def _shannon_axiom_v(joint_exponentials: np.ndarray, channel_exponentials: np.ndarray) -> np.ndarray:
+    joint, channel = _tables(joint_exponentials), _dirichlet_rows(channel_exponentials)
     out = np.swapaxes(channel, 1, 2) @ joint
     return _total_correlation_rows(out) - _total_correlation_rows(joint)
 
@@ -144,8 +167,8 @@ def _weighted_sum(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sum(weights[:, c] * values[:, c] for c in range(probs.shape[1]))
 
 
-def _vn_axiom_i(probs: np.ndarray, eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    rhos = _density_from_draws(eigs, g)
+def _vn_axiom_i(prob_exponentials: np.ndarray, exponentials: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    probs, rhos = _dirichlet_rows(prob_exponentials), _densities(exponentials, parts)
     cond_direct = _weighted_sum(probs, _von_neumann_rows(rhos))
     h_p = _plogp_bits_rows(probs)
     h_sf = h_p + cond_direct
@@ -156,16 +179,16 @@ def _vn_axiom_i(probs: np.ndarray, eigs: np.ndarray, g: np.ndarray) -> np.ndarra
     return _larger(np.abs(cond_direct - cond_via_joint), np.abs(i_joint - i_def))
 
 
-def _vn_axiom_ii(eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return _von_neumann_rows(_density_from_draws(eigs, g)) - math.log2(eigs.shape[1])
+def _vn_axiom_ii(exponentials: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    return _von_neumann_rows(_densities(exponentials, parts)) - math.log2(exponentials.shape[1])
 
 
-def _vn_axiom_iii(probs: np.ndarray, eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return -_weighted_sum(probs, _von_neumann_rows(_density_from_draws(eigs, g)))
+def _vn_axiom_iii(prob_exponentials: np.ndarray, exponentials: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    return -_weighted_sum(_dirichlet_rows(prob_exponentials), _von_neumann_rows(_densities(exponentials, parts)))
 
 
-def _vn_axiom_iv(p: np.ndarray, eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    rhos = _density_from_draws(eigs, g)
+def _vn_axiom_iv(p_exponentials: np.ndarray, exponentials: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    p, rhos = _tables(p_exponentials), _densities(exponentials, parts)
     h = _von_neumann_rows(rhos)
     h_sab = _plogp_bits_rows(p) + sum(p[:, a, b] * h[:, a, b] for a in range(2) for b in range(2))
     pa, pb = p.sum(axis=2), p.sum(axis=1)
@@ -178,8 +201,11 @@ def _vn_axiom_iv(p: np.ndarray, eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
     return h_sab + h_s - h_sa - h_sb
 
 
-def _vn_axiom_v(probs: np.ndarray, eigs: np.ndarray, g: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
-    rhos = _density_from_draws(eigs, g)
+def _vn_axiom_v(
+    prob_exponentials: np.ndarray, exponentials: np.ndarray, parts: np.ndarray, measurement_parts: np.ndarray
+) -> np.ndarray:
+    probs, rhos = _dirichlet_rows(prob_exponentials), _densities(exponentials, parts)
+    g_meas = _complex_gaussian(None, exponentials.shape[-1], measurement_parts)
     holevo = _von_neumann_rows(_weighted_sum(probs, rhos)) - _weighted_sum(probs, _von_neumann_rows(rhos))
     # projector i of a trial is the outer product of column i of its unitary
     cols = np.swapaxes(_haar_from_gaussian(g_meas), 1, 2)
@@ -214,9 +240,10 @@ _CHUNK = 256
 
 def _draw_trials(
     draw: Callable, axiom_seed: np.random.SeedSequence, trials: int
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """Every trial's draws in order: block i of the 64 takes its own child seed
-    and holds trials // 64 trials, one more when i < trials % 64."""
+) -> Iterator[tuple[Hashable, tuple[np.ndarray, ...]]]:
+    """Every trial's shape key and raw draws in order: block i of the 64 takes
+    its own child seed and holds trials // 64 trials, one more when
+    i < trials % 64."""
     for i, block_seed in enumerate(axiom_seed.spawn(_N_BLOCKS)):
         rng = np.random.default_rng(block_seed)
         for _ in range(trials // _N_BLOCKS + (i < trials % _N_BLOCKS)):
@@ -224,14 +251,14 @@ def _draw_trials(
 
 
 def _evaluate_trials(evaluate: Callable[..., np.ndarray], drawn: list[tuple]) -> np.ndarray:
-    """Every trial's value in draw order, each group of trials whose arrays
-    share their shapes evaluated as one stack."""
-    groups: dict[tuple, list[int]] = {}
-    for i, arrays in enumerate(drawn):
-        groups.setdefault(tuple(a.shape for a in arrays), []).append(i)
+    """Every trial's value in draw order, each group of trials with one shape
+    key evaluated as one stack."""
+    groups: dict[Hashable, list[int]] = {}
+    for i, (key, _) in enumerate(drawn):
+        groups.setdefault(key, []).append(i)
     values = np.empty(len(drawn))
     for index in groups.values():
-        values[index] = evaluate(*(np.array(stack) for stack in zip(*(drawn[i] for i in index))))
+        values[index] = evaluate(*(np.array(stack) for stack in zip(*(drawn[i][1] for i in index))))
     return values
 
 
@@ -239,14 +266,17 @@ def axiom_suite(entropy_kind: str = "shannon", trials: int = 1000, seed: int = 0
     """Stress axioms (i)-(v) on seeded random instances; passed means
     the worst violation stays below 1e-9.
 
-    Each axiom draws its trials in order and evaluates them stacked by shape,
-    256 drawn trials at a time; a trial's value does not depend on its stack.
+    Each axiom draws its trials in order, as raw generator output, and
+    finishes and evaluates them stacked by shape, 256 drawn trials at a
+    time; a trial's value does not depend on its stack. ``trials`` is taken
+    through ``operator.index``, so a float raises TypeError.
     The draw order is part of the contract: the 64 blocks, their child seeds
     and the order of draws within a trial fix every reported value, so
     ``scan axioms`` output changes with any change of it.
     """
     if entropy_kind not in _AXIOMS:
         raise ValueError(f"unknown entropy kind {entropy_kind!r}")
+    trials = operator.index(trials)  # True counts as 1
     if trials < 1:
         raise ValueError("trials must be positive")
     reports = []

@@ -45,16 +45,45 @@ def _density_from_draws(eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (u * eigs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
-def _complex_gaussian(rng: np.random.Generator, dim: int, parts: np.ndarray | None = None) -> np.ndarray:
+def _complex_gaussian(rng: np.random.Generator | None, dim: int, parts: np.ndarray | None = None) -> np.ndarray:
     """A dim x dim complex Gaussian matrix: the real part is drawn first.
 
     One draw of shape (2, dim, dim) fills the real part and then the
     imaginary part, as two (dim, dim) draws in that order would. Given
     ``parts``, a stack (..., 2, dim, dim) of such draws already made, it
-    draws nothing and returns their stack of matrices.
+    draws nothing (``rng`` may be None) and returns their stack of matrices.
     """
     g = rng.normal(size=(2, dim, dim)) if parts is None else parts
     return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
+def _density_draw_parts(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw draws of n random density matrices: their standard
+    exponentials (n, dim) and their Gaussian parts (n, 2, dim, dim).
+
+    Each state's exponentials and then its (2, dim, dim) Gaussian parts are
+    drawn into its rows of two buffers, state after state. The draws and the
+    generator's state equal those of ``_dirichlet_ones(rng, dim)`` then
+    ``_complex_gaussian(rng, dim)``, state after state, before their
+    finishing.
+    """
+    exponentials, parts = np.empty((n, dim)), np.empty((n, 2, dim, dim))
+    for i in range(n):
+        rng.standard_exponential(out=exponentials[i])
+        rng.standard_normal(out=parts[i])
+    return exponentials, parts
+
+
+def _finish_density_draws(exponentials: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet eigenvalues (..., dim) and complex Gaussian matrices
+    (..., dim, dim) from raw draws (..., dim) and (..., 2, dim, dim).
+
+    Both steps are row by row (the Dirichlet normalisation along the last
+    axis, the complex combination element by element), so a stack of any
+    leading shape is finished once with the bits of finishing each state
+    alone.
+    """
+    return _dirichlet_rows(exponentials), _complex_gaussian(None, parts.shape[-1], parts)
 
 
 def _stacked_density_draws(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,18 +91,12 @@ def _stacked_density_draws(rng: np.random.Generator, dim: int, n: int) -> tuple[
     eigenvalues (n, dim) and the complex Gaussian matrices of their bases
     (n, dim, dim).
 
-    Each state's exponentials and then its (2, dim, dim) Gaussian parts are
-    drawn into its rows of two buffers, state after state; the Dirichlet
-    normalisation and the complex combination then run once on the whole
-    stack, row by row. The draws and the generator's state equal those of
-    ``_dirichlet_ones(rng, dim)`` then ``_complex_gaussian(rng, dim)``, state
-    after state.
+    ``_density_draw_parts`` draws them, state after state, and
+    ``_finish_density_draws`` then runs once on the whole stack. The draws
+    and the generator's state equal those of ``_dirichlet_ones(rng, dim)``
+    then ``_complex_gaussian(rng, dim)``, state after state.
     """
-    exponentials, parts = np.empty((n, dim)), np.empty((n, 2, dim, dim))
-    for i in range(n):
-        rng.standard_exponential(out=exponentials[i])
-        rng.standard_normal(out=parts[i])
-    return _dirichlet_rows(exponentials), _complex_gaussian(rng, dim, parts)
+    return _finish_density_draws(*_density_draw_parts(rng, dim, n))
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

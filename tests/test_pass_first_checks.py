@@ -268,7 +268,8 @@ def test_effect_values_equals_the_two_pass_oracle(name):
     def check(case):
         entry, coords = case
         for effects in _effect_matrices(entry.theory):
-            got, want = _outcome(effect_values, effects, coords), _outcome(old_effect_values, effects, coords)
+            with np.errstate(invalid="ignore"):  # the stacks' NaN and infinite rows
+                got, want = _outcome(effect_values, effects, coords), _outcome(old_effect_values, effects, coords)
             if isinstance(want, np.ndarray) and np.isnan(want).any():
                 # the oracle let a NaN value through; the fast path names it
                 assert isinstance(got, str) and got == "effect value nan outside [0, 1]; invalid effect/state pair"
