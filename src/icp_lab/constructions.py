@@ -502,6 +502,9 @@ class CompositeGbitRecord:
         return asdict(self)
 
 
+_MAX_CUBE_SYSTEMS = 646  # the most cube systems for which 3^n converts to a float
+
+
 def composite_gbit_extractable(n: int) -> CompositeGbitRecord:
     """Super-strong code on n cube systems against the composite bound.
 
@@ -511,8 +514,8 @@ def composite_gbit_extractable(n: int) -> CompositeGbitRecord:
     log2(4^n) = 2n. The gain term grows like (3/2)^n / n, so it overtakes
     the bound at a finite n.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= n <= _MAX_CUBE_SYSTEMS:
+        raise ValueError(f"need 1 <= n <= {_MAX_CUBE_SYSTEMS}, got {n} (3^n would overflow a float)")
     p_rec = 0.5 + 0.5 / math.sqrt(2.0 * n + 1.0)
     encoded = 3**n
     extractable = encoded * (1.0 - info.binary_entropy(p_rec))

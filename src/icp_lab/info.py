@@ -17,7 +17,7 @@ PROB_TOL = 1e-12  # a table's entries and sum as a probability distribution
 VIOLATION_TOL = 1e-9  # how far extractable information must exceed log2 d to count
 MEMBERSHIP_TOL = 1e-9  # state membership, and snapping effect values to 0 and 1
 DISTINGUISH_TOL = 1e-9  # perfect distinguishability in the dimension search
-UNIT_TOL = 1e-9  # a certificate's effects summing to the unit, a state's outcomes to 1
+UNIT_TOL = 1e-9  # effects summing to the unit; outcomes, and per entry a distribution, to 1
 AXIOM_TOL = 1e-9  # an entropy inequality's allowed violation
 IDENTITY_TOL = 1e-12  # an entropy identity's allowed error
 LN2 = math.log(2.0)
@@ -32,7 +32,7 @@ def _as_prob_array(p) -> np.ndarray:
     if not lo >= -PROB_TOL:
         raise ValueError(f"negative or NaN probability: min entry {float(lo)!r}")
     total = float(np.add.reduce(arr, None))
-    if not abs(total - 1.0) <= max(PROB_TOL, 1e-9 * arr.size):
+    if not abs(total - 1.0) <= max(PROB_TOL, UNIT_TOL * arr.size):
         raise ValueError(f"distribution sums to {total!r}, not 1")
     return arr
 
@@ -118,7 +118,7 @@ def _is_distribution(p: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     spanning ``axes``: True where it passes both. NaN fails them."""
     total = p.sum(axis=axes)
     size = math.prod(p.shape[a] for a in axes)
-    return (p.min(axis=axes) >= -PROB_TOL) & (np.abs(total - 1.0) <= max(PROB_TOL, 1e-9 * size))
+    return (p.min(axis=axes) >= -PROB_TOL) & (np.abs(total - 1.0) <= max(PROB_TOL, UNIT_TOL * size))
 
 
 def _plogp_bits(p: np.ndarray) -> float:

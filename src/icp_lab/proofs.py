@@ -45,14 +45,7 @@ from .info import (
     _total_correlation_stacked,
     _von_neumann_rows,
 )
-from .sampling import (
-    _complex_gaussian,
-    _density_draw_parts,
-    _density_from_draws,
-    _dirichlet_rows,
-    _finish_density_draws,
-    _haar_from_gaussian,
-)
+from .sampling import _densities, _density_draw_parts, _dirichlet_rows, _haar_from_gaussian
 
 
 # --- random instances per axiom ----------------------------------------------
@@ -64,11 +57,12 @@ from .sampling import (
 # (2, d, d) Gaussian parts. It returns them with a shape key, the sizes it
 # drew, so trials are grouped without reading their arrays' shapes. An
 # evaluation takes a stack of trials of one key, each array with a leading
-# trial axis, finishes the whole stack once (the Dirichlet normalisation and
-# the complex combination, both row by row, so with each trial's bits) and
-# returns every trial's violation before the clip at 0. The arithmetic is
-# that of a single trial done on every trial at once, in the same order, so
-# a trial's value does not depend on the stack it is evaluated in.
+# trial axis, finishes the whole stack once (the Dirichlet normalisation row
+# by row and ``sampling._densities`` matrix by matrix, so with each trial's
+# bits) and returns every trial's violation before the clip at 0. The
+# arithmetic is that of a single trial done on every trial at once, in the
+# same order, so a trial's value does not depend on the stack it is
+# evaluated in.
 
 def _draw_joint(*highs: int) -> Callable[[np.random.Generator], tuple[tuple, tuple[np.ndarray, ...]]]:
     """The draw of one Dirichlet table, its axis lengths drawn from [2, high)."""
@@ -112,11 +106,6 @@ def _draw_cq_measured(rng: np.random.Generator) -> tuple[tuple, tuple[np.ndarray
 def _tables(exponentials: np.ndarray) -> np.ndarray:
     """Each trial's Dirichlet table: all of its exponentials normalised as one row."""
     return _dirichlet_rows(exponentials.reshape(len(exponentials), -1)).reshape(exponentials.shape)
-
-
-def _densities(exponentials: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """The density matrices of a stack of ``_density_draw_parts`` draws."""
-    return _density_from_draws(*_finish_density_draws(exponentials, parts))
 
 
 def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,10 +194,9 @@ def _vn_axiom_v(
     prob_exponentials: np.ndarray, exponentials: np.ndarray, parts: np.ndarray, measurement_parts: np.ndarray
 ) -> np.ndarray:
     probs, rhos = _dirichlet_rows(prob_exponentials), _densities(exponentials, parts)
-    g_meas = _complex_gaussian(None, exponentials.shape[-1], measurement_parts)
     holevo = _von_neumann_rows(_weighted_sum(probs, rhos)) - _weighted_sum(probs, _von_neumann_rows(rhos))
     # projector i of a trial is the outer product of column i of its unitary
-    cols = np.swapaxes(_haar_from_gaussian(g_meas), 1, 2)
+    cols = np.swapaxes(_haar_from_gaussian(measurement_parts), 1, 2)
     projectors = cols[:, :, :, None] * cols.conj()[:, :, None, :]
     traces = np.trace(projectors[:, :, None] @ rhos[:, None], axis1=3, axis2=4).real
     out = np.clip(probs[:, None, :] * traces, 0.0, None)

@@ -31,30 +31,14 @@ def _dirichlet_rows(draws: np.ndarray) -> np.ndarray:
     return draws * (1.0 / np.add.accumulate(draws, axis=-1)[..., -1:])
 
 
-def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
-    """Haar unitaries from complex Gaussian matrices, shape (..., d, d)."""
-    q, r = np.linalg.qr(g)
+def _haar_from_gaussian(parts: np.ndarray) -> np.ndarray:
+    """Haar unitaries (..., d, d) from Gaussian parts (..., 2, d, d), the
+    real part first, by QR with the phases of R's diagonal divided out
+    (Mezzadri, Notices AMS 54, 592 (2007))."""
+    q, r = np.linalg.qr(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
     # fix phases so the distribution is Haar rather than QR-convention-biased
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def _density_from_draws(eigs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """u diag(eigs) u^dagger with u Haar from ``g``, on stacks (..., d) and (..., d, d)."""
-    u = _haar_from_gaussian(g)
-    return (u * eigs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
-
-
-def _complex_gaussian(rng: np.random.Generator | None, dim: int, parts: np.ndarray | None = None) -> np.ndarray:
-    """A dim x dim complex Gaussian matrix: the real part is drawn first.
-
-    One draw of shape (2, dim, dim) fills the real part and then the
-    imaginary part, as two (dim, dim) draws in that order would. Given
-    ``parts``, a stack (..., 2, dim, dim) of such draws already made, it
-    draws nothing (``rng`` may be None) and returns their stack of matrices.
-    """
-    g = rng.normal(size=(2, dim, dim)) if parts is None else parts
-    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def _density_draw_parts(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,10 +46,8 @@ def _density_draw_parts(rng: np.random.Generator, dim: int, n: int) -> tuple[np.
     exponentials (n, dim) and their Gaussian parts (n, 2, dim, dim).
 
     Each state's exponentials and then its (2, dim, dim) Gaussian parts are
-    drawn into its rows of two buffers, state after state. The draws and the
-    generator's state equal those of ``_dirichlet_ones(rng, dim)`` then
-    ``_complex_gaussian(rng, dim)``, state after state, before their
-    finishing.
+    drawn into its rows of two buffers, state after state: the one draw of
+    every random density matrix. ``_densities`` finishes them.
     """
     exponentials, parts = np.empty((n, dim)), np.empty((n, 2, dim, dim))
     for i in range(n):
@@ -74,33 +56,19 @@ def _density_draw_parts(rng: np.random.Generator, dim: int, n: int) -> tuple[np.
     return exponentials, parts
 
 
-def _finish_density_draws(exponentials: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dirichlet eigenvalues (..., dim) and complex Gaussian matrices
-    (..., dim, dim) from raw draws (..., dim) and (..., 2, dim, dim).
+def _densities(exponentials: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """The density matrices u diag(eigs) u^dagger (..., dim, dim) of raw
+    draws (..., dim) and (..., 2, dim, dim): eigs Dirichlet, u Haar.
 
-    Both steps are row by row (the Dirichlet normalisation along the last
-    axis, the complex combination element by element), so a stack of any
-    leading shape is finished once with the bits of finishing each state
-    alone.
+    Every step is row by row or matrix by matrix, so a stack of any leading
+    shape is finished once with the bits of finishing each state alone.
     """
-    return _dirichlet_rows(exponentials), _complex_gaussian(None, parts.shape[-1], parts)
-
-
-def _stacked_density_draws(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of n random density matrices, stacked: their Dirichlet
-    eigenvalues (n, dim) and the complex Gaussian matrices of their bases
-    (n, dim, dim).
-
-    ``_density_draw_parts`` draws them, state after state, and
-    ``_finish_density_draws`` then runs once on the whole stack. The draws
-    and the generator's state equal those of ``_dirichlet_ones(rng, dim)``
-    then ``_complex_gaussian(rng, dim)``, state after state.
-    """
-    return _finish_density_draws(*_density_draw_parts(rng, dim, n))
+    eigs, u = _dirichlet_rows(exponentials), _haar_from_gaussian(parts)
+    return (u * eigs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _density_from_draws(*_stacked_density_draws(rng, dim, 1))[0]
+    return _densities(*_density_draw_parts(rng, dim, 1))[0]
 
 
 def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -108,9 +76,9 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
 
     The generator is consumed exactly as by n calls of ``random_state``:
     Dirichlet draws with ``size=n`` equal n sequential draws, and quantum
-    states keep their per-state order (eigenvalues, then the real and the
-    imaginary Gaussian matrix, as ``_stacked_density_draws``) with only the
-    linear algebra stacked.
+    states keep their per-state order (exponentials, then the real and the
+    imaginary Gaussian parts, as ``_density_draw_parts`` draws them) with
+    only ``_densities``' finishing stacked.
     """
     v = theory.variant
     if isinstance(v, Polytope):
@@ -128,7 +96,7 @@ def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarr
             rows.append(np.append(direction / v.norm(direction) * radius, 1.0))
         return np.array(rows).reshape(n, v.k + 1)  # (0, k + 1) when n = 0
     if isinstance(v, Quantum):
-        return density_to_coords(_density_from_draws(*_stacked_density_draws(rng, v.hilbert_dim, n)))
+        return density_to_coords(_densities(*_density_draw_parts(rng, v.hilbert_dim, n)))
     raise TypeError(f"unsupported variant {v!r}")  # pragma: no cover
 
 

@@ -107,6 +107,11 @@ def _require(cond: bool, path: str, message: str):
         raise ValueError(f"{path}: {message}")
 
 
+def _list_of(kinds, value) -> bool:
+    """A list of values of ``kinds``; JSON true and false count as no number."""
+    return isinstance(value, list) and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)
+
+
 def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
     """Rebuild an ensemble; errors carry the JSON path of the offending field."""
     # imported here: rendering output needs none of these modules
@@ -130,25 +135,13 @@ def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
         p = item.get("p")
         _require(isinstance(p, (int, float)) and not isinstance(p, bool), f"{path}.p", "expected a number")
         coords = item.get("state")
-        _require(
-            isinstance(coords, list) and all(isinstance(c, (int, float)) for c in coords),
-            f"{path}.state",
-            "expected a list of numbers",
-        )
+        _require(_list_of((int, float), coords), f"{path}.state", "expected a list of numbers")
         regs = item.get("registers")
-        _require(
-            isinstance(regs, list) and all(isinstance(r, int) and not isinstance(r, bool) for r in regs),
-            f"{path}.registers",
-            "expected a list of integers",
-        )
+        _require(_list_of(int, regs), f"{path}.registers", "expected a list of integers")
         entries.append((float(p), State(np.array(coords, dtype=float), theory_id), tuple(regs)))
     alphabets = doc.get("register_alphabets")
     if alphabets is not None:
-        _require(
-            isinstance(alphabets, list) and all(isinstance(a, int) for a in alphabets),
-            "ensemble.register_alphabets",
-            "expected a list of integers",
-        )
+        _require(_list_of(int, alphabets), "ensemble.register_alphabets", "expected a list of integers")
     try:
         ensemble = build_ensemble(entry.theory, entries, alphabets)
     except ValueError as exc:

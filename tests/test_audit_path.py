@@ -27,10 +27,18 @@ def _assignment(entry, labels):
 # --- sampling -------------------------------------------------------------------
 
 def density_draws(rng, dim):
-    """One density matrix's draws as two calls: the Dirichlet eigenvalues,
-    then the complex Gaussian matrix of its basis."""
-    eigs = sampling._dirichlet_ones(rng, dim)
-    return eigs, sampling._complex_gaussian(rng, dim)
+    """One density matrix's draws, one call each: the Dirichlet eigenvalues,
+    then the Gaussian parts of its basis, the real part first."""
+    return sampling._dirichlet_ones(rng, dim), rng.normal(size=(2, dim, dim))
+
+
+def density_from_draws(eigs, parts):
+    """One density matrix u diag(eigs) u^dagger finished alone, u the QR
+    unitary of its complex Gaussian matrix with R's diagonal phases fixed."""
+    q, r = np.linalg.qr(parts[0] + 1j * parts[1])
+    d = np.diagonal(r)
+    u = q * (d / np.abs(d))[None, :]
+    return (u * eigs[None, :]) @ u.conj().T
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -38,11 +46,14 @@ def test_stacked_density_draws_equal_sequential_draws(dim):
     for seed in range(50):
         for n in range(1, 10):
             stacked, sequential = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-            eigs, g = sampling._stacked_density_draws(stacked, dim, n)
+            exponentials, parts = sampling._density_draw_parts(stacked, dim, n)
             draws = [density_draws(sequential, dim) for _ in range(n)]
+            eigs = sampling._dirichlet_rows(exponentials)
             assert eigs.tobytes() == np.array([e for e, _ in draws]).tobytes(), (seed, n)
-            assert g.tobytes() == np.array([m for _, m in draws]).tobytes(), (seed, n)
+            assert parts.tobytes() == np.array([g for _, g in draws]).tobytes(), (seed, n)
             assert stacked.bit_generator.state == sequential.bit_generator.state
+            rhos = sampling._densities(exponentials, parts)
+            assert rhos.tobytes() == np.array([density_from_draws(*d) for d in draws]).tobytes(), (seed, n)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -50,7 +61,7 @@ def test_random_density_matrix_equals_its_two_call_draws(dim):
     for seed in range(20):
         new, old = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
         rho = sampling.random_density_matrix(new, dim)
-        assert rho.tobytes() == sampling._density_from_draws(*density_draws(old, dim)).tobytes()
+        assert rho.tobytes() == density_from_draws(*density_draws(old, dim)).tobytes()
         assert rho.shape == (dim, dim)
         assert new.bit_generator.state == old.bit_generator.state
 

@@ -428,3 +428,29 @@ def test_eval_rejects_a_malformed_embedded_assignment(tmp_path, capsys, assignme
     assert code == 2
     assert out == ""
     assert f"{demo}: {path}: expected" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("state", [True, False, True], "ensemble.entries[0].state: expected a list of numbers"),
+        ("register_alphabets", [True, 2], "ensemble.register_alphabets: expected a list of integers"),
+    ],
+    ids=["state", "register-alphabets"],
+)
+def test_eval_rejects_booleans_in_an_ensemble_file(tmp_path, capsys, field, value, path):
+    demo = _demo_file(tmp_path, capsys)
+    doc = json.loads(demo.read_text(encoding="utf-8"))
+    ensemble = doc["payload"]["ensemble"]
+    (ensemble["entries"][0] if field == "state" else ensemble)[field] = value
+    demo.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--ensemble", str(demo))
+    assert (code, out) == (2, "")
+    assert f"{demo}: {path}" in err
+
+
+def test_scan_composite_past_a_float_exits_2(capsys):
+    # 3^647 does not convert to a float; the scan reports it as bad input, not a traceback
+    code, out, err = run_cli(capsys, "scan", "composite", "--n", "646:647")
+    assert (code, out) == (2, "")
+    assert err == "error: need 1 <= n <= 646, got 647 (3^n would overflow a float)\n"

@@ -397,6 +397,14 @@ def test_minimal_violating_gbits():
         composite_gbit_extractable(0)
 
 
+def test_composite_gbit_stops_where_3_to_the_n_leaves_the_floats():
+    r = composite_gbit_extractable(646)
+    assert (r.p_rec, r.extractable, r.bound, r.violated) == (0.5139049919538787, 9.26685913188142e304, 1292.0, True)
+    assert r.encoded_bits == 3**646
+    with pytest.raises(ValueError, match=r"^need 1 <= n <= 646, got 647 "):
+        composite_gbit_extractable(647)
+
+
 def test_violation_certificate_serialization():
     from icp_lab.serialize import certificate_to_json
 

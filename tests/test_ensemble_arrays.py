@@ -124,11 +124,14 @@ def test_dirichlet_ones_draws_like_generator_dirichlet(size):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_complex_gaussian_draws_like_two_normal_calls(k):
+    # a density draw's Gaussian parts are two normal calls after its
+    # exponentials; test_audit_path checks that the first is the real part
     for seed in range(200):
         helper, generator = np.random.default_rng(seed), np.random.default_rng(seed)
-        g = sampling._complex_gaussian(helper, k)
-        expected = generator.normal(size=(k, k)) + 1j * generator.normal(size=(k, k))
-        assert g.tobytes() == expected.tobytes(), seed
+        _, parts = sampling._density_draw_parts(helper, k, 1)
+        generator.standard_exponential(k)
+        real, imaginary = generator.normal(size=(k, k)), generator.normal(size=(k, k))
+        assert parts.tobytes() == np.array([[real, imaginary]]).tobytes(), seed
         assert helper.bit_generator.state == generator.bit_generator.state
 
 

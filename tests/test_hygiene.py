@@ -141,9 +141,9 @@ def test_complex_gaussian_check_finds_a_draw():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_complex_gaussians_go_through_the_sampling_helper(path):
-    # sampling._complex_gaussian fixes the draw order (real part first) in one call
-    allowed = ["_complex_gaussian"] if path.name == "sampling.py" else []
-    assert _complex_gaussian_draws(path.read_text(encoding="utf-8")) == allowed
+    # sampling._density_draw_parts draws the Gaussian parts and
+    # sampling._haar_from_gaussian alone combines them, the real part first
+    assert _complex_gaussian_draws(path.read_text(encoding="utf-8")) == []
 
 
 def _unbounded_caches(source: str) -> list[str]:

@@ -56,16 +56,27 @@ def test_axiom_groups_evaluate_like_single_trials(kind, name):
     assert _evaluate_trials(evaluate, drawn).tobytes() == one_at_a_time.tobytes()
 
 
-# --- each axiom's draws, finished, against the per-trial sampling helpers ---------
+# --- each axiom's draws, finished, against per-trial oracles ---------------------
 #
 # A draw returns raw generator output and its evaluation finishes the whole
 # stack. These are the draws as they were made one trial at a time, each
-# array finished by the helper that drew it; a state's draws are its
-# Dirichlet eigenvalues, then its complex Gaussian matrix.
+# finished alone: a state's draws are its Dirichlet eigenvalues, then the
+# real and the imaginary Gaussian matrix of its basis, and it is finished as
+# u diag(eigs) u^dagger with u the phase-fixed QR unitary of that matrix.
+
+def _haar(parts):
+    q, r = np.linalg.qr(parts[0] + 1j * parts[1])
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))[None, :]
+
 
 def _per_trial_states(rng, dim, n):
-    draws = [(sampling._dirichlet_ones(rng, dim), sampling._complex_gaussian(rng, dim)) for _ in range(n)]
-    return np.array([eigs for eigs, _ in draws]), np.array([g for _, g in draws])
+    rhos = []
+    for _ in range(n):
+        eigs = sampling._dirichlet_ones(rng, dim)
+        u = _haar(rng.normal(size=(2, dim, dim)))
+        rhos.append((u * eigs[None, :]) @ u.conj().T)
+    return np.array(rhos)
 
 
 def _per_trial_joint(*highs):
@@ -84,27 +95,25 @@ def _per_trial_channel(rng):
 
 def _per_trial_cq(rng):
     dim, nc = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-    return (sampling._dirichlet_ones(rng, nc), *_per_trial_states(rng, dim, nc))
+    return sampling._dirichlet_ones(rng, nc), _per_trial_states(rng, dim, nc)
 
 
 def _per_trial_density(rng):
-    eigs, g = _per_trial_states(rng, int(rng.integers(2, 9)), 1)
-    return eigs[0], g[0]
+    return (_per_trial_states(rng, int(rng.integers(2, 9)), 1)[0],)
 
 
 def _per_trial_cq_grid(rng):
     p = sampling._dirichlet_ones(rng, 4).reshape(2, 2)
-    eigs, g = _per_trial_states(rng, 2, 4)
-    return p, eigs.reshape(2, 2, 2), g.reshape(2, 2, 2, 2)
+    return p, _per_trial_states(rng, 2, 4).reshape(2, 2, 2, 2)
 
 
 def _per_trial_cq_measured(rng):
-    probs, eigs, g = _per_trial_cq(rng)
-    return probs, eigs, g, sampling._complex_gaussian(rng, eigs.shape[1])
+    probs, rhos = _per_trial_cq(rng)
+    return probs, rhos, _haar(rng.normal(size=(2, rhos.shape[1], rhos.shape[1])))
 
 
 def _finish_cq(p, exponentials, parts):
-    return (sampling._dirichlet_rows(p), *sampling._finish_density_draws(exponentials, parts))
+    return sampling._dirichlet_rows(p), sampling._densities(exponentials, parts)
 
 
 # (per-trial draw, finishing of the raw stacks) of each axiom
@@ -118,15 +127,12 @@ PER_TRIAL = {
     },
     "von-neumann": {
         "i": (_per_trial_cq, _finish_cq),
-        "ii": (_per_trial_density, sampling._finish_density_draws),
+        "ii": (_per_trial_density, lambda e, parts: (sampling._densities(e, parts),)),
         "iii": (_per_trial_cq, _finish_cq),
-        "iv": (
-            _per_trial_cq_grid,
-            lambda p, e, parts: (_tables(p), *sampling._finish_density_draws(e, parts)),
-        ),
+        "iv": (_per_trial_cq_grid, lambda p, e, parts: (_tables(p), sampling._densities(e, parts))),
         "v": (
             _per_trial_cq_measured,
-            lambda p, e, parts, m: (*_finish_cq(p, e, parts), sampling._complex_gaussian(None, e.shape[-1], m)),
+            lambda p, e, parts, m: (*_finish_cq(p, e, parts), sampling._haar_from_gaussian(m)),
         ),
     },
 }
