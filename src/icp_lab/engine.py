@@ -364,15 +364,18 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.strategy not in ("grid", "coordinate-descent", "random-restart"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        # operator.index rejects a float count
+        # operator.index rejects a float count or seed, and a seed of None
         if operator.index(self.max_evals) < 1:
             raise ValueError(f"max_evals must be at least 1, got {self.max_evals!r}")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
     """The best ensemble ``maximize_extractable`` found, its report, whether the
-    search converged and how many points it scored."""
+    search converged (no budget check stopped it, which holds when it stopped
+    at its ceiling after a full grid) and how many points it scored."""
 
     ensemble: CorrelatedEnsemble
     report: ICPReport
@@ -611,6 +614,14 @@ def _grid_candidates(n_seeds: int, n_combo: int, n_families: int, max_evals: int
     return family, choice
 
 
+def _value_ceiling(alphabets: tuple[int, ...]) -> float:
+    """The objective's ceiling, sum_i log2 k_i: each gain is at most
+    log2 k_i, and the redundancy and the equal-gain penalty are never
+    negative. It is ROADMAP item 4's bound sum_i log2 k_i - U at U = 0
+    (Maassen and Uffink); that bound can later replace it."""
+    return sum(math.log2(k) for k in alphabets)
+
+
 def _golden_max(fun, lo: float, hi: float, points: int):
     """Golden-section maximization including the interval endpoints, in at
     most ``points`` (>= 4) scored points. Returns the best point, its value
@@ -654,16 +665,18 @@ def maximize_extractable(
     each start point and each line-search point. It never exceeds
     ``max_evals``: a start point is scored only while a point is left, a
     line search begins only when its 4 opening points fit, and its steps
-    stop when no point is left. ``converged`` is True when the grid scored
-    every candidate and no budget check cut descent short. Points are scored
-    on bare arrays with ``_SearchObjective.value``, which gives the bits of
-    the objective taken from an ``evaluate_icp`` report; only the winner
-    becomes an ensemble, checked like every other, with its report. Each
-    descent phase scores its line searches with one
-    ``_SearchObjective.state_line`` or ``weight_line`` scorer, built once the
-    budget check lets a first line search run; a scorer returns ``value``'s
-    bits at every point, so an accepted move keeps the value its line search
-    found.
+    stop when no point is left. Descent also stops, before a start point or
+    a line search, once the best value reaches the ceiling sum_i log2 k_i,
+    which no point can pass. ``converged`` is True when the grid scored every
+    candidate and no budget check cut descent short, so also when descent
+    stopped at the ceiling after a full grid. Points are scored on bare
+    arrays with ``_SearchObjective.value``, which gives the bits of the
+    objective taken from an ``evaluate_icp`` report; only the winner becomes
+    an ensemble, checked like every other, with its report. Each descent
+    phase scores its line searches with one ``_SearchObjective.state_line``
+    or ``weight_line`` scorer, built once the budget check lets a first line
+    search run; a scorer returns ``value``'s bits at every point, so an
+    accepted move keeps the value its line search found.
     """
     config = config or OptimizerConfig()
     family = _StateFamily(theory)
@@ -696,9 +709,11 @@ def maximize_extractable(
     start_points = [(families[fam[c]], np.array([seeds[i] for i in choice[c]]))]
     n_starts = 1 if config.strategy == "coordinate-descent" else 1 + _RESTARTS
     lo, hi = family.bounds
-    if n_starts > 1:
+    ceiling = _value_ceiling(objective.alphabets)
+    if n_starts > 1 and best_val < ceiling:
         # imported here because sampling imports this module; a search that
-        # draws no restart point loads neither it nor numpy.random
+        # draws no restart point (none runs past the ceiling) loads neither it
+        # nor numpy.random
         from .sampling import _dirichlet_ones
 
         rng = np.random.default_rng(config.seed)
@@ -709,7 +724,7 @@ def maximize_extractable(
 
     def descend(weights: np.ndarray, state_params: np.ndarray):
         """The descent's best (value, weights, coords), and whether a budget
-        check stopped it."""
+        check stopped it; the ceiling check comes first and is no budget stop."""
         nonlocal evaluations
         coords = np.array([family.build(params) for params in state_params])
         evaluations += 1
@@ -721,8 +736,8 @@ def maximize_extractable(
             score = None
             for idx in range(n_combo):
                 for j in range(sp):
-                    if config.max_evals - evaluations < 4:
-                        return current, True
+                    if current[0] >= ceiling or config.max_evals - evaluations < 4:
+                        return current, current[0] < ceiling
                     score = score or objective.state_line(_normalized(weights))
                     base, base_row = state_params[idx, j], coords[idx].copy()
 
@@ -746,8 +761,8 @@ def maximize_extractable(
                         return current, True
             score = None
             for i in range(n_combo):
-                if config.max_evals - evaluations < 4:
-                    return current, True
+                if current[0] >= ceiling or config.max_evals - evaluations < 4:
+                    return current, current[0] < ceiling
                 score = score or objective.weight_line(coords)
                 base = weights[i]
 
@@ -771,6 +786,8 @@ def maximize_extractable(
         return current, False
 
     for weights, state_params in start_points:
+        if best_val >= ceiling:
+            break
         if evaluations >= config.max_evals:
             stopped = True
             break

@@ -166,6 +166,13 @@ def test_polygon_rejects_small_n():
         catalog.polygon(2)
 
 
+def test_polygon_size_is_capped_before_anything_is_built():
+    catalog.polygon(catalog.MAX_POLYGON)
+    for make in (lambda: catalog.polygon(catalog.MAX_POLYGON + 1), lambda: catalog.resolve("polygon:100000")):
+        with pytest.raises(ValueError, match=f"polygon needs 3 <= n <= {catalog.MAX_POLYGON}"):
+            make()
+
+
 def test_pgnst_rejects_bad_parameters():
     with pytest.raises(ValueError):
         catalog.pgnst(1.5, 2)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from icp_lab.catalog import MAX_POLYGON
 from icp_lab.cli import MAX_GRID, _range, main
 
 STAMP = "2026-01-01T00:00:00+00:00"
@@ -237,6 +238,17 @@ def test_a_grid_past_the_cap_exits_2_before_it_is_built(capsys, argv, message):
     assert (code, out) == (2, "")
     assert message in err
     assert peak < 1 << 20
+
+
+def test_a_polygon_past_the_cap_exits_2_before_it_is_built(tmp_path, capsys):
+    doc = {"theory": "polygon:100000", "entries": [{"p": 1.0, "state": [0.0, 0.0, 1.0], "registers": [0]}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (("scan", "polygon", "--n", "99990:100000"), ("eval", "--ensemble", str(path), "--measurements", "E1")):
+        with _bounded_address_space():
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"polygon needs 3 <= n <= {MAX_POLYGON}, got " in err
 
 
 def test_the_grid_cap_admits_exactly_max_grid_values():

@@ -193,10 +193,11 @@ def test_maximize_extractable_rejects_unknown_strategy(sbit_entry):
 # (name, catalog entry, measurement labels, strategy, max_evals, extractable repr,
 #  evaluations, converged). The extractable values are those the search gave
 #  when every grid candidate and every line-search point still built its own
-#  ensemble and report; sbit and qubit spend their whole budget
+#  ensemble and report; sbit's grid reaches the ceiling sum_i log2 k_i = 2, so
+#  it runs no descent, and qubit spends its whole budget
 OPTIMIZER_CASES = (
     ("classical-bit", catalog.classical_bit, ("X", "Z"), "coordinate-descent", 8000, "1.0", 385, True),
-    ("sbit", catalog.sbit, ("X", "Z"), "random-restart", 4000, "2.0", 4000, False),
+    ("sbit", catalog.sbit, ("X", "Z"), "random-restart", 4000, "2.0", 1536, True),
     ("qubit", catalog.qubit, ("X", "Z"), "random-restart", 4000, "0.7982479266142879", 4000, False),
     ("pgnst:3:2", lambda: catalog.pgnst(3.0, 2), ("X", "Z"), "coordinate-descent", 8000,
      "0.3774437510817341", 1833, True),
@@ -380,18 +381,19 @@ def test_exhausted_budget_builds_no_line_scorer(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make,strategy,max_evals,evaluations",
+    "make,labels,strategy,max_evals,evaluations",
     [
-        (catalog.sbit, "random-restart", 4000, 4000),
+        # below its ceiling, so every restart descends until the budget ends
+        (lambda: catalog.polygon(5), ("E1", "E2"), "random-restart", 4400, 4400),
         # the budget runs out inside the first state phase: its seventh line
         # search stops after 19 of its 24 points, so no weight scorer is built
-        (catalog.classical_bit, "coordinate-descent", 260, 260),
+        (catalog.classical_bit, ("X", "Z"), "coordinate-descent", 260, 260),
     ],
-    ids=["sbit", "classical-bit-260"],
+    ids=["polygon:5", "classical-bit-260"],
 )
-def test_each_descent_phase_builds_one_line_scorer(monkeypatch, make, strategy, max_evals, evaluations):
+def test_each_descent_phase_builds_one_line_scorer(monkeypatch, make, labels, strategy, max_evals, evaluations):
     builds, searches = _count_scorer_builds(monkeypatch)
-    result = maximize_extractable(*_case(make, ("X", "Z"), strategy, max_evals))
+    result = maximize_extractable(*_case(make, labels, strategy, max_evals))
     assert (result.evaluations, result.converged, searches[-1]) == (evaluations, False, "line")
     # a phase is a run of line searches of one kind; the kinds alternate
     phases = [name for name, _ in itertools.groupby(searches)]
@@ -524,6 +526,86 @@ def test_every_scored_point_keeps_the_per_pair_bits(monkeypatch, case):
     assert checked and all(checked)
 
 
+# ORACLE_CASES plus two searches whose grid reaches the ceiling, so that with
+# the ceiling in place they run no descent
+CEILING_CASES = ORACLE_CASES + (
+    ("hbit-cd", catalog.hbit, ("X", "Z"), "coordinate-descent", 4000),
+    ("sbit-cd", catalog.sbit, ("X", "Z"), "coordinate-descent", 4000),
+)
+
+
+def _without_ceiling(monkeypatch):
+    monkeypatch.setattr(engine, "_value_ceiling", lambda alphabets: math.inf)
+
+
+@pytest.mark.parametrize("case", CEILING_CASES, ids=[c[0] for c in CEILING_CASES])
+def test_the_ceiling_stop_keeps_every_result(monkeypatch, case):
+    """No point a search would score past its ceiling wins the merge, so the
+    search with the ceiling gives the result of the search without it."""
+    _, make, labels, strategy, max_evals = case[:5]
+    theory, assignment, config = _case(make, labels, strategy, max_evals)
+    stopped = maximize_extractable(theory, assignment, config)
+    _without_ceiling(monkeypatch)
+    full = maximize_extractable(theory, assignment, config)
+    assert repr(stopped.report.extractable) == repr(full.report.extractable)
+    assert stopped.report.to_json() == full.report.to_json()
+    assert stopped.evaluations <= full.evaluations
+
+
+@pytest.mark.parametrize("case", CEILING_CASES, ids=[c[0] for c in CEILING_CASES])
+def test_no_scored_value_passes_the_ceiling(monkeypatch, case):
+    """Every value a search scores, the grid's batched scores included, is at
+    most the ceiling sum_i log2 k_i plus 4 ulps; searched without the ceiling
+    stop, so the descents past it are scored too."""
+    _, make, labels, strategy, max_evals = case[:5]
+    theory, assignment, config = _case(make, labels, strategy, max_evals)
+    ceiling = engine._value_ceiling(tuple(len(m.effects) for m, _ in assignment.pairs))
+    scored = []
+    value, grid_scores = engine._SearchObjective.value, engine._SearchObjective.grid_scores
+
+    def recorded_value(self, *args, **kwargs):
+        scored.append(value(self, *args, **kwargs))
+        return scored[-1]
+
+    def recorded_grid_scores(self, *args):
+        scores = grid_scores(self, *args)
+        scored.extend([] if scores is None else scores)
+        return scores
+
+    monkeypatch.setattr(engine._SearchObjective, "value", recorded_value)
+    monkeypatch.setattr(engine._SearchObjective, "grid_scores", recorded_grid_scores)
+    _without_ceiling(monkeypatch)
+    maximize_extractable(theory, assignment, config)
+    assert scored and max(scored) <= ceiling + 4 * np.spacing(ceiling)
+
+
+def test_a_descent_stops_at_the_ceiling(monkeypatch):
+    """polygon:5's best point comes from a descent, not the grid: with the
+    ceiling set to its value, the search stops once a descent reaches it,
+    with the same winner, fewer points and no budget stop."""
+    theory, assignment, config = _case(lambda: catalog.polygon(5), ("E1", "E2"), "random-restart", 4400)
+    full = maximize_extractable(theory, assignment, config)
+    objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
+    best = objective.value(full.ensemble.probs, full.ensemble.coords)
+    grid = maximize_extractable(theory, assignment, dataclasses.replace(config, strategy="grid"))
+    assert objective.value(grid.ensemble.probs, grid.ensemble.coords) < best
+    monkeypatch.setattr(engine, "_value_ceiling", lambda alphabets: best)
+    stopped = maximize_extractable(theory, assignment, config)
+    assert repr(stopped.report.extractable) == repr(full.report.extractable)
+    # the last descent stops at its next line search, 48 points sooner than
+    # a check only before each start point would stop it
+    assert (stopped.evaluations, stopped.converged, full.evaluations, full.converged) == (4351, True, 4400, False)
+
+
+def test_a_search_at_its_ceiling_draws_no_restart_point(monkeypatch):
+    def draw(*args):
+        raise AssertionError("a restart point was drawn")
+
+    monkeypatch.setattr(sampling, "_dirichlet_ones", draw)
+    result = maximize_extractable(*_case(catalog.sbit, ("X", "Z"), "random-restart", 4000))
+    assert (result.evaluations, result.converged) == (1536, True)
+
+
 def test_a_state_line_point_makes_one_effect_values_call(monkeypatch):
     theory, assignment, config = _case(catalog.classical_trit, ("E1", "E2", "E3"), "grid", 1)
     family = engine._StateFamily(theory)
@@ -555,6 +637,17 @@ def test_optimizer_config_rejects_bad_settings(kwargs, match):
 def test_optimizer_config_takes_counts_as_integers(kwargs):
     with pytest.raises(TypeError):
         OptimizerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("strategy", ["grid", "coordinate-descent", "random-restart"])
+@pytest.mark.parametrize(
+    "seed,error", [(None, TypeError), (-1, ValueError), (2.5, TypeError), ("x", TypeError)]
+)
+def test_optimizer_config_rejects_a_bad_seed_when_built(strategy, seed, error):
+    # a seed of None would draw unreproducible restart points, and the grid
+    # strategy draws none, so the seed is checked before any search runs
+    with pytest.raises(error, match="seed" if error is ValueError else None):
+        OptimizerConfig(strategy=strategy, seed=seed)
 
 
 def test_optimizer_config_accepts_the_settings_in_use():
