@@ -230,6 +230,11 @@ class ObservableAssignment:
         return self._labels
 
 
+# largest register alphabet an ensemble file may declare: its one-hot
+# identity (``_one_hot_rows``) is 1 024^2 float64 values, 8 MB
+MAX_ALPHABET = 1_024
+
+
 @lru_cache(maxsize=32)
 def _one_hot_rows(alphabet: int) -> np.ndarray:
     """The alphabet x alphabet identity, read-only: row a is value a's one-hot row."""
@@ -483,7 +488,9 @@ class _SearchObjective:
     An ensemble of the search holds one entry per register combination
     (``combos``, the full product in row-major order), so each pair's
     one-hot register matrix is fixed, and the register marginal is the entry
-    weights reshaped to the alphabets. Every pair's effect rows are stacked
+    weights reshaped to the alphabets. ``alphabets`` is indexed by register:
+    register r takes the outcome count of the measurement assigned to it,
+    however the pairs are listed. Every pair's effect rows are stacked
     in one (sum k_i, D) matrix, so each point takes all its effect values
     from one ``effect_values`` product, split into each pair's rows; state
     lines, weight lines and the grid's seed values share it. ``value`` runs
@@ -499,16 +506,25 @@ class _SearchObjective:
     pair's effect values on the fixed states. They run the same kernels on
     the same arrays, so each returns ``value``'s bits at every point and
     raises its errors.
+
+    Along one line many tables repeat: a state line leaves every pair whose
+    states it does not move with the same table, and a line through a
+    vertex may not move the state at all. Given that line search's memo
+    dict, ``value`` checks each distinct table and takes its information
+    once (``_information``); a repeated table's value is looked up by its
+    bytes. A line scores at most 25 points, so its memo holds at most
+    25 (pairs + 1) values, and the memo ends with the line.
     """
 
     def __init__(self, theory: Theory, assignment: ObservableAssignment, equal_gain: bool):
         self.theory = theory
         self.assignment = assignment
-        self.alphabets = tuple(len(m.effects) for m, _ in assignment.pairs)
+        _require_registers(assignment.registers, len(assignment.pairs))
+        sizes = [len(m.effects) for m, _ in assignment.pairs]
+        self.alphabets = tuple(k for _, k in sorted(zip(assignment.registers, sizes)))
         self.combos = np.array(list(itertools.product(*[range(a) for a in self.alphabets])))
-        _require_registers(assignment.registers, len(self.alphabets))
         self.effects = np.concatenate([m.effect_matrix for m, _ in assignment.pairs])
-        self.rows = [slice(end - k, end) for k, end in zip(self.alphabets, itertools.accumulate(self.alphabets))]
+        self.rows = [slice(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]
         self.onehots = [np.eye(self.alphabets[reg])[self.combos[:, reg]] for _, reg in assignment.pairs]
         self.penalized = equal_gain and len(self.onehots) > 1
 
@@ -527,25 +543,47 @@ class _SearchObjective:
             value -= 4.0 * (max(gains) - min(gains))
         return value
 
-    def _redundancy(self, w: np.ndarray) -> float:
-        return max(info._total_correlation(info._as_prob_array(self._marginal(w))), 0.0)
+    @staticmethod
+    def _information(table: np.ndarray, memo: dict | None = None) -> float:
+        """max(I, 0) of a gain or redundancy table, after its distribution check.
+
+        ``memo``, one line search's dict, keeps each checked table's value
+        under its (shape, bytes) and returns it for a byte-identical table.
+        Every table keyed here is a C-contiguous float64 array, so a table
+        with the same key has the same values in the same layout, and a kept
+        value has the bits a recomputation would give. A table that fails the
+        check is never kept, so it raises on every visit.
+        """
+        if memo is None:
+            return max(info._total_correlation(info._as_prob_array(table)), 0.0)
+        key = (table.shape, table.tobytes())
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = max(info._total_correlation(info._as_prob_array(table)), 0.0)
+        return value
+
+    def _redundancy(self, w: np.ndarray, memo: dict | None = None) -> float:
+        return self._information(self._marginal(w), memo)
 
     def value(
-        self, w: np.ndarray, coords: np.ndarray, values: list[np.ndarray] | None = None, redundancy: float | None = None
+        self,
+        w: np.ndarray,
+        coords: np.ndarray,
+        values: list[np.ndarray] | None = None,
+        redundancy: float | None = None,
+        memo: dict | None = None,
     ) -> float:
         """Objective at entry probabilities ``w`` and state coordinates ``coords``.
 
         ``values`` (each pair's ``effect_values`` on ``coords``) and
-        ``redundancy`` (``_redundancy(w)``) are computed here unless given.
+        ``redundancy`` (``_redundancy(w)``) are computed here unless given;
+        ``memo`` is the line search's dict for ``_information``.
         """
         if values is None:
             values = self._effect_values(coords)
-        gains = [
-            max(info._total_correlation(info._as_prob_array((v * w) @ onehot)), 0.0)
-            for v, onehot in zip(values, self.onehots)
-        ]
+        gains = [self._information((v * w) @ onehot, memo) for v, onehot in zip(values, self.onehots)]
         if redundancy is None:
-            redundancy = self._redundancy(w)
+            redundancy = self._redundancy(w, memo)
         return self._combine(gains, redundancy)
 
     def state_line(self, w: np.ndarray):
@@ -571,7 +609,7 @@ class _SearchObjective:
         the checks of ``effect_values`` and ``info._as_prob_array``; the
         caller then scores the candidates one by one, which raises as they do.
         """
-        redundancy = np.array([max(info._total_correlation(self._marginal(row)), 0.0) for row in w])
+        redundancy = np.array([self._redundancy(row) for row in w])
         try:
             seed_values = self._effect_values(seed_coords)
         except ValueError:
@@ -676,7 +714,11 @@ def maximize_extractable(
     phase scores its line searches with one ``_SearchObjective.state_line``
     or ``weight_line`` scorer, built once the budget check lets a first line
     search run; a scorer returns ``value``'s bits at every point, so an
-    accepted move keeps the value its line search found.
+    accepted move keeps the value its line search found. Each line search
+    gives its scorer a fresh memo, so a table seen earlier on the same line
+    is checked and its information taken only once; such a point still
+    builds its tables and counts in ``evaluations``. No memo outlives its
+    line, so repeated searches do the same work.
     """
     config = config or OptimizerConfig()
     family = _StateFamily(theory)
@@ -740,6 +782,7 @@ def maximize_extractable(
                         return current, current[0] < ceiling
                     score = score or objective.state_line(_normalized(weights))
                     base, base_row = state_params[idx, j], coords[idx].copy()
+                    memo = {}
 
                     def line(x):
                         nonlocal evaluations
@@ -747,7 +790,7 @@ def maximize_extractable(
                         state_params[idx, j] = x
                         coords[idx] = family.build(state_params[idx])
                         state_params[idx, j] = base
-                        val = score(coords)
+                        val = score(coords, memo=memo)
                         coords[idx] = base_row
                         return val
 
@@ -765,12 +808,13 @@ def maximize_extractable(
                     return current, current[0] < ceiling
                 score = score or objective.weight_line(coords)
                 base = weights[i]
+                memo = {}
 
                 def wline(x):
                     nonlocal evaluations
                     evaluations += 1
                     weights[i] = x
-                    val = score(_normalized(weights))
+                    val = score(_normalized(weights), memo=memo)
                     weights[i] = base
                     return val
 

@@ -116,7 +116,7 @@ def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
     """Rebuild an ensemble; errors carry the JSON path of the offending field."""
     # imported here: rendering output needs none of these modules
     from .catalog import resolve
-    from .engine import build_ensemble
+    from .engine import MAX_ALPHABET, build_ensemble
     from .gpt import State
 
     _require(isinstance(doc, dict), "ensemble", "expected an object")
@@ -138,10 +138,16 @@ def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
         _require(_list_of((int, float), coords), f"{path}.state", "expected a list of numbers")
         regs = item.get("registers")
         _require(_list_of(int, regs), f"{path}.registers", "expected a list of integers")
+        for j, r in enumerate(regs):
+            # no alphabet within the cap holds a larger value; checked here
+            # because an alphabet left out defaults to max value + 1
+            _require(0 <= r < MAX_ALPHABET, f"{path}.registers[{j}]", f"value {r} outside 0 .. {MAX_ALPHABET - 1}")
         entries.append((float(p), State(np.array(coords, dtype=float), theory_id), tuple(regs)))
     alphabets = doc.get("register_alphabets")
     if alphabets is not None:
         _require(_list_of(int, alphabets), "ensemble.register_alphabets", "expected a list of integers")
+        for j, a in enumerate(alphabets):
+            _require(1 <= a <= MAX_ALPHABET, f"ensemble.register_alphabets[{j}]", f"{a} outside 1 .. {MAX_ALPHABET}")
     try:
         ensemble = build_ensemble(entry.theory, entries, alphabets)
     except ValueError as exc:

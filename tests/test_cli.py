@@ -12,6 +12,7 @@ import pytest
 
 from icp_lab.catalog import MAX_POLYGON
 from icp_lab.cli import MAX_GRID, _range, main
+from icp_lab.engine import MAX_ALPHABET
 
 STAMP = "2026-01-01T00:00:00+00:00"
 
@@ -249,6 +250,44 @@ def test_a_polygon_past_the_cap_exits_2_before_it_is_built(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"polygon needs 3 <= n <= {MAX_POLYGON}, got " in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("registers", [2**63, 0], "ensemble.entries[0].registers[0]: value 9223372036854775808 outside 0 .. 1023"),
+        ("registers", [-(2**63) - 1, 0], "ensemble.entries[0].registers[0]: value -9223372036854775809 outside"),
+        ("registers", [10**9, 0], "ensemble.entries[0].registers[0]: value 1000000000 outside 0 .. 1023"),
+        ("register_alphabets", [2, 10**9], "ensemble.register_alphabets[1]: 1000000000 outside 1 .. 1024"),
+        ("register_alphabets", [2, 10**12], "ensemble.register_alphabets[1]: 1000000000000 outside 1 .. 1024"),
+        ("register_alphabets", [2**64, 2], "ensemble.register_alphabets[0]: 18446744073709551616 outside 1 .. 1024"),
+    ],
+    ids=[
+        "register-past-int64", "register-below-int64", "register-past-cap",
+        "alphabet-1e9", "alphabet-1e12", "alphabet-past-int64",
+    ],
+)
+def test_register_data_past_the_cap_exits_2_before_it_is_built(tmp_path, capsys, field, value, message):
+    demo = _demo_file(tmp_path, capsys)
+    doc = json.loads(demo.read_text(encoding="utf-8"))
+    ensemble = doc["payload"]["ensemble"]
+    (ensemble["entries"][0] if field == "registers" else ensemble)[field] = value
+    demo.write_text(json.dumps(doc), encoding="utf-8")
+    with _bounded_address_space():
+        code, out, err = run_cli(capsys, "eval", "--ensemble", str(demo))
+    assert (code, out) == (2, "")
+    assert f"{demo}: {message}" in err
+
+
+def test_the_alphabet_cap_admits_exactly_max_alphabet_values(tmp_path, capsys):
+    demo = _demo_file(tmp_path, capsys)
+    doc = json.loads(demo.read_text(encoding="utf-8"))
+    ensemble = doc["payload"]["ensemble"]
+    ensemble["register_alphabets"] = [2, MAX_ALPHABET]
+    ensemble["entries"][0]["registers"] = [0, MAX_ALPHABET - 1]
+    demo.write_text(json.dumps(doc), encoding="utf-8")
+    with _bounded_address_space():
+        assert run_cli(capsys, "eval", "--ensemble", str(demo))[0] == 0
 
 
 def test_the_grid_cap_admits_exactly_max_grid_values():

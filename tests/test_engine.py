@@ -224,7 +224,7 @@ def test_maximize_extractable_pinned_results(case):
 
 def _reference_objective(theory, assignment, family, weights, state_params, equal_gain):
     """The search objective as one ensemble and one evaluate_icp report per point."""
-    alphabets = tuple(len(m.effects) for m, _ in assignment.pairs)
+    alphabets = tuple(len(m.effects) for m, _ in sorted(assignment.pairs, key=lambda pair: pair[1]))
     combos = np.array(list(itertools.product(*[range(a) for a in alphabets])))
     w = np.clip(weights, 0.0, None)
     w = np.full_like(w, 1.0 / len(w)) if w.sum() <= 0.0 else w / w.sum()
@@ -317,6 +317,13 @@ def test_maximize_extractable_checks_every_table_as_a_distribution(bit_entry, st
     with pytest.raises(ValueError, match="distribution sums to") as weight_line:
         objective.weight_line(coords)(w)
     assert str(state_line.value) == str(weight_line.value) == str(expected.value)
+    # a line search's memo keeps no failing table, so it raises on every visit
+    for score, arg in ((objective.state_line(w), coords), (objective.weight_line(coords), w)):
+        memo = {}
+        for _ in range(3):
+            with pytest.raises(ValueError, match="distribution sums to"):
+                score(arg, memo=memo)
+        assert memo == {}
 
 
 @pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
@@ -333,21 +340,107 @@ def test_line_scorers_give_the_bits_of_value(case):
         weights[rng.random(n_combo) < 0.3] = 0.0
         state_params = rng.uniform(lo, hi, size=(n_combo, sp))
         coords = np.array([family.build(params) for params in state_params])
-        # a state line, the end points included
+        # a state line, the end points included and scored again at the end;
+        # with a line search's memo, a point seen before gives the same bits
         w = engine._normalized(weights)
-        score = objective.state_line(w)
+        score, memo = objective.state_line(w), {}
         idx, j = rng.integers(n_combo), rng.integers(sp)
-        for x in (lo, hi, *rng.uniform(lo, hi, 6)):
+        for x in (lo, hi, *rng.uniform(lo, hi, 6), lo, hi):
             state_params[idx, j] = x
             coords[idx] = family.build(state_params[idx])
-            assert score(coords) == objective.value(w, coords)
+            expected = repr(objective.value(w, coords))
+            assert repr(score(coords)) == repr(score(coords, memo=memo)) == expected
         # a weight line: at 0 and 1 the tables get zero entries
-        score = objective.weight_line(coords)
+        score, memo = objective.weight_line(coords), {}
         i = rng.integers(n_combo)
-        for x in (0.0, 1.0, *rng.random(6)):
+        for x in (0.0, 1.0, *rng.random(6), 0.0, 1.0):
             weights[i] = x
             w = engine._normalized(weights)
-            assert score(w) == objective.value(w, coords)
+            assert repr(score(w)) == repr(score(w, memo=memo)) == repr(objective.value(w, coords))
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = [0]
+    kernel = info._total_correlation
+
+    def counted(p):
+        calls[0] += 1
+        return kernel(p)
+
+    monkeypatch.setattr(info, "_total_correlation", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,unmemoised,memoised", [("classical-bit", 709, 258), ("pgnst:3:2", 749, 593)]
+)
+def test_each_line_search_takes_a_tables_information_once(monkeypatch, name, unmemoised, memoised):
+    """The kernel calls of a whole search, grid and final report included,
+    with and without the line memos; the search itself does not change."""
+    _, make, labels, strategy, max_evals = next(c for c in OPTIMIZER_CASES if c[0] == name)[:5]
+    calls = _count_kernel_calls(monkeypatch)
+    memo_on = maximize_extractable(*_case(make, labels, strategy, max_evals))
+    assert calls[0] == memoised
+    information = engine._SearchObjective._information
+    unmemoised_information = staticmethod(lambda table, memo=None: information(table))
+    monkeypatch.setattr(engine._SearchObjective, "_information", unmemoised_information)
+    calls[0] = 0
+    memo_off = maximize_extractable(*_case(make, labels, strategy, max_evals))
+    assert calls[0] == unmemoised
+    assert memo_on.evaluations == memo_off.evaluations
+    assert memo_on.report.to_json() == memo_off.report.to_json()
+
+
+@pytest.mark.parametrize(
+    "make,labels,strategy,max_evals",
+    [OPTIMIZER_CASES[i][1:5] for i in (0, 3)] + [(lambda: catalog.polygon(5), ("E1", "E2"), "random-restart", 4400)],
+    ids=["classical-bit", "pgnst:3:2", "polygon:5"],
+)
+def test_line_memos_end_with_their_line(monkeypatch, make, labels, strategy, max_evals):
+    """One memo per line search, each holding at most 25 (pairs + 1) tables,
+    and no saved value outlives its line: a repeated search makes every
+    kernel call again."""
+    memos, searches = [], [0]
+    value, golden_max = engine._SearchObjective.value, engine._golden_max
+
+    def recorded_value(self, *args, memo=None, **kwargs):
+        if memo is not None and not any(m is memo for m in memos):
+            memos.append(memo)
+        return value(self, *args, memo=memo, **kwargs)
+
+    def counted_search(*args):
+        searches[0] += 1
+        return golden_max(*args)
+
+    monkeypatch.setattr(engine._SearchObjective, "value", recorded_value)
+    monkeypatch.setattr(engine, "_golden_max", counted_search)
+    calls = _count_kernel_calls(monkeypatch)
+    first = maximize_extractable(*_case(make, labels, strategy, max_evals))
+    first_calls = calls[0]
+    assert len(memos) == searches[0] > 0
+    assert max(len(memo) for memo in memos) <= 25 * (len(labels) + 1)
+    calls[0] = 0
+    second = maximize_extractable(*_case(make, labels, strategy, max_evals))
+    assert calls[0] == first_calls
+    assert second.report.to_json() == first.report.to_json()
+
+
+def test_each_register_takes_the_alphabet_of_its_measurement():
+    """Register r is sized by the measurement assigned to r, so the same
+    assignment listed in either order searches the same family."""
+    th = catalog.classical_trit().theory
+    trit = Measurement("T", th.variant.extreme_effects)
+    e1 = th.measurement("E1")
+    for strategy in ("grid", "coordinate-descent"):
+        results = []
+        for pairs in (((e1, 0), (trit, 1)), ((trit, 1), (e1, 0))):
+            assignment = ObservableAssignment(pairs)
+            assert engine._SearchObjective(th, assignment, True).alphabets == (2, 3)
+            result = maximize_extractable(th, assignment, OptimizerConfig(strategy=strategy, max_evals=6000))
+            assert result.ensemble.register_alphabets == (2, 3)
+            results.append(result)
+        assert [repr(r.report.extractable) for r in results] == ["0.9182958340544893"] * 2
+        assert results[0].evaluations == results[1].evaluations
 
 
 def _count_scorer_builds(monkeypatch):
