@@ -113,14 +113,20 @@ def _flat_index(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return values @ np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))], dtype=values.dtype)
 
 
+# largest register alphabet of any ensemble: its one-hot identity
+# (``_one_hot_rows``) is 1 024^2 float64 values, 8 MB
+MAX_ALPHABET = 1_024
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelatedEnsemble:
     """Entry probabilities ``probs`` (E,), state coordinates ``coords`` (E, D)
     and register values ``registers`` (E, R), all read-only.
 
     Every ensemble checks itself when built, however it is built: first that
-    its probabilities form a distribution, then that each register value lies
-    in its alphabet, then that each state lies in the theory's state space.
+    its probabilities form a distribution, then that no alphabet exceeds
+    MAX_ALPHABET and each register value lies in its alphabet, then that each
+    state lies in the theory's state space.
     An error reports the first entry at fault. Entries within PROB_TOL below
     0 are float noise and are held as 0.
     """
@@ -133,6 +139,8 @@ class CorrelatedEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _checked_probs(self.probs))
+        if max(self.register_alphabets, default=0) > MAX_ALPHABET:
+            raise ValueError(f"register alphabet {max(self.register_alphabets)} above MAX_ALPHABET = {MAX_ALPHABET}")
         _check_registers(self.registers, self.register_alphabets)
         _, ok = check_states(self.theory, self.coords)
         if not ok:
@@ -228,11 +236,6 @@ class ObservableAssignment:
     def labels(self) -> tuple[str, ...]:
         """Each pair as "measurement:register", computed once per assignment."""
         return self._labels
-
-
-# largest register alphabet an ensemble file may declare: its one-hot
-# identity (``_one_hot_rows``) is 1 024^2 float64 values, 8 MB
-MAX_ALPHABET = 1_024
 
 
 @lru_cache(maxsize=32)
@@ -393,15 +396,10 @@ class _StateFamily:
 
     def __init__(self, theory: Theory):
         v = theory.variant
-        if isinstance(v, Polytope):
-            self.kind = "polytope"
-            self.vertex_coords = v.vertex_matrix
-            self.n_params = len(v.vertices)
-            self.bounds = (0.0, 1.0)
-        elif isinstance(v, RestrictedClassical):
-            self.kind = "simplex"
-            self.vertex_coords = np.eye(v.internal_states)
-            self.n_params = v.internal_states
+        if isinstance(v, (Polytope, RestrictedClassical)):
+            self.kind = "vertex"
+            self.vertex_coords = v.vertex_matrix if isinstance(v, Polytope) else np.eye(v.internal_states)
+            self.n_params = len(self.vertex_coords)
             self.bounds = (0.0, 1.0)
         elif isinstance(v, NormConstraint):
             self.kind = "norm"
@@ -420,7 +418,7 @@ class _StateFamily:
 
     def build(self, params: np.ndarray) -> np.ndarray:
         """State coordinates for one parameter vector."""
-        if self.kind in ("polytope", "simplex"):
+        if self.kind == "vertex":
             return _normalized(params) @ self.vertex_coords
         if self.kind == "norm":
             s = np.asarray(params, dtype=float)
@@ -434,7 +432,7 @@ class _StateFamily:
 
     def seed_states(self, assignment: ObservableAssignment) -> list[np.ndarray]:
         """Parameter vectors of extremal states worth trying on a grid."""
-        if self.kind in ("polytope", "simplex"):
+        if self.kind == "vertex":
             return [np.eye(self.n_params)[i] for i in range(self.n_params)]
         if self.kind == "norm":
             return list(self.corners)
@@ -710,9 +708,10 @@ def maximize_extractable(
     stopped at the ceiling after a full grid. Points are scored on bare
     arrays with ``_SearchObjective.value``, which gives the bits of the
     objective taken from an ``evaluate_icp`` report; only the winner becomes
-    an ensemble, checked like every other, with its report. Each descent
-    phase scores its line searches with one ``_SearchObjective.state_line``
-    or ``weight_line`` scorer, built once the budget check lets a first line
+    an ensemble, checked like every other, with its report. Descent
+    alternates a state phase and a weight phase, and one loop runs the line
+    searches of both. Each phase builds one ``_SearchObjective.state_line``
+    or ``weight_line`` scorer once the budget check lets its first line
     search run; a scorer returns ``value``'s bits at every point, so an
     accepted move keeps the value its line search found. Each line search
     gives its scorer a fresh memo, so a table seen earlier on the same line
@@ -771,60 +770,54 @@ def maximize_extractable(
         coords = np.array([family.build(params) for params in state_params])
         evaluations += 1
         current = (objective.value(_normalized(weights), coords), _normalized(weights), coords.copy())
+
+        def move_state(place, x):
+            idx, j = place
+            state_params[idx, j] = x
+            coords[idx] = family.build(state_params[idx])
+            return coords
+
+        def move_weight(place, x):
+            weights[place] = x
+            return _normalized(weights)
+
+        # a phase: its line scorer's factory, the move that sets a line's point
+        # and returns the scorer's argument, the arrays the move writes (in the
+        # row of the line's first index), its lines and their bounds
+        phases = (
+            (lambda: objective.state_line(_normalized(weights)), move_state, (state_params, coords),
+             list(np.ndindex(n_combo, sp)), (lo, hi)),
+            (lambda: objective.weight_line(coords), move_weight, (weights,), list(np.ndindex(n_combo)), (0.0, 1.0)),
+        )
         for _ in range(12):
             improved = False
-            # a phase builds its line scorer after the budget check, so a phase
-            # that runs no line search pays nothing for it
-            score = None
-            for idx in range(n_combo):
-                for j in range(sp):
+            for make_score, move, arrays, places, bounds in phases:
+                # a phase builds its line scorer after the budget check, so a
+                # phase that runs no line search pays nothing for it
+                score = None
+                for place in places:
                     if current[0] >= ceiling or config.max_evals - evaluations < 4:
                         return current, current[0] < ceiling
-                    score = score or objective.state_line(_normalized(weights))
-                    base, base_row = state_params[idx, j], coords[idx].copy()
+                    score = score or make_score()
+                    row = place[0]
+                    saved = [arr[row].copy() for arr in arrays]
                     memo = {}
 
                     def line(x):
                         nonlocal evaluations
                         evaluations += 1
-                        state_params[idx, j] = x
-                        coords[idx] = family.build(state_params[idx])
-                        state_params[idx, j] = base
-                        val = score(coords, memo=memo)
-                        coords[idx] = base_row
+                        val = score(move(place, x), memo=memo)
+                        for arr, base in zip(arrays, saved):
+                            arr[row] = base
                         return val
 
-                    x, val, done = _golden_max(line, lo, hi, config.max_evals - evaluations)
+                    x, val, done = _golden_max(line, *bounds, config.max_evals - evaluations)
                     if val > current[0] + 1e-12:
-                        state_params[idx, j] = x
-                        coords[idx] = family.build(state_params[idx])
+                        move(place, x)
                         current = (val, _normalized(weights), coords.copy())
                         improved = True
                     if not done:
                         return current, True
-            score = None
-            for i in range(n_combo):
-                if current[0] >= ceiling or config.max_evals - evaluations < 4:
-                    return current, current[0] < ceiling
-                score = score or objective.weight_line(coords)
-                base = weights[i]
-                memo = {}
-
-                def wline(x):
-                    nonlocal evaluations
-                    evaluations += 1
-                    weights[i] = x
-                    val = score(_normalized(weights), memo=memo)
-                    weights[i] = base
-                    return val
-
-                x, val, done = _golden_max(wline, 0.0, 1.0, config.max_evals - evaluations)
-                if val > current[0] + 1e-12:
-                    weights[i] = x
-                    current = (val, _normalized(weights), coords.copy())
-                    improved = True
-                if not done:
-                    return current, True
             if not improved:
                 break
         return current, False

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import CorrelatedEnsemble
+from .engine import MAX_ALPHABET, CorrelatedEnsemble
 from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
 
 if TYPE_CHECKING:
@@ -122,6 +122,7 @@ def random_ensemble(
 ) -> CorrelatedEnsemble:
     """Random correlated ensemble with one entry per register combination.
 
+    An alphabet outside 1 .. MAX_ALPHABET is refused before any draw.
     Draws the entry probabilities, then all states at once; the ensemble
     checks its register values (the cached product of ``_register_product``)
     and its states when built, as every ensemble does. The draw order
@@ -130,6 +131,8 @@ def random_ensemble(
     """
     if n_registers < 1:
         raise ValueError("entries need at least one register")
+    if not 1 <= alphabet <= MAX_ALPHABET:
+        raise ValueError(f"alphabet {alphabet} outside 1 .. {MAX_ALPHABET}")
     registers = _register_product(n_registers, alphabet)
     probs = _dirichlet_ones(rng, len(registers))
     coords = _random_coords(entry.theory, rng, len(registers))

@@ -1,5 +1,6 @@
 """Ensemble evaluation engine: reports, invariances, optimizer, rotation sweep."""
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -444,21 +445,31 @@ def test_each_register_takes_the_alphabet_of_its_measurement():
 
 
 def _count_scorer_builds(monkeypatch):
-    """Record, in order, each line scorer built and each line search run,
-    as the name of the descent's line for that kind."""
-    builds, searches = [], []
-    for method, name in (("state_line", "line"), ("weight_line", "wline")):
+    """Record, in order, each line scorer built and each line search run, as
+    the kind of its scorer: "state" or "weight". Each scorer tags the points
+    it scores with its kind, and a line search takes the kind of its points."""
+    builds, searches, tags = [], [], []
+    for method, kind in (("state_line", "state"), ("weight_line", "weight")):
 
-        def counted(self, arg, build=getattr(engine._SearchObjective, method), name=name):
-            builds.append(name)
-            return build(self, arg)
+        def counted(self, arg, build=getattr(engine._SearchObjective, method), kind=kind):
+            builds.append(kind)
+            score = build(self, arg)
+
+            def tagged(*args, **kwargs):
+                tags.append(kind)
+                return score(*args, **kwargs)
+
+            return tagged
 
         monkeypatch.setattr(engine._SearchObjective, method, counted)
     golden_max = engine._golden_max
 
-    def counted_search(fun, *args):
-        searches.append(fun.__name__)
-        return golden_max(fun, *args)
+    def counted_search(*args):
+        start = len(tags)
+        found = golden_max(*args)
+        (kind,) = set(tags[start:])
+        searches.append(kind)
+        return found
 
     monkeypatch.setattr(engine, "_golden_max", counted_search)
     return builds, searches
@@ -487,7 +498,7 @@ def test_exhausted_budget_builds_no_line_scorer(monkeypatch):
 def test_each_descent_phase_builds_one_line_scorer(monkeypatch, make, labels, strategy, max_evals, evaluations):
     builds, searches = _count_scorer_builds(monkeypatch)
     result = maximize_extractable(*_case(make, labels, strategy, max_evals))
-    assert (result.evaluations, result.converged, searches[-1]) == (evaluations, False, "line")
+    assert (result.evaluations, result.converged, searches[-1]) == (evaluations, False, "state")
     # a phase is a run of line searches of one kind; the kinds alternate
     phases = [name for name, _ in itertools.groupby(searches)]
     assert builds == phases != []
@@ -670,6 +681,48 @@ def test_no_scored_value_passes_the_ceiling(monkeypatch, case):
     _without_ceiling(monkeypatch)
     maximize_extractable(theory, assignment, config)
     assert scored and max(scored) <= ceiling + 4 * np.spacing(ceiling)
+
+
+def _scored_points(monkeypatch):
+    """Count the ``_SearchObjective.value`` calls of a search and hash, in
+    call order, each call's weights, coordinates and value."""
+    digest, calls = hashlib.sha256(), [0]
+    value = engine._SearchObjective.value
+
+    def recorded_value(self, w, coords, *args, **kwargs):
+        got = value(self, w, coords, *args, **kwargs)
+        calls[0] += 1
+        for part in (w.tobytes(), coords.tobytes(), repr(got).encode()):
+            digest.update(part)
+        return got
+
+    monkeypatch.setattr(engine._SearchObjective, "value", recorded_value)
+    return digest, calls
+
+
+# each CEILING_CASES search's value calls: their number and the sha256 over
+# (w, coords, repr(value)) of each call in order
+SCORED_POINTS = {
+    "classical-bit": (297, "7fdcd539201680db7717b4baff3e21d3558c9cbfbfe29dd21e6bfbad8c626d68"),
+    "sbit": (8, "bf05437ad088079fe27fa595a24fc31748183257a74197df56742c56cd1f1822"),
+    "qubit": (4, "89a30d4d8983368f1a228f84aeb1fb433a3fc92bb94ae5233e42e45061420ada"),
+    "pgnst:3:2": (313, "8e03db7c5caa3b077328678b8f4bae664031dc9dcae2a9b1b0c154cc270769e5"),
+    "classical-trit": (18, "9957580caba0dacb03eb49d949edb1d3463b87ba0712d94d731afdb6de0ab080"),
+    "classical-trit-3": (735, "dff3f5439e9fea308cda36bafc89aacfea2ced444df47b677be8cbb49ff6297d"),
+    "polygon:5": (654, "7adacbbb6ffd01f1404b62c88297acf3815649fb7cf754a37aa1034e3ace736f"),
+    "hbit-cd": (8, "4ae31bdd44283777aa897402e8df4a2c5ac96bd232a294931bde8b6fbd5343a2"),
+    "sbit-cd": (8, "bf05437ad088079fe27fa595a24fc31748183257a74197df56742c56cd1f1822"),
+}
+
+
+@pytest.mark.parametrize("case", CEILING_CASES, ids=[c[0] for c in CEILING_CASES])
+def test_the_search_scores_the_pinned_points_in_order(monkeypatch, case):
+    """Pins which points a search scores and in what order, not only how
+    many and what it finds."""
+    name, make, labels, strategy, max_evals = case[:5]
+    digest, calls = _scored_points(monkeypatch)
+    maximize_extractable(*_case(make, labels, strategy, max_evals))
+    assert (calls[0], digest.hexdigest()) == SCORED_POINTS[name]
 
 
 def test_a_descent_stops_at_the_ceiling(monkeypatch):

@@ -298,3 +298,31 @@ def test_build_ensemble_rejects_ragged_states_and_alphabet_count(sbit_entry):
         build_ensemble(th, [(0.5, s, (0,)), (0.5, short, (1,))], (2,))
     with pytest.raises(ValueError, match="alphabets for 1 registers"):
         build_ensemble(th, [(0.5, s, (0,)), (0.5, s, (1,))], (2, 2))
+
+
+@pytest.mark.parametrize("alphabet", [engine.MAX_ALPHABET + 1, 10**9])
+def test_an_alphabet_past_the_cap_is_refused_when_built(sbit_entry, alphabet):
+    """However it is built, an ensemble refuses an alphabet above MAX_ALPHABET,
+    before its one-hot identity could be asked for."""
+    s = catalog.sbit_state(1.0, 1.0)
+    with pytest.raises(ValueError, match=f"^register alphabet {alphabet} above MAX_ALPHABET = 1024$"):
+        build_ensemble(sbit_entry.theory, [(1.0, s, (0, 0))], (2, alphabet))
+    with pytest.raises(ValueError, match="above MAX_ALPHABET"):
+        CorrelatedEnsemble(sbit_entry.theory, np.ones(1), s.coords[None], np.zeros((1, 2), dtype=int), (alphabet, 2))
+
+
+def test_the_ensemble_cap_admits_max_alphabet(sbit_entry):
+    th = sbit_entry.theory
+    ens = build_ensemble(th, [(1.0, catalog.sbit_state(1.0, 1.0), (0, 0))], (2, engine.MAX_ALPHABET))
+    assert ens.register_alphabets == (2, 1024)
+    assignment = ObservableAssignment(((th.measurement("X"), 0), (th.measurement("Z"), 1)))
+    assert evaluate_icp(ens, assignment).extractable == 0.0
+
+
+@pytest.mark.parametrize("n_registers, alphabet", [(2, 0), (2, -1), (1, engine.MAX_ALPHABET + 1)])
+def test_random_ensemble_refuses_an_alphabet_before_drawing(n_registers, alphabet):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^alphabet {alphabet} outside 1 .. 1024$"):
+        sampling.random_ensemble(catalog.sbit(), rng, n_registers, alphabet)
+    assert rng.bit_generator.state == state

@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,58 @@ def test_unused_import_check_reads_each_function_on_its_own():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _reads(node) -> Counter:
+    """How often each name is read under ``node``: as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants of ``sources``
+    (file name -> source) that no source reads outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum((_reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            found += [
+                f"{module}:{node.lineno}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and total[name] == own[name]
+            ]
+    return found
+
+
+def test_dead_code_check_finds_each_unread_name():
+    sources = {
+        "a.py": (
+            "_A = 1\n_B = 2\n__all__ = ['x']\n"
+            "def _f(n):\n    return _f(n - 1) if n else _A\n"  # line 4: read only by itself
+            "class _C:\n    pass\n"
+            "def _g():\n    pass\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _g\nx = a._C\n_g()\n",
+    }
+    assert _unread_private_names(sources) == ["a.py:2: _B", "a.py:4: _f"]
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # tests do not count: a helper only a test reads is dead code
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
