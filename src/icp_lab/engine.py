@@ -116,6 +116,9 @@ def _flat_index(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # largest register alphabet of any ensemble: its one-hot identity
 # (``_one_hot_rows``) is 1 024^2 float64 values, 8 MB
 MAX_ALPHABET = 1_024
+# largest joint alphabet, the product of an ensemble's register alphabets: a
+# register marginal over it (``register_marginal``) is the same 8 MB
+MAX_JOINT_ALPHABET = MAX_ALPHABET**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +128,9 @@ class CorrelatedEnsemble:
 
     Every ensemble checks itself when built, however it is built: first that
     its probabilities form a distribution, then that no alphabet exceeds
-    MAX_ALPHABET and each register value lies in its alphabet, then that each
-    state lies in the theory's state space.
+    MAX_ALPHABET, nor their product MAX_JOINT_ALPHABET, and each register
+    value lies in its alphabet, then that each state lies in the theory's
+    state space.
     An error reports the first entry at fault. Entries within PROB_TOL below
     0 are float noise and are held as 0.
     """
@@ -141,6 +145,9 @@ class CorrelatedEnsemble:
         object.__setattr__(self, "probs", _checked_probs(self.probs))
         if max(self.register_alphabets, default=0) > MAX_ALPHABET:
             raise ValueError(f"register alphabet {max(self.register_alphabets)} above MAX_ALPHABET = {MAX_ALPHABET}")
+        joint = math.prod(self.register_alphabets)
+        if joint > MAX_JOINT_ALPHABET:
+            raise ValueError(f"joint alphabet {joint} above MAX_JOINT_ALPHABET = {MAX_JOINT_ALPHABET}")
         _check_registers(self.registers, self.register_alphabets)
         _, ok = check_states(self.theory, self.coords)
         if not ok:
@@ -475,7 +482,8 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
     return np.full_like(w, 1.0 / len(w)) if total <= 0.0 else w / total
 
 
-# candidates scored per batch of the grid stage; bounds its temporary arrays
+# candidates scored per batch of the grid stage; bounds its temporary arrays,
+# which hold the candidates on their last axis (``grid_scores``)
 _GRID_CHUNK = 1024
 
 
@@ -606,6 +614,12 @@ class _SearchObjective:
         Returns None when a seed's effect value or a candidate's table fails
         the checks of ``effect_values`` and ``info._as_prob_array``; the
         caller then scores the candidates one by one, which raises as they do.
+
+        Each chunk's tables are one (k, a, n) array with the n candidates
+        last, so every check, marginal and entropy sums leading axes slice by
+        slice, vectorised over the candidates, not short inner axes candidate
+        by candidate. Below 8 cells per table (every catalog pair) that adds
+        in the order of an (n, k, a) stack's sums, so the scores keep its bits.
         """
         redundancy = np.array([self._redundancy(row) for row in w])
         try:
@@ -615,14 +629,16 @@ class _SearchObjective:
         scores = np.empty(len(choice))
         for start in range(0, len(choice), _GRID_CHUNK):
             part = slice(start, start + _GRID_CHUNK)
-            weights = w[family[part]]
+            weights = w[family[part]].T
             gains = []
             for values, onehot in zip(seed_values, self.onehots):
-                # (k, n, C) weighted outcome values times (C, a) -> (n, k, a)
-                tables = ((values[:, choice[part]] * weights) @ onehot).transpose(1, 0, 2)
-                if not info._is_distribution(tables, (1, 2)).all():
+                # (a, C) times (k, C, n) weighted outcome values -> (k, a, n)
+                tables = onehot.T @ (values[:, choice[part].T] * weights)
+                if not info._is_distribution(tables, (0, 1)).all():
                     return None
-                gains.append(np.maximum(info._total_correlation_stacked(tables), 0.0))
+                rows = info._plogp_bits_stacked(np.add.reduce(tables, 1), (0,))
+                cols = info._plogp_bits_stacked(np.add.reduce(tables, 0), (0,))
+                gains.append(np.maximum(rows + cols - info._plogp_bits_stacked(tables, (0, 1)), 0.0))
             value = sum(gains) - redundancy[family[part]]
             if self.penalized:
                 value -= 4.0 * (np.max(gains, axis=0) - np.min(gains, axis=0))
@@ -751,10 +767,10 @@ def maximize_extractable(
     n_starts = 1 if config.strategy == "coordinate-descent" else 1 + _RESTARTS
     lo, hi = family.bounds
     ceiling = _value_ceiling(objective.alphabets)
-    if n_starts > 1 and best_val < ceiling:
+    if n_starts > 1 and best_val < ceiling and evaluations < config.max_evals:
         # imported here because sampling imports this module; a search that
-        # draws no restart point (none runs past the ceiling) loads neither it
-        # nor numpy.random
+        # draws no restart point (none runs past the ceiling or once the grid
+        # has spent the budget) loads neither it nor numpy.random
         from .sampling import _dirichlet_ones
 
         rng = np.random.default_rng(config.seed)

@@ -185,8 +185,8 @@ def _total_correlation_stacked(p: np.ndarray) -> np.ndarray:
     small stack. Zeros add nothing to a sum, so on a C-contiguous stack it
     gives the bits of one call per entropy unless a marginal of 4 or more
     entries meets numpy's pairwise summation (k a >= 8). There, and on a
-    strided stack such as ``grid_scores``' transposed tables, whose joint sum
-    numpy orders by memory layout, the two agree to a few ulps.
+    strided stack, whose joint sum numpy orders by memory layout, the two
+    agree to a few ulps.
     """
     n, k, a = p.shape
     parts = np.zeros((n, 3, k * a))

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import MAX_ALPHABET, CorrelatedEnsemble
+from .engine import MAX_ALPHABET, MAX_JOINT_ALPHABET, CorrelatedEnsemble
 from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
 
 if TYPE_CHECKING:
@@ -122,7 +122,8 @@ def random_ensemble(
 ) -> CorrelatedEnsemble:
     """Random correlated ensemble with one entry per register combination.
 
-    An alphabet outside 1 .. MAX_ALPHABET is refused before any draw.
+    An alphabet outside 1 .. MAX_ALPHABET, or more than MAX_JOINT_ALPHABET
+    register combinations, is refused before any draw.
     Draws the entry probabilities, then all states at once; the ensemble
     checks its register values (the cached product of ``_register_product``)
     and its states when built, as every ensemble does. The draw order
@@ -133,6 +134,10 @@ def random_ensemble(
         raise ValueError("entries need at least one register")
     if not 1 <= alphabet <= MAX_ALPHABET:
         raise ValueError(f"alphabet {alphabet} outside 1 .. {MAX_ALPHABET}")
+    # an alphabet of 2 or more passes the cap by 21 registers, so the power
+    # stays small however many registers are asked for
+    if alphabet ** min(n_registers, MAX_JOINT_ALPHABET.bit_length()) > MAX_JOINT_ALPHABET:
+        raise ValueError(f"{alphabet}**{n_registers} register combinations above MAX_JOINT_ALPHABET = {MAX_JOINT_ALPHABET}")
     registers = _register_product(n_registers, alphabet)
     probs = _dirichlet_ones(rng, len(registers))
     coords = _random_coords(entry.theory, rng, len(registers))

@@ -116,7 +116,7 @@ def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
     """Rebuild an ensemble; errors carry the JSON path of the offending field."""
     # imported here: rendering output needs none of these modules
     from .catalog import resolve
-    from .engine import MAX_ALPHABET, build_ensemble
+    from .engine import MAX_ALPHABET, MAX_JOINT_ALPHABET, build_ensemble
     from .gpt import State
 
     _require(isinstance(doc, dict), "ensemble", "expected an object")
@@ -148,6 +148,8 @@ def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
         _require(_list_of(int, alphabets), "ensemble.register_alphabets", "expected a list of integers")
         for j, a in enumerate(alphabets):
             _require(1 <= a <= MAX_ALPHABET, f"ensemble.register_alphabets[{j}]", f"{a} outside 1 .. {MAX_ALPHABET}")
+        joint = math.prod(alphabets)
+        _require(joint <= MAX_JOINT_ALPHABET, "ensemble.register_alphabets", f"product {joint} above {MAX_JOINT_ALPHABET}")
     try:
         ensemble = build_ensemble(entry.theory, entries, alphabets)
     except ValueError as exc:

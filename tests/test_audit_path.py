@@ -261,22 +261,57 @@ def test_one_call_gain_kernel_keeps_the_three_call_bits_on_small_tables(shape):
     assert np.abs(new - old).max() <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["sbit", "qubit", "polygon:5", "pgnst:3:2", "classical-trit"])
-def test_one_call_gain_kernel_moves_grid_scores_by_ulps_only(case):
-    # grid_scores passes transposed tables, whose joint sums numpy orders by
-    # memory layout; the candidates it then rescores exactly stay the same
-    entry = catalog.resolve(case)
-    labels = ("E1", "E2") if case in ("polygon:5", "classical-trit") else ("X", "Z")
-    objective = engine._SearchObjective(entry.theory, _assignment(entry, labels), True)
-    family = engine._StateFamily(entry.theory)
-    seeds = family.seed_states(objective.assignment)
+def transposed_grid_scores(objective, w, seed_coords, family, choice):
+    """``grid_scores`` with the candidate axis first: each chunk's tables a
+    transposed (n, k, a) view, through the one-call gain kernel."""
+    redundancy = np.array([objective._redundancy(row) for row in w])
+    seed_values = objective._effect_values(seed_coords)
+    scores = np.empty(len(choice))
+    for start in range(0, len(choice), engine._GRID_CHUNK):
+        part = slice(start, start + engine._GRID_CHUNK)
+        gains = []
+        for values, onehot in zip(seed_values, objective.onehots):
+            tables = ((values[:, choice[part]] * w[family[part]]) @ onehot).transpose(1, 0, 2)
+            assert info._is_distribution(tables, (1, 2)).all()
+            gains.append(np.maximum(info._total_correlation_stacked(tables), 0.0))
+        value = sum(gains) - redundancy[family[part]]
+        if objective.penalized:
+            value -= 4.0 * (np.max(gains, axis=0) - np.min(gains, axis=0))
+        scores[part] = value
+    return scores
+
+
+def _grid_scores_and_oracle(theory, assignment, max_evals):
+    objective = engine._SearchObjective(theory, assignment, True)
+    family = engine._StateFamily(theory)
+    seeds = family.seed_states(assignment)
     seed_coords = np.array([family.build(params) for params in seeds])
     w = np.array([engine._normalized(f) for f in engine._register_families(objective.alphabets)])
-    fam, choice = engine._grid_candidates(len(seeds), len(objective.combos), len(w), 20_000)
-    scores = objective.grid_scores(w, seed_coords, fam, choice)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(info, "_total_correlation_stacked", old_gains_kernel)
-        reference = objective.grid_scores(w, seed_coords, fam, choice)
+    fam, choice = engine._grid_candidates(len(seeds), len(objective.combos), len(w), max_evals)
+    return objective.grid_scores(w, seed_coords, fam, choice), transposed_grid_scores(
+        objective, w, seed_coords, fam, choice
+    )
+
+
+@pytest.mark.parametrize("case", ["sbit", "qubit", "polygon:5", "pgnst:3:2", "classical-trit"])
+def test_one_call_gain_kernel_moves_grid_scores_by_ulps_only(case):
+    # grid_scores sums each table's leading axes slice by slice, left to
+    # right; on 2-outcome measurements (k a = 4 < 8) that is the order of the
+    # one-call kernel's contiguous sums on the transposed tables, so the
+    # scores keep its bytes
+    entry = catalog.resolve(case)
+    labels = ("E1", "E2") if case in ("polygon:5", "classical-trit") else ("X", "Z")
+    scores, reference = _grid_scores_and_oracle(entry.theory, _assignment(entry, labels), 20_000)
+    assert scores.tobytes() == reference.tobytes()
+
+
+def test_grid_scores_move_by_ulps_only_on_tables_of_8_or_more_cells():
+    # two 3-outcome measurements give 3 x 3 tables, whose joint the one-call
+    # kernel sums with numpy's pairwise summation; the two agree to a few
+    # ulps, and the candidates rescored exactly stay the same
+    theory = catalog.classical_trit().theory
+    readout = gpt.Measurement("T", theory.variant.extreme_effects)
+    scores, reference = _grid_scores_and_oracle(theory, ObservableAssignment(((readout, 0), (readout, 1))), 20_000)
     assert np.abs(scores - reference).max() <= 1e-12
     near_top = np.flatnonzero(scores >= scores.max() - 1e-12)
     assert near_top.tolist() == np.flatnonzero(reference >= reference.max() - 1e-12).tolist()

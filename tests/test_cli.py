@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from icp_lab import catalog
 from icp_lab.catalog import MAX_POLYGON
 from icp_lab.cli import MAX_GRID, _range, main
 from icp_lab.engine import MAX_ALPHABET
@@ -277,6 +278,29 @@ def test_register_data_past_the_cap_exits_2_before_it_is_built(tmp_path, capsys,
         code, out, err = run_cli(capsys, "eval", "--ensemble", str(demo))
     assert (code, out) == (2, "")
     assert f"{demo}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "alphabets, message",
+    [
+        ([1024, 1024, 1024], "ensemble.register_alphabets: product 1073741824 above 1048576"),
+        (None, "ensemble: joint alphabet 1073741824 above MAX_JOINT_ALPHABET = 1048576"),
+    ],
+    ids=["given", "defaulted"],
+)
+def test_a_joint_alphabet_past_the_cap_exits_2(tmp_path, capsys, alphabets, message):
+    """Each alphabet within MAX_ALPHABET, their product past MAX_JOINT_ALPHABET:
+    the file is refused before a register marginal over 2**30 cells is built."""
+    vertex = catalog.classical_trit().theory.variant.vertices[0].coords.tolist()
+    doc = {"theory": "classical-trit", "entries": [{"p": 1.0, "state": vertex, "registers": [1023] * 3}]}
+    if alphabets is not None:
+        doc["register_alphabets"] = alphabets
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with _bounded_address_space():
+        code, out, err = run_cli(capsys, "eval", "--ensemble", str(path), "--measurements", "E1,E2,E3")
+    assert (code, out) == (2, "")
+    assert f"{path}: {message}" in err
 
 
 def test_the_alphabet_cap_admits_exactly_max_alphabet_values(tmp_path, capsys):

@@ -752,6 +752,20 @@ def test_a_search_at_its_ceiling_draws_no_restart_point(monkeypatch):
     assert (result.evaluations, result.converged) == (1536, True)
 
 
+def test_a_search_whose_grid_spends_the_budget_draws_no_restart_point(monkeypatch):
+    """qubit's grid scores all 4 000 of its 4 000 points, so no restart
+    point could be scored; none is drawn, and the result is the pinned one."""
+    calls = []
+    draw = sampling._dirichlet_ones
+    monkeypatch.setattr(sampling, "_dirichlet_ones", lambda *args: calls.append(args) or draw(*args))
+    _, make, labels, strategy, max_evals, extractable, evaluations, converged = OPTIMIZER_CASES[2]
+    result = maximize_extractable(*_case(make, labels, strategy, max_evals))
+    assert (repr(result.report.extractable), result.evaluations, result.converged) == (
+        extractable, evaluations, converged
+    )
+    assert calls == []
+
+
 def test_a_state_line_point_makes_one_effect_values_call(monkeypatch):
     theory, assignment, config = _case(catalog.classical_trit, ("E1", "E2", "E3"), "grid", 1)
     family = engine._StateFamily(theory)

@@ -1,4 +1,6 @@
 """The array-first ensemble path against its per-object and public-API oracles."""
+import math
+
 import numpy as np
 import pytest
 
@@ -325,4 +327,37 @@ def test_random_ensemble_refuses_an_alphabet_before_drawing(n_registers, alphabe
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"^alphabet {alphabet} outside 1 .. 1024$"):
         sampling.random_ensemble(catalog.sbit(), rng, n_registers, alphabet)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("alphabets", [(1024, 1024, 2), (1024, 1024, 1024), (2,) * 21])
+def test_a_joint_alphabet_past_the_cap_is_refused_when_built(alphabets):
+    """An ensemble refuses register alphabets whose product exceeds
+    MAX_JOINT_ALPHABET, before a register marginal over it could be asked for."""
+    th = catalog.classical_trit().theory
+    v = th.variant.vertices[0]
+    joint = math.prod(alphabets)
+    with pytest.raises(ValueError, match=f"^joint alphabet {joint} above MAX_JOINT_ALPHABET = 1048576$"):
+        build_ensemble(th, [(1.0, v, (0,) * len(alphabets))], alphabets)
+
+
+def test_the_ensemble_cap_admits_max_joint_alphabet(sbit_entry):
+    th = sbit_entry.theory
+    ens = build_ensemble(th, [(1.0, catalog.sbit_state(1.0, 1.0), (1023, 1023))])
+    assert math.prod(ens.register_alphabets) == engine.MAX_JOINT_ALPHABET
+    assignment = ObservableAssignment(((th.measurement("X"), 0), (th.measurement("Z"), 1)))
+    assert evaluate_icp(ens, assignment).extractable == 0.0
+
+
+@pytest.mark.parametrize("n_registers, alphabet", [(3, 1024), (21, 2), (10**9, 2), (3, 102)])
+def test_random_ensemble_refuses_a_joint_alphabet_before_drawing(monkeypatch, n_registers, alphabet):
+    def product(*args):
+        raise AssertionError("the register product was built")
+
+    monkeypatch.setattr(sampling, "_register_product", product)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    match = rf"^{alphabet}\*\*{n_registers} register combinations above MAX_JOINT_ALPHABET = 1048576$"
+    with pytest.raises(ValueError, match=match):
+        sampling.random_ensemble(catalog.classical_bit(), rng, n_registers, alphabet)
     assert rng.bit_generator.state == state

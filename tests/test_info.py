@@ -87,6 +87,8 @@ def test_shannon_entropy_rejects_non_distribution():
             shannon_entropy(p)
     stack = np.array([[[0.5, 0.0], [0.0, 0.5]], [[math.nan, 0.5], [0.25, 0.25]], [[0.5, 0.5], [0.5, 0.5]]])
     assert _is_distribution(stack, (1, 2)).tolist() == [True, False, False]
+    # the same tables with the stack axis last, as the optimizer's grid holds them
+    assert _is_distribution(np.moveaxis(stack, 0, 2), (0, 1)).tolist() == [True, False, False]
 
 
 def test_joint_table_marginals_and_entropy():
