@@ -88,12 +88,12 @@ def _require_registers(registers: Iterable[int], n_registers: int) -> None:
 
 def _check_registers(registers: np.ndarray, register_alphabets: tuple[int, ...]) -> None:
     """Raise ValueError for the first register value outside its alphabet
-    (NaN included).
+    (NaN included), else for register values of no integer dtype.
 
     A passing int64 stack costs one maximum: viewed as uint64, a negative
     value exceeds every alphabet, so every value lies in its alphabet when
     that maximum is below the smallest one. Any other stack is scanned value
-    by value.
+    by value and has its dtype tested.
     """
     if (
         registers.dtype == np.int64
@@ -105,12 +105,14 @@ def _check_registers(registers: np.ndarray, register_alphabets: tuple[int, ...])
     if outside.any():
         i, j = np.argwhere(outside)[0]
         raise ValueError(f"register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
+    if registers.dtype.kind not in "iu":
+        raise ValueError(f"register values of dtype {registers.dtype}, not an integer dtype")
 
 
 def _flat_index(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Each row of ``values`` (E, k), a cell of an array of ``shape``, as its
-    row-major flat index; the values are not range-tested here."""
-    return values @ np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))], dtype=values.dtype)
+    row-major flat index in int64, where no index wraps; not range-tested."""
+    return values.astype(np.int64, copy=False) @ np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))])
 
 
 # largest register alphabet of any ensemble: its one-hot identity
@@ -126,11 +128,11 @@ class CorrelatedEnsemble:
     """Entry probabilities ``probs`` (E,), state coordinates ``coords`` (E, D)
     and register values ``registers`` (E, R), all read-only.
 
-    Every ensemble checks itself when built, however it is built: first that
-    its probabilities form a distribution, then that no alphabet exceeds
-    MAX_ALPHABET, nor their product MAX_JOINT_ALPHABET, and each register
-    value lies in its alphabet, then that each state lies in the theory's
-    state space.
+    Every ensemble checks itself when built, however it is built: its
+    probabilities form a distribution, ``coords`` and ``registers`` have E
+    rows, there are R >= 1 integer alphabets, none above MAX_ALPHABET nor
+    their product above MAX_JOINT_ALPHABET, each register value lies in its
+    alphabet and is an integer, and each state lies in the theory's state space.
     An error reports the first entry at fault. Entries within PROB_TOL below
     0 are float noise and are held as 0.
     """
@@ -143,13 +145,26 @@ class CorrelatedEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _checked_probs(self.probs))
-        if max(self.register_alphabets, default=0) > MAX_ALPHABET:
-            raise ValueError(f"register alphabet {max(self.register_alphabets)} above MAX_ALPHABET = {MAX_ALPHABET}")
-        joint = math.prod(self.register_alphabets)
+        coords, regs, n = self.coords, self.registers, len(self.probs)
+        if not (coords.ndim == regs.ndim == 2 and len(coords) == len(regs) == n):
+            raise ValueError(f"state coordinates {coords.shape} and register values {regs.shape} for {n} probabilities")
+        n_regs = regs.shape[1]
+        if n_regs == 0:
+            raise ValueError("entries need at least one register")
+        if len(self.register_alphabets) != n_regs:
+            raise ValueError(f"{len(self.register_alphabets)} alphabets for {n_regs} registers")
+        try:
+            alphabets = tuple(map(operator.index, self.register_alphabets))
+        except TypeError:
+            raise ValueError(f"register alphabets {tuple(self.register_alphabets)!r} are not all integers") from None
+        object.__setattr__(self, "register_alphabets", alphabets)
+        if max(alphabets) > MAX_ALPHABET:
+            raise ValueError(f"register alphabet {max(alphabets)} above MAX_ALPHABET = {MAX_ALPHABET}")
+        joint = math.prod(alphabets)
         if joint > MAX_JOINT_ALPHABET:
             raise ValueError(f"joint alphabet {joint} above MAX_JOINT_ALPHABET = {MAX_JOINT_ALPHABET}")
-        _check_registers(self.registers, self.register_alphabets)
-        _, ok = check_states(self.theory, self.coords)
+        _check_registers(regs, alphabets)
+        _, ok = check_states(self.theory, coords)
         if not ok:
             raise ValueError(f"invalid state in ensemble: {ok.detail}")
         for arr in (self.probs, self.coords, self.registers):
@@ -181,39 +196,24 @@ def build_ensemble(
     entries: Iterable[tuple[float, State, Sequence[int]]] | Iterable[EnsembleEntry],
     register_alphabets: Sequence[int] | None = None,
 ) -> CorrelatedEnsemble:
-    """Stack entries into an ensemble; alphabets default to max value + 1.
-
-    The entries' count and register counts are checked here; the ensemble
-    then checks its probabilities, register values and states when built.
-    """
-    norm_entries = []
-    for item in entries:
-        if isinstance(item, EnsembleEntry):
-            norm_entries.append(item)
-        else:
-            p, state, regs = item
-            norm_entries.append(EnsembleEntry(float(p), state, tuple(regs)))
-    if not norm_entries:
+    """Stack ``(p, state, registers)`` tuples or EnsembleEntry objects into
+    an ensemble's three arrays; alphabets default to max value + 1. Only what
+    the list needs to become arrays is checked here (at least one entry, one
+    register count, one state dimension): the ensemble checks the rest."""
+    rows = [(e.probability, e.state, e.registers) if isinstance(e, EnsembleEntry) else e for e in entries]
+    if not rows:
         raise ValueError("ensemble needs at least one entry")
-    counts = {len(e.registers) for e in norm_entries}
-    if len(counts) != 1:
+    registers = [[int(r) for r in regs] for _, _, regs in rows]
+    if len({len(r) for r in registers}) != 1:
         raise ValueError("entries disagree on register count")
-    n_regs = counts.pop()
-    if n_regs == 0:
-        raise ValueError("entries need at least one register")
-    if register_alphabets is None:
-        register_alphabets = tuple(
-            max(e.registers[i] for e in norm_entries) + 1 for i in range(n_regs)
-        )
-    register_alphabets = tuple(int(a) for a in register_alphabets)
-    if len(register_alphabets) != n_regs:
-        raise ValueError(f"{len(register_alphabets)} alphabets for {n_regs} registers")
     try:
-        coords = np.array([e.state.coords for e in norm_entries])
+        coords = np.array([state.coords for _, state, _ in rows])
     except ValueError as exc:  # ragged rows
         raise ValueError("ensemble states differ in dimension") from exc
-    probs = np.array([e.probability for e in norm_entries], dtype=float)
-    registers = np.array([e.registers for e in norm_entries], dtype=int)
+    registers = np.array(registers, dtype=int)
+    if register_alphabets is None:
+        register_alphabets = tuple(int(m) + 1 for m in registers.max(axis=0))
+    probs = np.array([p for p, _, _ in rows], dtype=float)
     return CorrelatedEnsemble(theory, probs, coords, registers, register_alphabets)
 
 
@@ -669,7 +669,7 @@ def _grid_candidates(n_seeds: int, n_combo: int, n_families: int, max_evals: int
 def _value_ceiling(alphabets: tuple[int, ...]) -> float:
     """The objective's ceiling, sum_i log2 k_i: each gain is at most
     log2 k_i, and the redundancy and the equal-gain penalty are never
-    negative. It is ROADMAP item 4's bound sum_i log2 k_i - U at U = 0
+    negative. It is ROADMAP item 6's bound sum_i log2 k_i - U at U = 0
     (Maassen and Uffink); that bound can later replace it."""
     return sum(math.log2(k) for k in alphabets)
 

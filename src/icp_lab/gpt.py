@@ -402,6 +402,8 @@ def validate_state(theory: Theory, state: State) -> Validation:
 
 def validate_measurement(theory: Theory, measurement: Measurement, tol: float = PROB_TOL) -> Validation:
     u = unit_effect(theory)
+    if (dim := measurement.effect_matrix.shape[1]) != u.coords.size:
+        return Validation(False, f"effect dimension {dim} differs from the theory's {u.coords.size}")
     total = measurement.effect_matrix.sum(axis=0)
     dev = float(np.max(np.abs(total - u.coords)))
     if not dev <= tol:

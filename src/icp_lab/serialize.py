@@ -88,16 +88,13 @@ def render_csv(fieldnames, rows, manifest: RunManifest) -> str:
 # --- ensembles and certificates -------------------------------------------------
 
 def ensemble_to_json(ensemble: CorrelatedEnsemble) -> dict:
+    # probabilities and states as floats, whatever their arrays' dtype
+    probs, coords = (a.astype(float).tolist() for a in (ensemble.probs, ensemble.coords))
     return {
         "theory": ensemble.theory.theory_id,
         "register_alphabets": list(ensemble.register_alphabets),
         "entries": [
-            {
-                "p": e.probability,
-                "state": e.state.coords.tolist(),
-                "registers": list(e.registers),
-            }
-            for e in ensemble.entries
+            {"p": p, "state": c, "registers": r} for p, c, r in zip(probs, coords, ensemble.registers.tolist())
         ],
     }
 

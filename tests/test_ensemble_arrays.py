@@ -1,5 +1,6 @@
 """The array-first ensemble path against its per-object and public-API oracles."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,9 +207,11 @@ NOT_DISTRIBUTIONS = {
 
 @pytest.mark.parametrize("make, outside", INVALID_STATES)
 def test_an_ensemble_built_from_arrays_checks_itself(make, outside):
-    """The checks and messages of ``build_ensemble``: probabilities first,
-    then registers, then states. Probabilities that are no distribution
-    raise before any report or ledger can be taken of them."""
+    """The checks and messages of ``CorrelatedEnsemble``, each fault added on
+    top of the last: probabilities first, then the arrays' rows, the register
+    count, the alphabets, their caps, the register values and last the
+    states. Probabilities that are no distribution raise before any report
+    or ledger can be taken of them."""
     entry = make()
     th = entry.theory
     coords = sampling._random_coords(th, np.random.default_rng(5), 4)
@@ -220,12 +223,69 @@ def test_an_ensemble_built_from_arrays_checks_itself(make, outside):
     with pytest.raises(ValueError) as err:
         CorrelatedEnsemble(th, probs, coords, registers.copy(), (2, 2))
     assert str(err.value) == f"invalid state in ensemble: {ok.detail}"
-    registers[3, 1] = 2
+    with pytest.raises(ValueError, match="^register values of dtype float64, not an integer dtype$"):
+        CorrelatedEnsemble(th, probs, coords, registers.astype(float), (2, 2))
+    registers[3, 0] = 2
     with pytest.raises(ValueError, match="^register value 2 outside alphabet 2$"):
         CorrelatedEnsemble(th, probs, coords, registers, (2, 2))
+    extra = np.vstack([coords, coords[:1]])
+    faults = [
+        (coords, registers, (2, 2048), "register alphabet 2048 above MAX_ALPHABET = 1024"),
+        (coords, registers, (2.5, 2048), "register alphabets (2.5, 2048) are not all integers"),
+        (coords, registers, (2.5,), "1 alphabets for 2 registers"),
+        (coords, registers[:, :0], (2.5,), "entries need at least one register"),
+        (extra, registers[:, :0], (2.5,), f"state coordinates {extra.shape} and register values (4, 0) for 4 "),
+    ]
+    for state_rows, register_rows, alphabets, message in faults:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            CorrelatedEnsemble(th, probs, state_rows, register_rows, alphabets)
     for bad, message in NOT_DISTRIBUTIONS.values():
         with pytest.raises(ValueError, match=message):
-            CorrelatedEnsemble(th, np.array(bad, dtype=float), coords, registers, (2, 2))
+            CorrelatedEnsemble(th, np.array(bad, dtype=float), extra, registers[:, :0], (2.5,))
+
+
+# each builds without error on an ensemble that checks only its probabilities,
+# register values and states, and fails later, deep in numpy or with a
+# misleading message
+ROWS = "state coordinates {} and register values {}"
+MALFORMED = {
+    "one alphabet for two registers": (np.eye(2), [[0, 0], [1, 1]], (2,), "1 alphabets for 2 registers"),
+    "three state rows": (np.eye(2)[[0, 1, 0]], [[0, 0], [1, 1]], (2, 2), ROWS.format((3, 2), (2, 2))),
+    "three register rows": (np.eye(2), [[0, 0], [1, 1], [0, 1]], (2, 2), ROWS.format((2, 2), (3, 2))),
+    "no register column": (np.eye(2), np.zeros((2, 0), dtype=int), (), "entries need at least one register"),
+    "float registers": (np.eye(2), [[0.5, 0.0], [1.0, 1.0]], (2, 2), "register values of dtype float64"),
+    "bool registers": (np.eye(2), [[False, False], [True, True]], (2, 2), "register values of dtype bool"),
+    "fractional alphabet": (np.eye(2), [[0, 0], [1, 1]], (2.5, 2), "register alphabets (2.5, 2) are not all"),
+}
+
+
+@pytest.mark.parametrize("coords, registers, alphabets, message", MALFORMED.values(), ids=list(MALFORMED))
+def test_a_malformed_ensemble_is_refused_when_built(coords, registers, alphabets, message):
+    th = catalog.classical_bit().theory
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        CorrelatedEnsemble(th, np.full(2, 0.5), coords, np.asarray(registers), alphabets)
+
+
+def test_build_ensemble_refuses_a_fractional_alphabet(bit_entry):
+    # int() would truncate 2.7 to 2, an alphabet the caller never named
+    states = bit_entry.theory.variant.vertices
+    entries = [(0.5, states[0], (0, 0)), (0.5, states[1], (1, 1))]
+    with pytest.raises(ValueError, match=re.escape("register alphabets (2.7, 2) are not all integers")):
+        build_ensemble(bit_entry.theory, entries, (2.7, 2))
+    assert build_ensemble(bit_entry.theory, entries, (np.int64(2), 2)).register_alphabets == (2, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16, np.uint64])
+def test_narrow_register_values_index_their_own_cells(dtype):
+    """Register cell indices of a 32 x 32 joint alphabet pass 255: in the
+    registers' own dtype they wrapped round and put mass in the wrong cell."""
+    th = catalog.classical_bit().theory
+    registers = np.array([[31, 31], [0, 1]], dtype=dtype)
+    ens = CorrelatedEnsemble(th, np.full(2, 0.5), np.eye(2), registers, (32, 32))
+    index, shape = ens.register_index((0, 1))
+    assert index.dtype == np.int64 and index.tolist() == [1023, 1] and shape == (32, 32)
+    marginal = register_marginal(ens).probs
+    assert marginal[31, 31] == marginal[0, 1] == 0.5
 
 
 def test_float_noise_probabilities_are_held_as_zero_and_the_sum_sees_them():

@@ -241,6 +241,19 @@ def test_a_measurement_with_a_nan_effect_is_neither_valid_nor_a_certificate():
         verify_distinguishable(th, th.variant.vertices, bad)
 
 
+def test_a_measurement_of_another_dimension_is_judged_not_valid(qubit_entry):
+    # the qubit's unit effect has 8 coordinates; numpy refused to broadcast
+    # the effect sum against it before the dimensions were compared
+    th = qubit_entry.theory
+    short = Measurement("short", (Effect([1.0, 0.0]), Effect([0.0, 1.0])))
+    ok = validate_measurement(th, short)
+    assert not ok and ok.detail == "effect dimension 2 differs from the theory's 8"
+    with pytest.raises(ValueError, match="^effect dimension 2 differs from the theory's 8$"):
+        verify_distinguishable(th, [], short)
+    with pytest.raises(ValueError, match="^effect dimension 2 differs from the theory's 8$"):
+        verify_distinguishable(th, [catalog.qubit_state_from_bloch(0.0, 0.0, 1.0)], short)
+
+
 def test_verify_distinguishable_with_no_states_is_vacuous(bit_entry):
     cert = verify_distinguishable(bit_entry.theory, [], bit_entry.theory.measurement("X"))
     assert cert.verified and cert.max_deviation == 0.0 and cert.states == ()

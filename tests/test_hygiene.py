@@ -247,9 +247,9 @@ def test_every_lru_cache_has_an_explicit_finite_maxsize(path):
     assert _unbounded_caches(path.read_text(encoding="utf-8")) == []
 
 
-def _eigvalsh_callers(source: str) -> list[str]:
-    """The innermost class or function around each ``eigvalsh`` call, by its
-    dotted name, once per call."""
+def _callers(source: str, callee: str) -> list[str]:
+    """The innermost class or function around each call of ``callee``, by
+    name or as an attribute, by its dotted name, once per call."""
     found = []
 
     def visit(node, scope):
@@ -260,7 +260,7 @@ def _eigvalsh_callers(source: str) -> list[str]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "eigvalsh":
+                if name == callee:
                     found.append(".".join(scope) or "<module>")
             visit(child, scope)
 
@@ -276,7 +276,7 @@ def test_eigvalsh_check_finds_each_caller():
         "    def c(self, m):\n        return np.linalg.eigh(m)\n"
         "s = np.linalg.eigvalsh(np.eye(2))\n"
     )
-    assert _eigvalsh_callers(source) == ["a", "B.__init__", "<module>"]
+    assert _callers(source, "eigvalsh") == ["a", "B.__init__", "<module>"]
 
 
 # the one density check, and the ledger's classical-quantum blocks p_c rho_c,
@@ -286,7 +286,40 @@ EIGVALSH_CALLERS = {"info.py": ["_density_check"], "proofs.py": ["_QuantumChainD
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_spectra_come_from_the_one_density_check(path):
-    assert _eigvalsh_callers(path.read_text(encoding="utf-8")) == EIGVALSH_CALLERS.get(path.name, [])
+    assert _callers(path.read_text(encoding="utf-8"), "eigvalsh") == EIGVALSH_CALLERS.get(path.name, [])
+
+
+def _attribute_reads(source: str, attr: str) -> list[int]:
+    """Lines that read ``attr`` as an attribute of anything."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_entry_checks_find_each_form():
+    source = (
+        "from .engine import EnsembleEntry\nfrom . import engine\n"
+        "class Ens:\n    @property\n    def entries(self):\n"
+        "        return (EnsembleEntry(1.0, s, (0,)),)\n"  # Ens.entries
+        "def f(ens, doc):\n    doc.get('entries'), doc['entries']\n"
+        "    for e in ens.entries:\n"  # line 9
+        "        engine.EnsembleEntry(e.probability, e.state, e.registers)\n"  # f
+        "    return len(ens.entries[1:])\n"  # line 11
+        "x = isinstance(y, EnsembleEntry)\nz.entries = ()\n"
+    )
+    assert _callers(source, "EnsembleEntry") == ["Ens.entries", "f"]
+    assert _attribute_reads(source, "entries") == [9, 11]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_ensembles_are_read_as_arrays(path):
+    # the package reads an ensemble's three arrays: only the public, on-request
+    # CorrelatedEnsemble.entries builds EnsembleEntry objects, and nothing reads them
+    source = path.read_text(encoding="utf-8")
+    assert _callers(source, "EnsembleEntry") == (["CorrelatedEnsemble.entries"] if path.name == "engine.py" else [])
+    assert _attribute_reads(source, "entries") == []
 
 
 def _ln2_calls(source: str) -> list[int]:

@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from icp_lab import catalog
-from icp_lab.constructions import sbit_violation
-from icp_lab.engine import REPORT_CSV_FIELDS
+from icp_lab import catalog, sampling
+from icp_lab.constructions import (
+    hbit_violation,
+    pgnst_violation,
+    polygon_violation,
+    qubit_rac_construction,
+    sbit_violation,
+)
+from icp_lab.engine import REPORT_CSV_FIELDS, CorrelatedEnsemble
 from icp_lab.serialize import (
     RunManifest,
     assignment_from_json,
@@ -84,6 +90,47 @@ def test_ensemble_round_trip():
         assert a.probability == b.probability
         assert a.registers == b.registers
         assert np.allclose(a.state.coords, b.state.coords)
+
+
+def entries_to_json(ensemble):
+    """The ensemble document entry by entry, as ``ensemble.entries`` gives it."""
+    return {
+        "theory": ensemble.theory.theory_id,
+        "register_alphabets": list(ensemble.register_alphabets),
+        "entries": [
+            {"p": e.probability, "state": e.state.coords.tolist(), "registers": list(e.registers)}
+            for e in ensemble.entries
+        ],
+    }
+
+
+def _oracle_ensembles():
+    certificates = [sbit_violation, hbit_violation, qubit_rac_construction]
+    yield from (make().ensemble for make in certificates)
+    yield polygon_violation(5).ensemble
+    yield pgnst_violation(3.0).ensemble
+    rng = np.random.default_rng(28)
+    entries = [*catalog.list_catalog(), catalog.polygon(5), catalog.pgnst(3.0, 2), catalog.pgnst(math.inf, 3)]
+    for entry in entries:
+        ens = sampling.random_ensemble(entry, rng, 2, 3)
+        yield ens
+        # a first probability of -0.0, its mass moved to the second entry
+        probs = ens.probs.copy()
+        probs[1] += probs[0]
+        probs[0] = -0.0
+        yield CorrelatedEnsemble(ens.theory, probs, ens.coords.copy(), ens.registers.copy(), ens.register_alphabets)
+    # integer probabilities and coordinates: the entries held them as floats
+    bit = catalog.classical_bit().theory
+    yield CorrelatedEnsemble(bit, np.array([1, 0]), np.eye(2, dtype=int), np.array([[0], [1]]), (2,))
+
+
+def test_ensemble_to_json_equals_the_entry_by_entry_document():
+    documents = [(ensemble_to_json(ens), entries_to_json(ens)) for ens in _oracle_ensembles()]
+    assert len(documents) == 22
+    for got, want in documents:
+        assert render_json("ensemble", got, _manifest()) == render_json("ensemble", want, _manifest())
+    assert sum(math.copysign(1.0, doc["entries"][0]["p"]) < 0 for doc, _ in documents) == 8
+    assert documents[-1][0]["entries"][0] == {"p": 1.0, "state": [1.0, 0.0], "registers": [0]}
 
 
 def test_ensemble_from_json_error_paths():
