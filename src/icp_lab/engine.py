@@ -128,11 +128,12 @@ class CorrelatedEnsemble:
     """Entry probabilities ``probs`` (E,), state coordinates ``coords`` (E, D)
     and register values ``registers`` (E, R), all read-only.
 
-    Every ensemble checks itself when built, however it is built: its
-    probabilities form a distribution, ``coords`` and ``registers`` have E
-    rows, there are R >= 1 integer alphabets, none above MAX_ALPHABET nor
-    their product above MAX_JOINT_ALPHABET, each register value lies in its
-    alphabet and is an integer, and each state lies in the theory's state space.
+    Every ensemble checks itself when built, from arrays or lists: its
+    probabilities are one flat vector and form a distribution, ``coords`` and
+    ``registers`` have E rows, there are R >= 1 integer alphabets, none above
+    MAX_ALPHABET nor their product above MAX_JOINT_ALPHABET, each register
+    value lies in its alphabet and is an integer, and each state lies in the
+    theory's state space.
     An error reports the first entry at fault. Entries within PROB_TOL below
     0 are float noise and are held as 0.
     """
@@ -144,8 +145,14 @@ class CorrelatedEnsemble:
     register_alphabets: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _checked_probs(self.probs))
-        coords, regs, n = self.coords, self.registers, len(self.probs)
+        # no dtype: register values of a float or bool dtype are refused below
+        probs, coords, regs = np.asarray(self.probs), np.asarray(self.coords), np.asarray(self.registers)
+        if probs.ndim != 1:
+            raise ValueError(f"probabilities of shape {probs.shape}, not one per entry")
+        object.__setattr__(self, "probs", _checked_probs(probs))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "registers", regs)
+        n = len(self.probs)
         if not (coords.ndim == regs.ndim == 2 and len(coords) == len(regs) == n):
             raise ValueError(f"state coordinates {coords.shape} and register values {regs.shape} for {n} probabilities")
         n_regs = regs.shape[1]
@@ -210,7 +217,11 @@ def build_ensemble(
         coords = np.array([state.coords for _, state, _ in rows])
     except ValueError as exc:  # ragged rows
         raise ValueError("ensemble states differ in dimension") from exc
-    registers = np.array(registers, dtype=int)
+    try:
+        registers = np.array(registers, dtype=int)
+    except OverflowError:
+        value = next(r for regs in registers for r in regs if not -(2**63) <= r < 2**63)
+        raise ValueError(f"register value {value} outside int64") from None
     if register_alphabets is None:
         register_alphabets = tuple(int(m) + 1 for m in registers.max(axis=0))
     probs = np.array([p for p, _, _ in rows], dtype=float)

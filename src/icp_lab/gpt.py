@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -228,10 +229,6 @@ class Theory:
             return self.measurements[name]
         except KeyError as exc:
             raise KeyError(f"theory {self.theory_id!r} has no measurement {name!r}") from exc
-
-    @cached_property
-    def _dimension_key(self) -> tuple:
-        return _dimension_cache_key(self)
 
 
 def ambient_dimension(theory: Theory) -> int:
@@ -471,37 +468,10 @@ class DimensionReport:
     notes: str = ""
 
 
-# keyed by the theory's content, see _dimension_cache_key
-_DIMENSION_CACHE: dict[tuple, DimensionReport] = {}
-
-
-def _rows_key(rows: np.ndarray) -> tuple:
-    return rows.shape, rows.tobytes()
-
-
-def _measurement_key(m: Measurement) -> tuple:
-    return m.label, tuple(e.label for e in m.effects), _rows_key(m.effect_matrix)
-
-
-def _dimension_cache_key(theory: Theory) -> tuple:
-    """Everything the dimension search reads, so equal keys give equal reports.
-
-    ``Theory._dimension_key`` holds it, computed once per theory object.
-    """
-    v = theory.variant
-    if isinstance(v, Polytope):
-        content = (
-            _rows_key(v.vertex_matrix),
-            _rows_key(v.bounding_matrix),
-            tuple(e.label for e in (*v.extreme_effects, v.unit)),
-        )
-    elif isinstance(v, RestrictedClassical):
-        content = (v.internal_states, tuple(_measurement_key(m) for m in theory.measurements.values()))
-    elif isinstance(v, NormConstraint):
-        content = (v.p, v.k, tuple(_measurement_key(m) for m in theory.measurements.values()))
-    else:
-        content = (v.hilbert_dim,)
-    return (theory.theory_id, type(v).__name__, content)
+# each theory's report, held while the theory lives: a Theory is keyed by identity
+_DIMENSION_REPORTS: weakref.WeakKeyDictionary[Theory, DimensionReport] = weakref.WeakKeyDictionary()
+# subsets tested and effect choices tried before a polytope search stops
+_SEARCH_BUDGET = 2_000_000
 
 
 def _dedupe_effects(effects: Iterable[Effect]) -> list[Effect]:
@@ -724,30 +694,34 @@ def _pointer_dimension(
     return best
 
 
-def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool = True) -> DimensionReport:
+def observed_dimension(theory: Theory) -> DimensionReport:
     """Largest number of jointly perfectly distinguishable states.
 
     Polytope theories are searched exhaustively over extreme states and
     extreme effects (distinguishing states can be taken extremal, and any
     distinguishing measurement can be refined to extremal effects). Only the
     vertex subsets whose every pair some effects tell apart both ways are
-    built, and each goes straight to the exact test. ``budget`` counts every
-    such subset tested and every choice of effects tried; when it runs out,
-    the report has ``exhaustive=False`` and ``d`` is only a lower bound. A
-    size with no clique proves that ``d`` is no larger, so the search is
-    then exhaustive whatever the budget.
+    built, and each goes straight to the exact test. ``_SEARCH_BUDGET``
+    counts every such subset tested and every choice of effects tried; when
+    it runs out, the report has ``exhaustive=False`` and ``d`` is only a
+    lower bound. A size with no clique proves that ``d`` is no larger, so the
+    search is then exhaustive whatever the budget.
 
     Restricted, norm-constraint and quantum theories read d off pointer
     states (``_pointer_dimension``): the simplex vertices or the norm body's
     corners with the theory's named measurements, or the basis projectors
     with the basis measurement.
+
+    The search runs once per theory object. Its budget is fixed, so its
+    report, exhaustive or not, is kept while the theory lives.
     """
-    if use_cache and theory._dimension_key in _DIMENSION_CACHE:
-        return _DIMENSION_CACHE[theory._dimension_key]
+    report = _DIMENSION_REPORTS.get(theory)
+    if report is not None:
+        return report
     v = theory.variant
     named = theory.measurements.values()
     if isinstance(v, Polytope):
-        report = _polytope_dimension(theory, budget)
+        report = _polytope_dimension(theory, _SEARCH_BUDGET)
     elif isinstance(v, RestrictedClassical):
         report = _pointer_dimension(theory, np.eye(v.internal_states), named, "restricted measurement catalog")
     elif isinstance(v, NormConstraint):
@@ -757,8 +731,7 @@ def observed_dimension(theory: Theory, budget: int = 2_000_000, use_cache: bool 
         coords = density_to_coords(np.eye(v.hilbert_dim)[:, :, None] * np.eye(v.hilbert_dim))
         basis = Measurement("basis", tuple(Effect(c, theory.theory_id, f"P{i}") for i, c in enumerate(coords)))
         report = _pointer_dimension(theory, coords, [basis], "projective basis (analytic)")
-    if use_cache and report.exhaustive:
-        _DIMENSION_CACHE[theory._dimension_key] = report
+    _DIMENSION_REPORTS[theory] = report
     return report
 
 

@@ -357,12 +357,11 @@ def test_cached_arrays_are_read_only():
 
 
 def test_polygon_mismatch_builds_the_readout_graph_once(monkeypatch):
-    # on a dimension-cache miss the clique number and the dimension search
-    # share one graph
+    # each polygon_mismatch(n) builds a fresh theory, so its dimension search
+    # runs and shares one graph with the clique number
     built = []
     readable_pairs = gpt._readable_pairs
     monkeypatch.setattr(gpt, "_readable_pairs", lambda one, zero: built.append(1) or readable_pairs(one, zero))
-    monkeypatch.setattr(gpt, "_DIMENSION_CACHE", {})
     for n in (5, 8, 13):
         built.clear()
         record = constructions.polygon_mismatch(n)

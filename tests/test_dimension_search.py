@@ -225,8 +225,8 @@ POLYTOPES = pytest.mark.parametrize(
 @POLYTOPES
 def test_search_matches_the_scalar_search(make):
     theory = make().theory
-    report = observed_dimension(theory, use_cache=False)
-    assert _report_bytes(report) == _report_bytes(_scalar_polytope_dimension(theory, 2_000_000))
+    report = observed_dimension(theory)
+    assert _report_bytes(report) == _report_bytes(_scalar_polytope_dimension(theory, gpt._SEARCH_BUDGET))
 
 
 @pytest.mark.parametrize("make", [lambda: catalog.polygon(7), lambda: catalog.polygon(8), catalog.classical_trit])
@@ -234,7 +234,7 @@ def test_search_stops_where_the_scalar_search_does(make):
     theory = make().theory
     pairs = math.comb(len(theory.variant.vertices), 2)
     for budget in (1, 2, 10, pairs, pairs + 1, pairs + 50):
-        report = observed_dimension(theory, budget=budget, use_cache=False)
+        report = gpt._polytope_dimension(theory, budget)
         assert _report_bytes(report) == _report_bytes(_scalar_polytope_dimension(theory, budget)), budget
 
 
@@ -252,8 +252,8 @@ def test_readout_masks_match_the_per_pair_dot(make):
 @pytest.mark.parametrize("n", range(3, 61))
 def test_search_matches_the_chunked_search(n):
     theory = catalog.polygon(n).theory
-    report = observed_dimension(theory, use_cache=False)
-    assert _report_bytes(report) == _report_bytes(_chunked_polytope_dimension(theory, 2_000_000))
+    report = observed_dimension(theory)
+    assert _report_bytes(report) == _report_bytes(_chunked_polytope_dimension(theory, gpt._SEARCH_BUDGET))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 60])
@@ -267,7 +267,7 @@ def test_search_stops_where_the_chunked_search_does(n):
     else:
         budgets = [pairs + k for k in (1, 4095, 4096, 4097, 30_000, triples - 1, triples, triples + 1)]
     for budget in budgets:
-        report = observed_dimension(theory, budget=budget, use_cache=False)
+        report = gpt._polytope_dimension(theory, budget)
         assert _report_bytes(report) == _report_bytes(_scalar_polytope_dimension(theory, budget)), budget
 
 
@@ -279,7 +279,7 @@ def test_search_stops_where_the_scalar_search_does_at_every_cut(make):
     theory = make().theory
     n = len(theory.variant.vertices)
     for budget in range(1, math.comb(n, 2) + math.comb(n, 3) + 2):
-        report = observed_dimension(theory, budget=budget, use_cache=False)
+        report = gpt._polytope_dimension(theory, budget)
         assert _report_bytes(report) == _report_bytes(_scalar_polytope_dimension(theory, budget)), budget
 
 
@@ -289,7 +289,7 @@ def test_polygon_without_a_readable_triple_is_exhaustive_at_any_size(n):
     # size-3 stage builds nothing and d = 2 is proven however many triples
     # the budget could hold
     theory = catalog.polygon(n).theory
-    report = observed_dimension(theory, use_cache=False)
+    report = observed_dimension(theory)
     assert (report.d, report.exhaustive, report.notes) == (2, True, "exhaustive over extreme points")
     assert gpt._readable_clique_number(theory) == 2
     assert observed_dimension(theory) is observed_dimension(theory)
@@ -310,7 +310,7 @@ def test_search_memory_stays_bounded():
     k, n = len(_candidates(theory)), len(theory.variant.vertices)
     tracemalloc.start()
     try:
-        report = observed_dimension(theory, use_cache=False)
+        report = observed_dimension(theory)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,7 +325,7 @@ def test_readout_masks_hold_two_candidate_by_vertex_floats():
     k, n = len(_candidates(theory)), len(theory.variant.vertices)
     tracemalloc.start()
     try:
-        report = observed_dimension(theory, use_cache=False)
+        report = observed_dimension(theory)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,12 +446,12 @@ def test_norm_cube_fiducial_dimension_matches_the_polytope_search(k):
     # searches every vertex subset
     entry = catalog.pgnst(math.inf, k)
     theory = entry.theory
-    fiducial = observed_dimension(theory, use_cache=False)
+    fiducial = observed_dimension(theory)
     assert (fiducial.d, fiducial.exhaustive, fiducial.notes) == (2, True, "fiducial readouts")
     vertices = tuple(State(np.array([*signs, 1.0]), entry.entry_id) for signs in itertools.product((1.0, -1.0), repeat=k))
     effects = tuple(e for m in theory.measurements.values() for e in m.effects)
     body = gpt.Theory(entry.entry_id, Polytope(vertices, effects, gpt.unit_effect(theory)), theory.measurements)
-    searched = observed_dimension(body, use_cache=False)
+    searched = observed_dimension(body)
     assert (searched.d, searched.exhaustive) == (fiducial.d, True)
     assert searched.certificate.verified
 
@@ -531,7 +531,7 @@ POINTER_THEORIES = {
 @pytest.mark.parametrize("make", POINTER_THEORIES.values(), ids=POINTER_THEORIES.keys())
 def test_pointer_search_matches_the_scalar_readouts(make):
     theory = make()
-    report = observed_dimension(theory, use_cache=False)
+    report = observed_dimension(theory)
     assert report.certificate.verified
     assert _report_bytes(report) == _report_bytes(_scalar_observed_dimension(theory))
 

@@ -266,6 +266,37 @@ def test_a_malformed_ensemble_is_refused_when_built(coords, registers, alphabets
         CorrelatedEnsemble(th, np.full(2, 0.5), coords, np.asarray(registers), alphabets)
 
 
+@pytest.mark.parametrize("probs", [np.full((2, 1), 0.5), np.float64(1.0), [[0.5], [0.5]]], ids=["column", "scalar", "nested list"])
+def test_probabilities_that_are_no_flat_vector_are_refused(probs):
+    # a (2, 1) array made the sum fail on lists and a 0-d one could not be iterated
+    th = catalog.classical_bit().theory
+    message = f"probabilities of shape {np.shape(probs)}, not one per entry"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CorrelatedEnsemble(th, probs, np.eye(2), np.array([[0], [1]]), (2,))
+
+
+def test_an_ensemble_of_lists_holds_the_arrays_of_one_built_from_arrays():
+    th = catalog.classical_bit().theory
+    lists = CorrelatedEnsemble(th, [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], [[0], [1]], (2,))
+    arrays = CorrelatedEnsemble(th, np.full(2, 0.5), np.eye(2), np.array([[0], [1]]), (2,))
+    for name in ("probs", "coords", "registers"):
+        got, expected = getattr(lists, name), getattr(arrays, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected) and not got.flags.writeable, name
+    # the lists keep their own dtype, so float register values are still refused
+    with pytest.raises(ValueError, match="^register values of dtype float64, not an integer dtype$"):
+        CorrelatedEnsemble(th, [0.5, 0.5], np.eye(2), [[0.0], [1.0]], (2,))
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+def test_build_ensemble_refuses_a_register_value_outside_int64(bit_entry, value):
+    s = bit_entry.theory.variant.vertices[0]
+    with pytest.raises(ValueError, match=f"^register value {value} outside int64$"):
+        build_ensemble(bit_entry.theory, [(1.0, s, (0,)), (0.0, s, (value,))])
+    # the largest int64 value still fits, and its default alphabet is refused
+    with pytest.raises(ValueError, match=f"^register alphabet {2**63} above MAX_ALPHABET = 1024$"):
+        build_ensemble(bit_entry.theory, [(1.0, s, (2**63 - 1,))])
+
+
 def test_build_ensemble_refuses_a_fractional_alphabet(bit_entry):
     # int() would truncate 2.7 to 2, an alphabet the caller never named
     states = bit_entry.theory.variant.vertices

@@ -1,5 +1,7 @@
 """State/effect layer: membership tests, measurement statistics, observed dimension."""
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from icp_lab import (
     apply_effect,
     catalog,
     composite_dimension_bound,
+    gpt,
     measure,
     observed_dimension,
     sampling,
@@ -190,14 +193,38 @@ def test_composite_dimension_bound():
         composite_dimension_bound([0])
 
 
-def test_dimension_cache_is_keyed_by_content():
-    # a triangle that borrows the square model's id must not get its d = 2
+def test_dimension_report_is_kept_per_theory_object():
+    # a triangle that borrows the square model's id must not get its d = 2,
+    # neither from its search nor from its kept report
     assert observed_dimension(catalog.sbit().theory).d == 2
     triangle = catalog.polygon(3).theory
     impostor = Theory("sbit", triangle.variant, triangle.measurements)
-    assert observed_dimension(impostor, use_cache=False).d == 3
+    assert observed_dimension(impostor).d == 3
     assert observed_dimension(impostor).d == 3
     assert observed_dimension(catalog.sbit().theory).d == 2
+
+
+@pytest.mark.parametrize("theory_id", ["qubit", "hbit", "pgnst:3:2", "polygon:7"])
+def test_dimension_report_is_freed_with_its_theory(theory_id):
+    theory = catalog.resolve(theory_id).theory
+    report = weakref.ref(observed_dimension(theory))
+    # the readout graph's lru_cache holds the last two polytopes searched
+    gpt._readout_graph.cache_clear()
+    del theory
+    gc.collect()
+    assert report() is None
+
+
+def test_a_report_that_spends_the_budget_is_kept(monkeypatch):
+    searches = []
+    search = gpt._polytope_dimension
+    monkeypatch.setattr(gpt, "_SEARCH_BUDGET", 2)
+    monkeypatch.setattr(gpt, "_polytope_dimension", lambda theory, budget: searches.append(budget) or search(theory, budget))
+    theory = catalog.polygon(7).theory
+    report = observed_dimension(theory)
+    assert not report.exhaustive
+    assert observed_dimension(theory) is report
+    assert searches == [2]
 
 
 

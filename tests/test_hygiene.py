@@ -247,6 +247,74 @@ def test_every_lru_cache_has_an_explicit_finite_maxsize(path):
     assert _unbounded_caches(path.read_text(encoding="utf-8")) == []
 
 
+_GROWING_METHODS = ("append", "add", "setdefault", "update")
+
+
+def _is_empty_container(node) -> bool:
+    """``{}``, ``[]``, or a call of ``dict``, ``list`` or ``set`` with no arguments."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("dict", "list", "set")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def _growing_containers(source: str) -> list[str]:
+    """Module-level names bound to an empty container that a function writes,
+    by subscript store or by a growing method, as "line N: name" per write."""
+    tree = ast.parse(source)
+    empty = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_container(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            empty.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = []
+    for func in (n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _GROWING_METHODS:
+                target = node.func.value
+            else:
+                continue
+            if getattr(target, "id", None) in empty:
+                found.append((node.lineno, target.id))
+    return [f"line {line}: {name}" for line, name in sorted(set(found))]
+
+
+def test_growing_container_check_finds_each_form():
+    source = (
+        "_A = {}\n_B: dict[str, int] = dict()\n_C = []\n_D = list()\n_E = set()\n"
+        "_F = {}\n_F['x'] = 1\n"  # filled once, at import
+        # tables filled where they are bound and only read, like proofs._AXIOMS and __init__._EXPORTS
+        "_EXPORTS = {'gpt': ('State',)}\n_HOME = {n: m for m, ns in _EXPORTS.items() for n in ns}\n"
+        "def f(k, v):\n"
+        "    _A[k] = v\n"  # line 11
+        "    _B.setdefault(k, v)\n"  # line 12
+        "    _C.append(v)\n"  # line 13
+        "    _D[0] += v\n"  # line 14
+        "    _E.add(v)\n"  # line 15
+        "    _A.update({k: v})\n"  # line 16
+        "    globals()[k] = _HOME[k]\n"
+        "    return _EXPORTS[k], _F.get(k), dict(_EXPORTS), len(_C)\n"
+    )
+    assert _growing_containers(source) == [
+        "line 11: _A", "line 12: _B", "line 13: _C", "line 14: _D", "line 15: _E", "line 16: _A"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_container_grows_at_run_time(path):
+    # a container that calls add to grows with the inputs the process has
+    # seen, as an lru_cache without a finite maxsize would
+    assert _growing_containers(path.read_text(encoding="utf-8")) == []
+
+
 def _callers(source: str, callee: str) -> list[str]:
     """The innermost class or function around each call of ``callee``, by
     name or as an attribute, by its dotted name, once per call."""
