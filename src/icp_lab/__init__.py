@@ -27,10 +27,10 @@ _EXPORTS = {
     "gpt": (
         "DimensionReport", "DistinguishabilityCertificate", "Effect", "Measurement",
         "NormConstraint", "Polytope", "Quantum", "RestrictedClassical", "State", "Theory",
-        "Validation", "ambient_dimension", "apply_effect", "composite_dimension_bound",
-        "coords_to_density", "density_to_coords", "measure", "observed_dimension",
-        "state_space_dimension", "unit_effect", "validate_measurement", "validate_state",
-        "verify_distinguishable",
+        "Validation", "ambient_dimension", "apply_effect", "classical_carrier",
+        "composite_dimension_bound", "coords_to_density", "density_to_coords", "measure",
+        "observed_dimension", "state_space_dimension", "unit_effect", "validate_measurement",
+        "validate_state", "verify_distinguishable",
     ),
     "catalog": (
         "CatalogEntry", "classical_bit", "classical_trit", "hbit", "hbit_state",

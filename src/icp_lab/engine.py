@@ -34,6 +34,7 @@ from .gpt import (
     Theory,
     bloch_coords,
     check_states,
+    classical_carrier,
     coords_to_density,
     effect_values,
     observed_dimension,
@@ -55,7 +56,18 @@ class EnsembleEntry:
     registers: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "registers", tuple(int(r) for r in self.registers))
+        object.__setattr__(self, "registers", tuple(map(_register_value, self.registers)))
+
+
+def _register_value(r) -> int:
+    """``r`` as an int if it is an integer, a numpy one included; else (bools
+    too, as in the ensemble's dtype rule) ValueError naming it."""
+    if not isinstance(r, (bool, np.bool_)):
+        try:
+            return operator.index(r)
+        except TypeError:
+            pass
+    raise ValueError(f"register value {r!r} is not an integer")
 
 
 def _checked_probs(probs: np.ndarray) -> np.ndarray:
@@ -210,7 +222,7 @@ def build_ensemble(
     rows = [(e.probability, e.state, e.registers) if isinstance(e, EnsembleEntry) else e for e in entries]
     if not rows:
         raise ValueError("ensemble needs at least one entry")
-    registers = [[int(r) for r in regs] for _, _, regs in rows]
+    registers = [list(map(_register_value, regs)) for _, _, regs in rows]
     if len({len(r) for r in registers}) != 1:
         raise ValueError("entries disagree on register count")
     try:
@@ -677,12 +689,24 @@ def _grid_candidates(n_seeds: int, n_combo: int, n_families: int, max_evals: int
     return family, choice
 
 
-def _value_ceiling(alphabets: tuple[int, ...]) -> float:
-    """The objective's ceiling, sum_i log2 k_i: each gain is at most
-    log2 k_i, and the redundancy and the equal-gain penalty are never
-    negative. It is ROADMAP item 6's bound sum_i log2 k_i - U at U = 0
+def _value_ceiling(theory: Theory, alphabets: tuple[int, ...]) -> float:
+    """The objective's ceiling on ``theory``, min(sum_i log2 k_i, log2 |S|).
+
+    Each gain is at most log2 k_i, and the redundancy and the equal-gain
+    penalty are never negative. A theory with a classical carrier S
+    (``classical_carrier``) also obeys the chain ``proof_chain_check``
+    replays, sum_i I(X_i:A_i) - I(A_1:...:A_n) <= I(S:A_1...A_n) <= H(S)
+    <= log2 |S|; any other theory has no second term. It is log2 |S|, never
+    log2 d: hbit's carrier has |S| = 4 > d = 2, so its searches must be free
+    to pass log2 d, and ``observed_dimension`` may give only a lower bound on
+    d. Quantum takes no Holevo term log2 D while ``effect_values`` snaps
+    values within MEMBERSHIP_TOL of 0 or 1: a penalty-off qubit search would
+    stop at a snapped 1.0, which hides that defect rather than mending it.
+    The first term is ROADMAP item 6's bound sum_i log2 k_i - U at U = 0
     (Maassen and Uffink); that bound can later replace it."""
-    return sum(math.log2(k) for k in alphabets)
+    carrier = classical_carrier(theory)
+    states = math.inf if carrier is None else math.log2(len(carrier))
+    return min(sum(math.log2(k) for k in alphabets), states)
 
 
 def _golden_max(fun, lo: float, hi: float, points: int):
@@ -729,11 +753,13 @@ def maximize_extractable(
     ``max_evals``: a start point is scored only while a point is left, a
     line search begins only when its 4 opening points fit, and its steps
     stop when no point is left. Descent also stops, before a start point or
-    a line search, once the best value reaches the ceiling sum_i log2 k_i,
-    which no point can pass. ``converged`` is True when the grid scored every
-    candidate and no budget check cut descent short, so also when descent
-    stopped at the ceiling after a full grid. Points are scored on bare
-    arrays with ``_SearchObjective.value``, which gives the bits of the
+    a line search, once the best value reaches the theory's ceiling
+    (``_value_ceiling``), which no point can pass: sum_i log2 k_i, or log2 |S|
+    when the theory has a classical carrier S of fewer states (log2 |S|, not
+    log2 d, since |S| may exceed d). ``converged`` is True when the grid
+    scored every candidate and no budget check cut descent short, so also
+    when descent stopped at the ceiling after a full grid. Points are scored
+    on bare arrays with ``_SearchObjective.value``, which gives the bits of the
     objective taken from an ``evaluate_icp`` report; only the winner becomes
     an ensemble, checked like every other, with its report. Descent
     alternates a state phase and a weight phase, and one loop runs the line
@@ -777,7 +803,7 @@ def maximize_extractable(
     start_points = [(families[fam[c]], np.array([seeds[i] for i in choice[c]]))]
     n_starts = 1 if config.strategy == "coordinate-descent" else 1 + _RESTARTS
     lo, hi = family.bounds
-    ceiling = _value_ceiling(objective.alphabets)
+    ceiling = _value_ceiling(theory, objective.alphabets)
     if n_starts > 1 and best_val < ceiling and evaluations < config.max_evals:
         # imported here because sampling imports this module; a search that
         # draws no restart point (none runs past the ceiling or once the grid

@@ -254,6 +254,19 @@ def state_space_dimension(theory: Theory) -> int:
     return v.hilbert_dim**2 - 1
 
 
+def classical_carrier(theory: Theory) -> np.ndarray | None:
+    """The basis states of the theory's classical carrier S, one row each: a
+    simplex polytope's vertices or a restricted theory's internal states;
+    None for every other theory. Each state is one mixture of these rows, so
+    H(S) <= log2 |S|, their count."""
+    v = theory.variant
+    if isinstance(v, RestrictedClassical):
+        return np.eye(v.internal_states)
+    if isinstance(v, Polytope) and len(v.vertex_matrix) == v.affine_dimension + 1:
+        return v.vertex_matrix
+    return None
+
+
 def unit_effect(theory: Theory) -> Effect:
     v = theory.variant
     if isinstance(v, Polytope):

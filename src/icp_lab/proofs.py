@@ -30,9 +30,9 @@ from .gpt import (
     Quantum,
     RestrictedClassical,
     Theory,
+    classical_carrier,
     coords_to_density,
     observed_dimension,
-    state_space_dimension,
 )
 from .info import (
     AXIOM_TOL,
@@ -466,9 +466,7 @@ def _classical_channels(assignment: ObservableAssignment, theory: Theory) -> np.
     classical carrier (a simplex's vertices, a restricted theory's internal
     states), clipped to [0, 1], shape (n, outcomes, states); read-only, one
     per assignment and theory object."""
-    v = theory.variant
-    basis = np.eye(v.internal_states) if isinstance(v, RestrictedClassical) else v.vertex_matrix
-    channels = np.clip(_ledger_plan(assignment).effects @ basis.T, 0.0, 1.0)
+    channels = np.clip(_ledger_plan(assignment).effects @ classical_carrier(theory).T, 0.0, 1.0)
     channels.setflags(write=False)
     return channels
 
@@ -482,15 +480,14 @@ class _ClassicalChainData(_ChainData):
     def __init__(self, ensemble: CorrelatedEnsemble, assignment: ObservableAssignment):
         theory = ensemble.theory
         v = theory.variant
+        verts = classical_carrier(theory)
+        if verts is None:
+            why = "state space is not a simplex" if isinstance(v, Polytope) else "has no classical carrier"
+            raise ChainNotApplicable(f"{theory.theory_id!r} {why}")
         if isinstance(v, RestrictedClassical):
             weights = ensemble.coords
-        elif isinstance(v, Polytope):
-            verts = v.vertex_matrix
-            if len(verts) != state_space_dimension(theory) + 1:
-                raise ChainNotApplicable(
-                    f"{theory.theory_id!r} state space is not a simplex"
-                )
-            # augment with a normalization column so the weights are barycentric
+        else:
+            # a simplex: augment with a normalization column so the weights are barycentric
             coords = ensemble.coords
             target = np.empty((len(coords), coords.shape[1] + 1))
             target[:, :-1], target[:, -1] = coords, 1.0
@@ -500,8 +497,6 @@ class _ClassicalChainData(_ChainData):
                 raise ChainNotApplicable("states do not decompose over the vertices")
             if np.minimum.reduce(weights, None) < -MEMBERSHIP_TOL:
                 raise ChainNotApplicable("states fall outside the vertex simplex")
-        else:
-            raise ChainNotApplicable(f"{theory.theory_id!r} has no classical carrier")
         # the (registers, S) table: entry masses on S in their register cells;
         # np.maximum is what np.clip runs with no upper bound
         mass = ensemble.probs[:, None] * np.maximum(weights, 0.0)

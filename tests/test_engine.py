@@ -194,10 +194,11 @@ def test_maximize_extractable_rejects_unknown_strategy(sbit_entry):
 # (name, catalog entry, measurement labels, strategy, max_evals, extractable repr,
 #  evaluations, converged). The extractable values are those the search gave
 #  when every grid candidate and every line-search point still built its own
-#  ensemble and report; sbit's grid reaches the ceiling sum_i log2 k_i = 2, so
-#  it runs no descent, and qubit spends its whole budget
+#  ensemble and report; sbit's grid reaches the ceiling sum_i log2 k_i = 2 and
+#  classical-bit's the ceiling log2 |S| = 1, so neither runs a descent, and
+#  qubit spends its whole budget
 OPTIMIZER_CASES = (
-    ("classical-bit", catalog.classical_bit, ("X", "Z"), "coordinate-descent", 8000, "1.0", 385, True),
+    ("classical-bit", catalog.classical_bit, ("X", "Z"), "coordinate-descent", 8000, "1.0", 96, True),
     ("sbit", catalog.sbit, ("X", "Z"), "random-restart", 4000, "2.0", 1536, True),
     ("qubit", catalog.qubit, ("X", "Z"), "random-restart", 4000, "0.7982479266142879", 4000, False),
     ("pgnst:3:2", lambda: catalog.pgnst(3.0, 2), ("X", "Z"), "coordinate-descent", 8000,
@@ -206,10 +207,10 @@ OPTIMIZER_CASES = (
 )
 
 
-def _case(make, labels, strategy, max_evals):
+def _case(make, labels, strategy, max_evals, equal_gain=True):
     th = make().theory
     assignment = ObservableAssignment(tuple((th.measurement(l), i) for i, l in enumerate(labels)))
-    return th, assignment, OptimizerConfig(strategy=strategy, max_evals=max_evals)
+    return th, assignment, OptimizerConfig(strategy=strategy, max_evals=max_evals, equal_gain_constraint=equal_gain)
 
 
 @pytest.mark.parametrize("case", OPTIMIZER_CASES, ids=[c[0] for c in OPTIMIZER_CASES])
@@ -377,8 +378,11 @@ def _count_kernel_calls(monkeypatch):
 )
 def test_each_line_search_takes_a_tables_information_once(monkeypatch, name, unmemoised, memoised):
     """The kernel calls of a whole search, grid and final report included,
-    with and without the line memos; the search itself does not change."""
+    with and without the line memos; the search itself does not change.
+    Searched with every ceiling off, so that classical-bit descends past its
+    grid, which reaches log2 |S|."""
     _, make, labels, strategy, max_evals = next(c for c in OPTIMIZER_CASES if c[0] == name)[:5]
+    _without_ceiling(monkeypatch)
     calls = _count_kernel_calls(monkeypatch)
     memo_on = maximize_extractable(*_case(make, labels, strategy, max_evals))
     assert calls[0] == memoised
@@ -400,7 +404,9 @@ def test_each_line_search_takes_a_tables_information_once(monkeypatch, name, unm
 def test_line_memos_end_with_their_line(monkeypatch, make, labels, strategy, max_evals):
     """One memo per line search, each holding at most 25 (pairs + 1) tables,
     and no saved value outlives its line: a repeated search makes every
-    kernel call again."""
+    kernel call again. Searched with every ceiling off, so that classical-bit
+    runs line searches."""
+    _without_ceiling(monkeypatch)
     memos, searches = [], [0]
     value, golden_max = engine._SearchObjective.value, engine._golden_max
 
@@ -496,6 +502,8 @@ def test_exhausted_budget_builds_no_line_scorer(monkeypatch):
     ids=["polygon:5", "classical-bit-260"],
 )
 def test_each_descent_phase_builds_one_line_scorer(monkeypatch, make, labels, strategy, max_evals, evaluations):
+    # with every ceiling off, so that classical-bit descends past its grid
+    _without_ceiling(monkeypatch)
     builds, searches = _count_scorer_builds(monkeypatch)
     result = maximize_extractable(*_case(make, labels, strategy, max_evals))
     assert (result.evaluations, result.converged, searches[-1]) == (evaluations, False, "state")
@@ -556,6 +564,11 @@ def test_max_evals_caps_the_points_scored(monkeypatch, case, strategy):
     ``max_evals``; ``converged`` is False exactly when a budget check stopped
     the search."""
     _, make, labels = case[:3]
+    # classical-bit's grid reaches its ceiling log2 |S| = 1, so its coordinate
+    # descent, pinned below, is searched with every ceiling off
+    descent_pinned = (case[0], strategy) == ("classical-bit", "coordinate-descent")
+    if descent_pinned:
+        _without_ceiling(monkeypatch)
     counted = _count_points(monkeypatch)
     budgets = BUDGETS + (BUDGETS[-1] + 4,)
     results = {}
@@ -571,7 +584,7 @@ def test_max_evals_caps_the_points_scored(monkeypatch, case, strategy):
         assert result.converged is (more.evaluations == result.evaluations), max_evals
         if result.converged:
             assert repr(more.report.extractable) == repr(result.report.extractable)
-    if (case[0], strategy) == ("classical-bit", "coordinate-descent"):
+    if descent_pinned:
         assert (results[147].evaluations, results[147].converged) == (145, False)
 
 
@@ -630,24 +643,28 @@ def test_every_scored_point_keeps_the_per_pair_bits(monkeypatch, case):
     assert checked and all(checked)
 
 
-# ORACLE_CASES plus two searches whose grid reaches the ceiling, so that with
-# the ceiling in place they run no descent
-CEILING_CASES = ORACLE_CASES + (
-    ("hbit-cd", catalog.hbit, ("X", "Z"), "coordinate-descent", 4000),
-    ("sbit-cd", catalog.sbit, ("X", "Z"), "coordinate-descent", 4000),
+# (name, catalog entry, measurement labels, strategy, max_evals, equal_gain):
+# ORACLE_CASES plus four searches whose grid reaches the ceiling, so that with
+# the ceiling in place they run no descent, or a short one: sbit and hbit at
+# sum_i log2 k_i = 2 (hbit's carrier has |S| = 4 states), classical-bit and
+# the penalty-off classical-trit at log2 |S|
+CEILING_CASES = tuple(c[:5] + (True,) for c in ORACLE_CASES) + (
+    ("hbit-cd", catalog.hbit, ("X", "Z"), "coordinate-descent", 4000, True),
+    ("sbit-cd", catalog.sbit, ("X", "Z"), "coordinate-descent", 4000, True),
+    ("classical-bit-rr", catalog.classical_bit, ("X", "Z"), "random-restart", 20_000, True),
+    ("classical-trit-no-penalty", catalog.classical_trit, ("E1", "E2"), "random-restart", 20_000, False),
 )
 
 
 def _without_ceiling(monkeypatch):
-    monkeypatch.setattr(engine, "_value_ceiling", lambda alphabets: math.inf)
+    monkeypatch.setattr(engine, "_value_ceiling", lambda theory, alphabets: math.inf)
 
 
 @pytest.mark.parametrize("case", CEILING_CASES, ids=[c[0] for c in CEILING_CASES])
 def test_the_ceiling_stop_keeps_every_result(monkeypatch, case):
     """No point a search would score past its ceiling wins the merge, so the
     search with the ceiling gives the result of the search without it."""
-    _, make, labels, strategy, max_evals = case[:5]
-    theory, assignment, config = _case(make, labels, strategy, max_evals)
+    theory, assignment, config = _case(*case[1:])
     stopped = maximize_extractable(theory, assignment, config)
     _without_ceiling(monkeypatch)
     full = maximize_extractable(theory, assignment, config)
@@ -659,11 +676,11 @@ def test_the_ceiling_stop_keeps_every_result(monkeypatch, case):
 @pytest.mark.parametrize("case", CEILING_CASES, ids=[c[0] for c in CEILING_CASES])
 def test_no_scored_value_passes_the_ceiling(monkeypatch, case):
     """Every value a search scores, the grid's batched scores included, is at
-    most the ceiling sum_i log2 k_i plus 4 ulps; searched without the ceiling
-    stop, so the descents past it are scored too."""
-    _, make, labels, strategy, max_evals = case[:5]
-    theory, assignment, config = _case(make, labels, strategy, max_evals)
-    ceiling = engine._value_ceiling(tuple(len(m.effects) for m, _ in assignment.pairs))
+    most the theory's ceiling min(sum_i log2 k_i, log2 |S|) plus 4 ulps;
+    searched without the ceiling stop, so the descents past it are scored
+    too."""
+    theory, assignment, config = _case(*case[1:])
+    ceiling = engine._value_ceiling(theory, tuple(len(m.effects) for m, _ in assignment.pairs))
     scored = []
     value, grid_scores = engine._SearchObjective.value, engine._SearchObjective.grid_scores
 
@@ -701,7 +718,9 @@ def _scored_points(monkeypatch):
 
 
 # each CEILING_CASES search's value calls: their number and the sha256 over
-# (w, coords, repr(value)) of each call in order
+# (w, coords, repr(value)) of each call in order; classical-bit's searched
+# with every ceiling off, so that its descent past the grid stays pinned
+# (classical-bit-rr pins the search that stops at the grid)
 SCORED_POINTS = {
     "classical-bit": (297, "7fdcd539201680db7717b4baff3e21d3558c9cbfbfe29dd21e6bfbad8c626d68"),
     "sbit": (8, "bf05437ad088079fe27fa595a24fc31748183257a74197df56742c56cd1f1822"),
@@ -712,6 +731,8 @@ SCORED_POINTS = {
     "polygon:5": (654, "7adacbbb6ffd01f1404b62c88297acf3815649fb7cf754a37aa1034e3ace736f"),
     "hbit-cd": (8, "4ae31bdd44283777aa897402e8df4a2c5ac96bd232a294931bde8b6fbd5343a2"),
     "sbit-cd": (8, "bf05437ad088079fe27fa595a24fc31748183257a74197df56742c56cd1f1822"),
+    "classical-bit-rr": (8, "0243f809b860d0e88b56c7337fa9880f92fc3654fc23267473ddfe462f0a3668"),
+    "classical-trit-no-penalty": (2237, "b28d0c26124f15b1c82090d6754c2d275444123016a03bccff1ab7907f73211d"),
 }
 
 
@@ -719,10 +740,26 @@ SCORED_POINTS = {
 def test_the_search_scores_the_pinned_points_in_order(monkeypatch, case):
     """Pins which points a search scores and in what order, not only how
     many and what it finds."""
-    name, make, labels, strategy, max_evals = case[:5]
+    name = case[0]
+    if name == "classical-bit":
+        _without_ceiling(monkeypatch)
     digest, calls = _scored_points(monkeypatch)
-    maximize_extractable(*_case(make, labels, strategy, max_evals))
+    maximize_extractable(*_case(*case[1:]))
     assert (calls[0], digest.hexdigest()) == SCORED_POINTS[name]
+
+
+@pytest.mark.parametrize(
+    "theory_id,ceiling",
+    [("classical-bit", 1.0), ("classical-trit", math.log2(3)), ("hbit", 2.0), ("sbit", 2.0), ("qubit", 2.0)],
+)
+def test_the_ceiling_is_log2_of_the_classical_carrier_not_of_d(theory_id, ceiling):
+    """On two binary registers the ceiling is min(2, log2 |S|). hbit keeps 2,
+    above log2 d = 1, since its carrier has 4 states; sbit and qubit have no
+    classical carrier and keep sum_i log2 k_i."""
+    theory = catalog.resolve(theory_id).theory
+    assert engine._value_ceiling(theory, (2, 2)) == ceiling
+    if theory_id == "hbit":
+        assert gpt.observed_dimension(theory).d == 2
 
 
 def test_a_descent_stops_at_the_ceiling(monkeypatch):
@@ -735,7 +772,7 @@ def test_a_descent_stops_at_the_ceiling(monkeypatch):
     best = objective.value(full.ensemble.probs, full.ensemble.coords)
     grid = maximize_extractable(theory, assignment, dataclasses.replace(config, strategy="grid"))
     assert objective.value(grid.ensemble.probs, grid.ensemble.coords) < best
-    monkeypatch.setattr(engine, "_value_ceiling", lambda alphabets: best)
+    monkeypatch.setattr(engine, "_value_ceiling", lambda theory, alphabets: best)
     stopped = maximize_extractable(theory, assignment, config)
     assert repr(stopped.report.extractable) == repr(full.report.extractable)
     # the last descent stops at its next line search, 48 points sooner than

@@ -8,6 +8,7 @@ import pytest
 from icp_lab import (
     CorrelatedEnsemble,
     Effect,
+    EnsembleEntry,
     Measurement,
     ObservableAssignment,
     OptimizerConfig,
@@ -295,6 +296,21 @@ def test_build_ensemble_refuses_a_register_value_outside_int64(bit_entry, value)
     # the largest int64 value still fits, and its default alphabet is refused
     with pytest.raises(ValueError, match=f"^register alphabet {2**63} above MAX_ALPHABET = 1024$"):
         build_ensemble(bit_entry.theory, [(1.0, s, (2**63 - 1,))])
+
+
+@pytest.mark.parametrize("value", [1.5, math.inf, True], ids=["fractional", "infinite", "bool"])
+def test_a_register_value_that_is_no_integer_is_refused(bit_entry, value):
+    """int() would truncate 1.5 to 1, raise OverflowError on inf and take True
+    as 1; an ensemble of a float or bool dtype is refused too."""
+    s = bit_entry.theory.variant.vertices[0]
+    message = f"^register value {value!r} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        build_ensemble(bit_entry.theory, [(1.0, s, (value,))], (2,))
+    with pytest.raises(ValueError, match=message):
+        EnsembleEntry(1.0, s, (0, value))
+    entry = EnsembleEntry(1.0, s, (np.int64(1),))
+    assert type(entry.registers[0]) is int
+    assert build_ensemble(bit_entry.theory, [entry], (2,)).registers.tolist() == [[1]]
 
 
 def test_build_ensemble_refuses_a_fractional_alphabet(bit_entry):

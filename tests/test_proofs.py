@@ -9,9 +9,11 @@ from icp_lab import (
     ChainNotApplicable,
     IDENTITY_TOL,
     ObservableAssignment,
+    Quantum,
     axiom_suite,
     build_ensemble,
     catalog,
+    classical_carrier,
     proof_chain_check,
     sampling,
 )
@@ -223,6 +225,33 @@ def test_chain_not_applicable_for_square_state_space(sbit_entry):
     )
     with pytest.raises(ChainNotApplicable):
         proof_chain_check(ens, _two_register_assignment(sbit_entry))
+
+
+# each theory's classical carrier size |S|, None where it has none
+CARRIER_SIZES = {
+    "classical-bit": 2, "classical-trit": 3, "hbit": 4, "sbit": None, "qubit": None,
+    "pgnst:3:2": None, "polygon:3": 3, "polygon:4": None, "polygon:5": None, "polygon:6": None,
+}
+
+
+@pytest.mark.parametrize("theory_id", CARRIER_SIZES)
+def test_the_ledger_and_the_ceiling_share_one_classical_carrier(theory_id):
+    """``classical_carrier`` is None exactly when the ledger finds no classical
+    carrier; a quantum theory has none and takes the ledger's quantum path."""
+    entry = catalog.resolve(theory_id)
+    theory = entry.theory
+    carrier = classical_carrier(theory)
+    assert (None if carrier is None else len(carrier)) == CARRIER_SIZES[theory_id]
+    labels = list(theory.measurements)[:2]
+    assignment = ObservableAssignment(tuple((theory.measurement(l), i) for i, l in enumerate(labels)))
+    ens = sampling.random_ensemble(entry, np.random.default_rng(11), n_registers=len(labels))
+    try:
+        proof_chain_check(ens, assignment)
+    except ChainNotApplicable:
+        applicable = False
+    else:
+        applicable = True
+    assert applicable is (carrier is not None or isinstance(theory.variant, Quantum))
 
 
 def test_chain_pinpoints_restricted_classical_break(hbit_entry):
