@@ -542,7 +542,11 @@ class _SearchObjective:
     dict, ``value`` checks each distinct table and takes its information
     once (``_information``); a repeated table's value is looked up by its
     bytes. A line scores at most 25 points, so its memo holds at most
-    25 (pairs + 1) values, and the memo ends with the line.
+    25 (pairs + 1) values, and the memo ends with the line. The grid's
+    near-top candidates repeat tables too, since they share seeds and weight
+    families; the scan that rescores them with ``value`` has one memo of its
+    own, which holds at most (pairs + 1) values per candidate and ends with
+    the scan.
     """
 
     def __init__(self, theory: Theory, assignment: ObservableAssignment, equal_gain: bool):
@@ -576,8 +580,9 @@ class _SearchObjective:
     def _information(table: np.ndarray, memo: dict | None = None) -> float:
         """max(I, 0) of a gain or redundancy table, after its distribution check.
 
-        ``memo``, one line search's dict, keeps each checked table's value
-        under its (shape, bytes) and returns it for a byte-identical table.
+        ``memo``, the dict of one line search or of the grid scan, keeps
+        each checked table's value under its (shape, bytes) and returns it
+        for a byte-identical table.
         Every table keyed here is a C-contiguous float64 array, so a table
         with the same key has the same values in the same layout, and a kept
         value has the bits a recomputation would give. A table that fails the
@@ -606,7 +611,8 @@ class _SearchObjective:
 
         ``values`` (each pair's ``effect_values`` on ``coords``) and
         ``redundancy`` (``_redundancy(w)``) are computed here unless given;
-        ``memo`` is the line search's dict for ``_information``.
+        ``memo`` is the line search's or the grid scan's dict for
+        ``_information``.
         """
         if values is None:
             values = self._effect_values(coords)
@@ -769,8 +775,10 @@ def maximize_extractable(
     accepted move keeps the value its line search found. Each line search
     gives its scorer a fresh memo, so a table seen earlier on the same line
     is checked and its information taken only once; such a point still
-    builds its tables and counts in ``evaluations``. No memo outlives its
-    line, so repeated searches do the same work.
+    builds its tables and counts in ``evaluations``. The scan that rescores
+    the grid's near-top candidates with ``value`` has one memo of its own in
+    the same way. No memo outlives its line or that scan, so repeated
+    searches do the same work.
     """
     config = config or OptimizerConfig()
     family = _StateFamily(theory)
@@ -780,7 +788,8 @@ def maximize_extractable(
 
     # grid stage: extremal states x register coupling families, scored at
     # once; the batched scores differ from ``value`` by a few ulps, so every
-    # candidate near the top is scored exactly and scanned in grid order
+    # candidate near the top is scored exactly and scanned in grid order,
+    # with one memo that ends with the scan
     seeds = family.seed_states(assignment)
     seed_coords = np.array([family.build(params) for params in seeds])
     families = _register_families(objective.alphabets)
@@ -788,11 +797,12 @@ def maximize_extractable(
     fam, choice = _grid_candidates(len(seeds), n_combo, len(families), config.max_evals)
     scores = objective.grid_scores(w_families, seed_coords, fam, choice)
     scan = range(len(choice)) if scores is None else np.flatnonzero(scores >= scores.max() - 1e-12)
-    best = None
+    best, memo = None, {}
     for c in scan:
-        val = objective.value(w_families[fam[c]], seed_coords[choice[c]])
+        val = objective.value(w_families[fam[c]], seed_coords[choice[c]], memo=memo)
         if best is None or val > best[0] + 1e-15:
             best = (val, c)
+    del memo
     best_val, c = best
     best_point = (w_families[fam[c]], seed_coords[choice[c]])
     evaluations = len(choice)

@@ -373,22 +373,29 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
+def _without_memos(monkeypatch):
+    """Take every table's information afresh: ``_information`` drops its memo."""
+    information = engine._SearchObjective._information
+    unmemoised_information = staticmethod(lambda table, memo=None: information(table))
+    monkeypatch.setattr(engine._SearchObjective, "_information", unmemoised_information)
+
+
 @pytest.mark.parametrize(
-    "name,unmemoised,memoised", [("classical-bit", 709, 258), ("pgnst:3:2", 749, 593)]
+    "name,unmemoised,memoised",
+    [("classical-bit", 709, 236), ("pgnst:3:2", 749, 548)],
+    ids=["classical-bit", "pgnst:3:2"],
 )
 def test_each_line_search_takes_a_tables_information_once(monkeypatch, name, unmemoised, memoised):
     """The kernel calls of a whole search, grid and final report included,
-    with and without the line memos; the search itself does not change.
-    Searched with every ceiling off, so that classical-bit descends past its
-    grid, which reaches log2 |S|."""
+    with and without the memos of the grid scan and the line searches; the
+    search itself does not change. Searched with every ceiling off, so that
+    classical-bit descends past its grid, which reaches log2 |S|."""
     _, make, labels, strategy, max_evals = next(c for c in OPTIMIZER_CASES if c[0] == name)[:5]
     _without_ceiling(monkeypatch)
     calls = _count_kernel_calls(monkeypatch)
     memo_on = maximize_extractable(*_case(make, labels, strategy, max_evals))
     assert calls[0] == memoised
-    information = engine._SearchObjective._information
-    unmemoised_information = staticmethod(lambda table, memo=None: information(table))
-    monkeypatch.setattr(engine._SearchObjective, "_information", unmemoised_information)
+    _without_memos(monkeypatch)
     calls[0] = 0
     memo_off = maximize_extractable(*_case(make, labels, strategy, max_evals))
     assert calls[0] == unmemoised
@@ -402,17 +409,20 @@ def test_each_line_search_takes_a_tables_information_once(monkeypatch, name, unm
     ids=["classical-bit", "pgnst:3:2", "polygon:5"],
 )
 def test_line_memos_end_with_their_line(monkeypatch, make, labels, strategy, max_evals):
-    """One memo per line search, each holding at most 25 (pairs + 1) tables,
-    and no saved value outlives its line: a repeated search makes every
-    kernel call again. Searched with every ceiling off, so that classical-bit
-    runs line searches."""
+    """One memo for the grid scan, holding at most (pairs + 1) tables per
+    candidate it scores, and one per line search, each holding at most
+    25 (pairs + 1) tables. No saved value outlives its scan or line: a
+    repeated search makes every kernel call again. Searched with every
+    ceiling off, so that classical-bit runs line searches."""
     _without_ceiling(monkeypatch)
-    memos, searches = [], [0]
+    # id -> [memo, points scored with it], in order of first use; holding
+    # each memo keeps the ids distinct
+    memos, searches = {}, [0]
     value, golden_max = engine._SearchObjective.value, engine._golden_max
 
     def recorded_value(self, *args, memo=None, **kwargs):
-        if memo is not None and not any(m is memo for m in memos):
-            memos.append(memo)
+        if memo is not None:
+            memos.setdefault(id(memo), [memo, 0])[1] += 1
         return value(self, *args, memo=memo, **kwargs)
 
     def counted_search(*args):
@@ -424,8 +434,10 @@ def test_line_memos_end_with_their_line(monkeypatch, make, labels, strategy, max
     calls = _count_kernel_calls(monkeypatch)
     first = maximize_extractable(*_case(make, labels, strategy, max_evals))
     first_calls = calls[0]
-    assert len(memos) == searches[0] > 0
-    assert max(len(memo) for memo in memos) <= 25 * (len(labels) + 1)
+    assert len(memos) == searches[0] + 1 > 1
+    (scan, scanned), *lines = memos.values()
+    assert 0 < len(scan) <= scanned * (len(labels) + 1)
+    assert max(len(memo) for memo, _ in lines) <= 25 * (len(labels) + 1)
     calls[0] = 0
     second = maximize_extractable(*_case(make, labels, strategy, max_evals))
     assert calls[0] == first_calls
@@ -658,6 +670,22 @@ CEILING_CASES = tuple(c[:5] + (True,) for c in ORACLE_CASES) + (
 
 def _without_ceiling(monkeypatch):
     monkeypatch.setattr(engine, "_value_ceiling", lambda theory, alphabets: math.inf)
+
+
+@pytest.mark.parametrize("case", CEILING_CASES, ids=[c[0] for c in CEILING_CASES])
+def test_the_memos_keep_every_result(monkeypatch, case):
+    """The grid scan's memo and the line memos only save kernel calls: with
+    every memo off, each search (every OPTIMIZER_CASES one among them) gives
+    the same report, evaluations and converged flag, with no fewer calls."""
+    theory, assignment, config = _case(*case[1:])
+    calls = _count_kernel_calls(monkeypatch)
+    memo_on = maximize_extractable(theory, assignment, config)
+    memoised, calls[0] = calls[0], 0
+    _without_memos(monkeypatch)
+    memo_off = maximize_extractable(theory, assignment, config)
+    assert memo_on.report.to_json() == memo_off.report.to_json()
+    assert (memo_on.evaluations, memo_on.converged) == (memo_off.evaluations, memo_off.converged)
+    assert memoised <= calls[0]
 
 
 @pytest.mark.parametrize("case", CEILING_CASES, ids=[c[0] for c in CEILING_CASES])
