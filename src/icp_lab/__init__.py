@@ -25,7 +25,7 @@ _EXPORTS = {
         "von_neumann_entropy",
     ),
     "gpt": (
-        "DimensionReport", "DistinguishabilityCertificate", "Effect", "Measurement",
+        "ChainNotApplicable", "DimensionReport", "DistinguishabilityCertificate", "Effect", "Measurement",
         "NormConstraint", "Polytope", "Quantum", "RestrictedClassical", "State", "Theory",
         "Validation", "ambient_dimension", "apply_effect", "classical_carrier",
         "composite_dimension_bound", "coords_to_density", "density_to_coords", "measure",
@@ -46,8 +46,7 @@ _EXPORTS = {
     ),
     "sampling": ("random_density_matrix", "random_ensemble", "random_state"),
     "proofs": (
-        "ChainNotApplicable", "ChainStep", "ProofChainLedger", "axiom_suite",
-        "proof_chain_check",
+        "ChainStep", "ProofChainLedger", "axiom_suite", "proof_chain_check",
     ),
     "constructions": (
         "BoundCheckLedger", "BoundCheckPoint", "CompositeGbitRecord", "MismatchRecord",

@@ -24,21 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import info
-from .gpt import (
-    Measurement,
-    NormConstraint,
-    Polytope,
-    Quantum,
-    RestrictedClassical,
-    State,
-    Theory,
-    bloch_coords,
-    check_states,
-    classical_carrier,
-    coords_to_density,
-    effect_values,
-    observed_dimension,
-)
+from .gpt import Measurement, State, Theory, _normalized, effect_values, observed_dimension
 from .info import VIOLATION_TOL
 
 
@@ -183,7 +169,7 @@ class CorrelatedEnsemble:
         if joint > MAX_JOINT_ALPHABET:
             raise ValueError(f"joint alphabet {joint} above MAX_JOINT_ALPHABET = {MAX_JOINT_ALPHABET}")
         _check_registers(regs, alphabets)
-        _, ok = check_states(self.theory, coords)
+        _, ok = self.theory.variant.check_states(coords)
         if not ok:
             raise ValueError(f"invalid state in ensemble: {ok.detail}")
         for arr in (self.probs, self.coords, self.registers):
@@ -421,69 +407,6 @@ class OptimizationResult:
     evaluations: int
 
 
-class _StateFamily:
-    """Continuous parametrization of states with box-bounded coordinates."""
-
-    def __init__(self, theory: Theory):
-        v = theory.variant
-        if isinstance(v, (Polytope, RestrictedClassical)):
-            self.kind = "vertex"
-            self.vertex_coords = v.vertex_matrix if isinstance(v, Polytope) else np.eye(v.internal_states)
-            self.n_params = len(self.vertex_coords)
-            self.bounds = (0.0, 1.0)
-        elif isinstance(v, NormConstraint):
-            self.kind = "norm"
-            self.norm = v.norm
-            self.corners = v.corners()[:, :-1]
-            self.n_params = v.k
-            self.bounds = (-1.0, 1.0)
-        elif isinstance(v, Quantum):
-            if v.hilbert_dim != 2:
-                raise NotImplementedError("state search supports quantum dimension 2 only")
-            self.kind = "bloch"
-            self.n_params = 3
-            self.bounds = (-1.0, 1.0)
-        else:  # pragma: no cover
-            raise TypeError(f"unsupported variant {v!r}")
-
-    def build(self, params: np.ndarray) -> np.ndarray:
-        """State coordinates for one parameter vector."""
-        if self.kind == "vertex":
-            return _normalized(params) @ self.vertex_coords
-        if self.kind == "norm":
-            s = np.asarray(params, dtype=float)
-            norm = self.norm(s)
-            if norm > 1.0:
-                s = s / norm
-            return np.append(s, 1.0)
-        b = np.asarray(params, dtype=float)
-        norm = np.linalg.norm(b)
-        return bloch_coords(b / norm if norm > 1.0 else b)
-
-    def seed_states(self, assignment: ObservableAssignment) -> list[np.ndarray]:
-        """Parameter vectors of extremal states worth trying on a grid."""
-        if self.kind == "vertex":
-            return [np.eye(self.n_params)[i] for i in range(self.n_params)]
-        if self.kind == "norm":
-            return list(self.corners)
-        # bloch: measurement axes and their bisectors
-        axes = []
-        for m, _ in assignment.pairs:
-            op = coords_to_density(m.effects[0].coords, 2)
-            axes.append(
-                np.array([2 * op[0, 1].real, 2 * op[1, 0].imag, (op[0, 0] - op[1, 1]).real])
-            )
-        seeds = []
-        for a in axes:
-            seeds.extend([a, -a])
-        for a, b in itertools.combinations(axes, 2):
-            for u in (a + b, a - b):
-                n = np.linalg.norm(u)
-                if n > 1e-12:
-                    seeds.extend([u / n, -u / n])
-        return seeds
-
-
 def _register_families(alphabets: tuple[int, ...]) -> list[np.ndarray]:
     size = int(np.prod(alphabets))
     families = [np.full(size, 1.0 / size)]
@@ -494,15 +417,6 @@ def _register_families(alphabets: tuple[int, ...]) -> list[np.ndarray]:
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
             families.append(q * eye + (1.0 - q) * uniform)
     return families
-
-
-def _normalized(weights: np.ndarray) -> np.ndarray:
-    """Entry probabilities from raw search weights: clipped at 0, then
-    normalized, uniform when nothing is left."""
-    # np.clip(weights, 0.0, None) and w.sum(), without their wrapper cost
-    w = np.maximum(weights, 0.0)
-    total = np.add.reduce(w)
-    return np.full_like(w, 1.0 / len(w)) if total <= 0.0 else w / total
 
 
 # candidates scored per batch of the grid stage; bounds its temporary arrays,
@@ -710,7 +624,7 @@ def _value_ceiling(theory: Theory, alphabets: tuple[int, ...]) -> float:
     stop at a snapped 1.0, which hides that defect rather than mending it.
     The first term is ROADMAP item 6's bound sum_i log2 k_i - U at U = 0
     (Maassen and Uffink); that bound can later replace it."""
-    carrier = classical_carrier(theory)
+    carrier = theory.variant.classical_carrier
     states = math.inf if carrier is None else math.log2(len(carrier))
     return min(sum(math.log2(k) for k in alphabets), states)
 
@@ -781,17 +695,17 @@ def maximize_extractable(
     searches do the same work.
     """
     config = config or OptimizerConfig()
-    family = _StateFamily(theory)
+    space = theory.variant
+    sp, (lo, hi) = space.search_params, space.search_bounds
     objective = _SearchObjective(theory, assignment, config.equal_gain_constraint)
     n_combo = len(objective.combos)
-    sp = family.n_params
 
     # grid stage: extremal states x register coupling families, scored at
     # once; the batched scores differ from ``value`` by a few ulps, so every
     # candidate near the top is scored exactly and scanned in grid order,
     # with one memo that ends with the scan
-    seeds = family.seed_states(assignment)
-    seed_coords = np.array([family.build(params) for params in seeds])
+    seeds = space.search_seeds([m for m, _ in assignment.pairs])
+    seed_coords = np.array([space.build(params) for params in seeds])
     families = _register_families(objective.alphabets)
     w_families = np.array([_normalized(weights) for weights in families])
     fam, choice = _grid_candidates(len(seeds), n_combo, len(families), config.max_evals)
@@ -812,7 +726,6 @@ def maximize_extractable(
 
     start_points = [(families[fam[c]], np.array([seeds[i] for i in choice[c]]))]
     n_starts = 1 if config.strategy == "coordinate-descent" else 1 + _RESTARTS
-    lo, hi = family.bounds
     ceiling = _value_ceiling(theory, objective.alphabets)
     if n_starts > 1 and best_val < ceiling and evaluations < config.max_evals:
         # imported here because sampling imports this module; a search that
@@ -830,14 +743,14 @@ def maximize_extractable(
         """The descent's best (value, weights, coords), and whether a budget
         check stopped it; the ceiling check comes first and is no budget stop."""
         nonlocal evaluations
-        coords = np.array([family.build(params) for params in state_params])
+        coords = np.array([space.build(params) for params in state_params])
         evaluations += 1
         current = (objective.value(_normalized(weights), coords), _normalized(weights), coords.copy())
 
         def move_state(place, x):
             idx, j = place
             state_params[idx, j] = x
-            coords[idx] = family.build(state_params[idx])
+            coords[idx] = space.build(state_params[idx])
             return coords
 
         def move_weight(place, x):

@@ -19,11 +19,22 @@ so that this single convention covers all of them:
 
 Extreme states and effects of polytope theories are indexed 1-based with
 wraparound (vertex n+k is vertex k), matching the usual polygon conventions.
+
+Every variant answers for itself what depends on its kind, so no caller tests
+which kind it holds. Each provides ``ambient_dimension``, ``affine_dimension``,
+``unit_effect(theory_id)``, ``classical_carrier`` (basis rows, or None),
+``check_states(coords)``, ``random_coords(rng, n)`` (drawn as n calls with
+n = 1 would draw them), the optimizer's search family (``search_params``
+parameters per state within ``search_bounds``, ``build(params)`` and the
+grid's ``search_seeds(measurements)``), ``dimension_report(theory)``, and the
+ledger's ``carrier_weights(theory_id, coords)``: the states' weights over the
+classical carrier, None for quantum states, or ``ChainNotApplicable``.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -106,8 +117,76 @@ class Measurement:
         return _frozen_rows(e.coords for e in self.effects)
 
 
+class ChainNotApplicable(ValueError):
+    """The ensemble's theory has no classical or quantum carrier for S."""
+
+
+def _normalized(weights: np.ndarray) -> np.ndarray:
+    """Entry probabilities from raw search weights: clipped at 0, then
+    normalized, uniform when nothing is left."""
+    # np.clip(weights, 0.0, None) and w.sum(), without their wrapper cost
+    w = np.maximum(weights, 0.0)
+    total = np.add.reduce(w)
+    return np.full_like(w, 1.0 / len(w)) if total <= 0.0 else w / total
+
+
+class _StateSpace:
+    """Every variant's ambient dimension, the unit's coordinate count, and the
+    guard ``check_states`` runs on it before the variant's ``_check_rows``."""
+
+    @cached_property
+    def ambient_dimension(self) -> int:
+        return self.unit_effect("").coords.size
+
+    def check_states(self, coords: np.ndarray) -> tuple[int, Validation]:
+        """Membership test for each row of an (n, D) array of state coordinates:
+        ``(-1, passing Validation)`` when every row lies in the state space,
+        else the index of the first row that does not and its failing Validation."""
+        if coords.shape[1] != self.ambient_dimension:
+            return 0, Validation(False, "ambient dimension mismatch")
+        return self._check_rows(coords)
+
+
+class _VertexSpace(_StateSpace):
+    """What a state space spanned by the rows of ``vertex_matrix`` takes from
+    them: its affine dimension, carrier and random states, and its search
+    family, one raw weight per vertex normalized into a mixture, each vertex a seed."""
+
+    search_bounds = (0.0, 1.0)
+
+    @cached_property
+    def affine_dimension(self) -> int:
+        coords = self.vertex_matrix
+        if len(coords) == 1:
+            return 0
+        return int(np.linalg.matrix_rank(coords[1:] - coords[0], tol=1e-9))
+
+    @property
+    def classical_carrier(self) -> np.ndarray | None:
+        return self.vertex_matrix if len(self.vertex_matrix) == self.affine_dimension + 1 else None
+
+    def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n uniform (Dirichlet) mixtures of the vertices, one row each."""
+        from .sampling import _dirichlet_ones
+
+        w = _dirichlet_ones(rng, len(self.vertex_matrix), n)
+        # einsum forms each row on its own, so a state's coordinates do not
+        # depend on n; a BLAS product can round differently by batch size
+        return np.einsum("ij,jk->ik", w, self.vertex_matrix)
+
+    @property
+    def search_params(self) -> int:
+        return len(self.vertex_matrix)
+
+    def build(self, params: np.ndarray) -> np.ndarray:
+        return _normalized(params) @ self.vertex_matrix
+
+    def search_seeds(self, measurements: Sequence[Measurement]) -> list[np.ndarray]:
+        return list(np.eye(self.search_params))
+
+
 @dataclass(frozen=True, eq=False)
-class Polytope:
+class Polytope(_VertexSpace):
     """State space spanned by its vertices, cut out by its extreme effects and
     the unit."""
 
@@ -118,6 +197,11 @@ class Polytope:
     def __post_init__(self):
         if len(self.vertices) < 1:
             raise ValueError("polytope needs at least one vertex")
+        # the unit fixes the coordinate count; another would leave a stack ragged
+        dim = self.unit.coords.size
+        for i, s in enumerate(self.vertices, 1):
+            if s.coords.size != dim:
+                raise ValueError(f"vertex {i} has {s.coords.size} coordinates, not the unit's {dim}")
         coords = self.vertex_matrix
         # every comparison with NaN is false, so a non-finite coordinate would
         # pass the tests below and fail later in an SVD
@@ -125,6 +209,8 @@ class Polytope:
         if nonfinite.any():
             raise ValueError(f"vertex {int(nonfinite.argmax()) + 1} has a non-finite coordinate")
         for e in (*self.extreme_effects, self.unit):
+            if e.coords.size != dim:
+                raise ValueError(f"effect {e.label or '?'} has {e.coords.size} coordinates, not the unit's {dim}")
             if not np.isfinite(e.coords).all():
                 raise ValueError(f"effect {e.label or '?'} has a non-finite coordinate")
         # max-abs distance <= 1e-12, one coordinate at a time so that only an
@@ -148,13 +234,6 @@ class Polytope:
         return _frozen_rows(e.coords for e in (*self.extreme_effects, self.unit))
 
     @cached_property
-    def affine_dimension(self) -> int:
-        coords = self.vertex_matrix
-        if len(coords) == 1:
-            return 0
-        return int(np.linalg.matrix_rank(coords[1:] - coords[0], tol=1e-9))
-
-    @cached_property
     def barycentric_map(self) -> np.ndarray:
         """Pseudo-inverse of the vertex matrix (one column per vertex) with a
         row of ones appended; it maps (coords, 1) to barycentric weights when
@@ -162,19 +241,76 @@ class Polytope:
         verts = self.vertex_matrix
         return np.linalg.pinv(np.vstack([verts.T, np.ones(len(verts))]))
 
+    def unit_effect(self, theory_id: str) -> Effect:
+        return self.unit
+
+    def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
+        # dual feasibility: every extreme effect (and the unit) must stay in
+        # [0, 1]. For the catalog polytopes the extreme effects cut out the
+        # state space exactly, so this is a membership test, not just a
+        # necessary condition.
+        tol = MEMBERSHIP_TOL
+        bounding = (*self.extreme_effects, self.unit)
+        # einsum forms each row on its own, so a row's values (and the detail
+        # below) do not depend on the other rows
+        vals = np.einsum("ij,kj->ik", coords, self.bounding_matrix)
+
+        def effect_detail(i: int) -> str:
+            j = int(_fails(vals[i], -tol, 1.0 + tol).argmax())
+            return f"effect {bounding[j].label or '?'} evaluates to {float(vals[i, j])!r}"
+
+        return _first_failure(
+            [
+                _finite(coords),
+                (vals, -tol, 1.0 + tol, effect_detail),
+                (np.abs(vals[:, -1] - 1.0), None, tol,
+                 lambda i: f"unit effect evaluates to {float(vals[i, -1])!r}, not 1"),
+            ],
+            "inside all supporting halfspaces",
+        )
+
+    def carrier_weights(self, theory_id: str, coords: np.ndarray) -> np.ndarray:
+        verts = self.classical_carrier
+        if verts is None:
+            raise ChainNotApplicable(f"{theory_id!r} state space is not a simplex")
+        # augment with a normalization column so the weights are barycentric
+        target = np.empty((len(coords), coords.shape[1] + 1))
+        target[:, :-1], target[:, -1] = coords, 1.0
+        weights = target @ self.barycentric_map.T
+        # the reduces behind np.max and np.min, without their wrapper cost
+        if np.maximum.reduce(np.abs(weights @ verts - coords), None) > MEMBERSHIP_TOL:
+            raise ChainNotApplicable("states do not decompose over the vertices")
+        if np.minimum.reduce(weights, None) < -MEMBERSHIP_TOL:
+            raise ChainNotApplicable("states fall outside the vertex simplex")
+        return weights
+
+    def dimension_report(self, theory: Theory) -> DimensionReport:
+        return _polytope_dimension(theory, _SEARCH_BUDGET)
+
 
 @dataclass(frozen=True)
-class NormConstraint:
+class NormConstraint(_StateSpace):
     """k fiducial observables with sum_i |s_i|^p <= 1; p = math.inf allowed."""
 
     p: float
     k: int
 
+    classical_carrier = None
+    search_bounds = (-1.0, 1.0)
+
     def __post_init__(self):
         if not (self.p >= 2.0):
             raise ValueError(f"norm exponent must be >= 2, got {self.p!r}")
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.k not in (2, 3):
             raise ValueError(f"unsupported fiducial count {self.k!r}")
+
+    @property
+    def affine_dimension(self) -> int:
+        return self.k
+
+    # the search moves the k fiducial values
+    search_params = affine_dimension
 
     def norm(self, s: np.ndarray) -> np.ndarray:
         """The p-norm of fiducial values ``s`` over the last axis."""
@@ -189,31 +325,153 @@ class NormConstraint:
         out[np.arange(2 * self.k), np.arange(2 * self.k) // 2] = np.tile([1.0, -1.0], self.k)
         return out
 
+    def unit_effect(self, theory_id: str) -> Effect:
+        return Effect(np.eye(self.k + 1)[-1], theory_id, "u")
+
+    def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
+        tol = MEMBERSHIP_TOL
+        norm = self.norm(coords[:, :-1])
+        return _first_failure(
+            [
+                _finite(coords),
+                (np.abs(coords[:, -1] - 1.0), None, tol, lambda i: "normalization coordinate is not 1"),
+                (norm, None, 1.0 + tol, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
+            ],
+            f"p-norm {float(norm.max())!r}",
+        )
+
+    def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        rows = []
+        for _ in range(n):
+            direction = rng.normal(size=self.k)
+            radius = rng.uniform() ** (1.0 / self.k)
+            rows.append(np.append(direction / self.norm(direction) * radius, 1.0))
+        return np.array(rows).reshape(n, self.k + 1)  # (0, k + 1) when n = 0
+
+    def build(self, params: np.ndarray) -> np.ndarray:
+        s = np.asarray(params, dtype=float)
+        norm = self.norm(s)
+        if norm > 1.0:
+            s = s / norm
+        return np.append(s, 1.0)
+
+    def search_seeds(self, measurements: Sequence[Measurement]) -> list[np.ndarray]:
+        return list(self.corners()[:, :-1])
+
+    def carrier_weights(self, theory_id: str, coords: np.ndarray) -> np.ndarray:
+        raise ChainNotApplicable(f"{theory_id!r} has no classical carrier")
+
+    def dimension_report(self, theory: Theory) -> DimensionReport:
+        return _pointer_dimension(theory, self.corners(), theory.measurements.values(), "fiducial readouts")
+
 
 @dataclass(frozen=True, eq=False)
-class RestrictedClassical:
+class RestrictedClassical(_VertexSpace):
     """A classical simplex of ``internal_states`` points; its readouts are its
     theory's named measurements and no others."""
 
     internal_states: int
 
     def __post_init__(self):
+        object.__setattr__(self, "internal_states", operator.index(self.internal_states))
         if self.internal_states < 2:
             raise ValueError("need at least two internal states")
 
+    @cached_property
+    def vertex_matrix(self) -> np.ndarray:
+        return _frozen_rows(np.eye(self.internal_states))
+
+    def unit_effect(self, theory_id: str) -> Effect:
+        return Effect(np.ones(self.internal_states), theory_id, "u")
+
+    def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
+        total = coords.sum(axis=1)
+        return _first_failure(
+            [
+                _finite(coords),
+                (coords, -MEMBERSHIP_TOL, None, lambda i: "negative internal weight"),
+                (np.abs(total - 1.0), None, MEMBERSHIP_TOL, lambda i: f"weights sum to {float(total[i])!r}"),
+            ],
+            "internal simplex point",
+        )
+
+    def carrier_weights(self, theory_id: str, coords: np.ndarray) -> np.ndarray:
+        """The states themselves: each is its weights over the internal states."""
+        return coords
+
+    def dimension_report(self, theory: Theory) -> DimensionReport:
+        named = theory.measurements.values()
+        return _pointer_dimension(theory, self.vertex_matrix, named, "restricted measurement catalog")
+
 
 @dataclass(frozen=True)
-class Quantum:
+class Quantum(_StateSpace):
     """Density matrices on a Hilbert space of dimension 2..8."""
 
     hilbert_dim: int
 
+    classical_carrier = None
+    search_bounds = (-1.0, 1.0)
+
     def __post_init__(self):
+        object.__setattr__(self, "hilbert_dim", operator.index(self.hilbert_dim))
         if not 2 <= self.hilbert_dim <= 8:
             raise ValueError("hilbert_dim must lie in 2..8")
 
+    @property
+    def affine_dimension(self) -> int:
+        return self.hilbert_dim**2 - 1
 
-Variant = Polytope | NormConstraint | RestrictedClassical | Quantum
+    @property
+    def search_params(self) -> int:
+        """3, a Bloch vector: only the qubit has a family, which ``build`` and ``search_seeds`` assume."""
+        if self.hilbert_dim != 2:
+            raise NotImplementedError("state search supports quantum dimension 2 only")
+        return 3
+
+    def unit_effect(self, theory_id: str) -> Effect:
+        return Effect(density_to_coords(np.eye(self.hilbert_dim)), theory_id, "u")
+
+    def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
+        # 1j * inf has a NaN real part, so numpy's warning is silenced: the
+        # row of an infinite coordinate fails the density check's finite test
+        with np.errstate(invalid="ignore"):
+            return _density_check(coords_to_density(coords, self.hilbert_dim))[:2]
+
+    def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n density matrices, each drawn in its own order (exponentials, then the
+        real and the imaginary Gaussian parts, as ``_density_draw_parts`` draws
+        them); only ``_densities``' finishing is stacked."""
+        from .sampling import _densities, _density_draw_parts
+
+        return density_to_coords(_densities(*_density_draw_parts(rng, self.hilbert_dim, n)))
+
+    def build(self, params: np.ndarray) -> np.ndarray:
+        b = np.asarray(params, dtype=float)
+        norm = np.linalg.norm(b)
+        return bloch_coords(b / norm if norm > 1.0 else b)
+
+    def search_seeds(self, measurements: Sequence[Measurement]) -> list[np.ndarray]:
+        """The Bloch axes of the measurements' first effects and their bisectors, each both ways."""
+        ops = [coords_to_density(m.effects[0].coords, 2) for m in measurements]
+        axes = [np.array([2 * op[0, 1].real, 2 * op[1, 0].imag, (op[0, 0] - op[1, 1]).real]) for op in ops]
+        seeds = [s for a in axes for s in (a, -a)]
+        for a, b in itertools.combinations(axes, 2):
+            for u in (a + b, a - b):
+                n = np.linalg.norm(u)
+                if n > 1e-12:
+                    seeds.extend([u / n, -u / n])
+        return seeds
+
+    def carrier_weights(self, theory_id: str, coords: np.ndarray) -> None:
+        """None: the states are their own, quantum, carrier."""
+        return None
+
+    def dimension_report(self, theory: Theory) -> DimensionReport:
+        # the basis projectors |i><i|: entry (i, j, k) of the stack is 1 where i = j = k
+        coords = density_to_coords(np.eye(self.hilbert_dim)[:, :, None] * np.eye(self.hilbert_dim))
+        basis = Measurement("basis", tuple(Effect(c, theory.theory_id, f"P{i}") for i, c in enumerate(coords)))
+        return _pointer_dimension(theory, coords, [basis], "projective basis (analytic)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +479,7 @@ class Theory:
     """A state space (``variant``) with its named measurements."""
 
     theory_id: str
-    variant: Variant
+    variant: Polytope | NormConstraint | RestrictedClassical | Quantum
     measurements: Mapping[str, Measurement] = field(default_factory=dict)
 
     def measurement(self, name: str) -> Measurement:
@@ -232,26 +490,12 @@ class Theory:
 
 
 def ambient_dimension(theory: Theory) -> int:
-    v = theory.variant
-    if isinstance(v, Polytope):
-        return v.unit.coords.size
-    if isinstance(v, NormConstraint):
-        return v.k + 1
-    if isinstance(v, RestrictedClassical):
-        return v.internal_states
-    return 2 * v.hilbert_dim**2
+    return theory.variant.ambient_dimension
 
 
 def state_space_dimension(theory: Theory) -> int:
     """Affine dimension of the state space (3 for a gbit, d^2-1 for quantum)."""
-    v = theory.variant
-    if isinstance(v, Polytope):
-        return v.affine_dimension
-    if isinstance(v, NormConstraint):
-        return v.k
-    if isinstance(v, RestrictedClassical):
-        return v.internal_states - 1
-    return v.hilbert_dim**2 - 1
+    return theory.variant.affine_dimension
 
 
 def classical_carrier(theory: Theory) -> np.ndarray | None:
@@ -259,25 +503,11 @@ def classical_carrier(theory: Theory) -> np.ndarray | None:
     simplex polytope's vertices or a restricted theory's internal states;
     None for every other theory. Each state is one mixture of these rows, so
     H(S) <= log2 |S|, their count."""
-    v = theory.variant
-    if isinstance(v, RestrictedClassical):
-        return np.eye(v.internal_states)
-    if isinstance(v, Polytope) and len(v.vertex_matrix) == v.affine_dimension + 1:
-        return v.vertex_matrix
-    return None
+    return theory.variant.classical_carrier
 
 
 def unit_effect(theory: Theory) -> Effect:
-    v = theory.variant
-    if isinstance(v, Polytope):
-        return v.unit
-    if isinstance(v, NormConstraint):
-        coords = np.zeros(v.k + 1)
-        coords[-1] = 1.0
-        return Effect(coords, theory.theory_id, "u")
-    if isinstance(v, RestrictedClassical):
-        return Effect(np.ones(v.internal_states), theory.theory_id, "u")
-    return Effect(density_to_coords(np.eye(v.hilbert_dim)), theory.theory_id, "u")
+    return theory.variant.unit_effect(theory.theory_id)
 
 
 # --- quantum embedding -------------------------------------------------------
@@ -345,73 +575,17 @@ def apply_effect(effect: Effect, state: State) -> float:
 
 
 def check_states(theory: Theory, coords: np.ndarray) -> tuple[int, Validation]:
-    """Membership test for each row of an (n, D) array of state coordinates.
-
-    Returns ``(-1, passing Validation)`` when every row lies in the state
-    space, else the index of the first row that does not and its failing
-    Validation. ``validate_state`` is the one-row case.
-    """
-    v = theory.variant
-    if coords.shape[1] != ambient_dimension(theory):
-        return 0, Validation(False, "ambient dimension mismatch")
-    if isinstance(v, Quantum):
-        # 1j * inf has a NaN real part, so numpy's warning is silenced: the
-        # row of an infinite coordinate fails the density check's finite test
-        with np.errstate(invalid="ignore"):
-            return _density_check(coords_to_density(coords, v.hilbert_dim))[:2]
-    nonfinite = _finite(coords)
-    tol = MEMBERSHIP_TOL
-    if isinstance(v, Polytope):
-        # dual feasibility: every extreme effect (and the unit) must stay in
-        # [0, 1]. For the catalog polytopes the extreme effects cut out the
-        # state space exactly, so this is a membership test, not just a
-        # necessary condition.
-        bounding = (*v.extreme_effects, v.unit)
-        # einsum forms each row on its own, so a row's values (and the detail
-        # below) do not depend on the other rows
-        vals = np.einsum("ij,kj->ik", coords, v.bounding_matrix)
-
-        def effect_detail(i: int) -> str:
-            j = int(_fails(vals[i], -tol, 1.0 + tol).argmax())
-            return f"effect {bounding[j].label or '?'} evaluates to {float(vals[i, j])!r}"
-
-        return _first_failure(
-            [
-                nonfinite,
-                (vals, -tol, 1.0 + tol, effect_detail),
-                (np.abs(vals[:, -1] - 1.0), None, tol,
-                 lambda i: f"unit effect evaluates to {float(vals[i, -1])!r}, not 1"),
-            ],
-            "inside all supporting halfspaces",
-        )
-    if isinstance(v, NormConstraint):
-        norm = v.norm(coords[:, :-1])
-        return _first_failure(
-            [
-                nonfinite,
-                (np.abs(coords[:, -1] - 1.0), None, tol, lambda i: "normalization coordinate is not 1"),
-                (norm, None, 1.0 + tol, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
-            ],
-            f"p-norm {float(norm.max())!r}",
-        )
-    total = coords.sum(axis=1)
-    return _first_failure(
-        [
-            nonfinite,
-            (coords, -tol, None, lambda i: "negative internal weight"),
-            (np.abs(total - 1.0), None, tol, lambda i: f"weights sum to {float(total[i])!r}"),
-        ],
-        "internal simplex point",
-    )
+    """The variant's ``check_states``; ``validate_state`` is its one-row case."""
+    return theory.variant.check_states(coords)
 
 
 def validate_state(theory: Theory, state: State) -> Validation:
     """Membership test for a state in the theory's state space."""
-    return check_states(theory, state.coords[None, :])[1]
+    return theory.variant.check_states(state.coords[None, :])[1]
 
 
 def validate_measurement(theory: Theory, measurement: Measurement, tol: float = PROB_TOL) -> Validation:
-    u = unit_effect(theory)
+    u = theory.variant.unit_effect(theory.theory_id)
     if (dim := measurement.effect_matrix.shape[1]) != u.coords.size:
         return Validation(False, f"effect dimension {dim} differs from the theory's {u.coords.size}")
     total = measurement.effect_matrix.sum(axis=0)
@@ -459,7 +633,7 @@ def verify_distinguishable(
         raise ValueError("measurement has fewer outcomes than states")
     coords = np.array([s.coords for s in states]) if states else np.empty((0, measurement.effect_matrix.shape[1]))
     if states:
-        _, ok = check_states(theory, coords)
+        _, ok = theory.variant.check_states(coords)
         if not ok:
             raise ValueError(f"state outside the state space: {ok.detail}")
     ok = validate_measurement(theory, measurement, tol=UNIT_TOL)
@@ -637,7 +811,7 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
     vertices = v.vertices
     unit = v.unit
     candidates, one, zero, pairs = _readout_graph(theory)
-    cap = min(len(vertices), state_space_dimension(theory) + 1)
+    cap = min(len(vertices), v.affine_dimension + 1)
 
     best = DimensionReport(
         1,
@@ -701,7 +875,7 @@ def _pointer_dimension(
             if cert.verified:
                 best = DimensionReport(len(m), cert, True, label)
     if best is None:
-        trivial = Measurement("trivial", (unit_effect(theory),))
+        trivial = Measurement("trivial", (theory.variant.unit_effect(theory.theory_id),))
         cert = verify_distinguishable(theory, [State(states[0], theory.theory_id)], trivial)
         best = DimensionReport(1, cert, True, "no deterministic readout found")
     return best
@@ -725,26 +899,13 @@ def observed_dimension(theory: Theory) -> DimensionReport:
     corners with the theory's named measurements, or the basis projectors
     with the basis measurement.
 
-    The search runs once per theory object. Its budget is fixed, so its
-    report, exhaustive or not, is kept while the theory lives.
+    The variant's search (``dimension_report``) runs once per theory object.
+    Its budget is fixed, so its report, exhaustive or not, is kept while the
+    theory lives.
     """
     report = _DIMENSION_REPORTS.get(theory)
-    if report is not None:
-        return report
-    v = theory.variant
-    named = theory.measurements.values()
-    if isinstance(v, Polytope):
-        report = _polytope_dimension(theory, _SEARCH_BUDGET)
-    elif isinstance(v, RestrictedClassical):
-        report = _pointer_dimension(theory, np.eye(v.internal_states), named, "restricted measurement catalog")
-    elif isinstance(v, NormConstraint):
-        report = _pointer_dimension(theory, v.corners(), named, "fiducial readouts")
-    else:
-        # the basis projectors |i><i|: entry (i, j, k) of the stack is 1 where i = j = k
-        coords = density_to_coords(np.eye(v.hilbert_dim)[:, :, None] * np.eye(v.hilbert_dim))
-        basis = Measurement("basis", tuple(Effect(c, theory.theory_id, f"P{i}") for i, c in enumerate(coords)))
-        report = _pointer_dimension(theory, coords, [basis], "projective basis (analytic)")
-    _DIMENSION_REPORTS[theory] = report
+    if report is None:
+        report = _DIMENSION_REPORTS[theory] = theory.variant.dimension_report(theory)
     return report
 
 

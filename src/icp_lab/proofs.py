@@ -25,19 +25,10 @@ from typing import Callable, Hashable, Iterator
 import numpy as np
 
 from .engine import CorrelatedEnsemble, ObservableAssignment, _flat_index, _require_registers, register_name
-from .gpt import (
-    Polytope,
-    Quantum,
-    RestrictedClassical,
-    Theory,
-    classical_carrier,
-    coords_to_density,
-    observed_dimension,
-)
+from .gpt import Theory, coords_to_density, observed_dimension
 from .info import (
     AXIOM_TOL,
     IDENTITY_TOL,
-    MEMBERSHIP_TOL,
     AxiomReport,
     _plogp_bits_rows,
     _plogp_bits_stacked,
@@ -283,10 +274,6 @@ def axiom_suite(entropy_kind: str = "shannon", trials: int = 1000, seed: int = 0
 
 # --- derivation ledger --------------------------------------------------------
 
-class ChainNotApplicable(ValueError):
-    """The ensemble's theory has no classical or quantum carrier for S."""
-
-
 @dataclass(frozen=True)
 class ChainStep:
     """One step of the derivation ledger: an identity lhs = rhs or an inequality
@@ -466,7 +453,7 @@ def _classical_channels(assignment: ObservableAssignment, theory: Theory) -> np.
     classical carrier (a simplex's vertices, a restricted theory's internal
     states), clipped to [0, 1], shape (n, outcomes, states); read-only, one
     per assignment and theory object."""
-    channels = np.clip(_ledger_plan(assignment).effects @ classical_carrier(theory).T, 0.0, 1.0)
+    channels = np.clip(_ledger_plan(assignment).effects @ theory.variant.classical_carrier.T, 0.0, 1.0)
     channels.setflags(write=False)
     return channels
 
@@ -475,28 +462,10 @@ class _ClassicalChainData(_ChainData):
     """Joint table over (S, registers) with measurement channels on S.
 
     Register subsets are bitmasks over the positions in the assignment.
+    ``weights`` holds each entry's weights over the carrier's basis states.
     """
 
-    def __init__(self, ensemble: CorrelatedEnsemble, assignment: ObservableAssignment):
-        theory = ensemble.theory
-        v = theory.variant
-        verts = classical_carrier(theory)
-        if verts is None:
-            why = "state space is not a simplex" if isinstance(v, Polytope) else "has no classical carrier"
-            raise ChainNotApplicable(f"{theory.theory_id!r} {why}")
-        if isinstance(v, RestrictedClassical):
-            weights = ensemble.coords
-        else:
-            # a simplex: augment with a normalization column so the weights are barycentric
-            coords = ensemble.coords
-            target = np.empty((len(coords), coords.shape[1] + 1))
-            target[:, :-1], target[:, -1] = coords, 1.0
-            weights = target @ v.barycentric_map.T
-            # the reduces behind np.max and np.min, without their wrapper cost
-            if np.maximum.reduce(np.abs(weights @ verts - coords), None) > MEMBERSHIP_TOL:
-                raise ChainNotApplicable("states do not decompose over the vertices")
-            if np.minimum.reduce(weights, None) < -MEMBERSHIP_TOL:
-                raise ChainNotApplicable("states fall outside the vertex simplex")
+    def __init__(self, ensemble: CorrelatedEnsemble, assignment: ObservableAssignment, weights: np.ndarray):
         # the (registers, S) table: entry masses on S in their register cells;
         # np.maximum is what np.clip runs with no upper bound
         mass = ensemble.probs[:, None] * np.maximum(weights, 0.0)
@@ -505,7 +474,7 @@ class _ClassicalChainData(_ChainData):
         stack[1, :, :, 0] = stack[0].sum(axis=2)
         # the (S, A_k) marginals give the gains: channel (x, s) @ table (s, a)
         s_a = stack[0, layout.singles, : layout.alphabet]
-        channels = _classical_channels(assignment, theory)
+        channels = _classical_channels(assignment, ensemble.theory)
         super().__init__(layout, _plogp_bits_stacked(stack, (2, 3)), channels @ np.swapaxes(s_a, 1, 2))
 
 
@@ -517,15 +486,12 @@ class _QuantumChainData(_ChainData):
     """
 
     def __init__(self, ensemble: CorrelatedEnsemble, assignment: ObservableAssignment):
-        v = ensemble.theory.variant
-        if not isinstance(v, Quantum):
-            raise ChainNotApplicable("not a quantum theory")
         # each cell holds p_c, then the coordinates of p_c rho_c
         p = ensemble.probs[:, None]
         (marginals,), layout = _register_marginals(
             ensemble, assignment.registers, np.hstack([p, p * ensemble.coords])
         )
-        d, rows = v.hilbert_dim, len(marginals)
+        d, rows = ensemble.theory.variant.hilbert_dim, len(marginals)
         # H(p) + sum_c p_c S(rho_c) is the entropy of the block-diagonal cq
         # state, whose spectrum is that of the blocks p_c rho_c; zero blocks pad
         spectra = np.zeros((2, rows, layout.width * d))
@@ -555,11 +521,12 @@ def proof_chain_check(
     Each information term is computed once, and the steps' names and kinds
     come from the assignment's cached ``_LedgerPlan``.
     """
-    v = ensemble.theory.variant
-    if isinstance(v, Quantum):
+    theory = ensemble.theory
+    weights = theory.variant.carrier_weights(theory.theory_id, ensemble.coords)
+    if weights is None:
         data: _ChainData = _QuantumChainData(ensemble, assignment)
     else:
-        data = _ClassicalChainData(ensemble, assignment)
+        data = _ClassicalChainData(ensemble, assignment, weights)
     ent = data.ent
 
     # register subsets are bitmasks over assignment positions

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .engine import MAX_ALPHABET, MAX_JOINT_ALPHABET, CorrelatedEnsemble
-from .gpt import NormConstraint, Polytope, Quantum, RestrictedClassical, State, Theory, density_to_coords
+from .gpt import State
 
 if TYPE_CHECKING:
     from .catalog import CatalogEntry
@@ -71,37 +71,8 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _densities(*_density_draw_parts(rng, dim, 1))[0]
 
 
-def _random_coords(theory: Theory, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Coordinates of n random states, one row each.
-
-    The generator is consumed exactly as by n calls of ``random_state``:
-    Dirichlet draws with ``size=n`` equal n sequential draws, and quantum
-    states keep their per-state order (exponentials, then the real and the
-    imaginary Gaussian parts, as ``_density_draw_parts`` draws them) with
-    only ``_densities``' finishing stacked.
-    """
-    v = theory.variant
-    if isinstance(v, Polytope):
-        w = _dirichlet_ones(rng, len(v.vertices), n)
-        # einsum forms each row on its own, so a state's coordinates do not
-        # depend on n; a BLAS product can round differently by batch size
-        return np.einsum("ij,jk->ik", w, v.vertex_matrix)
-    if isinstance(v, RestrictedClassical):
-        return _dirichlet_ones(rng, v.internal_states, n)
-    if isinstance(v, NormConstraint):
-        rows = []
-        for _ in range(n):
-            direction = rng.normal(size=v.k)
-            radius = rng.uniform() ** (1.0 / v.k)
-            rows.append(np.append(direction / v.norm(direction) * radius, 1.0))
-        return np.array(rows).reshape(n, v.k + 1)  # (0, k + 1) when n = 0
-    if isinstance(v, Quantum):
-        return density_to_coords(_densities(*_density_draw_parts(rng, v.hilbert_dim, n)))
-    raise TypeError(f"unsupported variant {v!r}")  # pragma: no cover
-
-
 def random_state(entry: CatalogEntry, rng: np.random.Generator) -> State:
-    return State(_random_coords(entry.theory, rng, 1)[0], entry.theory.theory_id)
+    return State(entry.theory.variant.random_coords(rng, 1)[0], entry.theory.theory_id)
 
 
 # typed, so that 2.0 is not served the product of 2: range() rejects a float
@@ -140,5 +111,5 @@ def random_ensemble(
         raise ValueError(f"{alphabet}**{n_registers} register combinations above MAX_JOINT_ALPHABET = {MAX_JOINT_ALPHABET}")
     registers = _register_product(n_registers, alphabet)
     probs = _dirichlet_ones(rng, len(registers))
-    coords = _random_coords(entry.theory, rng, len(registers))
+    coords = entry.theory.variant.random_coords(rng, len(registers))
     return CorrelatedEnsemble(entry.theory, probs, coords, registers, (alphabet,) * n_registers)

@@ -79,7 +79,7 @@ def test_register_product_is_cached_read_only_and_in_row_major_order():
 
 def test_random_ensemble_still_checks_its_states(monkeypatch):
     entry = catalog.classical_bit()
-    monkeypatch.setattr(sampling, "_random_coords", lambda theory, rng, n: np.full((n, 2), 0.75))
+    monkeypatch.setattr(gpt.Polytope, "random_coords", lambda self, rng, n: np.full((n, 2), 0.75))
     with pytest.raises(ValueError, match="invalid state in ensemble"):
         sampling.random_ensemble(entry, np.random.default_rng(0))
 
@@ -156,10 +156,12 @@ def old_gains_kernel(p):
 def old_step_assembly(ensemble, assignment):
     """The ledger's steps assembled one helper call at a time, names by f-string."""
     registers = assignment.registers
-    if isinstance(ensemble.theory.variant, gpt.Quantum):
+    theory = ensemble.theory
+    if isinstance(theory.variant, gpt.Quantum):
         data = proofs._QuantumChainData(ensemble, assignment)
     else:
-        data = proofs._ClassicalChainData(ensemble, assignment)
+        weights = theory.variant.carrier_weights(theory.theory_id, ensemble.coords)
+        data = proofs._ClassicalChainData(ensemble, assignment, weights)
     n = len(registers)
     every = (1 << n) - 1
     names = [register_name(r) for r in registers]
@@ -283,8 +285,8 @@ def transposed_grid_scores(objective, w, seed_coords, family, choice):
 
 def _grid_scores_and_oracle(theory, assignment, max_evals):
     objective = engine._SearchObjective(theory, assignment, True)
-    family = engine._StateFamily(theory)
-    seeds = family.seed_states(assignment)
+    family = theory.variant
+    seeds = family.search_seeds([m for m, _ in assignment.pairs])
     seed_coords = np.array([family.build(params) for params in seeds])
     w = np.array([engine._normalized(f) for f in engine._register_families(objective.alphabets)])
     fam, choice = engine._grid_candidates(len(seeds), len(objective.combos), len(w), max_evals)

@@ -245,10 +245,10 @@ def test_value_gives_the_bits_of_the_per_ensemble_objective(case):
     report."""
     _, make, labels, strategy, max_evals = case[:5]
     theory, assignment, config = _case(make, labels, strategy, max_evals)
-    family = engine._StateFamily(theory)
+    family = theory.variant
     objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
-    n_combo, sp = len(objective.combos), family.n_params
-    lo, hi = family.bounds
+    n_combo, sp = len(objective.combos), family.search_params
+    lo, hi = family.search_bounds
     rng = np.random.default_rng(43)
     for _ in range(20):
         weights = rng.random(n_combo)
@@ -279,9 +279,9 @@ def test_maximize_extractable_builds_one_ensemble_and_one_report(monkeypatch, in
 def test_grid_scores_match_the_per_ensemble_objective(case):
     _, make, labels, strategy, max_evals = case[:5]
     theory, assignment, config = _case(make, labels, strategy, max_evals)
-    family = engine._StateFamily(theory)
+    family = theory.variant
     objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
-    seeds = family.seed_states(assignment)
+    seeds = family.search_seeds([m for m, _ in assignment.pairs])
     families = engine._register_families(objective.alphabets)
     n_combo = len(objective.combos)
     fam, choice = engine._grid_candidates(len(seeds), n_combo, len(families), max_evals)
@@ -310,7 +310,7 @@ def test_maximize_extractable_checks_every_table_as_a_distribution(bit_entry, st
         maximize_extractable(th, assignment, OptimizerConfig(strategy=strategy, max_evals=500))
     # the line searches score through the same checks
     objective = engine._SearchObjective(th, assignment, True)
-    coords = np.array([engine._StateFamily(th).build(np.array([1.0, 0.0]))] * 4)
+    coords = np.array([th.variant.build(np.array([1.0, 0.0]))] * 4)
     w = np.full(4, 0.25)
     with pytest.raises(ValueError, match="distribution sums to") as expected:
         objective.value(w, coords)
@@ -332,10 +332,10 @@ def test_maximize_extractable_checks_every_table_as_a_distribution(bit_entry, st
 def test_line_scorers_give_the_bits_of_value(case):
     _, make, labels, strategy, max_evals = case[:5]
     theory, assignment, config = _case(make, labels, strategy, max_evals)
-    family = engine._StateFamily(theory)
+    family = theory.variant
     objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
-    n_combo, sp = len(objective.combos), family.n_params
-    lo, hi = family.bounds
+    n_combo, sp = len(objective.combos), family.search_params
+    lo, hi = family.search_bounds
     rng = np.random.default_rng(41)
     for _ in range(10):
         weights = rng.random(n_combo)
@@ -833,17 +833,34 @@ def test_a_search_whose_grid_spends_the_budget_draws_no_restart_point(monkeypatc
 
 def test_a_state_line_point_makes_one_effect_values_call(monkeypatch):
     theory, assignment, config = _case(catalog.classical_trit, ("E1", "E2", "E3"), "grid", 1)
-    family = engine._StateFamily(theory)
+    family = theory.variant
     objective = engine._SearchObjective(theory, assignment, config.equal_gain_constraint)
     n_combo = len(objective.combos)
-    coords = np.array([family.build(np.eye(family.n_params)[i % family.n_params]) for i in range(n_combo)])
+    coords = np.array([family.build(np.eye(family.search_params)[i % family.search_params]) for i in range(n_combo)])
     score = objective.state_line(np.full(n_combo, 1.0 / n_combo))
     calls = []
     monkeypatch.setattr(engine, "effect_values", lambda E, s: calls.append(E.shape) or gpt.effect_values(E, s))
     score(coords)
-    assert calls == [(6, family.n_params)]
+    assert calls == [(6, family.search_params)]
     objective.weight_line(coords)
     assert len(calls) == 2
+
+
+def test_the_search_refuses_a_qudit():
+    # a qutrit with its computational basis Z and Fourier basis X validates,
+    # but the search has a state family for the qubit alone
+    tid = "qutrit"
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    measurements = {
+        name: Measurement(name, tuple(gpt.Effect(gpt.density_to_coords(np.outer(b, b.conj())), tid, f"{name}{i}")
+                                      for i, b in enumerate(basis.T)))
+        for name, basis in (("Z", np.eye(3)), ("X", fourier))
+    }
+    theory = gpt.Theory(tid, gpt.Quantum(3), measurements)
+    assert all(gpt.validate_measurement(theory, m) for m in measurements.values())
+    assignment = ObservableAssignment(((measurements["X"], 0), (measurements["Z"], 1)))
+    with pytest.raises(NotImplementedError, match="^state search supports quantum dimension 2 only$"):
+        maximize_extractable(theory, assignment)
 
 
 @pytest.mark.parametrize(

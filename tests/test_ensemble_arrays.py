@@ -153,9 +153,9 @@ def test_density_to_coords_flattens_an_empty_stack_and_keeps_the_bytes_of_others
 def test_random_coords_of_no_states_is_an_empty_stack(make):
     th = make().theory
     rng = np.random.default_rng(7)
-    empty = sampling._random_coords(th, rng, 0)
+    empty = th.variant.random_coords(rng, 0)
     assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
-    assert empty.shape == (0, sampling._random_coords(th, rng, 3).shape[1])
+    assert empty.shape == (0, th.variant.random_coords(rng, 3).shape[1])
 
 
 @pytest.mark.parametrize("make", [catalog.classical_bit, catalog.qubit])
@@ -215,7 +215,7 @@ def test_an_ensemble_built_from_arrays_checks_itself(make, outside):
     or ledger can be taken of them."""
     entry = make()
     th = entry.theory
-    coords = sampling._random_coords(th, np.random.default_rng(5), 4)
+    coords = th.variant.random_coords(np.random.default_rng(5), 4)
     registers = np.indices((2, 2)).reshape(2, -1).T
     probs = np.full(4, 0.25)
     CorrelatedEnsemble(th, probs, coords.copy(), registers.copy(), (2, 2))

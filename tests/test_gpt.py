@@ -306,3 +306,45 @@ def test_norm_equals_the_row_and_the_scalar_forms(p, k):
     for row in rows:
         scalar = np.abs(row).max() if np.isinf(p) else float((np.abs(row) ** p).sum()) ** (1.0 / p)
         assert float(v.norm(row)).hex() == float(scalar).hex()
+
+
+@pytest.mark.parametrize(
+    "make, size",
+    [
+        (lambda s: NormConstraint(3.0, s), 2.0),
+        (gpt.Quantum, 2.0),
+        (gpt.RestrictedClassical, 2.5),
+        (lambda s: NormConstraint(3.0, s), np.int64(2)),
+        (gpt.Quantum, np.int64(2)),
+        (gpt.RestrictedClassical, np.int64(3)),
+    ],
+    ids=["norm-float", "quantum-float", "restricted-float", "norm-int64", "quantum-int64", "restricted-int64"],
+)
+def test_variant_sizes_go_through_operator_index(make, size):
+    # a float size used to build, report float dimensions and fail later inside numpy
+    if isinstance(size, float):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make(size)
+        return
+    v = make(size)
+    theory = Theory("t", v)
+    dims = (gpt.ambient_dimension(theory), gpt.state_space_dimension(theory))
+    assert [type(d) for d in dims] == [int, int]
+    assert unit_effect(theory).coords.size == dims[0]
+    assert v.random_coords(np.random.default_rng(0), 2).shape == (2, dims[0])
+    assert observed_dimension(theory).certificate.verified
+
+
+def test_polytope_refuses_a_row_of_another_coordinate_count():
+    v = catalog.polygon(5).theory.variant
+    vertices = list(v.vertices)
+    vertices[2] = State(vertices[2].coords[:2], "polygon:5")
+    with pytest.raises(ValueError, match="^vertex 3 has 2 coordinates, not the unit's 3$"):
+        gpt.Polytope(tuple(vertices), v.extreme_effects, v.unit)
+    effects = list(v.extreme_effects)
+    effects[1] = Effect(effects[1].coords[:2], "polygon:5", "e2")
+    with pytest.raises(ValueError, match="^effect e2 has 2 coordinates, not the unit's 3$"):
+        gpt.Polytope(v.vertices, tuple(effects), v.unit)
+    # the unit fixes the count: vertices and effects in R^3 with a unit in R^2
+    with pytest.raises(ValueError, match="^vertex 1 has 3 coordinates, not the unit's 2$"):
+        gpt.Polytope(v.vertices, v.extreme_effects, Effect(np.array([0.0, 1.0]), "polygon:5", "u"))

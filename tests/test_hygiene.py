@@ -357,6 +357,89 @@ def test_spectra_come_from_the_one_density_check(path):
     assert _callers(path.read_text(encoding="utf-8"), "eigvalsh") == EIGVALSH_CALLERS.get(path.name, [])
 
 
+# the state-space variants, which answer for themselves what depends on their
+# kind, and the kind strings of the optimizer's old state-family switch
+VARIANTS = {"Polytope", "NormConstraint", "RestrictedClassical", "Quantum"}
+FAMILY_KINDS = {"vertex", "norm", "bloch"}
+
+
+def _variant_switches(source: str) -> list[str]:
+    """Each test of which variant a value is, as "scope: form" with the
+    innermost class or function around it: an ``isinstance`` or
+    ``issubclass`` call naming a variant class, a ``match`` class pattern of
+    one, a comparison with one (``type(v) is Quantum``), or a comparison with
+    a family kind string ("kind")."""
+    found = []
+
+    def named(node) -> bool:
+        return any(
+            (n.id if isinstance(n, ast.Name) else n.attr) in VARIANTS
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            where = ".".join(scope) or "<module>"
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) in ("isinstance", "issubclass")
+                and len(child.args) == 2
+                and named(child.args[1])
+            ):
+                found.append(f"{where}: isinstance")
+            elif isinstance(child, ast.MatchClass) and named(child.cls):
+                found.append(f"{where}: match")
+            elif isinstance(child, ast.Compare):
+                operands = (child.left, *child.comparators)
+                if any(isinstance(op, (ast.Name, ast.Attribute)) and named(op) for op in operands):
+                    found.append(f"{where}: compare")
+                if any(isinstance(n, ast.Constant) and n.value in FAMILY_KINDS for op in operands for n in ast.walk(op)):
+                    found.append(f"{where}: kind")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_variant_switch_check_finds_each_form():
+    source = (
+        "from .gpt import Polytope, Quantum, State\nfrom . import gpt\n"
+        "def a(v):\n    return isinstance(v, Polytope)\n"
+        "class B:\n    def c(self, v):\n        return isinstance(v, (gpt.NormConstraint, int))\n"
+        "def d(v):\n    match v:\n        case Quantum():\n            return 1\n"
+        "    return type(v) is gpt.RestrictedClassical or issubclass(type(v), Quantum)\n"
+        "def e(family):\n"
+        "    return family.kind == 'bloch' or 'vertex' != family.kind or family.kind in ('norm', 'x')\n"
+        "def f(v, step):\n"  # no variant and no family kind
+        "    return isinstance(v, State) or step.kind == 'identity' or v.k == 2 or 'norm' + 'x'\n"
+        "x = isinstance(y, Quantum)\n"
+    )
+    assert _variant_switches(source) == [
+        "a: isinstance", "B.c: isinstance", "d: match", "d: compare", "d: isinstance",
+        "e: kind", "e: kind", "e: kind", "<module>: isinstance",
+    ]
+
+
+# catalog.norm_state refuses a theory of any other kind before it reads a
+# norm constraint's k
+VARIANT_SWITCHES = {"catalog.py": ["norm_state: isinstance"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_gpt_tells_the_variants_apart(path):
+    # each variant owns its dimensions, check, draws, search family, dimension
+    # report and ledger weights, so no other module asks which kind it holds;
+    # no module, gpt included, switches on a family kind string
+    found = _variant_switches(path.read_text(encoding="utf-8"))
+    if path.name == "gpt.py":
+        found = [f for f in found if f.endswith(": kind")]
+    assert found == VARIANT_SWITCHES.get(path.name, [])
+
+
 def _attribute_reads(source: str, attr: str) -> list[int]:
     """Lines that read ``attr`` as an attribute of anything."""
     return [

@@ -13,14 +13,21 @@ import pytest
 
 from icp_lab import ObservableAssignment, catalog, proof_chain_check, proofs, sampling
 from icp_lab.engine import CorrelatedEnsemble
-from icp_lab.gpt import Polytope, Quantum, RestrictedClassical, coords_to_density, state_space_dimension
+from icp_lab.gpt import (
+    ChainNotApplicable,
+    Polytope,
+    Quantum,
+    RestrictedClassical,
+    coords_to_density,
+    state_space_dimension,
+)
 from icp_lab.info import _plogp_bits, _total_correlation
 
 TOL = 1e-12
 
 
 class OracleClassicalData:
-    def __init__(self, ensemble, assignment):
+    def __init__(self, ensemble, assignment, carrier_weights):
         registers = assignment.registers
         theory = ensemble.theory
         v = theory.variant
@@ -30,17 +37,19 @@ class OracleClassicalData:
         elif isinstance(v, Polytope):
             verts = v.vertex_matrix
             if len(verts) != state_space_dimension(theory) + 1:
-                raise proofs.ChainNotApplicable(f"{theory.theory_id!r} state space is not a simplex")
+                raise ChainNotApplicable(f"{theory.theory_id!r} state space is not a simplex")
             basis = verts
             target = np.hstack([ensemble.coords, np.ones((len(ensemble.probs), 1))])
             weights = target @ v.barycentric_map.T
             recon = weights @ verts
             if np.max(np.abs(recon - ensemble.coords)) > 1e-9:
-                raise proofs.ChainNotApplicable("states do not decompose over the vertices")
+                raise ChainNotApplicable("states do not decompose over the vertices")
             if weights.min() < -1e-9:
-                raise proofs.ChainNotApplicable("states fall outside the vertex simplex")
+                raise ChainNotApplicable("states fall outside the vertex simplex")
         else:
-            raise proofs.ChainNotApplicable(f"{theory.theory_id!r} has no classical carrier")
+            raise ChainNotApplicable(f"{theory.theory_id!r} has no classical carrier")
+        # the weights the variant handed the ledger agree with the oracle's own
+        assert np.max(np.abs(carrier_weights - weights), initial=0.0) <= TOL
         self.basis = basis
         index, shape = ensemble.register_index(registers)
         mass = ensemble.probs[:, None] * np.clip(weights, 0.0, None)
@@ -67,7 +76,7 @@ class OracleQuantumData:
     def __init__(self, ensemble, assignment):
         v = ensemble.theory.variant
         if not isinstance(v, Quantum):
-            raise proofs.ChainNotApplicable("not a quantum theory")
+            raise ChainNotApplicable("not a quantum theory")
         index, shape = ensemble.register_index(assignment.registers)
         size = math.prod(shape)
         self.probs = np.bincount(index, weights=ensemble.probs, minlength=size).reshape(shape)
@@ -147,7 +156,7 @@ def test_ledger_matches_the_oracle_on_unequal_alphabets_and_register_order(rng):
     alphabets = (2, 3, 4, 2)
     values = np.indices(alphabets).reshape(len(alphabets), -1).T
     probs = sampling._dirichlet_ones(rng, len(values))
-    ens = CorrelatedEnsemble(th, probs, sampling._random_coords(th, rng, len(values)), values, alphabets)
+    ens = CorrelatedEnsemble(th, probs, th.variant.random_coords(rng, len(values)), values, alphabets)
     assignment = ObservableAssignment(
         ((th.measurement("E2"), 2), (th.measurement("E1"), 0), (th.measurement("E3"), 1))
     )

@@ -214,12 +214,12 @@ def _face_row(theory, rng, offset):
 def _row(entry, kind, rng, offset):
     theory = entry.theory
     if kind == "interior":
-        return sampling._random_coords(theory, rng, 1)[0]
+        return theory.variant.random_coords(rng, 1)[0]
     if kind == "face":
         return _face_row(theory, rng, offset)
     if kind == "outside":
         return _face_row(theory, rng, abs(offset) * 1e7)
-    row = sampling._random_coords(theory, rng, 1)[0]
+    row = theory.variant.random_coords(rng, 1)[0]
     bad = rng.choice([np.nan, np.inf, -np.inf])
     if rng.integers(2):
         row[rng.integers(row.size)] = bad
