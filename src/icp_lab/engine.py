@@ -45,15 +45,15 @@ class EnsembleEntry:
         object.__setattr__(self, "registers", tuple(map(_register_value, self.registers)))
 
 
-def _register_value(r) -> int:
+def _register_value(r, what: str = "register value") -> int:
     """``r`` as an int if it is an integer, a numpy one included; else (bools
-    too, as in the ensemble's dtype rule) ValueError naming it."""
+    too, as in the ensemble's dtype rule) ValueError naming it as ``what``."""
     if not isinstance(r, (bool, np.bool_)):
         try:
             return operator.index(r)
         except TypeError:
             pass
-    raise ValueError(f"register value {r!r} is not an integer")
+    raise ValueError(f"{what} {r!r} is not an integer")
 
 
 def _checked_probs(probs: np.ndarray) -> np.ndarray:
@@ -119,6 +119,19 @@ MAX_ALPHABET = 1_024
 # largest joint alphabet, the product of an ensemble's register alphabets: a
 # register marginal over it (``register_marginal``) is the same 8 MB
 MAX_JOINT_ALPHABET = MAX_ALPHABET**2
+# most registers of any ensemble: numpy's most axes, one per register of a marginal
+MAX_REGISTERS = 64
+
+
+@lru_cache(maxsize=32)
+def _register_product(alphabets: tuple[int, ...]) -> np.ndarray:
+    """Every combination of register values, one per row in row-major order:
+    C-contiguous int64, read-only, from sparse ``np.indices`` (dense needs R + 1 axes)."""
+    product = np.empty((math.prod(alphabets), len(alphabets)), dtype=np.int64)
+    for column, index in zip(product.T, np.indices(alphabets, sparse=True)):
+        column.reshape(alphabets)[...] = index  # a view: a strided column reshapes in place
+    product.setflags(write=False)
+    return product
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +141,10 @@ class CorrelatedEnsemble:
 
     Every ensemble checks itself when built, from arrays or lists: its
     probabilities are one flat vector and form a distribution, ``coords`` and
-    ``registers`` have E rows, there are R >= 1 integer alphabets, none above
-    MAX_ALPHABET nor their product above MAX_JOINT_ALPHABET, each register
-    value lies in its alphabet and is an integer, and each state lies in the
-    theory's state space.
+    ``registers`` have E rows, there are 1 <= R <= MAX_REGISTERS integer
+    alphabets, none above MAX_ALPHABET nor their product above
+    MAX_JOINT_ALPHABET, each register value lies in its alphabet and is an
+    integer, and each state lies in the theory's state space.
     An error reports the first entry at fault. Entries within PROB_TOL below
     0 are float noise and are held as 0.
     """
@@ -156,6 +169,8 @@ class CorrelatedEnsemble:
         n_regs = regs.shape[1]
         if n_regs == 0:
             raise ValueError("entries need at least one register")
+        if n_regs > MAX_REGISTERS:
+            raise ValueError(f"{n_regs} registers above MAX_REGISTERS = {MAX_REGISTERS}")
         if len(self.register_alphabets) != n_regs:
             raise ValueError(f"{len(self.register_alphabets)} alphabets for {n_regs} registers")
         try:
@@ -228,12 +243,12 @@ def build_ensemble(
 
 @dataclass(frozen=True, eq=False)
 class ObservableAssignment:
-    """Pairs (measurement, register index); registers must be distinct."""
+    """Pairs (measurement, register index); the indices must be distinct integers."""
 
     pairs: tuple[tuple[Measurement, int], ...]
 
     def __post_init__(self):
-        pairs = tuple((m, int(r)) for m, r in self.pairs)
+        pairs = tuple((m, _register_value(r, "register index")) for m, r in self.pairs)
         if not pairs:
             raise ValueError("assignment needs at least one pair")
         regs = [r for _, r in pairs]
@@ -469,10 +484,10 @@ class _SearchObjective:
         _require_registers(assignment.registers, len(assignment.pairs))
         sizes = [len(m.effects) for m, _ in assignment.pairs]
         self.alphabets = tuple(k for _, k in sorted(zip(assignment.registers, sizes)))
-        self.combos = np.array(list(itertools.product(*[range(a) for a in self.alphabets])))
+        self.combos = _register_product(self.alphabets)
         self.effects = np.concatenate([m.effect_matrix for m, _ in assignment.pairs])
         self.rows = [slice(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]
-        self.onehots = [np.eye(self.alphabets[reg])[self.combos[:, reg]] for _, reg in assignment.pairs]
+        self.onehots = [_one_hot_rows(self.alphabets[reg])[self.combos[:, reg]] for _, reg in assignment.pairs]
         self.penalized = equal_gain and len(self.onehots) > 1
 
     def _effect_values(self, coords: np.ndarray) -> list[np.ndarray]:
@@ -728,14 +743,9 @@ def maximize_extractable(
     n_starts = 1 if config.strategy == "coordinate-descent" else 1 + _RESTARTS
     ceiling = _value_ceiling(theory, objective.alphabets)
     if n_starts > 1 and best_val < ceiling and evaluations < config.max_evals:
-        # imported here because sampling imports this module; a search that
-        # draws no restart point (none runs past the ceiling or once the grid
-        # has spent the budget) loads neither it nor numpy.random
-        from .sampling import _dirichlet_ones
-
         rng = np.random.default_rng(config.seed)
         for _ in range(n_starts - 1):
-            w = _dirichlet_ones(rng, n_combo)
+            w = info._dirichlet_ones(rng, n_combo)
             sparams = rng.uniform(lo, hi, size=(n_combo, sp))
             start_points.append((w, sparams))
 

@@ -48,7 +48,10 @@ from .info import (
     PROB_TOL,
     UNIT_TOL,
     Validation,
+    _densities,
     _density_check,
+    _density_draw_parts,
+    _dirichlet_ones,
     _fails,
     _finite,
     _first_failure,
@@ -167,8 +170,6 @@ class _VertexSpace(_StateSpace):
 
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n uniform (Dirichlet) mixtures of the vertices, one row each."""
-        from .sampling import _dirichlet_ones
-
         w = _dirichlet_ones(rng, len(self.vertex_matrix), n)
         # einsum forms each row on its own, so a state's coordinates do not
         # depend on n; a BLAS product can round differently by batch size
@@ -442,8 +443,6 @@ class Quantum(_StateSpace):
         """n density matrices, each drawn in its own order (exponentials, then the
         real and the imaginary Gaussian parts, as ``_density_draw_parts`` draws
         them); only ``_densities``' finishing is stacked."""
-        from .sampling import _densities, _density_draw_parts
-
         return density_to_coords(_densities(*_density_draw_parts(rng, self.hilbert_dim, n)))
 
     def build(self, params: np.ndarray) -> np.ndarray:
@@ -920,7 +919,8 @@ def composite_dimension_bound(component_dims: Sequence[int]) -> int:
         raise ValueError("no components")
     out = 1
     for d in dims:
-        if d < 1 or d != int(d):
+        # written so that NaN and the infinities fail: inf % 1 is NaN
+        if not (d >= 1 and d % 1 == 0):
             raise ValueError(f"state-space dimension must be a positive integer, got {d!r}")
         out *= int(d) + 1
     return out

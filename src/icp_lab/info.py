@@ -3,6 +3,8 @@
 All entropies are in bits (base-2 logarithms). Joint distributions are dense
 numpy arrays with one axis per register; mutual information and its
 multivariate generalization are computed directly from marginal entropies.
+The random-draw primitives live here too: this numpy-only module is the one
+that ``gpt``, ``engine``, ``proofs`` and ``sampling`` all import at the top.
 """
 from __future__ import annotations
 
@@ -331,3 +333,48 @@ class AxiomReport:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+def _dirichlet_ones(rng: np.random.Generator, k: int, size: int | None = None) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k), size)``, bit for bit, without its per-call
+    argument checks: unit-shape gammas are standard exponentials, and numpy
+    normalises each row as ``_dirichlet_rows`` does."""
+    return _dirichlet_rows(rng.standard_exponential((k,) if size is None else (size, k)))
+
+
+def _dirichlet_rows(draws: np.ndarray) -> np.ndarray:
+    """Standard exponential draws (..., k) normalised as numpy's Dirichlet
+    normalises them: each row by its left-to-right sum and the reciprocal of
+    that sum."""
+    return draws * (1.0 / np.add.accumulate(draws, axis=-1)[..., -1:])
+
+
+def _haar_from_gaussian(parts: np.ndarray) -> np.ndarray:
+    """Haar unitaries (..., d, d) from Gaussian parts (..., 2, d, d), the
+    real part first, by QR with the phases of R's diagonal divided out
+    (Mezzadri, Notices AMS 54, 592 (2007))."""
+    q, r = np.linalg.qr(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
+    # fix phases so the distribution is Haar rather than QR-convention-biased
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _density_draw_parts(rng: np.random.Generator, dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw draws of n random density matrices, state after state: each
+    one's standard exponentials, then its Gaussian parts, into its rows of
+    (n, dim) and (n, 2, dim, dim). The one draw of every random density
+    matrix; ``_densities`` finishes them."""
+    exponentials, parts = np.empty((n, dim)), np.empty((n, 2, dim, dim))
+    for i in range(n):
+        rng.standard_exponential(out=exponentials[i])
+        rng.standard_normal(out=parts[i])
+    return exponentials, parts
+
+
+def _densities(exponentials: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """The density matrices u diag(eigs) u^dagger (..., dim, dim) of raw
+    draws (..., dim) and (..., 2, dim, dim): eigs Dirichlet, u Haar. Every
+    step is row by row or matrix by matrix, so a stack of any leading shape
+    is finished once with the bits of finishing each state alone."""
+    eigs, u = _dirichlet_rows(exponentials), _haar_from_gaussian(parts)
+    return (u * eigs[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)

@@ -24,19 +24,22 @@ from typing import Callable, Hashable, Iterator
 
 import numpy as np
 
-from .engine import CorrelatedEnsemble, ObservableAssignment, _flat_index, _require_registers, register_name
+from .engine import CorrelatedEnsemble, ObservableAssignment, _flat_index, _register_product, _require_registers, register_name
 from .gpt import Theory, coords_to_density, observed_dimension
 from .info import (
     AXIOM_TOL,
     IDENTITY_TOL,
     AxiomReport,
+    _densities,
+    _density_draw_parts,
+    _dirichlet_rows,
+    _haar_from_gaussian,
     _plogp_bits_rows,
     _plogp_bits_stacked,
     _total_correlation_rows,
     _total_correlation_stacked,
     _von_neumann_rows,
 )
-from .sampling import _densities, _density_draw_parts, _dirichlet_rows, _haar_from_gaussian
 
 
 # --- random instances per axiom ----------------------------------------------
@@ -49,7 +52,7 @@ from .sampling import _densities, _density_draw_parts, _dirichlet_rows, _haar_fr
 # drew, so trials are grouped without reading their arrays' shapes. An
 # evaluation takes a stack of trials of one key, each array with a leading
 # trial axis, finishes the whole stack once (the Dirichlet normalisation row
-# by row and ``sampling._densities`` matrix by matrix, so with each trial's
+# by row and ``info._densities`` matrix by matrix, so with each trial's
 # bits) and returns every trial's violation before the clip at 0. The
 # arithmetic is that of a single trial done on every trial at once, in the
 # same order, so a trial's value does not depend on the stack it is
@@ -349,7 +352,7 @@ class _LedgerLayout:
             [[alphabet ** (m >> k + 1).bit_count() if m >> k & 1 else 0 for k in range(n)] for m in masks]
         )
         self.alphabet, self.width = alphabet, alphabet**n  # the widest marginal is the whole table
-        cells = strides @ np.indices((alphabet,) * n).reshape(n, -1)
+        cells = strides @ _register_product((alphabet,) * n).T
         rows = np.arange(len(masks))[:, None] * self.width + cells
         self.scatter = (rows.T[:, None, :] * columns + np.arange(columns)[:, None]).ravel()
         # the entropies' keys: mask << 1 | 1 of every subset, then mask << 1

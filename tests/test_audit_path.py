@@ -29,7 +29,7 @@ def _assignment(entry, labels):
 def density_draws(rng, dim):
     """One density matrix's draws, one call each: the Dirichlet eigenvalues,
     then the Gaussian parts of its basis, the real part first."""
-    return sampling._dirichlet_ones(rng, dim), rng.normal(size=(2, dim, dim))
+    return info._dirichlet_ones(rng, dim), rng.normal(size=(2, dim, dim))
 
 
 def density_from_draws(eigs, parts):
@@ -46,13 +46,13 @@ def test_stacked_density_draws_equal_sequential_draws(dim):
     for seed in range(50):
         for n in range(1, 10):
             stacked, sequential = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-            exponentials, parts = sampling._density_draw_parts(stacked, dim, n)
+            exponentials, parts = info._density_draw_parts(stacked, dim, n)
             draws = [density_draws(sequential, dim) for _ in range(n)]
-            eigs = sampling._dirichlet_rows(exponentials)
+            eigs = info._dirichlet_rows(exponentials)
             assert eigs.tobytes() == np.array([e for e, _ in draws]).tobytes(), (seed, n)
             assert parts.tobytes() == np.array([g for _, g in draws]).tobytes(), (seed, n)
             assert stacked.bit_generator.state == sequential.bit_generator.state
-            rhos = sampling._densities(exponentials, parts)
+            rhos = info._densities(exponentials, parts)
             assert rhos.tobytes() == np.array([density_from_draws(*d) for d in draws]).tobytes(), (seed, n)
 
 
@@ -68,13 +68,24 @@ def test_random_density_matrix_equals_its_two_call_draws(dim):
 
 def test_register_product_is_cached_read_only_and_in_row_major_order():
     for n_registers, alphabet in ((1, 2), (2, 2), (3, 2), (2, 3), (4, 3)):
-        product = sampling._register_product(n_registers, alphabet)
-        assert product is sampling._register_product(n_registers, alphabet)
+        product = engine._register_product((alphabet,) * n_registers)
+        assert product is engine._register_product((alphabet,) * n_registers)
         assert product.tolist() == [list(c) for c in itertools.product(range(alphabet), repeat=n_registers)]
         assert not product.flags.writeable
     entry = catalog.classical_bit()
     ens = sampling.random_ensemble(entry, np.random.default_rng(0), 3, 2)
-    assert ens.registers is sampling._register_product(3, 2)
+    assert ens.registers is engine._register_product((2, 2, 2))
+
+
+@pytest.mark.parametrize("alphabets", [(3,), (2, 3, 1), (1, 4, 2, 3), (1,) * 64, (2,) * 12])
+def test_register_product_of_mixed_alphabets_is_c_contiguous_int64(alphabets):
+    product = engine._register_product(alphabets)
+    assert product.dtype == np.int64 and product.flags.c_contiguous and not product.flags.writeable
+    assert product.shape == (math.prod(alphabets), len(alphabets))
+    if len(alphabets) < 8:
+        assert product.tolist() == [list(c) for c in itertools.product(*map(range, alphabets))]
+    else:  # each row is its own row-major index
+        assert np.array_equal(engine._flat_index(product, alphabets), np.arange(len(product)))
 
 
 def test_random_ensemble_still_checks_its_states(monkeypatch):
@@ -333,7 +344,7 @@ def test_ledger_plan_is_cached_per_assignment_and_read_only():
 
 def test_new_caches_are_bounded():
     caches = (
-        sampling._register_product, engine._one_hot_rows, proofs._ledger_plan, proofs._classical_channels,
+        engine._register_product, engine._one_hot_rows, proofs._ledger_plan, proofs._classical_channels,
         gpt._readout_graph,
     )
     for cached in caches:
@@ -346,7 +357,7 @@ def test_cached_arrays_are_read_only():
     trit = catalog.classical_trit()
     assignment = _assignment(trit, ("E1", "E2"))
     arrays += [
-        sampling._register_product(2, 3),
+        engine._register_product((3, 3)),
         engine._one_hot_rows(3),
         proofs._ledger_plan(assignment).effects,
         proofs._classical_channels(assignment, trit.theory),

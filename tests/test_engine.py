@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ def test_assignment_requires_distinct_registers(sbit_entry):
     th = sbit_entry.theory
     with pytest.raises(ValueError):
         ObservableAssignment(((th.measurement("X"), 0), (th.measurement("Z"), 0)))
+
+
+@pytest.mark.parametrize("index", [0.9, 1.7, 1.0, math.nan, True, False, np.bool_(True)])
+def test_an_assignment_register_index_must_be_an_integer(sbit_entry, index):
+    """int() would take 0.9 and 1.7 to registers 0 and 1, and True and False
+    to 1 and 0; the index follows the register values' rule instead."""
+    th = sbit_entry.theory
+    with pytest.raises(ValueError, match=f"^register index {re.escape(repr(index))} is not an integer$"):
+        ObservableAssignment(((th.measurement("X"), 0), (th.measurement("Z"), index)))
+
+
+def test_an_assignment_register_index_may_be_a_numpy_integer(sbit_entry):
+    th = sbit_entry.theory
+    assignment = ObservableAssignment(((th.measurement("X"), np.int64(1)), (th.measurement("Z"), np.uint8(0))))
+    assert assignment.registers == (1, 0)
+    assert all(type(r) is int for r in assignment.registers)
 
 
 def test_maximize_extractable_sbit_grid_hits_two(sbit_entry):
@@ -812,7 +829,7 @@ def test_a_search_at_its_ceiling_draws_no_restart_point(monkeypatch):
     def draw(*args):
         raise AssertionError("a restart point was drawn")
 
-    monkeypatch.setattr(sampling, "_dirichlet_ones", draw)
+    monkeypatch.setattr(info, "_dirichlet_ones", draw)
     result = maximize_extractable(*_case(catalog.sbit, ("X", "Z"), "random-restart", 4000))
     assert (result.evaluations, result.converged) == (1536, True)
 
@@ -821,8 +838,8 @@ def test_a_search_whose_grid_spends_the_budget_draws_no_restart_point(monkeypatc
     """qubit's grid scores all 4 000 of its 4 000 points, so no restart
     point could be scored; none is drawn, and the result is the pinned one."""
     calls = []
-    draw = sampling._dirichlet_ones
-    monkeypatch.setattr(sampling, "_dirichlet_ones", lambda *args: calls.append(args) or draw(*args))
+    draw = info._dirichlet_ones
+    monkeypatch.setattr(info, "_dirichlet_ones", lambda *args: calls.append(args) or draw(*args))
     _, make, labels, strategy, max_evals, extractable, evaluations, converged = OPTIMIZER_CASES[2]
     result = maximize_extractable(*_case(make, labels, strategy, max_evals))
     assert (repr(result.report.extractable), result.evaluations, result.converged) == (

@@ -18,6 +18,7 @@ from icp_lab import (
     catalog,
     engine,
     evaluate_icp,
+    info,
     joint_outcome_table,
     maximize_extractable,
     multivariate_mutual_information,
@@ -119,7 +120,7 @@ def test_dirichlet_ones_draws_like_generator_dirichlet(size):
     for seed in (0, 1, 20260816):
         for k in range(1, 71):
             helper, generator = np.random.default_rng(seed), np.random.default_rng(seed)
-            draws = sampling._dirichlet_ones(helper, k, size)
+            draws = info._dirichlet_ones(helper, k, size)
             expected = generator.dirichlet(np.ones(k), size)
             assert draws.shape == expected.shape
             assert draws.tobytes() == expected.tobytes(), (seed, k)
@@ -132,7 +133,7 @@ def test_complex_gaussian_draws_like_two_normal_calls(k):
     # exponentials; test_audit_path checks that the first is the real part
     for seed in range(200):
         helper, generator = np.random.default_rng(seed), np.random.default_rng(seed)
-        _, parts = sampling._density_draw_parts(helper, k, 1)
+        _, parts = info._density_draw_parts(helper, k, 1)
         generator.standard_exponential(k)
         real, imaginary = generator.normal(size=(k, k)), generator.normal(size=(k, k))
         assert parts.tobytes() == np.array([[real, imaginary]]).tobytes(), seed
@@ -454,6 +455,44 @@ def test_the_ensemble_cap_admits_max_joint_alphabet(sbit_entry):
     assert math.prod(ens.register_alphabets) == engine.MAX_JOINT_ALPHABET
     assignment = ObservableAssignment(((th.measurement("X"), 0), (th.measurement("Z"), 1)))
     assert evaluate_icp(ens, assignment).extractable == 0.0
+
+
+@pytest.mark.parametrize("n_registers, alphabet", [(65, 1), (10**9, 1)])
+def test_random_ensemble_refuses_more_than_max_registers_before_drawing(monkeypatch, n_registers, alphabet):
+    def product(*args):
+        raise AssertionError("the register product was built")
+
+    monkeypatch.setattr(sampling, "_register_product", product)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{n_registers} registers above MAX_REGISTERS = 64$"):
+        sampling.random_ensemble(catalog.classical_bit(), rng, n_registers, alphabet)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("sizes", [(2.0, 2), (2, 2.0), (np.float64(2.0), 2)])
+def test_random_ensemble_refuses_a_float_size_whatever_its_cache_holds(sizes):
+    entry = catalog.classical_bit()
+    sampling.random_ensemble(entry, np.random.default_rng(5), 2, 2)  # the (2, 2) product is cached
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError):
+        sampling.random_ensemble(entry, rng, *sizes)
+    assert rng.bit_generator.state == state
+
+
+def test_an_ensemble_holds_at_most_max_registers(bit_entry):
+    """numpy arrays have at most 64 axes, and a register marginal gives each
+    register one: 64 registers evaluate, 65 are refused when built."""
+    th = bit_entry.theory
+    s = th.variant.vertices[0]
+    with pytest.raises(ValueError, match="^65 registers above MAX_REGISTERS = 64$"):
+        CorrelatedEnsemble(th, [1.0], s.coords[None], np.zeros((1, 65), dtype=int), (1,) * 65)
+    ens = sampling.random_ensemble(bit_entry, np.random.default_rng(5), engine.MAX_REGISTERS, 1)
+    assert ens.registers.shape == (1, 64) and ens.register_alphabets == (1,) * 64
+    assert register_marginal(ens).probs.shape == (1,) * 64
+    pairs = tuple((th.measurement("X"), r) for r in range(64))
+    assert evaluate_icp(ens, ObservableAssignment(pairs)).extractable == 0.0
 
 
 @pytest.mark.parametrize("n_registers, alphabet", [(3, 1024), (21, 2), (10**9, 2), (3, 102)])

@@ -1,5 +1,6 @@
 """State/effect layer: membership tests, measurement statistics, observed dimension."""
 import gc
+import math
 import re
 import weakref
 
@@ -191,6 +192,14 @@ def test_composite_dimension_bound():
         composite_dimension_bound([])
     with pytest.raises(ValueError):
         composite_dimension_bound([0])
+    assert composite_dimension_bound([2.0]) == 3
+
+
+@pytest.mark.parametrize("dim", [math.inf, -math.inf, math.nan, 2.5])
+def test_composite_dimension_bound_refuses_a_dimension_that_is_no_positive_integer(dim):
+    # int() raised OverflowError on inf and its own message on NaN
+    with pytest.raises(ValueError, match=f"^state-space dimension must be a positive integer, got {dim!r}$"):
+        composite_dimension_bound([2, dim])
 
 
 def test_dimension_report_is_kept_per_theory_object():

@@ -121,7 +121,7 @@ def test_every_private_module_name_is_read_in_the_package():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_dirichlet_draws_go_through_the_sampling_helper(path):
-    # sampling._dirichlet_ones draws the same numbers without Generator.dirichlet's per-call checks
+    # info._dirichlet_ones draws the same numbers without Generator.dirichlet's per-call checks
     tree = ast.parse(path.read_text(encoding="utf-8"))
     calls = [
         node.lineno
@@ -194,8 +194,8 @@ def test_complex_gaussian_check_finds_a_draw():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_complex_gaussians_go_through_the_sampling_helper(path):
-    # sampling._density_draw_parts draws the Gaussian parts and
-    # sampling._haar_from_gaussian alone combines them, the real part first
+    # info._density_draw_parts draws the Gaussian parts and
+    # info._haar_from_gaussian alone combines them, the real part first
     assert _complex_gaussian_draws(path.read_text(encoding="utf-8")) == []
 
 
@@ -528,6 +528,81 @@ def test_gpt_reads_effects_on_states_by_whole_products():
     # every readout in gpt is one product of effect rows and state rows
     assert _dot_calls((SRC / "gpt.py").read_text(encoding="utf-8")) == []
 
+
+def _package_imports(source: str, modules: set[str]) -> list[tuple[str, bool]]:
+    """The package modules that ``source`` imports by ``from . import x`` or
+    ``from .x import y``, each with whether the import sits inside a function.
+    A name of ``from . import`` that is not in ``modules`` comes from the
+    package's ``__init__``; imports under ``if TYPE_CHECKING:`` are left out."""
+    found = []
+
+    def visit(nodes, in_function):
+        for node in nodes:
+            if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                visit(node.orelse, in_function)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module.split(".")[0]] if node.module else [
+                    a.name if a.name in modules else "__init__" for a in node.names
+                ]
+                found.extend((name, in_function) for name in names)
+            else:
+                visit(ast.iter_child_nodes(node), in_function or isinstance(node, _FUNCTIONS))
+
+    visit([ast.parse(source)], False)
+    return found
+
+
+def _import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle of ``graph`` (module -> the modules it imports) as the modules
+    along it, the first repeated at the end; empty when there is none."""
+    state, path = {}, []
+
+    def visit(module):
+        state[module] = "open"
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            if state.get(target) == "open":
+                return path[path.index(target) :] + [target]
+            if target not in state and (cycle := visit(target)):
+                return cycle
+        state[module] = "done"
+        path.pop()
+        return []
+
+    for module in sorted(graph):
+        if module not in state and (cycle := visit(module)):
+            return cycle
+    return []
+
+
+def test_import_graph_check_finds_each_form():
+    source = (
+        "from __future__ import annotations\nimport numpy\nfrom typing import TYPE_CHECKING\n"
+        "from . import a, __version__\n"  # a module, and a name of the package's __init__
+        "from .b import x\n"
+        "if TYPE_CHECKING:\n    from .c import Y\nelse:\n    from .c import Z\n"  # the else branch counts
+        "def f():\n    from .a import y\n    return y\n"
+        "class K:\n    def g(self):\n        if self:\n            from . import c\n"
+        "from numpy.linalg import eigh\n"
+    )
+    assert _package_imports(source, {"a", "b", "c"}) == [
+        ("a", False), ("__init__", False), ("b", False), ("c", False), ("a", True), ("c", True)
+    ]
+    assert _import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert _import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _import_cycle({"a": {"b"}, "b": {"b"}}) == ["b", "b"]
+
+
+def test_the_package_import_graph_is_acyclic():
+    # each module takes what it shares at module level, so no import has a
+    # cycle to get round; only the command line and its renderers import
+    # package modules inside functions, so that a command loads what it runs
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    imports = {name: _package_imports(source, set(sources)) for name, source in sources.items()}
+    assert _import_cycle({name: {target for target, _ in found} for name, found in imports.items()}) == []
+    assert {name for name, found in imports.items() if any(local for _, local in found)} <= {"cli", "serialize"}
+
+
 def _modules_loaded_by(statements: str) -> set[str]:
     """The modules that a fresh interpreter holds after running ``statements``."""
     probe = f"import sys\n{statements}\nprint(*sys.modules)"
@@ -551,6 +626,9 @@ def test_cli_import_loads_numpy_only():
          {"icp_lab.engine", "icp_lab.constructions", "icp_lab.proofs", "icp_lab.sampling"}),
         # coordinate descent draws no restart point
         (["demo", "classical"], {"icp_lab.constructions", "icp_lab.engine"}, {"numpy.random", "icp_lab.sampling"}),
+        # the axiom suite draws through info; engine and gpt load for the ledger alone
+        (["scan", "axioms", "--trials", "1"], {"icp_lab.proofs"},
+         {"icp_lab.sampling", "icp_lab.catalog", "icp_lab.constructions"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, loads, skips):

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icp_lab import ObservableAssignment, catalog, proof_chain_check, proofs, sampling
+from icp_lab import ObservableAssignment, catalog, info, proof_chain_check, proofs, sampling
 from icp_lab.engine import CorrelatedEnsemble
 from icp_lab.gpt import (
     ChainNotApplicable,
@@ -155,7 +155,7 @@ def test_ledger_matches_the_oracle_on_unequal_alphabets_and_register_order(rng):
     th = entry.theory
     alphabets = (2, 3, 4, 2)
     values = np.indices(alphabets).reshape(len(alphabets), -1).T
-    probs = sampling._dirichlet_ones(rng, len(values))
+    probs = info._dirichlet_ones(rng, len(values))
     ens = CorrelatedEnsemble(th, probs, th.variant.random_coords(rng, len(values)), values, alphabets)
     assignment = ObservableAssignment(
         ((th.measurement("E2"), 2), (th.measurement("E1"), 0), (th.measurement("E3"), 1))

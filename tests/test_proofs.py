@@ -14,6 +14,7 @@ from icp_lab import (
     build_ensemble,
     catalog,
     classical_carrier,
+    info,
     proof_chain_check,
     sampling,
 )
@@ -75,7 +76,7 @@ def _haar(parts):
 def _per_trial_states(rng, dim, n):
     rhos = []
     for _ in range(n):
-        eigs = sampling._dirichlet_ones(rng, dim)
+        eigs = info._dirichlet_ones(rng, dim)
         u = _haar(rng.normal(size=(2, dim, dim)))
         rhos.append((u * eigs[None, :]) @ u.conj().T)
     return np.array(rhos)
@@ -84,20 +85,20 @@ def _per_trial_states(rng, dim, n):
 def _per_trial_joint(*highs):
     def draw(rng):
         shape = tuple(int(rng.integers(2, high)) for high in highs)
-        return (sampling._dirichlet_ones(rng, math.prod(shape)).reshape(shape),)
+        return (info._dirichlet_ones(rng, math.prod(shape)).reshape(shape),)
 
     return draw
 
 
 def _per_trial_channel(rng):
     s, a, x = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
-    joint = sampling._dirichlet_ones(rng, s * a).reshape(s, a)
-    return joint, sampling._dirichlet_ones(rng, x, s)
+    joint = info._dirichlet_ones(rng, s * a).reshape(s, a)
+    return joint, info._dirichlet_ones(rng, x, s)
 
 
 def _per_trial_cq(rng):
     dim, nc = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-    return sampling._dirichlet_ones(rng, nc), _per_trial_states(rng, dim, nc)
+    return info._dirichlet_ones(rng, nc), _per_trial_states(rng, dim, nc)
 
 
 def _per_trial_density(rng):
@@ -105,7 +106,7 @@ def _per_trial_density(rng):
 
 
 def _per_trial_cq_grid(rng):
-    p = sampling._dirichlet_ones(rng, 4).reshape(2, 2)
+    p = info._dirichlet_ones(rng, 4).reshape(2, 2)
     return p, _per_trial_states(rng, 2, 4).reshape(2, 2, 2, 2)
 
 
@@ -115,7 +116,7 @@ def _per_trial_cq_measured(rng):
 
 
 def _finish_cq(p, exponentials, parts):
-    return sampling._dirichlet_rows(p), sampling._densities(exponentials, parts)
+    return info._dirichlet_rows(p), info._densities(exponentials, parts)
 
 
 # (per-trial draw, finishing of the raw stacks) of each axiom
@@ -125,16 +126,16 @@ PER_TRIAL = {
         "ii": (_per_trial_joint(9), lambda e: (_tables(e),)),
         "iii": (_per_trial_joint(5, 5), lambda e: (_tables(e),)),
         "iv": (_per_trial_joint(4, 4, 4), lambda e: (_tables(e),)),
-        "v": (_per_trial_channel, lambda joint, rows: (_tables(joint), sampling._dirichlet_rows(rows))),
+        "v": (_per_trial_channel, lambda joint, rows: (_tables(joint), info._dirichlet_rows(rows))),
     },
     "von-neumann": {
         "i": (_per_trial_cq, _finish_cq),
-        "ii": (_per_trial_density, lambda e, parts: (sampling._densities(e, parts),)),
+        "ii": (_per_trial_density, lambda e, parts: (info._densities(e, parts),)),
         "iii": (_per_trial_cq, _finish_cq),
-        "iv": (_per_trial_cq_grid, lambda p, e, parts: (_tables(p), sampling._densities(e, parts))),
+        "iv": (_per_trial_cq_grid, lambda p, e, parts: (_tables(p), info._densities(e, parts))),
         "v": (
             _per_trial_cq_measured,
-            lambda p, e, parts, m: (*_finish_cq(p, e, parts), sampling._haar_from_gaussian(m)),
+            lambda p, e, parts, m: (*_finish_cq(p, e, parts), info._haar_from_gaussian(m)),
         ),
     },
 }
