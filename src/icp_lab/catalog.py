@@ -44,9 +44,12 @@ from .gpt import (
 class CatalogEntry:
     """A named catalog theory with notes on what it models."""
 
-    entry_id: str
     theory: Theory
     notes: str = ""
+
+    @property
+    def entry_id(self) -> str:
+        return self.theory.theory_id
 
     def measurement(self, name: str) -> Measurement:
         return self.theory.measurement(name)
@@ -60,19 +63,15 @@ def _checked(entry: CatalogEntry) -> CatalogEntry:
     return entry
 
 
-def polygon_vertex(n: int, i: int, theory_id: str | None = None) -> State:
+def polygon_vertex(n: int, i: int) -> State:
     """Vertex w_i of the n-gon model, 1-based with wraparound."""
     r = 1.0 / math.sqrt(math.cos(math.pi / n))
     angle = 2.0 * math.pi * (i % n) / n
-    return State(
-        np.array([r * math.cos(angle), r * math.sin(angle), 1.0]),
-        theory_id if theory_id is not None else f"polygon:{n}",
-    )
+    return State(np.array([r * math.cos(angle), r * math.sin(angle), 1.0]))
 
 
-def polygon_effect(n: int, i: int, theory_id: str | None = None) -> Effect:
+def polygon_effect(n: int, i: int) -> Effect:
     """Extreme effect e_i of the n-gon model, 1-based with wraparound."""
-    tid = theory_id if theory_id is not None else f"polygon:{n}"
     r = 1.0 / math.sqrt(math.cos(math.pi / n))
     if n % 2 == 0:
         angle = (2.0 * (((i - 1) % n) + 1) - 1.0) * math.pi / n
@@ -80,7 +79,7 @@ def polygon_effect(n: int, i: int, theory_id: str | None = None) -> Effect:
     else:
         angle = 2.0 * math.pi * (i % n) / n
         coords = np.array([r * math.cos(angle), r * math.sin(angle), 1.0]) / (1.0 + r * r)
-    return Effect(coords, tid, f"e{((i - 1) % n) + 1}")
+    return Effect(coords, f"e{((i - 1) % n) + 1}")
 
 
 # most extreme states a polygon model may have: polygon(n) and its observed
@@ -89,23 +88,21 @@ def polygon_effect(n: int, i: int, theory_id: str | None = None) -> Effect:
 MAX_POLYGON = 2_000
 
 
-def polygon(n: int, entry_id: str | None = None) -> CatalogEntry:
+def polygon(n: int) -> CatalogEntry:
     """Polygon model with n extreme states, 3 <= n <= ``MAX_POLYGON``; n = 3
     is the classical trit."""
     if not 3 <= n <= MAX_POLYGON:
         raise ValueError(f"polygon needs 3 <= n <= {MAX_POLYGON}, got {n}")
-    tid = entry_id or f"polygon:{n}"
-    unit = Effect(np.array([0.0, 0.0, 1.0]), tid, "u")
-    vertices = tuple(polygon_vertex(n, i, tid) for i in range(1, n + 1))
-    extremes = tuple(polygon_effect(n, i, tid) for i in range(1, n + 1))
+    unit = Effect(np.array([0.0, 0.0, 1.0]), "u")
+    vertices = tuple(polygon_vertex(n, i) for i in range(1, n + 1))
+    extremes = tuple(polygon_effect(n, i) for i in range(1, n + 1))
     measurements = {}
     for i, e in enumerate(extremes, start=1):
-        comp = Effect(unit.coords - e.coords, tid, f"u-e{i}")
+        comp = Effect(unit.coords - e.coords, f"u-e{i}")
         measurements[f"E{i}"] = Measurement(f"E{i}", (e, comp))
-    theory = Theory(tid, Polytope(vertices, extremes, unit), measurements)
+    theory = Theory(f"polygon:{n}", Polytope(vertices, extremes, unit), measurements)
     return _checked(
         CatalogEntry(
-            tid,
             theory,
             notes=f"{n}-gon model, r = 1/sqrt(cos(pi/{n}))",
         )
@@ -113,37 +110,34 @@ def polygon(n: int, entry_id: str | None = None) -> CatalogEntry:
 
 
 def classical_trit() -> CatalogEntry:
-    entry = polygon(3, entry_id="classical-trit")
+    triangle = polygon(3).theory
     return CatalogEntry(
-        "classical-trit",
-        entry.theory,
+        Theory("classical-trit", triangle.variant, triangle.measurements),
         notes="three-outcome classical system (triangle model)",
     )
 
 
 def classical_bit() -> CatalogEntry:
     """Single classical bit exposing the same readout under two names."""
-    tid = "classical-bit"
-    v0 = State(np.array([1.0, 0.0]), tid)
-    v1 = State(np.array([0.0, 1.0]), tid)
-    p0 = Effect(np.array([1.0, 0.0]), tid, "p0")
-    p1 = Effect(np.array([0.0, 1.0]), tid, "p1")
-    unit = Effect(np.array([1.0, 1.0]), tid, "u")
+    v0 = State(np.array([1.0, 0.0]))
+    v1 = State(np.array([0.0, 1.0]))
+    p0 = Effect(np.array([1.0, 0.0]), "p0")
+    p1 = Effect(np.array([0.0, 1.0]), "p1")
+    unit = Effect(np.array([1.0, 1.0]), "u")
     # X and Z are the same underlying readout: copies of one bit
     measurements = {
-        "X": Measurement("X", (Effect(p0.coords, tid, "X0"), Effect(p1.coords, tid, "X1"))),
-        "Z": Measurement("Z", (Effect(p0.coords, tid, "Z0"), Effect(p1.coords, tid, "Z1"))),
+        "X": Measurement("X", (Effect(p0.coords, "X0"), Effect(p1.coords, "X1"))),
+        "Z": Measurement("Z", (Effect(p0.coords, "Z0"), Effect(p1.coords, "Z1"))),
     }
-    theory = Theory(tid, Polytope((v0, v1), (p0, p1), unit), measurements)
+    theory = Theory("classical-bit", Polytope((v0, v1), (p0, p1), unit), measurements)
     return _checked(
-        CatalogEntry(tid, theory, notes="one bit read twice (X and Z coincide)")
+        CatalogEntry(theory, notes="one bit read twice (X and Z coincide)")
     )
 
 
 def sbit() -> CatalogEntry:
     """Square model: X and Z are simultaneously deterministic on the corners."""
-    entry = polygon(4, entry_id="sbit")
-    theory = entry.theory
+    theory = polygon(4).theory
     e2 = theory.measurement("E2")
     e3 = theory.measurement("E3")
     measurements = dict(theory.measurements)
@@ -152,7 +146,6 @@ def sbit() -> CatalogEntry:
     theory = Theory("sbit", theory.variant, measurements)
     return _checked(
         CatalogEntry(
-            "sbit",
             theory,
             notes="square model; corners carry definite X and Z values at once",
         )
@@ -165,30 +158,28 @@ def sbit_state(sx: float, sz: float) -> State:
     if not (-1.0 - 1e-12 <= sx <= 1.0 + 1e-12 and -1.0 - 1e-12 <= sz <= 1.0 + 1e-12):
         raise ValueError("square-model mean values must lie in [-1, 1]")
     r = 1.0 / math.sqrt(math.cos(math.pi / 4.0))
-    return State(np.array([-r * (sx + sz) / 2.0, r * (sx - sz) / 2.0, 1.0]), "sbit")
+    return State(np.array([-r * (sx + sz) / 2.0, r * (sx - sz) / 2.0, 1.0]))
 
 
 def hbit() -> CatalogEntry:
     """Four-state classical simplex restricted to two binary parity readouts."""
-    tid = "hbit"
     x = Measurement(
         "X",
         (
-            Effect(np.array([1.0, 1.0, 0.0, 0.0]), tid, "X0"),
-            Effect(np.array([0.0, 0.0, 1.0, 1.0]), tid, "X1"),
+            Effect(np.array([1.0, 1.0, 0.0, 0.0]), "X0"),
+            Effect(np.array([0.0, 0.0, 1.0, 1.0]), "X1"),
         ),
     )
     z = Measurement(
         "Z",
         (
-            Effect(np.array([1.0, 0.0, 1.0, 0.0]), tid, "Z0"),
-            Effect(np.array([0.0, 1.0, 0.0, 1.0]), tid, "Z1"),
+            Effect(np.array([1.0, 0.0, 1.0, 0.0]), "Z0"),
+            Effect(np.array([0.0, 1.0, 0.0, 1.0]), "Z1"),
         ),
     )
-    theory = Theory(tid, RestrictedClassical(4), {"X": x, "Z": z})
+    theory = Theory("hbit", RestrictedClassical(4), {"X": x, "Z": z})
     return _checked(
         CatalogEntry(
-            tid,
             theory,
             notes="hidden 4-state bit; only the two coarse readouts are available",
         )
@@ -201,31 +192,30 @@ def hbit_state(a: int, b: int) -> State:
         raise ValueError("readout values must be 0 or 1")
     coords = np.zeros(4)
     coords[2 * a + b] = 1.0
-    return State(coords, "hbit")
+    return State(coords)
 
 
-def _qubit_axis_measurement(axis: np.ndarray, label: str, tid: str) -> Measurement:
+def _qubit_axis_measurement(axis: np.ndarray, label: str) -> Measurement:
     # (I + a.sigma)/2 and (I - a.sigma)/2
-    effects = (Effect(bloch_coords(b), tid, f"{label}{i}") for i, b in enumerate((axis, -axis)))
+    effects = (Effect(bloch_coords(b), f"{label}{i}") for i, b in enumerate((axis, -axis)))
     return Measurement(label, tuple(effects))
 
 
 def qubit() -> CatalogEntry:
-    tid = "qubit"
     measurements = {
-        "X": _qubit_axis_measurement(np.array([1.0, 0.0, 0.0]), "X", tid),
-        "Z": _qubit_axis_measurement(np.array([0.0, 0.0, 1.0]), "Z", tid),
+        "X": _qubit_axis_measurement(np.array([1.0, 0.0, 0.0]), "X"),
+        "Z": _qubit_axis_measurement(np.array([0.0, 0.0, 1.0]), "Z"),
     }
-    theory = Theory(tid, Quantum(2), measurements)
+    theory = Theory("qubit", Quantum(2), measurements)
     return _checked(
-        CatalogEntry(tid, theory, notes="projective X and Z on one qubit")
+        CatalogEntry(theory, notes="projective X and Z on one qubit")
     )
 
 
 def qubit_z_rotated(theta: float) -> Measurement:
     """Projective readout along cos(theta) z + sin(theta) x; theta = 0 is Z."""
     axis = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    return _qubit_axis_measurement(axis, f"Z({theta:.6g})", "qubit")
+    return _qubit_axis_measurement(axis, f"Z({theta:.6g})")
 
 
 def qubit_state_from_bloch(bx: float, by: float, bz: float) -> State:
@@ -233,7 +223,7 @@ def qubit_state_from_bloch(bx: float, by: float, bz: float) -> State:
     # written so that NaN fails: every comparison with NaN is false
     if not np.linalg.norm(b) <= 1.0 + 1e-12:
         raise ValueError("Bloch vector lies outside the unit ball")
-    return State(bloch_coords(b), "qubit")
+    return State(bloch_coords(b))
 
 
 _PGNST_AXES = ("X", "Y", "Z")
@@ -251,7 +241,6 @@ def pgnst(p: float, k: int = 2) -> CatalogEntry:
     quantum uncertainty tradeoff allows; p = inf, k = 2 is the square model
     in fiducial coordinates (a gbit for k = 3).
     """
-    tid = pgnst_id(p, k)
     names = ("X", "Z") if k == 2 else _PGNST_AXES[:k]
     measurements = {}
     for axis, name in enumerate(names):
@@ -263,12 +252,11 @@ def pgnst(p: float, k: int = 2) -> CatalogEntry:
         minus[-1] = 0.5
         measurements[name] = Measurement(
             name,
-            (Effect(plus, tid, f"{name}0"), Effect(minus, tid, f"{name}1")),
+            (Effect(plus, f"{name}0"), Effect(minus, f"{name}1")),
         )
-    theory = Theory(tid, NormConstraint(float(p), k), measurements)
+    theory = Theory(pgnst_id(p, k), NormConstraint(float(p), k), measurements)
     return _checked(
         CatalogEntry(
-            tid,
             theory,
             notes=f"|s|_p <= 1 ball over {k} fiducial readouts",
         )
@@ -283,7 +271,7 @@ def norm_state(entry: CatalogEntry, means) -> State:
     means = np.asarray(means, dtype=float)
     if means.size != variant.k:
         raise ValueError(f"expected {variant.k} mean values")
-    state = State(np.append(means, 1.0), entry.entry_id)
+    state = State(np.append(means, 1.0))
     ok = validate_state(entry.theory, state)
     if not ok:
         raise ValueError(ok.detail)

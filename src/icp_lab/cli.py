@@ -240,13 +240,13 @@ def cmd_eval(args) -> int:
         registers=args.registers,
     )
     try:
-        text = Path(args.ensemble).read_text(encoding="utf-8")
+        doc = json.loads(Path(args.ensemble).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"error: cannot read {args.ensemble}: {exc}", file=sys.stderr)
         return 3
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a decode error, a number past the digit limit or nesting past the
+    # recursion limit: each is a ValueError or a RecursionError
+    except (ValueError, RecursionError) as exc:
         print(f"error: {args.ensemble}: invalid JSON: {exc}", file=sys.stderr)
         return 2
     node = doc.get("payload", doc) if isinstance(doc, dict) else doc

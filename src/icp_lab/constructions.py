@@ -50,12 +50,15 @@ from .info import VIOLATION_TOL
 class ViolationCertificate:
     """An ensemble, its report, and the closed-form values it must match."""
 
-    theory_id: str
     ensemble: CorrelatedEnsemble
     assignment: ObservableAssignment
     report: ICPReport
     closed_form: dict[str, float]
     crosscheck_max_abs_diff: float
+
+    @property
+    def theory_id(self) -> str:
+        return self.ensemble.theory.theory_id
 
     @property
     def violated(self) -> bool:
@@ -82,7 +85,7 @@ def _conditional(table_probs: np.ndarray, outcome: int, value: int) -> float:
     return float(col[outcome] / col.sum())
 
 
-def _certificate(entry, ensemble, assignment, closed, *crosschecks) -> ViolationCertificate:
+def _certificate(ensemble, assignment, closed, *crosschecks) -> ViolationCertificate:
     """Evaluate the ensemble and certify it against its closed form: the
     stored difference is the largest gap between the report and ``closed`` in
     both gains, the redundancy and the extractable information, or among the
@@ -95,7 +98,7 @@ def _certificate(entry, ensemble, assignment, closed, *crosschecks) -> Violation
         abs(closed["extractable"] - report.extractable),
         *crosschecks,
     )
-    return ViolationCertificate(entry.entry_id, ensemble, assignment, report, closed, diff)
+    return ViolationCertificate(ensemble, assignment, report, closed, diff)
 
 
 def _two_bit_corners(entry: CatalogEntry, state) -> ViolationCertificate:
@@ -103,7 +106,7 @@ def _two_bit_corners(entry: CatalogEntry, state) -> ViolationCertificate:
     exactly: two bits where log2 d = 1."""
     ensemble = _uniform_four(entry, {(a, b): state(a, b) for a in (0, 1) for b in (0, 1)})
     closed = {"I(X:A)": 1.0, "I(Z:B)": 1.0, "redundancy": 0.0, "extractable": 2.0}
-    return _certificate(entry, ensemble, _two_register_assignment(entry), closed)
+    return _certificate(ensemble, _two_register_assignment(entry), closed)
 
 
 def sbit_violation() -> ViolationCertificate:
@@ -154,7 +157,7 @@ def qubit_rac_construction() -> ViolationCertificate:
     }
     x_table = joint_outcome_table(ensemble, entry.measurement("X"), 0)
     success_diff = abs(success - _conditional(x_table.probs, 0, 0))
-    return _certificate(entry, ensemble, _two_register_assignment(entry), closed, success_diff)
+    return _certificate(ensemble, _two_register_assignment(entry), closed, success_diff)
 
 
 # --- norm-constraint family ----------------------------------------------------
@@ -258,7 +261,7 @@ def pgnst_violation(p: float) -> ViolationCertificate:
         "redundancy": 0.0,
         "extractable": 2.0 - h_min,
     }
-    return _certificate(entry, ensemble, _two_register_assignment(entry), closed)
+    return _certificate(ensemble, _two_register_assignment(entry), closed)
 
 
 @dataclass(frozen=True)
@@ -385,10 +388,10 @@ def polygon_violation(n: int) -> ViolationCertificate:
         m = n // 4 + 2
         x_name = "E2"
         states = {
-            (0, 0): polygon_vertex(n, 2, entry.entry_id),
-            (0, 1): polygon_vertex(n, 1, entry.entry_id),
-            (1, 0): polygon_vertex(n, n // 2 + 1, entry.entry_id),
-            (1, 1): polygon_vertex(n, n // 2 + 2, entry.entry_id),
+            (0, 0): polygon_vertex(n, 2),
+            (0, 1): polygon_vertex(n, 1),
+            (1, 0): polygon_vertex(n, n // 2 + 1),
+            (1, 1): polygon_vertex(n, n // 2 + 2),
         }
         c = 0.5 * (1.0 + math.sin(2.0 * math.pi * (n // 4) / n) * math.tan(math.pi / n))
         cond_00, cond_11 = c, c
@@ -398,10 +401,10 @@ def polygon_violation(n: int) -> ViolationCertificate:
         h = n // 2
         x_name = "E1"
         states = {
-            (0, 0): polygon_vertex(n, 1, entry.entry_id),
-            (0, 1): polygon_vertex(n, 1, entry.entry_id),
-            (1, 0): polygon_vertex(n, h + 1, entry.entry_id),
-            (1, 1): polygon_vertex(n, h + 2, entry.entry_id),
+            (0, 0): polygon_vertex(n, 1),
+            (0, 1): polygon_vertex(n, 1),
+            (1, 0): polygon_vertex(n, h + 1),
+            (1, 1): polygon_vertex(n, h + 2),
         }
         sec2 = 1.0 / math.cos(math.pi / (2.0 * n)) ** 2
         cond_00 = 0.25 * sec2 * (
@@ -442,7 +445,6 @@ def polygon_violation(n: int) -> ViolationCertificate:
         + apply_effect(z_meas.effects[1], states[(1, 1)])
     )
     return _certificate(
-        entry,
         ensemble,
         assignment,
         closed,

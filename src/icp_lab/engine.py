@@ -193,9 +193,8 @@ class CorrelatedEnsemble:
     @cached_property
     def entries(self) -> tuple[EnsembleEntry, ...]:
         """The ensemble entry by entry, built on first use."""
-        tid = self.theory.theory_id
         return tuple(
-            EnsembleEntry(float(p), State(c, tid), tuple(r))
+            EnsembleEntry(float(p), State(c), tuple(r))
             for p, c, r in zip(self.probs, self.coords, self.registers.tolist())
         )
 
@@ -387,21 +386,22 @@ def evaluate_icp(ensemble: CorrelatedEnsemble, assignment: ObservableAssignment)
 
 # golden-section line searches stop once their interval is this narrow
 _RESOLUTION = 1e-4
-# random-restart descends from the grid's best point and this many random ones
-_RESTARTS = 20
+# each strategy's descents: the first from the grid's best point, each later
+# one from a random point
+_DESCENTS = {"grid": 0, "coordinate-descent": 1, "random-restart": 21}
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Search settings. ``max_evals`` caps the points a search scores."""
 
-    strategy: str = "random-restart"  # grid | coordinate-descent | random-restart
+    strategy: str = "random-restart"  # a key of _DESCENTS
     max_evals: int = 60_000
     equal_gain_constraint: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in ("grid", "coordinate-descent", "random-restart"):
+        if self.strategy not in _DESCENTS:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         # operator.index rejects a float count or seed, and a seed of None
         if operator.index(self.max_evals) < 1:
@@ -606,17 +606,18 @@ class _SearchObjective:
 
 def _grid_candidates(n_seeds: int, n_combo: int, n_families: int, max_evals: int):
     """The grid stage's candidates in scan order: every seed choice per
-    combination, family by family, cut after ``max_evals`` (at least one).
+    combination, family by family, cut after ``max_evals``.
 
     Returns each candidate's family index and (n, n_combo) seed choice.
     """
     per_family = n_seeds**n_combo
-    n = min(n_families * per_family, max(max_evals, 1))
-    index = np.arange(n)
-    family, local = (index // per_family, index % per_family) if per_family <= n else (np.zeros_like(index), index)
+    n = min(n_families * per_family, max_evals)
+    # candidates per family, or all n when the cut comes inside the first one
+    span = min(per_family, n)
+    family, local = np.divmod(np.arange(n), span)
     # leading seed digits stay 0 when the cut comes inside the first family
     digits = 0
-    while n_seeds**digits < min(per_family, n):
+    while n_seeds**digits < span:
         digits += 1
     choice = np.zeros((n, n_combo), dtype=np.intp)
     if digits:
@@ -736,18 +737,7 @@ def maximize_extractable(
     best_point = (w_families[fam[c]], seed_coords[choice[c]])
     evaluations = len(choice)
     stopped = evaluations < len(families) * len(seeds) ** n_combo
-    if config.strategy == "grid":
-        return OptimizationResult(*objective.report(*best_point), not stopped, evaluations)
-
-    start_points = [(families[fam[c]], np.array([seeds[i] for i in choice[c]]))]
-    n_starts = 1 if config.strategy == "coordinate-descent" else 1 + _RESTARTS
     ceiling = _value_ceiling(theory, objective.alphabets)
-    if n_starts > 1 and best_val < ceiling and evaluations < config.max_evals:
-        rng = np.random.default_rng(config.seed)
-        for _ in range(n_starts - 1):
-            w = info._dirichlet_ones(rng, n_combo)
-            sparams = rng.uniform(lo, hi, size=(n_combo, sp))
-            start_points.append((w, sparams))
 
     def descend(weights: np.ndarray, state_params: np.ndarray):
         """The descent's best (value, weights, coords), and whether a budget
@@ -808,12 +798,19 @@ def maximize_extractable(
                 break
         return current, False
 
-    for weights, state_params in start_points:
+    rng = None
+    for start in range(_DESCENTS[config.strategy]):
         if best_val >= ceiling:
             break
         if evaluations >= config.max_evals:
             stopped = True
             break
+        if start == 0:
+            weights, state_params = families[fam[c]], np.array([seeds[i] for i in choice[c]])
+        else:
+            # a random start point, drawn only once its descent is to run
+            rng = rng or np.random.default_rng(config.seed)
+            weights, state_params = info._dirichlet_ones(rng, n_combo), rng.uniform(lo, hi, size=(n_combo, sp))
         (val, *point), cut = descend(weights.copy(), np.array(state_params, dtype=float))
         stopped |= cut
         # deterministic merge: strictly better wins, ties keep the earlier start

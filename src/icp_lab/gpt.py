@@ -22,7 +22,7 @@ wraparound (vertex n+k is vertex k), matching the usual polygon conventions.
 
 Every variant answers for itself what depends on its kind, so no caller tests
 which kind it holds. Each provides ``ambient_dimension``, ``affine_dimension``,
-``unit_effect(theory_id)``, ``classical_carrier`` (basis rows, or None),
+``unit`` (the unit effect), ``classical_carrier`` (basis rows, or None),
 ``check_states(coords)``, ``random_coords(rng, n)`` (drawn as n calls with
 n = 1 would draw them), the optimizer's search family (``search_params``
 parameters per state within ``search_bounds``, ``build(params)`` and the
@@ -77,7 +77,6 @@ class State:
     """Point of a theory's state space, in the theory's embedding."""
 
     coords: np.ndarray
-    theory_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _frozen_vector(self.coords))
@@ -88,7 +87,6 @@ class Effect:
     """Linear functional mapping states to outcome probabilities."""
 
     coords: np.ndarray
-    theory_id: str = ""
     label: str = ""
 
     def __post_init__(self):
@@ -139,7 +137,7 @@ class _StateSpace:
 
     @cached_property
     def ambient_dimension(self) -> int:
-        return self.unit_effect("").coords.size
+        return self.unit.coords.size
 
     def check_states(self, coords: np.ndarray) -> tuple[int, Validation]:
         """Membership test for each row of an (n, D) array of state coordinates:
@@ -242,9 +240,6 @@ class Polytope(_VertexSpace):
         verts = self.vertex_matrix
         return np.linalg.pinv(np.vstack([verts.T, np.ones(len(verts))]))
 
-    def unit_effect(self, theory_id: str) -> Effect:
-        return self.unit
-
     def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
         # dual feasibility: every extreme effect (and the unit) must stay in
         # [0, 1]. For the catalog polytopes the extreme effects cut out the
@@ -326,8 +321,9 @@ class NormConstraint(_StateSpace):
         out[np.arange(2 * self.k), np.arange(2 * self.k) // 2] = np.tile([1.0, -1.0], self.k)
         return out
 
-    def unit_effect(self, theory_id: str) -> Effect:
-        return Effect(np.eye(self.k + 1)[-1], theory_id, "u")
+    @cached_property
+    def unit(self) -> Effect:
+        return Effect(np.eye(self.k + 1)[-1], "u")
 
     def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
         tol = MEMBERSHIP_TOL
@@ -382,8 +378,9 @@ class RestrictedClassical(_VertexSpace):
     def vertex_matrix(self) -> np.ndarray:
         return _frozen_rows(np.eye(self.internal_states))
 
-    def unit_effect(self, theory_id: str) -> Effect:
-        return Effect(np.ones(self.internal_states), theory_id, "u")
+    @cached_property
+    def unit(self) -> Effect:
+        return Effect(np.ones(self.internal_states), "u")
 
     def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
         total = coords.sum(axis=1)
@@ -430,8 +427,9 @@ class Quantum(_StateSpace):
             raise NotImplementedError("state search supports quantum dimension 2 only")
         return 3
 
-    def unit_effect(self, theory_id: str) -> Effect:
-        return Effect(density_to_coords(np.eye(self.hilbert_dim)), theory_id, "u")
+    @cached_property
+    def unit(self) -> Effect:
+        return Effect(density_to_coords(np.eye(self.hilbert_dim)), "u")
 
     def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
         # 1j * inf has a NaN real part, so numpy's warning is silenced: the
@@ -469,7 +467,7 @@ class Quantum(_StateSpace):
     def dimension_report(self, theory: Theory) -> DimensionReport:
         # the basis projectors |i><i|: entry (i, j, k) of the stack is 1 where i = j = k
         coords = density_to_coords(np.eye(self.hilbert_dim)[:, :, None] * np.eye(self.hilbert_dim))
-        basis = Measurement("basis", tuple(Effect(c, theory.theory_id, f"P{i}") for i, c in enumerate(coords)))
+        basis = Measurement("basis", tuple(Effect(c, f"P{i}") for i, c in enumerate(coords)))
         return _pointer_dimension(theory, coords, [basis], "projective basis (analytic)")
 
 
@@ -506,7 +504,7 @@ def classical_carrier(theory: Theory) -> np.ndarray | None:
 
 
 def unit_effect(theory: Theory) -> Effect:
-    return theory.variant.unit_effect(theory.theory_id)
+    return theory.variant.unit
 
 
 # --- quantum embedding -------------------------------------------------------
@@ -573,18 +571,14 @@ def apply_effect(effect: Effect, state: State) -> float:
     return float(effect_values(effect.coords[None, :], state.coords[None, :])[0, 0])
 
 
-def check_states(theory: Theory, coords: np.ndarray) -> tuple[int, Validation]:
-    """The variant's ``check_states``; ``validate_state`` is its one-row case."""
-    return theory.variant.check_states(coords)
-
-
 def validate_state(theory: Theory, state: State) -> Validation:
-    """Membership test for a state in the theory's state space."""
+    """Membership test for a state in the theory's state space: the variant's
+    ``check_states`` on one row."""
     return theory.variant.check_states(state.coords[None, :])[1]
 
 
 def validate_measurement(theory: Theory, measurement: Measurement, tol: float = PROB_TOL) -> Validation:
-    u = theory.variant.unit_effect(theory.theory_id)
+    u = theory.variant.unit
     if (dim := measurement.effect_matrix.shape[1]) != u.coords.size:
         return Validation(False, f"effect dimension {dim} differs from the theory's {u.coords.size}")
     total = measurement.effect_matrix.sum(axis=0)
@@ -762,7 +756,7 @@ def _readout_graph(theory: Theory) -> tuple[tuple[Effect, ...], np.ndarray, np.n
         [
             *v.extreme_effects,
             *(
-                Effect(v.unit.coords - e.coords, theory.theory_id, f"u-{e.label or '?'}")
+                Effect(v.unit.coords - e.coords, f"u-{e.label or '?'}")
                 for e in v.extreme_effects
             ),
             v.unit,
@@ -842,7 +836,7 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
                     continue
                 effects = [candidates[j] for j in combo]
                 if np.max(np.abs(rem_vals)) > PROB_TOL or np.max(np.abs(remainder)) > PROB_TOL:
-                    effects.append(Effect(remainder, theory.theory_id, "rest"))
+                    effects.append(Effect(remainder, "rest"))
                 cert = verify_distinguishable(
                     theory,
                     [vertices[i] for i in subset],
@@ -870,12 +864,12 @@ def _pointer_dimension(
     for m in measurements:
         one, _ = _readouts(m.effect_matrix, states)
         if one.any(axis=1).all() and (best is None or len(m) > best.d):
-            cert = verify_distinguishable(theory, [State(states[i], theory.theory_id) for i in one.argmax(axis=1)], m)
+            cert = verify_distinguishable(theory, [State(states[i]) for i in one.argmax(axis=1)], m)
             if cert.verified:
                 best = DimensionReport(len(m), cert, True, label)
     if best is None:
-        trivial = Measurement("trivial", (theory.variant.unit_effect(theory.theory_id),))
-        cert = verify_distinguishable(theory, [State(states[0], theory.theory_id)], trivial)
+        trivial = Measurement("trivial", (theory.variant.unit,))
+        cert = verify_distinguishable(theory, [State(states[0])], trivial)
         best = DimensionReport(1, cert, True, "no deterministic readout found")
     return best
 

@@ -19,7 +19,7 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_state(entry: CatalogEntry, rng: np.random.Generator) -> State:
-    return State(entry.theory.variant.random_coords(rng, 1)[0], entry.theory.theory_id)
+    return State(entry.theory.variant.random_coords(rng, 1)[0])
 
 
 def random_ensemble(

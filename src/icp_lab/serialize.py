@@ -104,6 +104,15 @@ def _require(cond: bool, path: str, message: str):
         raise ValueError(f"{path}: {message}")
 
 
+def _floats(value, path: str) -> np.ndarray:
+    """A JSON number or list of numbers as a float array; an integer past the
+    float range is refused with its path."""
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{path}: integer too large for a float") from None
+
+
 def _list_of(kinds, value) -> bool:
     """A list of values of ``kinds``; JSON true and false count as no number."""
     return isinstance(value, list) and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)
@@ -117,10 +126,10 @@ def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
     from .gpt import State
 
     _require(isinstance(doc, dict), "ensemble", "expected an object")
-    theory_id = doc.get("theory")
-    _require(isinstance(theory_id, str), "ensemble.theory", "expected a theory id string")
+    name = doc.get("theory")
+    _require(isinstance(name, str), "ensemble.theory", "expected a theory id string")
     try:
-        entry = resolve(theory_id)
+        entry = resolve(name)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"ensemble.theory: {exc}") from exc
     entries_doc = doc.get("entries")
@@ -139,7 +148,7 @@ def ensemble_from_json(doc) -> tuple[CatalogEntry, CorrelatedEnsemble]:
             # no alphabet within the cap holds a larger value; checked here
             # because an alphabet left out defaults to max value + 1
             _require(0 <= r < MAX_ALPHABET, f"{path}.registers[{j}]", f"value {r} outside 0 .. {MAX_ALPHABET - 1}")
-        entries.append((float(p), State(np.array(coords, dtype=float), theory_id), tuple(regs)))
+        entries.append((float(_floats(p, f"{path}.p")), State(_floats(coords, f"{path}.state")), tuple(regs)))
     alphabets = doc.get("register_alphabets")
     if alphabets is not None:
         _require(_list_of(int, alphabets), "ensemble.register_alphabets", "expected a list of integers")

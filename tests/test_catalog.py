@@ -12,7 +12,7 @@ def test_polygon_states_and_measurements_valid(n):
     entry = catalog.polygon(n)
     th = entry.theory
     for i in range(1, n + 1):
-        assert validate_state(th, catalog.polygon_vertex(n, i, th.theory_id))
+        assert validate_state(th, catalog.polygon_vertex(n, i))
     for m in th.measurements.values():
         assert validate_measurement(th, m)
 
@@ -70,7 +70,7 @@ def test_sbit_rejects_out_of_square(sbit_entry):
         catalog.sbit_state(1.0 + 1e-6, 0.0)
     # raw coordinates outside the square fail membership directly
     outside = catalog.sbit_state(1.0, 1.0)
-    shifted = type(outside)(outside.coords * 1.5, outside.theory_id)
+    shifted = type(outside)(outside.coords * 1.5)
     assert not validate_state(sbit_entry.theory, shifted)
 
 
@@ -149,9 +149,29 @@ def test_pgnst_three_fiducials():
     assert validate_state(entry.theory, catalog.norm_state(entry, (0.5, 0.5, 0.5)))
 
 
+# each listed theory's id, then each measurement name (sorted) with its effect
+# labels; every unit is labelled "u"
+_POLYGON_PAIRS = {f"E{i}": (f"e{i}", f"u-e{i}") for i in range(1, 5)}
+_READOUTS = {"X": ("X0", "X1"), "Z": ("Z0", "Z1")}
+CATALOG_IDENTITY = {
+    "classical-bit": _READOUTS,
+    "classical-trit": {name: _POLYGON_PAIRS[name] for name in ("E1", "E2", "E3")},
+    "hbit": _READOUTS,
+    "sbit": {**_POLYGON_PAIRS, "X": ("e2", "u-e2"), "Z": ("e3", "u-e3")},
+    "qubit": _READOUTS,
+}
+
+
 def test_list_catalog_and_resolve_round_trip():
-    ids = [e.entry_id for e in catalog.list_catalog()]
-    assert len(ids) == len(set(ids))
+    entries = catalog.list_catalog()
+    ids = [e.entry_id for e in entries]
+    assert ids == list(CATALOG_IDENTITY)
+    for entry in entries:
+        th = entry.theory
+        assert entry.entry_id == th.theory_id
+        labels = {name: tuple(e.label for e in th.measurements[name].effects) for name in sorted(th.measurements)}
+        assert list(labels.items()) == list(CATALOG_IDENTITY[th.theory_id].items())
+        assert th.variant.unit.label == "u"
     for eid in ids:
         assert catalog.resolve(eid).entry_id == eid
     assert catalog.resolve("polygon:7").theory.theory_id == catalog.polygon(7).theory.theory_id

@@ -395,10 +395,13 @@ def test_eval_missing_file_is_io_error(capsys, tmp_path):
 
 def test_eval_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(capsys, "eval", "--ensemble", str(bad))
-    assert code == 2
-    assert "invalid JSON" in err
+    # a syntax error, bytes that are not UTF-8, nesting past the recursion
+    # limit and an integer past the digit limit
+    for text in (b"{not json", b"\xff\xfe{}", b"[" * 100_000, b"1" * 5_000):
+        bad.write_bytes(text)
+        code, out, err = run_cli(capsys, "eval", "--ensemble", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_eval_unnormalized_ensemble(tmp_path, capsys):
@@ -510,15 +513,21 @@ def test_eval_rejects_a_malformed_embedded_assignment(tmp_path, capsys, assignme
     [
         ("state", [True, False, True], "ensemble.entries[0].state: expected a list of numbers"),
         ("register_alphabets", [True, 2], "ensemble.register_alphabets: expected a list of integers"),
+        # integers no float holds, written as 401-digit literals, and the
+        # float literal 1e400, which reads as inf
+        ("p", 10**400, "ensemble.entries[0].p: integer too large for a float"),
+        ("state", [0.0, -(10**400), 1.0], "ensemble.entries[0].state: integer too large for a float"),
+        ("p", 1e400, "ensemble: entry 0: probability inf is negative or not finite"),
     ],
-    ids=["state", "register-alphabets"],
+    ids=["state", "register-alphabets", "p-past-float", "state-past-float", "p-float-past-range"],
 )
 def test_eval_rejects_booleans_in_an_ensemble_file(tmp_path, capsys, field, value, path):
     demo = _demo_file(tmp_path, capsys)
     doc = json.loads(demo.read_text(encoding="utf-8"))
     ensemble = doc["payload"]["ensemble"]
-    (ensemble["entries"][0] if field == "state" else ensemble)[field] = value
-    demo.write_text(json.dumps(doc), encoding="utf-8")
+    (ensemble if field == "register_alphabets" else ensemble["entries"][0])[field] = value
+    # json writes inf as Infinity; the demo file holds no other
+    demo.write_text(json.dumps(doc).replace("Infinity", "1e400"), encoding="utf-8")
     code, out, err = run_cli(capsys, "eval", "--ensemble", str(demo))
     assert (code, out) == (2, "")
     assert f"{demo}: {path}" in err

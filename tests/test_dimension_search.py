@@ -27,7 +27,7 @@ def _candidates(theory):
     return gpt._dedupe_effects(
         [
             *v.extreme_effects,
-            *(Effect(v.unit.coords - e.coords, theory.theory_id, f"u-{e.label or '?'}") for e in v.extreme_effects),
+            *(Effect(v.unit.coords - e.coords, f"u-{e.label or '?'}") for e in v.extreme_effects),
             v.unit,
         ]
     )
@@ -89,7 +89,7 @@ def _scalar_polytope_dimension(theory, budget):
                     continue
                 effects = [candidates[j] for j in combo]
                 if np.max(np.abs(rem_vals)) > PROB_TOL or np.max(np.abs(remainder)) > PROB_TOL:
-                    effects.append(Effect(remainder, theory.theory_id, "rest"))
+                    effects.append(Effect(remainder, "rest"))
                 cert = verify_distinguishable(
                     theory,
                     [vertices[i] for i in subset],
@@ -180,7 +180,7 @@ def _chunked_polytope_dimension(theory, budget):
                         continue
                     effects = [candidates[j] for j in combo]
                     if np.max(np.abs(rem_vals)) > PROB_TOL or np.max(np.abs(remainder)) > PROB_TOL:
-                        effects.append(Effect(remainder, theory.theory_id, "rest"))
+                        effects.append(Effect(remainder, "rest"))
                     cert = verify_distinguishable(
                         theory, [vertices[i] for i in subset], Measurement(f"distinguish-{m}", tuple(effects))
                     )
@@ -208,9 +208,9 @@ def _report_bytes(report):
         report.notes,
         cert.verified,
         np.float64(cert.max_deviation).tobytes(),
-        tuple((s.theory_id, s.coords.tobytes()) for s in cert.states),
+        tuple(s.coords.tobytes() for s in cert.states),
         cert.measurement.label,
-        tuple((e.theory_id, e.label, e.coords.tobytes()) for e in cert.measurement.effects),
+        tuple((e.label, e.coords.tobytes()) for e in cert.measurement.effects),
     )
 
 
@@ -410,7 +410,7 @@ def test_readable_clique_number_walks_the_levels_once(monkeypatch):
 def _pentagon(coords):
     entry = catalog.polygon(5)
     v = entry.theory.variant
-    return Polytope(tuple(State(c, entry.entry_id) for c in coords), v.extreme_effects, v.unit)
+    return Polytope(tuple(State(c) for c in coords), v.extreme_effects, v.unit)
 
 
 def test_first_coinciding_pair_in_combinations_order():
@@ -432,11 +432,11 @@ def test_polytope_rejects_non_finite_coordinates():
     with pytest.raises(ValueError, match="^vertex 2 has a non-finite coordinate$"):
         _pentagon([v.vertices[0].coords, bad, *(s.coords for s in v.vertices[2:])])
     effects = list(v.extreme_effects)
-    effects[3] = Effect(np.array([np.inf, 0.0, 0.5]), entry.entry_id, "e4")
+    effects[3] = Effect(np.array([np.inf, 0.0, 0.5]), "e4")
     with pytest.raises(ValueError, match="^effect e4 has a non-finite coordinate$"):
         Polytope(v.vertices, tuple(effects), v.unit)
     with pytest.raises(ValueError, match="^effect u has a non-finite coordinate$"):
-        Polytope(v.vertices, v.extreme_effects, Effect(np.array([0.0, np.nan, 1.0]), entry.entry_id, "u"))
+        Polytope(v.vertices, v.extreme_effects, Effect(np.array([0.0, np.nan, 1.0]), "u"))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -448,7 +448,7 @@ def test_norm_cube_fiducial_dimension_matches_the_polytope_search(k):
     theory = entry.theory
     fiducial = observed_dimension(theory)
     assert (fiducial.d, fiducial.exhaustive, fiducial.notes) == (2, True, "fiducial readouts")
-    vertices = tuple(State(np.array([*signs, 1.0]), entry.entry_id) for signs in itertools.product((1.0, -1.0), repeat=k))
+    vertices = tuple(State(np.array([*signs, 1.0])) for signs in itertools.product((1.0, -1.0), repeat=k))
     effects = tuple(e for m in theory.measurements.values() for e in m.effects)
     body = gpt.Theory(entry.entry_id, Polytope(vertices, effects, gpt.unit_effect(theory)), theory.measurements)
     searched = observed_dimension(body)
@@ -488,9 +488,9 @@ def _scalar_pointer_dimension(theory, states, label):
 
 def _scalar_observed_dimension(theory):
     """The pointer readouts of restricted, norm and quantum theories, state by state."""
-    v, tid = theory.variant, theory.theory_id
+    v = theory.variant
     if isinstance(v, gpt.RestrictedClassical):
-        basis = [State(np.eye(v.internal_states)[i], tid) for i in range(v.internal_states)]
+        basis = [State(np.eye(v.internal_states)[i]) for i in range(v.internal_states)]
         return _scalar_pointer_dimension(theory, basis, "restricted measurement catalog")
     if isinstance(v, gpt.NormConstraint):
         corners = []
@@ -499,11 +499,11 @@ def _scalar_observed_dimension(theory):
                 coords = np.zeros(v.k + 1)
                 coords[axis] = sign
                 coords[-1] = 1.0
-                corners.append(State(coords, tid))
+                corners.append(State(coords))
         return _scalar_pointer_dimension(theory, corners, "fiducial readouts")
     projectors = [gpt.density_to_coords(np.outer(b, b.conj())) for b in np.eye(v.hilbert_dim)]
-    states = tuple(State(c, tid) for c in projectors)
-    effects = tuple(Effect(c, tid, f"P{i}") for i, c in enumerate(projectors))
+    states = tuple(State(c) for c in projectors)
+    effects = tuple(Effect(c, f"P{i}") for i, c in enumerate(projectors))
     cert = _scalar_certificate(theory, states, Measurement("basis", effects))
     return DimensionReport(v.hilbert_dim, cert, True, "projective basis (analytic)")
 
@@ -512,9 +512,9 @@ def _restricted_edge(name):
     half = np.full(3, 0.5)
     measurements = {
         # no outcome reads 1 on any internal state
-        "no-readout": {"H": Measurement("H", (Effect(half, name, "h0"), Effect(half, name, "h1")))},
+        "no-readout": {"H": Measurement("H", (Effect(half, "h0"), Effect(half, "h1")))},
         # the unit alone fires everywhere: d = 1 under the search's own label
-        "one-outcome": {"U": Measurement("U", (Effect(np.ones(3), name, "u"),))},
+        "one-outcome": {"U": Measurement("U", (Effect(np.ones(3), "u"),))},
         "no-measurement": {},
     }[name]
     return gpt.Theory(name, gpt.RestrictedClassical(3), measurements)

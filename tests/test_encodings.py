@@ -39,18 +39,18 @@ def _random_block_map(rng: np.random.Generator, scale: float) -> np.ndarray:
 def _affine_image(theory: Theory, a: np.ndarray) -> Theory:
     """``theory`` with every state coordinate vector s mapped to a s and every
     effect e, the unit included, to a^-T e, under the same id and names."""
-    tid, space, dual = theory.theory_id, theory.variant, np.linalg.inv(a).T
+    space, dual = theory.variant, np.linalg.inv(a).T
 
     def effect(e: Effect) -> Effect:
-        return Effect(dual @ e.coords, tid, e.label)
+        return Effect(dual @ e.coords, e.label)
 
     image = Polytope(
-        tuple(State(a @ s.coords, tid) for s in space.vertices),
+        tuple(State(a @ s.coords) for s in space.vertices),
         tuple(map(effect, space.extreme_effects)),
         effect(space.unit),
     )
     measurements = {name: Measurement(m.label, tuple(map(effect, m.effects))) for name, m in theory.measurements.items()}
-    return Theory(tid, image, measurements)
+    return Theory(theory.theory_id, image, measurements)
 
 
 @pytest.mark.parametrize("n", range(3, 31))

@@ -60,7 +60,7 @@ def test_build_ensemble_rejects_bad_probabilities(sbit_entry):
 
 def test_build_ensemble_rejects_invalid_state(sbit_entry):
     corner = catalog.sbit_state(1.0, 1.0)
-    bad = type(corner)(corner.coords * 2.0, corner.theory_id)
+    bad = type(corner)(corner.coords * 2.0)
     with pytest.raises(ValueError):
         build_ensemble(sbit_entry.theory, [(1.0, bad, (0,))])
 
@@ -315,6 +315,21 @@ def test_grid_scores_match_the_per_ensemble_objective(case):
         for f, c in zip(fam, choice)
     ]
     assert np.max(np.abs(scores - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_seeds,n_combo,n_families", [(1, 3, 2), (2, 3, 3), (3, 2, 6), (4, 1, 2)])
+def test_grid_candidates_are_the_nested_loops_cut_at_max_evals(n_seeds, n_combo, n_families):
+    scan_order = [(f, c) for f in range(n_families) for c in itertools.product(range(n_seeds), repeat=n_combo)]
+    for max_evals in range(1, len(scan_order) + 2):
+        fam, choice = engine._grid_candidates(n_seeds, n_combo, n_families, max_evals)
+        assert [(f, tuple(c)) for f, c in zip(fam.tolist(), choice.tolist())] == scan_order[:max_evals]
+
+
+def test_grid_candidates_cut_inside_a_family_of_more_than_int64_choices():
+    # 3**40 seed choices per family: a cut after 10 needs the last 3 digits only
+    fam, choice = engine._grid_candidates(3, 40, 2, 10)
+    assert fam.tolist() == [0] * 10
+    assert [tuple(c) for c in choice.tolist()] == list(itertools.islice(itertools.product(range(3), repeat=40), 10))
 
 
 @pytest.mark.parametrize("strategy", ["grid", "coordinate-descent"])
@@ -848,6 +863,39 @@ def test_a_search_whose_grid_spends_the_budget_draws_no_restart_point(monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "make,labels,max_evals,equal_gain,pinned,descents",
+    [
+        # the first descent reaches the ceiling log2 |S| = log2 3
+        (catalog.classical_trit, ("E1", "E2"), 20_000, False, ("1.5849625007211563", 2719, True), 1),
+        # the second descent spends the budget
+        (lambda: catalog.polygon(5), ("E1", "E2"), 4400, True, ("0.7859201380998277", 4400, False), 2),
+    ],
+    ids=["classical-trit-no-penalty", "polygon:5"],
+)
+def test_a_search_draws_one_restart_point_per_restart_it_runs(
+    monkeypatch, make, labels, max_evals, equal_gain, pinned, descents
+):
+    """A random-restart search draws a start point only when its descent
+    is to run, so it stops drawing when it stops descending."""
+    draws, starts = [], []
+    draw = info._dirichlet_ones
+    monkeypatch.setattr(info, "_dirichlet_ones", lambda *args: draws.append(args) or draw(*args))
+    value = engine._SearchObjective.value
+
+    def counted(self, w, coords, values=None, redundancy=None, memo=None):
+        # a descent scores its start point alone; the grid scan and the line
+        # searches pass their memo
+        if memo is None:
+            starts.append(w)
+        return value(self, w, coords, values, redundancy, memo)
+
+    monkeypatch.setattr(engine._SearchObjective, "value", counted)
+    result = maximize_extractable(*_case(make, labels, "random-restart", max_evals, equal_gain))
+    assert (repr(result.report.extractable), result.evaluations, result.converged) == pinned
+    assert (len(starts), len(draws)) == (descents, descents - 1)
+
+
 def test_a_state_line_point_makes_one_effect_values_call(monkeypatch):
     theory, assignment, config = _case(catalog.classical_trit, ("E1", "E2", "E3"), "grid", 1)
     family = theory.variant
@@ -869,7 +917,7 @@ def test_the_search_refuses_a_qudit():
     tid = "qutrit"
     fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
     measurements = {
-        name: Measurement(name, tuple(gpt.Effect(gpt.density_to_coords(np.outer(b, b.conj())), tid, f"{name}{i}")
+        name: Measurement(name, tuple(gpt.Effect(gpt.density_to_coords(np.outer(b, b.conj())), f"{name}{i}")
                                       for i, b in enumerate(basis.T)))
         for name, basis in (("Z", np.eye(3)), ("X", fourier))
     }

@@ -28,7 +28,7 @@ from icp_lab import (
     sampling,
     validate_state,
 )
-from icp_lab.gpt import check_states, density_to_coords
+from icp_lab.gpt import density_to_coords
 
 
 def _assignment(entry, labels):
@@ -164,7 +164,7 @@ def test_evaluate_icp_rejects_effects_that_miss_the_unit(make):
     entry = make()
     th = entry.theory
     x = th.measurement("X")
-    halved = Measurement("X/2", tuple(Effect(e.coords * 0.5, th.theory_id, e.label) for e in x.effects))
+    halved = Measurement("X/2", tuple(Effect(e.coords * 0.5, e.label) for e in x.effects))
     ens = sampling.random_ensemble(entry, np.random.default_rng(5))
     with pytest.raises(ValueError):
         evaluate_icp(ens, ObservableAssignment(((halved, 0), (th.measurement("Z"), 1))))
@@ -188,10 +188,10 @@ def test_build_ensemble_reports_the_invalid_state(make, outside):
     th = entry.theory
     rng = np.random.default_rng(3)
     states = [sampling.random_state(entry, rng) for _ in range(4)]
-    states[2] = State(outside(), th.theory_id)
+    states[2] = State(outside())
     ok = validate_state(th, states[2])
     assert not ok
-    index, batch_ok = check_states(th, np.array([s.coords for s in states]))
+    index, batch_ok = th.variant.check_states(np.array([s.coords for s in states]))
     assert index == 2 and batch_ok == ok
     with pytest.raises(ValueError) as err:
         build_ensemble(th, [(0.25, s, (i % 2, i // 2)) for i, s in enumerate(states)], (2, 2))
@@ -221,7 +221,7 @@ def test_an_ensemble_built_from_arrays_checks_itself(make, outside):
     probs = np.full(4, 0.25)
     CorrelatedEnsemble(th, probs, coords.copy(), registers.copy(), (2, 2))
     coords[2] = outside()
-    ok = check_states(th, coords)[1]
+    ok = th.variant.check_states(coords)[1]
     with pytest.raises(ValueError) as err:
         CorrelatedEnsemble(th, probs, coords, registers.copy(), (2, 2))
     assert str(err.value) == f"invalid state in ensemble: {ok.detail}"
@@ -347,7 +347,7 @@ def test_float_noise_probabilities_are_held_as_zero_and_the_sum_sees_them():
     # rejects, where the clipped sum 1 - 1.5e-12 would pass
     with pytest.raises(ValueError, match="^entry probabilities sum to"):
         CorrelatedEnsemble(th, np.array([1.0 - 1.5e-12, -1e-12]), coords, registers, (2,))
-    s = State(coords[0], th.theory_id)
+    s = State(coords[0])
     with pytest.raises(ValueError, match="^entry probabilities sum to"):
         build_ensemble(th, [(1.0 - 1.5e-12, s, (0,)), (-1e-12, s, (1,))])
 
@@ -403,7 +403,7 @@ def test_ledger_extractable_matches_evaluate_icp(make, labels):
 def test_build_ensemble_rejects_ragged_states_and_alphabet_count(sbit_entry):
     th = sbit_entry.theory
     s = catalog.sbit_state(0.0, 0.0)
-    short = State(s.coords[:2], th.theory_id)
+    short = State(s.coords[:2])
     with pytest.raises(ValueError, match="differ in dimension"):
         build_ensemble(th, [(0.5, s, (0,)), (0.5, short, (1,))], (2,))
     with pytest.raises(ValueError, match="alphabets for 1 registers"):

@@ -25,7 +25,7 @@ from icp_lab import (
     validate_state,
     verify_distinguishable,
 )
-from icp_lab.gpt import NormConstraint, check_states, effect_values
+from icp_lab.gpt import NormConstraint, effect_values
 
 
 def test_apply_effect_snaps_boundary(sbit_entry):
@@ -38,7 +38,7 @@ def test_apply_effect_snaps_boundary(sbit_entry):
 
 def test_apply_effect_rejects_out_of_range_value(qubit_entry):
     # trace-10 "density": the Z0 readout would report probability 10
-    bad = State(np.array([10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), "qubit")
+    bad = State(np.array([10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
     e = qubit_entry.theory.measurement("Z").effects[0]
     with pytest.raises(ValueError):
         apply_effect(e, bad)
@@ -81,7 +81,7 @@ def test_validate_state_polytope(sbit_entry):
     th = sbit_entry.theory
     assert validate_state(th, catalog.sbit_state(0.3, -0.8))
     corner = catalog.sbit_state(1.0, 0.0)
-    outside = State(corner.coords * np.array([1.5, 1.5, 1.0]), corner.theory_id)
+    outside = State(corner.coords * np.array([1.5, 1.5, 1.0]))
     assert not validate_state(th, outside)
 
 
@@ -93,14 +93,14 @@ def test_validate_state_quantum(qubit_entry):
     with pytest.raises(ValueError):
         catalog.qubit_state_from_bloch(0.9, 0.0, 0.9)
     # hermitian, unit trace, but with a negative eigenvalue
-    not_psd = State(density_to_coords(np.array([[0.9, 0.6], [0.6, 0.1]])), "qubit")
+    not_psd = State(density_to_coords(np.array([[0.9, 0.6], [0.6, 0.1]])))
     assert not validate_state(th, not_psd)
 
 
 def test_validate_state_restricted_classical(hbit_entry):
     th = hbit_entry.theory
     assert validate_state(th, catalog.hbit_state(1, 0))
-    assert not validate_state(th, State(np.array([0.5, 0.7, -0.2, 0.0]), th.theory_id))
+    assert not validate_state(th, State(np.array([0.5, 0.7, -0.2, 0.0])))
 
 
 @pytest.mark.parametrize(
@@ -113,12 +113,12 @@ def test_check_states_rejects_non_finite_coordinates(make):
     th = entry.theory
     good = sampling.random_state(entry, np.random.default_rng(5)).coords
     nan = np.full_like(good, np.nan)
-    ok = validate_state(th, State(nan, th.theory_id))
+    ok = validate_state(th, State(nan))
     assert not ok and ok.detail == "state coordinate is not finite"
     # a row is tested for finite coordinates before anything else
     inf = good.copy()
     inf[0] = np.inf
-    assert check_states(th, np.array([good, inf, nan])) == (1, ok)
+    assert th.variant.check_states(np.array([good, inf, nan])) == (1, ok)
 
 
 def test_validate_measurement_completeness(qubit_entry):
@@ -179,7 +179,7 @@ def test_verify_distinguishable_rejects_invalid_state(qubit_entry):
     from icp_lab.gpt import density_to_coords
 
     th = qubit_entry.theory
-    bad = State(density_to_coords(np.array([[0.9, 0.6], [0.6, 0.1]])), "qubit")
+    bad = State(density_to_coords(np.array([[0.9, 0.6], [0.6, 0.1]])))
     with pytest.raises(ValueError):
         verify_distinguishable(th, [bad], th.measurement("Z"))
 
@@ -241,10 +241,10 @@ def test_a_restricted_theory_reads_its_own_named_measurements():
     # the hbit's simplex with a fine 4-outcome readout B added: B is allowed,
     # and it tells the four internal states apart
     hbit = catalog.hbit().theory
-    basis = Measurement("B", tuple(Effect(row, "hbit", f"B{i}") for i, row in enumerate(np.eye(4))))
+    basis = Measurement("B", tuple(Effect(row, f"B{i}") for i, row in enumerate(np.eye(4))))
     fine = Theory("hbit", hbit.variant, {**hbit.measurements, "B": basis})
     assert observed_dimension(fine).d == 4
-    state = State(np.array([0.1, 0.2, 0.3, 0.4]), "hbit")
+    state = State(np.array([0.1, 0.2, 0.3, 0.4]))
     assert measure(fine, basis, state).tolist() == [0.1, 0.2, 0.3, 0.4]
     # the catalog's hbit keeps only its two coarse readouts
     assert observed_dimension(hbit).d == 2
@@ -257,20 +257,20 @@ def test_a_restricted_theory_reads_only_the_effect_rows_of_its_named_measurement
     # a label names a measurement but does not make one: the four fine basis
     # effects under the hbit's label "X" would read its hidden internal state
     hbit = catalog.hbit().theory
-    state = State(np.array([0.1, 0.2, 0.3, 0.4]), "hbit")
-    fine = Measurement("X", tuple(Effect(row, "hbit", f"X{i}") for i, row in enumerate(np.eye(4))))
+    state = State(np.array([0.1, 0.2, 0.3, 0.4]))
+    fine = Measurement("X", tuple(Effect(row, f"X{i}") for i, row in enumerate(np.eye(4))))
     with pytest.raises(ValueError, match="'X' is not available in 'hbit'"):
         measure(hbit, fine, state)
     x = hbit.measurement("X")
     assert measure(hbit, x, state).tolist() == pytest.approx([0.3, 0.7], abs=1e-12)
-    relabelled = Measurement("parity", tuple(Effect(e.coords, "hbit", f"p{i}") for i, e in enumerate(x.effects)))
+    relabelled = Measurement("parity", tuple(Effect(e.coords, f"p{i}") for i, e in enumerate(x.effects)))
     assert measure(hbit, relabelled, state).tolist() == measure(hbit, x, state).tolist()
 
 
 def test_a_measurement_with_a_nan_effect_is_neither_valid_nor_a_certificate():
     # every comparison with NaN is false, so a test written "dev > tol" passed it
     th = catalog.classical_bit().theory
-    bad = Measurement("bad", (Effect([1.0, np.nan], "classical-bit"), Effect([0.0, 1.0], "classical-bit")))
+    bad = Measurement("bad", (Effect([1.0, np.nan]), Effect([0.0, 1.0])))
     ok = validate_measurement(th, bad)
     assert not ok and ok.detail == "effects sum deviates from unit by nan"
     with pytest.raises(ValueError, match="deviates from unit by nan"):
@@ -347,13 +347,13 @@ def test_variant_sizes_go_through_operator_index(make, size):
 def test_polytope_refuses_a_row_of_another_coordinate_count():
     v = catalog.polygon(5).theory.variant
     vertices = list(v.vertices)
-    vertices[2] = State(vertices[2].coords[:2], "polygon:5")
+    vertices[2] = State(vertices[2].coords[:2])
     with pytest.raises(ValueError, match="^vertex 3 has 2 coordinates, not the unit's 3$"):
         gpt.Polytope(tuple(vertices), v.extreme_effects, v.unit)
     effects = list(v.extreme_effects)
-    effects[1] = Effect(effects[1].coords[:2], "polygon:5", "e2")
+    effects[1] = Effect(effects[1].coords[:2], "e2")
     with pytest.raises(ValueError, match="^effect e2 has 2 coordinates, not the unit's 3$"):
         gpt.Polytope(v.vertices, tuple(effects), v.unit)
     # the unit fixes the count: vertices and effects in R^3 with a unit in R^2
     with pytest.raises(ValueError, match="^vertex 1 has 3 coordinates, not the unit's 2$"):
-        gpt.Polytope(v.vertices, v.extreme_effects, Effect(np.array([0.0, 1.0]), "polygon:5", "u"))
+        gpt.Polytope(v.vertices, v.extreme_effects, Effect(np.array([0.0, 1.0]), "u"))

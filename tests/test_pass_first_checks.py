@@ -1,6 +1,6 @@
 """The pass-first checks against the scan-every-row forms they replaced.
 
-``gpt.check_states``, ``engine._check_registers`` and ``gpt.effect_values``
+Each variant's ``check_states``, ``engine._check_registers`` and ``gpt.effect_values``
 test a whole stack with one minimum or maximum per bound and build per-row
 masks only when that test fails. The oracles below are the forms that built
 every mask on every call. On finite input the fast paths must give their
@@ -34,7 +34,6 @@ from icp_lab.gpt import (
     RestrictedClassical,
     Validation,
     ambient_dimension,
-    check_states,
     coords_to_density,
     density_to_coords,
     effect_values,
@@ -252,7 +251,7 @@ def test_check_states_equals_the_scan_every_row_oracle(name):
     @given(case=stacks(name))
     def check(case):
         entry, coords = case
-        assert check_states(entry.theory, coords) == old_check_states(entry.theory, coords)
+        assert entry.theory.variant.check_states(coords) == old_check_states(entry.theory, coords)
         for i in range(len(coords)):
             assert gpt.validate_state(entry.theory, gpt.State(coords[i])) == old_check_states(
                 entry.theory, coords[i : i + 1]
@@ -286,7 +285,7 @@ def test_effect_values_equals_the_two_pass_oracle(name):
 @given(case=stacks("qubit"))
 def test_density_check_gives_one_verdict_through_every_caller(case):
     entry, coords = case
-    index, verdict = check_states(entry.theory, coords)
+    index, verdict = entry.theory.variant.check_states(coords)
     with np.errstate(invalid="ignore"):  # 1j * inf in the matrices of infinite rows
         m = coords_to_density(coords, entry.theory.variant.hilbert_dim)
     assert info._density_check(m)[:2] == (index, verdict)
@@ -343,11 +342,11 @@ def test_snaps_are_skipped_only_where_no_value_meets_them():
 # --- every public check rejects NaN -------------------------------------------------
 
 BIT = ENTRIES["classical-bit"].theory
-NAN_STATE = State(np.array([np.nan, 1.0]), BIT.theory_id)
+NAN_STATE = State(np.array([np.nan, 1.0]))
 NAN_INPUTS = {
     "effect_values": lambda: effect_values(BIT.measurement("X").effect_matrix, np.array([[0.5, 0.5], [np.nan, 1.0]])),
     "apply_effect": lambda: apply_effect(BIT.measurement("X").effects[0], NAN_STATE),
-    "check_states": lambda: check_states(BIT, np.array([[0.5, 0.5], [np.nan, 1.0]]))[1],
+    "check_states": lambda: BIT.variant.check_states(np.array([[0.5, 0.5], [np.nan, 1.0]]))[1],
     "validate_state": lambda: gpt.validate_state(BIT, NAN_STATE),
     "_as_prob_array": lambda: info._as_prob_array([np.nan, 0.5, 0.5]),
     "JointTable": lambda: info.JointTable(("A",), np.array([np.nan, 1.0])),
