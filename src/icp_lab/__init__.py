@@ -39,7 +39,7 @@ _EXPORTS = {
         "sbit", "sbit_state",
     ),
     "engine": (
-        "CorrelatedEnsemble", "EnsembleEntry", "ICPReport", "ObservableAssignment",
+        "CorrelatedEnsemble", "ICPReport", "ObservableAssignment",
         "OptimizationResult", "OptimizerConfig", "REPORT_CSV_FIELDS", "SweepPoint",
         "build_ensemble", "evaluate_icp", "joint_outcome_table", "maximize_extractable",
         "qubit_rotation_sweep", "register_marginal", "register_name",

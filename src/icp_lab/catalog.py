@@ -241,6 +241,9 @@ def pgnst(p: float, k: int = 2) -> CatalogEntry:
     quantum uncertainty tradeoff allows; p = inf, k = 2 is the square model
     in fiducial coordinates (a gbit for k = 3).
     """
+    # the variant refuses an unsupported k before any effect is sized from it
+    variant = NormConstraint(float(p), k)
+    k = variant.k
     names = ("X", "Z") if k == 2 else _PGNST_AXES[:k]
     measurements = {}
     for axis, name in enumerate(names):
@@ -254,7 +257,7 @@ def pgnst(p: float, k: int = 2) -> CatalogEntry:
             name,
             (Effect(plus, f"{name}0"), Effect(minus, f"{name}1")),
         )
-    theory = Theory(pgnst_id(p, k), NormConstraint(float(p), k), measurements)
+    theory = Theory(pgnst_id(p, k), variant, measurements)
     return _checked(
         CatalogEntry(
             theory,

@@ -80,8 +80,8 @@ def _uniform_four(entry: CatalogEntry, states) -> CorrelatedEnsemble:
     )
 
 
-def _conditional(table_probs: np.ndarray, outcome: int, value: int) -> float:
-    col = table_probs[:, value]
+def _conditional(table: np.ndarray, outcome: int, value: int) -> float:
+    col = table[:, value]
     return float(col[outcome] / col.sum())
 
 
@@ -156,7 +156,7 @@ def qubit_rac_construction() -> ViolationCertificate:
         "extractable": 2.0 * gain,
     }
     x_table = joint_outcome_table(ensemble, entry.measurement("X"), 0)
-    success_diff = abs(success - _conditional(x_table.probs, 0, 0))
+    success_diff = abs(success - _conditional(x_table, 0, 0))
     return _certificate(ensemble, _two_register_assignment(entry), closed, success_diff)
 
 
@@ -450,8 +450,8 @@ def polygon_violation(n: int) -> ViolationCertificate:
         closed,
         abs(closed["p(Z=0|B=0)"] - direct_00),
         abs(closed["p(Z=1|B=1)"] - direct_11),
-        abs(closed["p(Z=0|B=0)"] - _conditional(z_table.probs, 0, 0)),
-        abs(closed["p(Z=1|B=1)"] - _conditional(z_table.probs, 1, 1)),
+        abs(closed["p(Z=0|B=0)"] - _conditional(z_table, 0, 0)),
+        abs(closed["p(Z=1|B=1)"] - _conditional(z_table, 1, 1)),
     )
 
 

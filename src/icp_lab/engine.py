@@ -32,19 +32,6 @@ def register_name(index: int) -> str:
     return chr(ord("A") + index)
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleEntry:
-    """One (probability, state, register values) entry of an ensemble; the
-    ensemble checks the probability."""
-
-    probability: float
-    state: State
-    registers: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "registers", tuple(map(_register_value, self.registers)))
-
-
 def _register_value(r, what: str = "register value") -> int:
     """``r`` as an int if it is an integer, a numpy one included; else (bools
     too, as in the ensemble's dtype rule) ValueError naming it as ``what``."""
@@ -190,14 +177,6 @@ class CorrelatedEnsemble:
         for arr in (self.probs, self.coords, self.registers):
             arr.setflags(write=False)
 
-    @cached_property
-    def entries(self) -> tuple[EnsembleEntry, ...]:
-        """The ensemble entry by entry, built on first use."""
-        return tuple(
-            EnsembleEntry(float(p), State(c), tuple(r))
-            for p, c, r in zip(self.probs, self.coords, self.registers.tolist())
-        )
-
     @property
     def n_registers(self) -> int:
         return len(self.register_alphabets)
@@ -212,14 +191,14 @@ class CorrelatedEnsemble:
 
 def build_ensemble(
     theory: Theory,
-    entries: Iterable[tuple[float, State, Sequence[int]]] | Iterable[EnsembleEntry],
+    entries: Iterable[tuple[float, State, Sequence[int]]],
     register_alphabets: Sequence[int] | None = None,
 ) -> CorrelatedEnsemble:
-    """Stack ``(p, state, registers)`` tuples or EnsembleEntry objects into
-    an ensemble's three arrays; alphabets default to max value + 1. Only what
-    the list needs to become arrays is checked here (at least one entry, one
-    register count, one state dimension): the ensemble checks the rest."""
-    rows = [(e.probability, e.state, e.registers) if isinstance(e, EnsembleEntry) else e for e in entries]
+    """Stack ``(p, state, registers)`` tuples into an ensemble's three
+    arrays; alphabets default to max value + 1. Only what the list needs to
+    become arrays is checked here (at least one entry, one register count,
+    integer register values, one state dimension): the ensemble checks the rest."""
+    rows = list(entries)
     if not rows:
         raise ValueError("ensemble needs at least one entry")
     registers = [list(map(_register_value, regs)) for _, _, regs in rows]
@@ -276,10 +255,9 @@ def _one_hot_rows(alphabet: int) -> np.ndarray:
     return eye
 
 
-def joint_outcome_table(
-    ensemble: CorrelatedEnsemble, measurement: Measurement, register: int
-) -> info.JointTable:
-    """Joint distribution p(x, a) of outcome x against register value a.
+def joint_outcome_table(ensemble: CorrelatedEnsemble, measurement: Measurement, register: int) -> np.ndarray:
+    """Joint distribution p(x, a) of outcome x against register value a, as
+    an (outcomes, alphabet) array.
 
     One product: the weighted outcome probabilities (outcomes x entries)
     times the entries' one-hot register values (entries x alphabet). The
@@ -291,22 +269,17 @@ def joint_outcome_table(
     _require_registers((register,), ensemble.n_registers)
     values = effect_values(measurement.effect_matrix, ensemble.coords)
     one_hot = _one_hot_rows(ensemble.register_alphabets[register])[ensemble.registers[:, register]]
-    table = (values * ensemble.probs) @ one_hot
-    out_name = measurement.label or "X"
-    reg_name = register_name(register)
-    if out_name == reg_name:
-        out_name = f"out({out_name})"
-    return info.JointTable((out_name, reg_name), table)
+    return info._as_prob_array((values * ensemble.probs) @ one_hot)
 
 
-def register_marginal(
-    ensemble: CorrelatedEnsemble, registers: Sequence[int] | None = None
-) -> info.JointTable:
-    """Joint distribution of the given registers (all by default)."""
+def register_marginal(ensemble: CorrelatedEnsemble, registers: Sequence[int] | None = None) -> np.ndarray:
+    """Joint distribution of the given registers (all by default), one axis
+    per register in the order given, checked as a distribution and read-only."""
     regs = tuple(registers) if registers is not None else tuple(range(ensemble.n_registers))
     index, shape = ensemble.register_index(regs)
-    table = np.bincount(index, weights=ensemble.probs, minlength=math.prod(shape))
-    return info.JointTable(tuple(register_name(r) for r in regs), table.reshape(shape))
+    table = info._as_prob_array(np.bincount(index, weights=ensemble.probs, minlength=math.prod(shape)).reshape(shape))
+    table.setflags(write=False)
+    return table
 
 
 # the CSV columns of a report: every key of ICPReport.to_json except register_marginal
@@ -361,10 +334,9 @@ def evaluate_icp(ensemble: CorrelatedEnsemble, assignment: ObservableAssignment)
     """
     gains = []
     for measurement, reg in assignment.pairs:
-        table = joint_outcome_table(ensemble, measurement, reg)
-        gains.append(max(info._total_correlation(table.probs), 0.0))
+        gains.append(max(info._total_correlation(joint_outcome_table(ensemble, measurement, reg)), 0.0))
     marginal = register_marginal(ensemble, assignment.registers)
-    redundancy = max(info._total_correlation(marginal.probs), 0.0)
+    redundancy = max(info._total_correlation(marginal), 0.0)
     extractable = sum(gains) - redundancy
     dim_report = observed_dimension(ensemble.theory)
     bound = math.log2(dim_report.d)
@@ -378,7 +350,7 @@ def evaluate_icp(ensemble: CorrelatedEnsemble, assignment: ObservableAssignment)
         bound=bound,
         margin=margin,
         violated=margin < -VIOLATION_TOL and dim_report.exhaustive,
-        register_marginal=marginal.probs,
+        register_marginal=marginal,
     )
 
 

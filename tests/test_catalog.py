@@ -198,3 +198,8 @@ def test_pgnst_rejects_bad_parameters():
         catalog.pgnst(1.5, 2)
     with pytest.raises(ValueError):
         catalog.pgnst(3.0, 1)
+    # the state space refuses k before any k + 1-coordinate effect is sized from it
+    with pytest.raises(ValueError, match=f"^unsupported fiducial count {10**20}$"):
+        catalog.pgnst(3.0, 10**20)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        catalog.pgnst(3.0, 2.0)

@@ -253,6 +253,18 @@ def test_a_polygon_past_the_cap_exits_2_before_it_is_built(tmp_path, capsys):
         assert f"polygon needs 3 <= n <= {MAX_POLYGON}, got " in err
 
 
+def test_a_pgnst_fiducial_count_outside_its_set_exits_2_before_any_effect_is_built(tmp_path, capsys):
+    # a bare ensemble file: the theory comes from --theory
+    doc = {"entries": [{"p": 1.0, "state": [0.0, 0.0, 1.0], "registers": [0, 0]}]}
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    theory = f"pgnst:3:{10**20}"
+    with _bounded_address_space():
+        code, out, err = run_cli(capsys, "eval", "--ensemble", str(path), "--theory", theory, "--measurements", "X,Z")
+    assert (code, out) == (2, "")
+    assert f"unsupported fiducial count {10**20}" in err
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -418,7 +418,7 @@ def test_violation_certificate_serialization():
 
 def _conditional(ensemble, measurement, register, outcome, value):
     """p(outcome | register value) from the outcome table."""
-    table = joint_outcome_table(ensemble, measurement, register).probs
+    table = joint_outcome_table(ensemble, measurement, register)
     return float(table[outcome, value] / table[:, value].sum())
 
 
@@ -435,7 +435,7 @@ def _recomputed_differences(ensemble, assignment, report, closed):
     if "per_cell_success" in closed:
         diffs.append(abs(closed["per_cell_success"] - _conditional(ensemble, x_meas, x_reg, 0, 0)))
     if "p(Z=0|B=0)" in closed:
-        states = {e.registers: e.state for e in ensemble.entries}
+        states = {tuple(r): gpt.State(c) for r, c in zip(ensemble.registers.tolist(), ensemble.coords)}
         for z in (0, 1):
             key = f"p(Z={z}|B={z})"
             effect = z_meas.effects[z]

@@ -74,14 +74,14 @@ def test_build_ensemble_rejects_register_outside_alphabet(sbit_entry):
 def test_joint_outcome_table_normalized(sbit_violation_ensemble):
     entry, ens = sbit_violation_ensemble
     t = joint_outcome_table(ens, entry.theory.measurement("X"), 0)
-    assert t.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert t.probs.shape == (2, 2)
+    assert t.sum() == pytest.approx(1.0, abs=1e-12)
+    assert t.shape == (2, 2)
 
 
 def test_register_marginal_matches_hand_sum(sbit_violation_ensemble):
     _, ens = sbit_violation_ensemble
     marg = register_marginal(ens, (0, 1))
-    assert np.allclose(marg.probs, np.full((2, 2), 0.25))
+    assert np.allclose(marg, np.full((2, 2), 0.25))
 
 
 def test_evaluate_icp_sbit_corners(sbit_violation_ensemble):
@@ -92,6 +92,8 @@ def test_evaluate_icp_sbit_corners(sbit_violation_ensemble):
     assert report.bound == pytest.approx(1.0, abs=1e-15)
     assert report.violated
     assert report.margin == pytest.approx(-1.0, abs=1e-12)
+    # the report's marginal is the read-only table register_marginal returns
+    assert not report.register_marginal.flags.writeable
 
 
 def test_evaluate_icp_certifies_no_violation_on_a_partial_dimension_search(
@@ -116,7 +118,7 @@ def test_evaluate_icp_register_relabeling_invariance(sbit_violation_ensemble):
     # flip both register symbols: mutual informations cannot change
     flipped = build_ensemble(
         entry.theory,
-        [(e.probability, e.state, (1 - e.registers[0], 1 - e.registers[1])) for e in ens.entries],
+        [(p, gpt.State(c), (1 - r[0], 1 - r[1])) for p, c, r in zip(ens.probs, ens.coords, ens.registers.tolist())],
         (2, 2),
     )
     again = evaluate_icp(flipped, assignment)
@@ -133,7 +135,7 @@ def test_evaluate_icp_redundancy_only_sees_register_marginal(rng):
     fixed = catalog.qubit_state_from_bloch(0.0, 0.0, 0.0)
     same_regs = build_ensemble(
         entry.theory,
-        [(e.probability, fixed, e.registers) for e in ens.entries],
+        [(p, fixed, r) for p, r in zip(ens.probs, ens.registers.tolist())],
         ens.register_alphabets,
     )
     degenerate = evaluate_icp(same_regs, assignment)
@@ -1055,6 +1057,6 @@ def test_qubit_rotation_sweep_rejects_out_of_range():
 def test_random_ensemble_is_valid(rng):
     for entry in (catalog.sbit(), catalog.qubit(), catalog.pgnst(3.0, 2)):
         ens = sampling.random_ensemble(entry, rng)
-        assert len(ens.entries) == 4
-        total = sum(e.probability for e in ens.entries)
+        assert len(ens.probs) == len(ens.coords) == len(ens.registers) == 4
+        total = sum(ens.probs.tolist())
         assert total == pytest.approx(1.0, abs=1e-9)

@@ -8,7 +8,7 @@ import pytest
 from icp_lab import (
     CorrelatedEnsemble,
     Effect,
-    EnsembleEntry,
+    JointTable,
     Measurement,
     ObservableAssignment,
     OptimizerConfig,
@@ -49,18 +49,24 @@ ORACLE_CASES = [
 ]
 
 
+def _rows(ens):
+    """The ensemble's (p, state, registers) rows, as build_ensemble takes them."""
+    return [(p, State(c), tuple(r)) for p, c, r in zip(ens.probs.tolist(), ens.coords, ens.registers.tolist())]
+
+
 def _loop_table(ens, measurement, register):
     """p(x, a) entry by entry through the scalar effect rule."""
     table = np.zeros((len(measurement.effects), ens.register_alphabets[register]))
-    for e in ens.entries:
+    for p, state, regs in _rows(ens):
         for x, effect in enumerate(measurement.effects):
-            table[x, e.registers[register]] += e.probability * apply_effect(effect, e.state)
+            table[x, regs[register]] += p * apply_effect(effect, state)
     return table
 
 
 @pytest.mark.parametrize("make, labels", ORACLE_CASES)
 def test_evaluate_icp_matches_the_public_composition(make, labels):
-    """Also: the entries view of a sampled ensemble rebuilds it bit for bit."""
+    """Also: build_ensemble rebuilds a sampled ensemble bit for bit from its
+    (p, state, registers) rows."""
     entry = make()
     assignment = _assignment(entry, labels)
     rng = np.random.default_rng([31, len(labels), len(entry.entry_id)])
@@ -68,16 +74,17 @@ def test_evaluate_icp_matches_the_public_composition(make, labels):
     for _ in range(200):
         ens = sampling.random_ensemble(entry, rng)
         report = evaluate_icp(ens, assignment)
-        rebuilt = build_ensemble(entry.theory, ens.entries, ens.register_alphabets)
+        rebuilt = build_ensemble(entry.theory, _rows(ens), ens.register_alphabets)
         for name in ("probs", "coords", "registers"):
             assert np.array_equal(getattr(rebuilt, name), getattr(ens, name))
         assert evaluate_icp(rebuilt, assignment).to_json() == report.to_json()
         gains = []
         for measurement, reg in assignment.pairs:
             table = joint_outcome_table(ens, measurement, reg)
-            worst = max(worst, np.abs(table.probs - _loop_table(ens, measurement, reg)).max())
-            gains.append(max(mutual_information(table, *table.register_names), 0.0))
-        marginal = register_marginal(ens, assignment.registers)
+            worst = max(worst, np.abs(table - _loop_table(ens, measurement, reg)).max())
+            gains.append(max(mutual_information(JointTable(("X", "A"), table), "X", "A"), 0.0))
+        names = tuple(engine.register_name(r) for r in assignment.registers)
+        marginal = JointTable(names, register_marginal(ens, assignment.registers))
         redundancy = max(multivariate_mutual_information(marginal), 0.0)
         worst = max(
             worst,
@@ -307,11 +314,7 @@ def test_a_register_value_that_is_no_integer_is_refused(bit_entry, value):
     message = f"^register value {value!r} is not an integer$"
     with pytest.raises(ValueError, match=message):
         build_ensemble(bit_entry.theory, [(1.0, s, (value,))], (2,))
-    with pytest.raises(ValueError, match=message):
-        EnsembleEntry(1.0, s, (0, value))
-    entry = EnsembleEntry(1.0, s, (np.int64(1),))
-    assert type(entry.registers[0]) is int
-    assert build_ensemble(bit_entry.theory, [entry], (2,)).registers.tolist() == [[1]]
+    assert build_ensemble(bit_entry.theory, [(1.0, s, (np.int64(1),))], (2,)).registers.tolist() == [[1]]
 
 
 def test_build_ensemble_refuses_a_fractional_alphabet(bit_entry):
@@ -332,7 +335,7 @@ def test_narrow_register_values_index_their_own_cells(dtype):
     ens = CorrelatedEnsemble(th, np.full(2, 0.5), np.eye(2), registers, (32, 32))
     index, shape = ens.register_index((0, 1))
     assert index.dtype == np.int64 and index.tolist() == [1023, 1] and shape == (32, 32)
-    marginal = register_marginal(ens).probs
+    marginal = register_marginal(ens)
     assert marginal[31, 31] == marginal[0, 1] == 0.5
 
 
@@ -490,7 +493,7 @@ def test_an_ensemble_holds_at_most_max_registers(bit_entry):
         CorrelatedEnsemble(th, [1.0], s.coords[None], np.zeros((1, 65), dtype=int), (1,) * 65)
     ens = sampling.random_ensemble(bit_entry, np.random.default_rng(5), engine.MAX_REGISTERS, 1)
     assert ens.registers.shape == (1, 64) and ens.register_alphabets == (1,) * 64
-    assert register_marginal(ens).probs.shape == (1,) * 64
+    assert register_marginal(ens).shape == (1,) * 64
     pairs = tuple((th.measurement("X"), r) for r in range(64))
     assert evaluate_icp(ens, ObservableAssignment(pairs)).extractable == 0.0
 

@@ -440,37 +440,25 @@ def test_only_gpt_tells_the_variants_apart(path):
     assert found == VARIANT_SWITCHES.get(path.name, [])
 
 
-def _attribute_reads(source: str, attr: str) -> list[int]:
-    """Lines that read ``attr`` as an attribute of anything."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)
-    ]
-
-
-def test_entry_checks_find_each_form():
+def test_table_builder_check_finds_each_form():
     source = (
-        "from .engine import EnsembleEntry\nfrom . import engine\n"
-        "class Ens:\n    @property\n    def entries(self):\n"
-        "        return (EnsembleEntry(1.0, s, (0,)),)\n"  # Ens.entries
-        "def f(ens, doc):\n    doc.get('entries'), doc['entries']\n"
-        "    for e in ens.entries:\n"  # line 9
-        "        engine.EnsembleEntry(e.probability, e.state, e.registers)\n"  # f
-        "    return len(ens.entries[1:])\n"  # line 11
-        "x = isinstance(y, EnsembleEntry)\nz.entries = ()\n"
+        "from .info import JointTable\nfrom . import info\n"
+        "class JointTable:\n    def marginal(self, names):\n"
+        "        return JointTable(names, self.probs)\n"  # JointTable.marginal
+        "def f(table):\n    info.JointTable(('X', 'A'), table)\n"  # f
+        "    return table.probs, isinstance(table, JointTable)\n"
+        "t = JointTable(('A',), [1.0])\n"  # <module>
     )
-    assert _callers(source, "EnsembleEntry") == ["Ens.entries", "f"]
-    assert _attribute_reads(source, "entries") == [9, 11]
+    assert _callers(source, "JointTable") == ["JointTable.marginal", "f", "<module>"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_ensembles_are_read_as_arrays(path):
-    # the package reads an ensemble's three arrays: only the public, on-request
-    # CorrelatedEnsemble.entries builds EnsembleEntry objects, and nothing reads them
+    # evaluation takes its outcome tables and register marginals as bare
+    # arrays: only info builds a JointTable, and there only JointTable.marginal,
+    # the public calculus's own result
     source = path.read_text(encoding="utf-8")
-    assert _callers(source, "EnsembleEntry") == (["CorrelatedEnsemble.entries"] if path.name == "engine.py" else [])
-    assert _attribute_reads(source, "entries") == []
+    assert _callers(source, "JointTable") == (["JointTable.marginal"] if path.name == "info.py" else [])
 
 
 def _ln2_calls(source: str) -> list[int]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from icp_lab import (  # noqa: E402
     ObservableAssignment,
+    State,
     build_ensemble,
     catalog,
     evaluate_icp,
@@ -38,6 +39,11 @@ def ensembles(draw):
     return ens, assignment, evaluate_icp(ens, assignment)
 
 
+def _rows(ens):
+    """The ensemble's (p, state, registers) rows, as build_ensemble takes them."""
+    return [(p, State(c), tuple(r)) for p, c, r in zip(ens.probs.tolist(), ens.coords, ens.registers.tolist())]
+
+
 def _assert_same_report(report, base, marginal=None):
     assert np.allclose(report.gains, base.gains, rtol=0.0, atol=1e-12)
     for field in ("redundancy", "extractable", "bound", "margin"):
@@ -52,8 +58,9 @@ def _assert_same_report(report, base, marginal=None):
 @given(data=st.data(), case=ensembles())
 def test_permuting_entries_leaves_the_report_unchanged(data, case):
     ens, assignment, base = case
-    order = data.draw(st.permutations(range(len(ens.entries))))
-    shuffled = build_ensemble(ens.theory, [ens.entries[i] for i in order], ens.register_alphabets)
+    rows = _rows(ens)
+    order = data.draw(st.permutations(range(len(rows))))
+    shuffled = build_ensemble(ens.theory, [rows[i] for i in order], ens.register_alphabets)
     _assert_same_report(evaluate_icp(shuffled, assignment), base)
 
 
@@ -62,10 +69,7 @@ def test_permuting_entries_leaves_the_report_unchanged(data, case):
 def test_relabelling_register_values_leaves_the_report_unchanged(data, case):
     ens, assignment, base = case
     relabel = [np.array(data.draw(st.permutations(range(a)))) for a in ens.register_alphabets]
-    entries = [
-        (e.probability, e.state, tuple(int(relabel[r][v]) for r, v in enumerate(e.registers)))
-        for e in ens.entries
-    ]
+    entries = [(p, state, tuple(int(relabel[r][v]) for r, v in enumerate(regs))) for p, state, regs in _rows(ens)]
     relabelled = build_ensemble(ens.theory, entries, ens.register_alphabets)
     # the marginal moves with its labels: new[relabel_A[a], relabel_B[b]] = old[a, b]
     marginal = np.empty_like(base.register_marginal)
@@ -87,12 +91,12 @@ def test_splitting_an_entry_leaves_the_report_and_ledger_unchanged(data, case):
     """An entry split in two with the same state and registers, one part in
     its place and one at the end, is the same ensemble."""
     ens, assignment, base = case
-    i = data.draw(st.integers(0, len(ens.entries) - 1))
+    entries = _rows(ens)
+    i = data.draw(st.integers(0, len(entries) - 1))
     share = data.draw(st.floats(0.0, 1.0))
-    entry = ens.entries[i]
-    entries = [(e.probability, e.state, e.registers) for e in ens.entries]
-    entries[i] = (share * entry.probability, entry.state, entry.registers)
-    entries.append(((1.0 - share) * entry.probability, entry.state, entry.registers))
+    p, state, regs = entries[i]
+    entries[i] = (share * p, state, regs)
+    entries.append(((1.0 - share) * p, state, regs))
     split = build_ensemble(ens.theory, entries, ens.register_alphabets)
     _assert_same_report(evaluate_icp(split, assignment), base)
     ledger, reference = proof_chain_check(split, assignment), proof_chain_check(ens, assignment)

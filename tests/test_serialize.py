@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icp_lab import catalog, sampling
+from icp_lab import State, catalog, sampling
 from icp_lab.constructions import (
     hbit_violation,
     pgnst_violation,
@@ -86,20 +86,20 @@ def test_ensemble_round_trip():
     entry, rebuilt = ensemble_from_json(doc)
     assert entry.entry_id == "sbit"
     assert rebuilt.register_alphabets == cert.ensemble.register_alphabets
-    for a, b in zip(rebuilt.entries, cert.ensemble.entries):
-        assert a.probability == b.probability
-        assert a.registers == b.registers
-        assert np.allclose(a.state.coords, b.state.coords)
+    assert rebuilt.probs.tolist() == cert.ensemble.probs.tolist()
+    assert rebuilt.registers.tolist() == cert.ensemble.registers.tolist()
+    assert np.allclose(rebuilt.coords, cert.ensemble.coords)
 
 
 def entries_to_json(ensemble):
-    """The ensemble document entry by entry, as ``ensemble.entries`` gives it."""
+    """The ensemble document built entry by entry: each probability through
+    float, each state through State and each register row as a list of ints."""
     return {
         "theory": ensemble.theory.theory_id,
         "register_alphabets": list(ensemble.register_alphabets),
         "entries": [
-            {"p": e.probability, "state": e.state.coords.tolist(), "registers": list(e.registers)}
-            for e in ensemble.entries
+            {"p": float(p), "state": State(c).coords.tolist(), "registers": r}
+            for p, c, r in zip(ensemble.probs, ensemble.coords, ensemble.registers.tolist())
         ],
     }
 
