@@ -118,6 +118,10 @@ class Measurement:
         return _frozen_rows(e.coords for e in self.effects)
 
 
+# ``Polytope.check_states``' verdict on a stack that passes
+_INSIDE = Validation(True, "inside all supporting halfspaces")
+
+
 class ChainNotApplicable(ValueError):
     """The ensemble's theory has no classical or quantum carrier for S."""
 
@@ -246,10 +250,20 @@ class Polytope(_VertexSpace):
         # state space exactly, so this is a membership test, not just a
         # necessary condition.
         tol = MEMBERSHIP_TOL
-        bounding = (*self.extreme_effects, self.unit)
         # einsum forms each row on its own, so a row's values (and the detail
         # below) do not depend on the other rows
         vals = np.einsum("ij,kj->ik", coords, self.bounding_matrix)
+        # a NaN or infinite coordinate makes every value of its row NaN or
+        # infinite, so values that pass both bounds prove the coordinates
+        # finite; comparisons are written so that NaN fails. Only a failing
+        # stack is scanned row by row.
+        if not vals.size or (
+            np.minimum.reduce(vals, None) >= -tol
+            and np.maximum.reduce(vals, None) <= 1.0 + tol
+            and np.maximum.reduce(np.abs(vals[:, -1] - 1.0)) <= tol
+        ):
+            return -1, _INSIDE
+        bounding = (*self.extreme_effects, self.unit)
 
         def effect_detail(i: int) -> str:
             j = int(_fails(vals[i], -tol, 1.0 + tol).argmax())
@@ -262,7 +276,7 @@ class Polytope(_VertexSpace):
                 (np.abs(vals[:, -1] - 1.0), None, tol,
                  lambda i: f"unit effect evaluates to {float(vals[i, -1])!r}, not 1"),
             ],
-            "inside all supporting halfspaces",
+            _INSIDE.detail,
         )
 
     def carrier_weights(self, theory_id: str, coords: np.ndarray) -> np.ndarray:

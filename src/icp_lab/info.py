@@ -95,18 +95,28 @@ def _density_check(m: np.ndarray) -> tuple[int, Validation, np.ndarray]:
     """The one quantum-state check, on a stack (n, d, d) of complex matrices:
     finite entries, Hermitian, unit trace, least eigenvalue >= -MEMBERSHIP_TOL,
     in that order and each to ``MEMBERSHIP_TOL``. Returns ``_first_failure``'s
-    row and verdict, and the spectra (n, d). Non-finite entries are set to 0
-    so that eigvalsh sees finite input only; their rows fail the first test.
+    row and verdict, and the spectra (n, d). A NaN or infinite entry makes
+    its Hermitian deviation NaN or infinite, so a stack that passes the
+    Hermitian test is finite and needs no finite test. In a stack that fails,
+    non-finite entries are set to 0 so that eigvalsh sees finite input only;
+    their rows fail the first test.
     """
-    finite = _finite(m)
-    m = np.where(finite[0], m, 0.0)
+    tol = MEMBERSHIP_TOL
+    # inf - inf is NaN, which fails the test below; numpy's warning is silenced
+    with np.errstate(invalid="ignore"):
+        hermitian = np.abs(m - m.conj().transpose(0, 2, 1))
+    if np.maximum.reduce(hermitian, None, initial=0.0) <= tol:
+        checks = []
+    else:
+        finite = _finite(m)
+        m = np.where(finite[0], m, 0.0)
+        hermitian = np.abs(m - m.conj().transpose(0, 2, 1))
+        checks = [finite, (hermitian, None, tol, lambda i: "density matrix is not Hermitian")]
     trace = np.trace(m, axis1=1, axis2=2).real
     eigs = np.linalg.eigvalsh(m)
-    tol = MEMBERSHIP_TOL
     i, verdict = _first_failure(
         [
-            finite,
-            (np.abs(m - m.conj().transpose(0, 2, 1)), None, tol, lambda i: "density matrix is not Hermitian"),
+            *checks,
             (np.abs(trace - 1.0), None, tol, lambda i: f"trace is {float(trace[i])!r}"),
             (eigs, -tol, None, lambda i: f"negative eigenvalue {float(eigs[i].min())!r}"),
         ],

@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -277,10 +277,10 @@ def axiom_suite(entropy_kind: str = "shannon", trials: int = 1000, seed: int = 0
 
 # --- derivation ledger --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One step of the derivation ledger: an identity lhs = rhs or an inequality
-    lhs <= rhs, with its signed margin."""
+    lhs <= rhs, with its signed margin. A named tuple: immutable, and built
+    in one call, where a frozen dataclass sets each field on its own."""
 
     name: str
     kind: str  # "identity" | "inequality"
@@ -567,5 +567,6 @@ def proof_chain_check(
     extractable = sum(gains) - total_corr
     values.append((extractable, bound))
     plan = _ledger_plan(assignment)
-    steps = tuple(map(ChainStep, plan.names, plan.kinds, *zip(*values)))
+    # _make builds each step in C, with no Python-level __new__
+    steps = tuple(map(ChainStep._make, zip(plan.names, plan.kinds, *zip(*values))))
     return ProofChainLedger(steps, dim_report.d, bound, extractable)

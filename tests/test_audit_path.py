@@ -7,7 +7,9 @@ draws, the ``register_index`` outcome table, the three-call gain kernel
 and the ledger's step assembly with its ``i_*`` helpers. The cached path
 must give their bits.
 """
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -374,3 +376,62 @@ def test_polygon_mismatch_builds_the_readout_graph_once(monkeypatch):
         record = constructions.polygon_mismatch(n)
         assert len(built) == 1, n
         assert record.information_dimension >= record.measurement_dimension
+
+
+# --- the audit path's bits ------------------------------------------------------------
+
+# (stream, catalog entry, measurement labels): the three criterion-14 streams
+# of perfbench's ensemble-audit, and the criterion-13 streams on 3 and 4
+# registers; each ensemble goes through both evaluate_icp and the ledger
+AUDIT_STREAMS = (
+    ("classical-bit", catalog.classical_bit, ("X", "Z")),
+    ("classical-trit", catalog.classical_trit, ("E1", "E2")),
+    ("qubit", catalog.qubit, ("X", "Z")),
+    ("trit-3", catalog.classical_trit, ("E1", "E2", "E3")),
+    ("trit-4", catalog.classical_trit, ("E1", "E2", "E3", "E1")),
+)
+AUDIT_SEEDS = range(4)
+AUDIT_DRAWS = 10  # ensembles drawn in sequence per seed
+
+
+def _audit_digest(make, labels):
+    """sha256 over each ensemble in draw order: ``random_ensemble``'s arrays,
+    then the JSON of its ``evaluate_icp`` report and of its ledger."""
+    entry = make()
+    assignment = _assignment(entry, labels)
+    digest = hashlib.sha256()
+    for seed in AUDIT_SEEDS:
+        rng = np.random.default_rng([seed, len(labels)])
+        for _ in range(AUDIT_DRAWS):
+            ens = sampling.random_ensemble(entry, rng, n_registers=len(labels))
+            for arr in (ens.probs, ens.coords, ens.registers):
+                digest.update(arr.tobytes())
+            for doc in (engine.evaluate_icp(ens, assignment).to_json(), proofs.proof_chain_check(ens, assignment).to_json()):
+                digest.update(json.dumps(doc).encode())
+    return digest.hexdigest()
+
+
+# taken before the pass-first state checks and the named-tuple ledger steps
+AUDIT_DIGESTS = {
+    "classical-bit": "f8cfad032aade1bc8b8579ff356a08f6cdf57331c40a5f9c28d19f0d759af95b",
+    "classical-trit": "98c6808fa47ae2542ed1ed162c1efd45cb2161e6f5ca4c28c16430dd55e5dc26",
+    "qubit": "0b0f7a90ee851ac53bceb99fee0b689f905c34a8517604d9f546ddd474d368a7",
+    "trit-3": "c41fb738f53b0a33a04e85b81906a551bbd321c3d92563ece853ff6ab5ba895a",
+    "trit-4": "933c8ebc4e86592697fc4a7556d8851b2d0eb23f04a58bfa213dd9f8d4507e0d",
+}
+
+
+@pytest.mark.parametrize("stream", AUDIT_STREAMS, ids=[s[0] for s in AUDIT_STREAMS])
+def test_the_audit_path_keeps_its_pinned_bits(stream):
+    name, make, labels = stream
+    assert _audit_digest(make, labels) == AUDIT_DIGESTS[name]
+
+
+def test_a_ledger_step_is_an_immutable_positional_record():
+    step = ChainStep("H(S) <= log2(d)", "inequality", 0.75, 1.0)
+    assert (step.name, step.kind, step.lhs, step.rhs, step.margin) == ("H(S) <= log2(d)", "inequality", 0.75, 1.0, 0.25)
+    identity = ChainStep("I = I", "identity", 1.0, 1.5)
+    assert identity.margin == -0.5
+    assert identity.to_json() == {"name": "I = I", "kind": "identity", "lhs": 1.0, "rhs": 1.5, "margin": -0.5}
+    with pytest.raises(AttributeError):
+        step.lhs = 0.0

@@ -210,6 +210,55 @@ def test_maximize_extractable_rejects_unknown_strategy(sbit_entry):
         )
 
 
+def _product_ensembles(entry, n):
+    """``n`` of ``random_ensemble``'s draws with every entry moved to the first
+    entry's state and the entry probabilities replaced by a product of two
+    register marginals. Every gain table and the register marginal are then
+    product tables, whose information is 0 up to rounding: about a third of
+    the raw values round below 0."""
+    th = entry.theory
+    rng = np.random.default_rng(29)
+    for _ in range(n):
+        ens = sampling.random_ensemble(entry, rng)
+        probs = np.outer(info._dirichlet_ones(rng, 2), info._dirichlet_ones(rng, 2)).ravel()
+        coords = np.repeat(ens.coords[:1], len(ens.coords), axis=0)
+        yield CorrelatedEnsemble(th, probs, coords, ens.registers, ens.register_alphabets)
+
+
+def _is_plus_zero(x):
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+@pytest.mark.parametrize(
+    "make,labels",
+    [(catalog.classical_bit, ("X", "Z")), (catalog.classical_trit, ("E1", "E2")), (catalog.qubit, ("X", "Z"))],
+    ids=["classical-bit", "classical-trit", "qubit"],
+)
+def test_information_of_a_product_table_is_clamped_to_plus_zero(make, labels):
+    """I(X:A) and I(A_1:A_2) are never negative: ``evaluate_icp`` and the
+    optimizer's ``_information`` report exactly +0.0 where the kernel's raw
+    value of a product table rounds to 0 or below, and a value of a few ulps
+    where it rounds above."""
+    entry = make()
+    th = entry.theory
+    assignment = ObservableAssignment(tuple((th.measurement(l), i) for i, l in enumerate(labels)))
+    information = engine._SearchObjective._information
+    negative = {"gain": 0, "redundancy": 0}
+    for ens in _product_ensembles(entry, 100):
+        report = evaluate_icp(ens, assignment)
+        tables = [("gain", joint_outcome_table(ens, m, r)) for m, r in assignment.pairs]
+        tables.append(("redundancy", register_marginal(ens, assignment.registers)))
+        for (kind, table), reported in zip(tables, (*report.gains, report.redundancy)):
+            raw = info._total_correlation(table)
+            negative[kind] += raw < 0.0
+            for got in (reported, information(table), information(table, {})):
+                assert 0.0 <= got <= 1e-14
+                if raw <= 0.0:
+                    assert _is_plus_zero(got), (kind, raw, got)
+    # the draws reach the clamps: without them these tests would see raw < 0
+    assert negative["gain"] >= 20 and negative["redundancy"] >= 10, negative
+
+
 # (name, catalog entry, measurement labels, strategy, max_evals, extractable repr,
 #  evaluations, converged). The extractable values are those the search gave
 #  when every grid candidate and every line-search point still built its own
@@ -332,6 +381,42 @@ def test_grid_candidates_cut_inside_a_family_of_more_than_int64_choices():
     fam, choice = engine._grid_candidates(3, 40, 2, 10)
     assert fam.tolist() == [0] * 10
     assert [tuple(c) for c in choice.tolist()] == list(itertools.islice(itertools.product(range(3), repeat=40), 10))
+
+
+def test_grid_falls_back_to_one_by_one_scores_on_a_seed_outside_the_state_space(monkeypatch, bit_entry):
+    """A seed whose effect values fail ``effect_values``' range test makes
+    ``grid_scores`` return None; the search then scores the candidates one
+    by one and raises the scalar path's ValueError at the first candidate
+    that holds the seed."""
+    th = bit_entry.theory
+    assignment = _bit_assignment(bit_entry)
+    seeds = th.variant.search_seeds([m for m, _ in assignment.pairs])
+    # a NaN weight survives ``build``'s normalisation, so the seed state is NaN
+    monkeypatch.setattr(type(th.variant), "search_seeds", lambda self, measurements: [seeds[0], np.full(2, np.nan)])
+    grid, scored = [], []
+    grid_scores, value = engine._SearchObjective.grid_scores, engine._SearchObjective.value
+
+    def recorded_grid_scores(self, *args):
+        grid.append(grid_scores(self, *args))
+        return grid[-1]
+
+    def recorded_value(self, w, coords, *args, **kwargs):
+        scored.append(coords.copy())
+        return value(self, w, coords, *args, **kwargs)
+
+    monkeypatch.setattr(engine._SearchObjective, "grid_scores", recorded_grid_scores)
+    monkeypatch.setattr(engine._SearchObjective, "value", recorded_value)
+    message = "effect value nan outside [0, 1]; invalid effect/state pair"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        maximize_extractable(th, assignment, OptimizerConfig(strategy="grid", max_evals=500))
+    assert grid == [None]
+    # candidate 0 takes seed 0 for every combination and scores; candidate 1
+    # takes the NaN seed for the last combination and raises
+    assert len(scored) == 2
+    assert np.isfinite(scored[0]).all() and np.isnan(scored[1][-1]).all()
+    objective = engine._SearchObjective(th, assignment, True)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        objective.value(np.full(4, 0.25), scored[1])
 
 
 @pytest.mark.parametrize("strategy", ["grid", "coordinate-descent"])

@@ -121,6 +121,28 @@ def test_check_states_rejects_non_finite_coordinates(make):
     assert th.variant.check_states(np.array([good, inf, nan])) == (1, ok)
 
 
+@pytest.mark.parametrize(
+    "make,off_span",
+    [
+        (catalog.classical_bit, [0.3, 0.3]),  # the vertices span the line x + y = 1
+        (catalog.classical_trit, [0.0, 0.0, 1.2]),  # the vertices span the plane z = 1
+    ],
+    ids=["classical-bit", "classical-trit"],
+)
+def test_carrier_weights_refuses_states_off_the_vertex_simplex(make, off_span):
+    """The ledger's ensemble check stops such states first, so these guards
+    are reached only by calling the method itself."""
+    th = make().theory
+    verts = th.variant.vertex_matrix
+    inside = verts.mean(axis=0)
+    outside = 2.0 * verts[0] - verts[1]  # on the span, with weights (2, -1, ...)
+    assert np.allclose(th.variant.carrier_weights(th.theory_id, inside[None]), 1.0 / len(verts))
+    with pytest.raises(gpt.ChainNotApplicable, match="^states do not decompose over the vertices$"):
+        th.variant.carrier_weights(th.theory_id, np.array([inside, off_span]))
+    with pytest.raises(gpt.ChainNotApplicable, match="^states fall outside the vertex simplex$"):
+        th.variant.carrier_weights(th.theory_id, np.array([inside, outside]))
+
+
 def test_validate_measurement_completeness(qubit_entry):
     th = qubit_entry.theory
     for label in ("X", "Z"):

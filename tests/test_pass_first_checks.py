@@ -8,8 +8,16 @@ index, verdict, detail, message and bits; where the oracles let a NaN pass,
 the fast paths must raise or fail instead. ``info._density_check`` is the one
 quantum-state check: ``check_states``, ``DensityOperator`` and
 ``_von_neumann_rows`` must reach the same verdict through it.
+
+A polytope's check and the density check go further: a stack whose values
+(or Hermitian deviations) pass is taken as finite without a finite test.
+The ``_first_failure`` forms below test finiteness first on every stack; a
+NaN or an infinity anywhere must fail at their row, with their message and
+no warning.
 """
+import itertools
 import re
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -337,6 +345,119 @@ def test_snaps_are_skipped_only_where_no_value_meets_them():
     ):
         got, want = effect_values(effects, states.copy()), old_effect_values(effects, states.copy())
         assert got.tobytes() == want.tobytes()
+
+
+# --- non-finite entries on the pass-first paths ------------------------------------
+
+def first_failure_polytope_rows(v, coords):
+    """``Polytope._check_rows`` without its pass-first test: every stack goes
+    through ``_first_failure``, finite coordinates first."""
+    tol = MEMBERSHIP_TOL
+    bounding = (*v.extreme_effects, v.unit)
+    vals = np.einsum("ij,kj->ik", coords, v.bounding_matrix)
+
+    def effect_detail(i):
+        j = int(info._fails(vals[i], -tol, 1.0 + tol).argmax())
+        return f"effect {bounding[j].label or '?'} evaluates to {float(vals[i, j])!r}"
+
+    return info._first_failure(
+        [
+            info._finite(coords),
+            (vals, -tol, 1.0 + tol, effect_detail),
+            (np.abs(vals[:, -1] - 1.0), None, tol, lambda i: f"unit effect evaluates to {float(vals[i, -1])!r}, not 1"),
+        ],
+        "inside all supporting halfspaces",
+    )
+
+
+def first_failure_density_check(m):
+    """``info._density_check`` without its pass-first Hermitian test: the
+    non-finite entries are zeroed and every stack goes through
+    ``_first_failure``, finite entries first. Returns the row, the verdict
+    and the spectra."""
+    tol = MEMBERSHIP_TOL
+    finite = info._finite(m)
+    m = np.where(finite[0], m, 0.0)
+    trace = np.trace(m, axis1=1, axis2=2).real
+    eigs = np.linalg.eigvalsh(m)
+    i, verdict = info._first_failure(
+        [
+            finite,
+            (np.abs(m - m.conj().transpose(0, 2, 1)), None, tol, lambda i: "density matrix is not Hermitian"),
+            (np.abs(trace - 1.0), None, tol, lambda i: f"trace is {float(trace[i])!r}"),
+            (eigs, -tol, None, lambda i: f"negative eigenvalue {float(eigs[i].min())!r}"),
+        ],
+        f"least eigenvalue {float(np.minimum.reduce(eigs, None, initial=np.inf))!r}",
+    )
+    return i, verdict, eigs
+
+
+def _same_check(got, want):
+    return got[:2] == want[:2] and got[2].tobytes() == want[2].tobytes()
+
+
+def _raising_warnings(f, *args):
+    """``f(*args)`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
+
+
+def _bases(entry, rng):
+    """Three states, and three rows whose middle one lies outside the state
+    space, so that the first failing row depends on where a bad entry goes."""
+    theory = entry.theory
+    inside = theory.variant.random_coords(rng, 3)
+    outside = inside.copy()
+    outside[1] = _face_row(theory, rng, 1e7)
+    return inside, outside
+
+
+BAD_VALUES = (np.nan, np.inf, -np.inf)
+POLYTOPES = sorted(name for name, entry in ENTRIES.items() if isinstance(entry.theory.variant, Polytope))
+
+
+@pytest.mark.parametrize("name", POLYTOPES)
+def test_a_non_finite_coordinate_fails_as_on_the_first_failure_path(name):
+    v = ENTRIES[name].theory.variant
+    for base in _bases(ENTRIES[name], np.random.default_rng(7)):
+        assert _raising_warnings(v.check_states, base) == first_failure_polytope_rows(v, base)
+        for row, j, bad in itertools.product(range(len(base)), range(base.shape[1]), BAD_VALUES):
+            coords = base.copy()
+            coords[row, j] = bad
+            got = _raising_warnings(v.check_states, coords)
+            assert got == first_failure_polytope_rows(v, coords), (row, j, bad)
+            assert not got[1]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_non_finite_density_entry_fails_as_on_the_first_failure_path(dim):
+    """Each entry's real or imaginary part set to NaN or an infinity, in a
+    stack of densities and in one with a finite failing middle row."""
+    rng = np.random.default_rng(dim)
+    densities = info._densities(*info._density_draw_parts(rng, dim, 3))
+    failing = densities.copy()
+    failing[1, 0, 1] += 1e-3j  # not Hermitian
+    for base in (densities, failing):
+        assert _same_check(_raising_warnings(info._density_check, base), first_failure_density_check(base))
+        for row, i, j, part, bad in itertools.product(range(3), range(dim), range(dim), ("real", "imag"), BAD_VALUES):
+            m = base.copy()
+            setattr(m[row, i, j:j + 1], part, bad)
+            got = _raising_warnings(info._density_check, m)
+            assert _same_check(got, first_failure_density_check(m)), (row, i, j, part, bad)
+            assert not got[1]
+
+
+def test_a_non_finite_qubit_coordinate_fails_as_on_the_first_failure_path():
+    entry = ENTRIES["qubit"]
+    v = entry.theory.variant
+    for base in _bases(entry, np.random.default_rng(8)):
+        for row, j, bad in itertools.product(range(len(base)), range(base.shape[1]), BAD_VALUES):
+            coords = base.copy()
+            coords[row, j] = bad
+            with np.errstate(invalid="ignore"):  # 1j * inf
+                m = coords_to_density(coords, v.hilbert_dim)
+            assert _raising_warnings(v.check_states, coords) == first_failure_density_check(m)[:2], (row, j, bad)
 
 
 # --- every public check rejects NaN -------------------------------------------------
