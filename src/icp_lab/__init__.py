@@ -6,11 +6,13 @@ classically correlated ensembles through their measurements, and compares the
 non-redundant extractable information against the log of the certified
 observed dimension. The constructions module packages the named ensembles
 that break the bound; proofs replays the supporting entropy derivation step
-by step.
+by step, and axioms stress-tests the five entropy properties it rests on.
+sweep traces the best two-bit qubit code as the second observable tilts.
 
 Every public name below is loaded from its module on first use (PEP 562), so
 ``import icp_lab`` and each ``icp-lab`` command load only the modules they
-run.
+run: axioms and sweep need only info and numpy, so ``scan axioms`` and
+``scan sweep`` load neither the engine nor the state spaces.
 """
 import importlib
 
@@ -40,14 +42,14 @@ _EXPORTS = {
     ),
     "engine": (
         "CorrelatedEnsemble", "ICPReport", "ObservableAssignment",
-        "OptimizationResult", "OptimizerConfig", "REPORT_CSV_FIELDS", "SweepPoint",
+        "OptimizationResult", "OptimizerConfig", "REPORT_CSV_FIELDS",
         "build_ensemble", "evaluate_icp", "joint_outcome_table", "maximize_extractable",
-        "qubit_rotation_sweep", "register_marginal", "register_name",
+        "register_marginal", "register_name",
     ),
+    "sweep": ("SweepPoint", "qubit_rotation_sweep"),
     "sampling": ("random_density_matrix", "random_ensemble", "random_state"),
-    "proofs": (
-        "ChainStep", "ProofChainLedger", "axiom_suite", "proof_chain_check",
-    ),
+    "axioms": ("axiom_suite",),
+    "proofs": ("ChainStep", "ProofChainLedger", "proof_chain_check"),
     "constructions": (
         "BoundCheckLedger", "BoundCheckPoint", "CompositeGbitRecord", "MismatchRecord",
         "ViolationCertificate", "classical_bit_analysis",

@@ -181,7 +181,7 @@ def _scan_rows(args):
 
         return [polygon_mismatch(n).to_json() for n in args.n or _range("4:13", int)]
     if target == "axioms":
-        from .proofs import axiom_suite
+        from .axioms import axiom_suite
 
         kinds = ("shannon", "von-neumann") if args.entropy == "both" else (args.entropy,)
         rows = []
@@ -189,7 +189,7 @@ def _scan_rows(args):
             rows += [r.to_json() for r in axiom_suite(kind, args.trials, args.seed)]
         return rows
     # sweep
-    from .engine import qubit_rotation_sweep
+    from .sweep import qubit_rotation_sweep
 
     step = (math.pi / 2.0) / (args.points - 1) if args.points > 1 else 1.0
     grid = [i * step for i in range(args.points)]

@@ -23,9 +23,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import info
+from . import info, sweep
 from .gpt import Measurement, State, Theory, _normalized, effect_values, observed_dimension
-from .info import VIOLATION_TOL
+from .info import VIOLATION_TOL, _ordered_sum
+
+# the sweep stays readable here, where perfbench's tracer looks it up
+SweepPoint, qubit_rotation_sweep = sweep.SweepPoint, sweep.qubit_rotation_sweep
 
 
 def register_name(index: int) -> str:
@@ -47,9 +50,10 @@ def _checked_probs(probs: np.ndarray) -> np.ndarray:
     """``probs`` (E,) with float-noise negatives set to 0, if every entry is
     finite and at least -PROB_TOL and the sum lies within PROB_TOL max(1, E)
     of 1; else ValueError naming the first entry at fault, or the sum. A
-    passing array costs one sum, left to right, and one minimum."""
+    passing array costs one sum, left to right (``info._ordered_sum``), and
+    one minimum."""
     values = probs.tolist()
-    total = sum(values)
+    total = _ordered_sum(values)
     # written so that NaN fails: a NaN or infinite entry makes the sum NaN or
     # infinite, and every comparison with NaN is false
     if abs(total - 1.0) <= info.PROB_TOL * max(1, len(values)):
@@ -110,6 +114,17 @@ MAX_JOINT_ALPHABET = MAX_ALPHABET**2
 MAX_REGISTERS = 64
 
 
+def _check_alphabets(alphabets: tuple[int, ...]) -> None:
+    """Raise ValueError when an alphabet exceeds MAX_ALPHABET or their product
+    MAX_JOINT_ALPHABET: the one cap check, run before anything is built over
+    the alphabets."""
+    if max(alphabets) > MAX_ALPHABET:
+        raise ValueError(f"register alphabet {max(alphabets)} above MAX_ALPHABET = {MAX_ALPHABET}")
+    joint = math.prod(alphabets)
+    if joint > MAX_JOINT_ALPHABET:
+        raise ValueError(f"joint alphabet {joint} above MAX_JOINT_ALPHABET = {MAX_JOINT_ALPHABET}")
+
+
 @lru_cache(maxsize=32)
 def _register_product(alphabets: tuple[int, ...]) -> np.ndarray:
     """Every combination of register values, one per row in row-major order:
@@ -165,11 +180,7 @@ class CorrelatedEnsemble:
         except TypeError:
             raise ValueError(f"register alphabets {tuple(self.register_alphabets)!r} are not all integers") from None
         object.__setattr__(self, "register_alphabets", alphabets)
-        if max(alphabets) > MAX_ALPHABET:
-            raise ValueError(f"register alphabet {max(alphabets)} above MAX_ALPHABET = {MAX_ALPHABET}")
-        joint = math.prod(alphabets)
-        if joint > MAX_JOINT_ALPHABET:
-            raise ValueError(f"joint alphabet {joint} above MAX_JOINT_ALPHABET = {MAX_JOINT_ALPHABET}")
+        _check_alphabets(alphabets)
         _check_registers(regs, alphabets)
         _, ok = self.theory.variant.check_states(coords)
         if not ok:
@@ -337,7 +348,7 @@ def evaluate_icp(ensemble: CorrelatedEnsemble, assignment: ObservableAssignment)
         gains.append(max(info._total_correlation(joint_outcome_table(ensemble, measurement, reg)), 0.0))
     marginal = register_marginal(ensemble, assignment.registers)
     redundancy = max(info._total_correlation(marginal), 0.0)
-    extractable = sum(gains) - redundancy
+    extractable = _ordered_sum(gains) - redundancy
     dim_report = observed_dimension(ensemble.theory)
     bound = math.log2(dim_report.d)
     margin = bound - extractable
@@ -456,6 +467,8 @@ class _SearchObjective:
         _require_registers(assignment.registers, len(assignment.pairs))
         sizes = [len(m.effects) for m, _ in assignment.pairs]
         self.alphabets = tuple(k for _, k in sorted(zip(assignment.registers, sizes)))
+        # the ensemble's caps, before any array over the alphabets is built
+        _check_alphabets(self.alphabets)
         self.combos = _register_product(self.alphabets)
         self.effects = np.concatenate([m.effect_matrix for m, _ in assignment.pairs])
         self.rows = [slice(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]
@@ -472,7 +485,7 @@ class _SearchObjective:
         return np.ascontiguousarray(w.reshape(self.alphabets).transpose(self.assignment.registers))
 
     def _combine(self, gains, redundancy):
-        value = sum(gains) - redundancy
+        value = _ordered_sum(gains) - redundancy
         if self.penalized:
             value -= 4.0 * (max(gains) - min(gains))
         return value
@@ -614,7 +627,7 @@ def _value_ceiling(theory: Theory, alphabets: tuple[int, ...]) -> float:
     (Maassen and Uffink); that bound can later replace it."""
     carrier = theory.variant.classical_carrier
     states = math.inf if carrier is None else math.log2(len(carrier))
-    return min(sum(math.log2(k) for k in alphabets), states)
+    return min(_ordered_sum(math.log2(k) for k in alphabets), states)
 
 
 def _golden_max(fun, lo: float, hi: float, points: int):
@@ -789,80 +802,3 @@ def maximize_extractable(
         if val > best_val + 1e-15:
             best_val, best_point = val, point
     return OptimizationResult(*objective.report(*best_point), not stopped, evaluations)
-
-
-# --- qubit rotation sweep -----------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """The best balanced two-bit encoding at one Bloch angle theta of
-    ``qubit_rotation_sweep``."""
-
-    theta: float
-    gains_sum: float
-    redundancy: float
-    extractable: float
-
-
-def _optimal_register_correlation(c: float, s: float) -> float:
-    """argmax over q in [1/2, 1] of 2(1 - H(qc + (1-q)s)) - (1 - H(q)).
-
-    The stationarity condition -2(c - s) log2((1-m)/m) + log2((1-q)/q) = 0
-    is solved by bisection after bracketing via a coarse scan, which keeps
-    the maximizer smooth in (c, s). Boundary optima are handled exactly.
-    """
-    if c - s <= 1e-15:
-        return 0.5
-
-    def fprime(q: float) -> float:
-        m = q * c + (1.0 - q) * s
-        return -2.0 * (c - s) * math.log2((1.0 - m) / m) + math.log2((1.0 - q) / q)
-
-    top = 1.0 - 1e-12
-    if fprime(top) >= 0.0:
-        return 1.0
-
-    qs = np.linspace(0.5, top, 513)
-    ms = qs * c + (1.0 - qs) * s
-    vals = 2.0 * (1.0 - info._binary_entropy_bits(ms)) - (1.0 - info._binary_entropy_bits(qs))
-    i = int(np.argmax(vals))
-    lo = qs[max(i - 1, 0)]
-    hi = qs[min(i + 1, len(qs) - 1)]
-    if fprime(lo) <= 0.0:
-        return 0.5 if i == 0 else float(qs[i])
-    if fprime(hi) >= 0.0:
-        return float(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fprime(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
-def qubit_rotation_sweep(theta_grid: Sequence[float]) -> list[SweepPoint]:
-    """Best balanced two-bit encodings as the second observable tilts toward X.
-
-    ``theta`` is the Bloch angle between the two measurement axes: pi/2 is
-    the complementary X, Z pair, 0 makes both observables identical. States
-    sit on the bisector directions of the two axes, so both readouts succeed
-    with probability c = (1 + cos(theta/2))/2 on matched register pairs and
-    s = (1 + sin(theta/2))/2 on mismatched ones; q is the register
-    correlation weight, optimized per point.
-    """
-    points = []
-    for theta in theta_grid:
-        t = float(theta)
-        if not 0.0 <= t <= math.pi / 2.0 + 1e-12:
-            raise ValueError(f"theta {t!r} outside [0, pi/2]")
-        c = (1.0 + math.cos(t / 2.0)) / 2.0
-        s = (1.0 + math.sin(t / 2.0)) / 2.0
-        q = _optimal_register_correlation(c, s)
-        m = q * c + (1.0 - q) * s
-        gains = 2.0 * (1.0 - info.binary_entropy(m))
-        red = 1.0 - info.binary_entropy(q)
-        points.append(SweepPoint(t, gains, red, gains - red))
-    return points

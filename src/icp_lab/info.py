@@ -4,11 +4,14 @@ All entropies are in bits (base-2 logarithms). Joint distributions are dense
 numpy arrays with one axis per register; mutual information and its
 multivariate generalization are computed directly from marginal entropies.
 The random-draw primitives live here too: this numpy-only module is the one
-that ``gpt``, ``engine``, ``proofs`` and ``sampling`` all import at the top.
+that ``gpt``, ``engine``, ``proofs``, ``sampling``, ``axioms`` and ``sweep``
+all import at the top.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -23,6 +26,14 @@ UNIT_TOL = 1e-9  # effects summing to the unit; outcomes, and per entry a distri
 AXIOM_TOL = 1e-9  # an entropy inequality's allowed violation
 IDENTITY_TOL = 1e-12  # an entropy identity's allowed error
 LN2 = math.log(2.0)
+
+
+def _ordered_sum(values) -> float:
+    """0 + v_0 + v_1 + ..., added left to right: the built-in ``sum`` of
+    floats up to Python 3.11, bit for bit (the int 0 when ``values`` is
+    empty). From 3.12 that ``sum`` compensates its rounding, so a reported
+    sum would depend on the Python version."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def _as_prob_array(p) -> np.ndarray:
@@ -154,7 +165,7 @@ def _total_correlation(p: np.ndarray) -> float:
         # ndarray.sum wrapper around the same reduce
         return _plogp_bits(np.add.reduce(p, 1)) + _plogp_bits(np.add.reduce(p, 0)) - _plogp_bits(p)
     axes = range(p.ndim)
-    marginals = sum(_plogp_bits(p.sum(axis=tuple(j for j in axes if j != i))) for i in axes)
+    marginals = _ordered_sum(_plogp_bits(p.sum(axis=tuple(j for j in axes if j != i))) for i in axes)
     return marginals - _plogp_bits(p)
 
 
@@ -287,7 +298,7 @@ def multivariate_mutual_information(table: JointTable, names: Sequence[str] | No
     names = tuple(names) if names is not None else table.register_names
     if len(names) <= 1:
         return 0.0
-    return sum(table.entropy([n]) for n in names) - table.entropy(names)
+    return _ordered_sum(table.entropy([n]) for n in names) - table.entropy(names)
 
 
 def _von_neumann_rows(m: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from icp_lab import (
     qubit_rotation_sweep,
     register_marginal,
     sampling,
+    sweep,
 )
 from test_info import _negated_dot_plogp_bits, _scalar_binary_entropy
 
@@ -417,6 +418,30 @@ def test_grid_falls_back_to_one_by_one_scores_on_a_seed_outside_the_state_space(
     objective = engine._SearchObjective(th, assignment, True)
     with pytest.raises(ValueError, match=re.escape(message)):
         objective.value(np.full(4, 0.25), scored[1])
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((1100, 2), "register alphabet 1100 above MAX_ALPHABET = 1024"),
+        ((1024, 1024, 2), "joint alphabet 2097152 above MAX_JOINT_ALPHABET = 1048576"),
+    ],
+)
+def test_maximize_extractable_refuses_an_alphabet_past_the_caps_before_building(monkeypatch, bit_entry, sizes, message):
+    """The search refuses the ensemble's alphabet caps, with the ensemble's
+    messages, before it builds the register product or a one-hot matrix."""
+
+    def built(*args):
+        raise AssertionError("an array over the alphabets was built")
+
+    monkeypatch.setattr(engine, "_register_product", built)
+    monkeypatch.setattr(engine, "_one_hot_rows", built)
+    th = bit_entry.theory
+    even = {k: Measurement(f"U{k}", tuple(gpt.Effect(th.variant.unit.coords / k, f"u{i}") for i in range(k))) for k in sizes}
+    measurements = [th.measurement("X") if k == 2 else even[k] for k in sizes]
+    assignment = ObservableAssignment(tuple((m, r) for r, m in enumerate(measurements)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        maximize_extractable(th, assignment, OptimizerConfig("grid", 10))
 
 
 @pytest.mark.parametrize("strategy", ["grid", "coordinate-descent"])
@@ -1131,7 +1156,7 @@ def test_register_correlation_matches_the_per_point_bracketing(points):
     step = (math.pi / 2.0) / (points - 1) if points > 1 else 1.0
     for t in (i * step for i in range(points)):
         c, s = (1.0 + math.cos(t / 2.0)) / 2.0, (1.0 + math.sin(t / 2.0)) / 2.0
-        assert engine._optimal_register_correlation(c, s) == _per_point_register_correlation(c, s), t
+        assert sweep._optimal_register_correlation(c, s) == _per_point_register_correlation(c, s), t
 
 
 def test_qubit_rotation_sweep_rejects_out_of_range():

@@ -291,7 +291,7 @@ def test_growing_container_check_finds_each_form():
     source = (
         "_A = {}\n_B: dict[str, int] = dict()\n_C = []\n_D = list()\n_E = set()\n"
         "_F = {}\n_F['x'] = 1\n"  # filled once, at import
-        # tables filled where they are bound and only read, like proofs._AXIOMS and __init__._EXPORTS
+        # tables filled where they are bound and only read, like axioms._AXIOMS and __init__._EXPORTS
         "_EXPORTS = {'gpt': ('State',)}\n_HOME = {n: m for m, ns in _EXPORTS.items() for n in ns}\n"
         "def f(k, v):\n"
         "    _A[k] = v\n"  # line 11
@@ -614,9 +614,12 @@ def test_cli_import_loads_numpy_only():
          {"icp_lab.engine", "icp_lab.constructions", "icp_lab.proofs", "icp_lab.sampling"}),
         # coordinate descent draws no restart point
         (["demo", "classical"], {"icp_lab.constructions", "icp_lab.engine"}, {"numpy.random", "icp_lab.sampling"}),
-        # the axiom suite draws through info; engine and gpt load for the ledger alone
-        (["scan", "axioms", "--trials", "1"], {"icp_lab.proofs"},
-         {"icp_lab.sampling", "icp_lab.catalog", "icp_lab.constructions"}),
+        # the axiom suite and the qubit sweep need info alone: no ledger, engine or state space
+        (["scan", "axioms", "--trials", "1"], {"icp_lab.axioms"},
+         {"icp_lab.engine", "icp_lab.gpt", "icp_lab.proofs", "icp_lab.sampling", "icp_lab.catalog",
+          "icp_lab.constructions"}),
+        (["scan", "sweep", "--points", "2"], {"icp_lab.sweep"},
+         {"icp_lab.gpt", "icp_lab.engine", "icp_lab.catalog", "icp_lab.constructions", "icp_lab.proofs"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, loads, skips):

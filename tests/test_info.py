@@ -18,12 +18,24 @@ from icp_lab.info import (
     _binary_entropy_bits,
     _density_check,
     _is_distribution,
+    _ordered_sum,
     _plogp_bits,
     _plogp_bits_rows,
     _total_correlation,
     _total_correlation_rows,
 )
 from icp_lab.sampling import random_density_matrix
+
+
+def test_ordered_sum_adds_left_to_right_on_every_python():
+    # from Python 3.12 the built-in sum of floats compensates its rounding and reads 2.0 here
+    assert _ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert repr(_ordered_sum([])) == repr(sum([])) == "0" and _ordered_sum(iter([0.5, 0.25])) == 0.75
+    assert math.copysign(1.0, _ordered_sum([-0.0])) == 1.0  # 0 + -0.0 is 0.0, as the built-in sum gives
+    rng = np.random.default_rng(3)
+    triples = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-20, 20, (2000, 3))
+    for a, b, c in triples.tolist():
+        assert _ordered_sum([a, b, c]) == ((0.0 + a) + b) + c
 
 
 def test_binary_entropy_endpoints():

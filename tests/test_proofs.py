@@ -18,7 +18,7 @@ from icp_lab import (
     proof_chain_check,
     sampling,
 )
-from icp_lab.proofs import _AXIOMS, _CHUNK, _draw_trials, _evaluate_trials, _tables
+from icp_lab.axioms import _AXIOMS, _CHUNK, _draw_trials, _evaluate_trials, _tables
 
 
 @pytest.mark.parametrize("kind", ["shannon", "von-neumann"])
