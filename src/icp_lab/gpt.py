@@ -35,9 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -243,6 +242,26 @@ class Polytope(_VertexSpace):
         the vertices are affinely independent."""
         verts = self.vertex_matrix
         return np.linalg.pinv(np.vstack([verts.T, np.ones(len(verts))]))
+
+    @cached_property
+    def _readout_graph(self) -> tuple[tuple[Effect, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """The candidate effects (the extreme effects, their complements and
+        the unit, deduplicated), their (candidate, vertex) masks of reading 1
+        and 0, and the readable-pair graph of the vertices, all read-only.
+        ``polygon_mismatch`` reads it twice, through ``_readable_clique_number``
+        and in the dimension search."""
+        candidates = _dedupe_effects(
+            [
+                *self.extreme_effects,
+                *(Effect(self.unit.coords - e.coords, f"u-{e.label or '?'}") for e in self.extreme_effects),
+                self.unit,
+            ]
+        )
+        one, zero = _readouts(np.array([e.coords for e in candidates]), self.vertex_matrix)
+        pairs = _readable_pairs(one, zero)
+        for arr in (one, zero, pairs):
+            arr.setflags(write=False)
+        return tuple(candidates), one, zero, pairs
 
     def _check_rows(self, coords: np.ndarray) -> tuple[int, Validation]:
         # dual feasibility: every extreme effect (and the unit) must stay in
@@ -493,6 +512,11 @@ class Theory:
     variant: Polytope | NormConstraint | RestrictedClassical | Quantum
     measurements: Mapping[str, Measurement] = field(default_factory=dict)
 
+    @cached_property
+    def dimension_report(self) -> DimensionReport:
+        """The variant's search on this theory (``observed_dimension``), run once."""
+        return self.variant.dimension_report(self)
+
     def measurement(self, name: str) -> Measurement:
         try:
             return self.measurements[name]
@@ -662,8 +686,6 @@ class DimensionReport:
     notes: str = ""
 
 
-# each theory's report, held while the theory lives: a Theory is keyed by identity
-_DIMENSION_REPORTS: weakref.WeakKeyDictionary[Theory, DimensionReport] = weakref.WeakKeyDictionary()
 # subsets tested and effect choices tried before a polytope search stops
 _SEARCH_BUDGET = 2_000_000
 
@@ -755,34 +777,6 @@ def _extended_cliques(adjacent: np.ndarray, cliques: Iterable[np.ndarray]) -> It
             yield from (rows[i : i + _SUBSET_CHUNK] for i in range(0, len(rows), _SUBSET_CHUNK))
 
 
-# the last two theories' graphs: ``polygon_mismatch`` reads one twice, once
-# through ``_readable_clique_number`` and once in the dimension search
-@lru_cache(maxsize=2)
-def _readout_graph(theory: Theory) -> tuple[tuple[Effect, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """A polytope's candidate effects (its extreme effects, their complements
-    and the unit, deduplicated), their (candidate, vertex) masks of reading 1
-    and 0, and the readable-pair graph of its vertices, all read-only.
-
-    Cached per theory object: a theory is frozen, so its graph cannot change.
-    """
-    v = theory.variant
-    candidates = _dedupe_effects(
-        [
-            *v.extreme_effects,
-            *(
-                Effect(v.unit.coords - e.coords, f"u-{e.label or '?'}")
-                for e in v.extreme_effects
-            ),
-            v.unit,
-        ]
-    )
-    one, zero = _readouts(np.array([e.coords for e in candidates]), v.vertex_matrix)
-    pairs = _readable_pairs(one, zero)
-    for arr in (one, zero, pairs):
-        arr.setflags(write=False)
-    return tuple(candidates), one, zero, pairs
-
-
 def _readable_clique_number(theory: Theory) -> int:
     """Size of the largest set of a polytope's vertices that are pairwise
     readable (the clique number of ``_readable_pairs``' graph).
@@ -790,7 +784,7 @@ def _readable_clique_number(theory: Theory) -> int:
     Every set that one measurement distinguishes is such a clique, so this
     bounds the observed dimension from above.
     """
-    pairs = _readout_graph(theory)[3]
+    pairs = theory.variant._readout_graph[3]
     # one walk up the levels, each held whole: the m-cliques extend to the
     # (m+1)-cliques until a level is empty
     m, cliques = 1, list(_clique_chunks(pairs, 1))
@@ -817,7 +811,7 @@ def _polytope_dimension(theory: Theory, budget: int) -> DimensionReport:
     v = theory.variant
     vertices = v.vertices
     unit = v.unit
-    candidates, one, zero, pairs = _readout_graph(theory)
+    candidates, one, zero, pairs = v._readout_graph
     cap = min(len(vertices), v.affine_dimension + 1)
 
     best = DimensionReport(
@@ -907,13 +901,10 @@ def observed_dimension(theory: Theory) -> DimensionReport:
     with the basis measurement.
 
     The variant's search (``dimension_report``) runs once per theory object.
-    Its budget is fixed, so its report, exhaustive or not, is kept while the
-    theory lives.
+    Its budget is fixed, so its report, exhaustive or not, is kept on the
+    theory (``Theory.dimension_report``) and freed with it.
     """
-    report = _DIMENSION_REPORTS.get(theory)
-    if report is None:
-        report = _DIMENSION_REPORTS[theory] = theory.variant.dimension_report(theory)
-    return report
+    return theory.dimension_report
 
 
 def composite_dimension_bound(component_dims: Sequence[int]) -> int:

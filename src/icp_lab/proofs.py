@@ -17,7 +17,7 @@ import numpy as np
 
 from . import axioms
 from .engine import CorrelatedEnsemble, ObservableAssignment, _flat_index, _register_product, _require_registers, register_name
-from .gpt import Theory, coords_to_density, observed_dimension
+from .gpt import Polytope, RestrictedClassical, coords_to_density, observed_dimension
 from .info import (
     AXIOM_TOL,
     IDENTITY_TOL,
@@ -206,12 +206,12 @@ _ledger_plan = functools.lru_cache(maxsize=64)(_LedgerPlan)
 
 
 @functools.lru_cache(maxsize=64)
-def _classical_channels(assignment: ObservableAssignment, theory: Theory) -> np.ndarray:
+def _classical_channels(assignment: ObservableAssignment, variant: Polytope | RestrictedClassical) -> np.ndarray:
     """Each assigned measurement's channel p(x|s) on the basis states of a
     classical carrier (a simplex's vertices, a restricted theory's internal
     states), clipped to [0, 1], shape (n, outcomes, states); read-only, one
-    per assignment and theory object."""
-    channels = np.clip(_ledger_plan(assignment).effects @ theory.variant.classical_carrier.T, 0.0, 1.0)
+    per assignment and state space, so that no theory is held."""
+    channels = np.clip(_ledger_plan(assignment).effects @ variant.classical_carrier.T, 0.0, 1.0)
     channels.setflags(write=False)
     return channels
 
@@ -232,7 +232,7 @@ class _ClassicalChainData(_ChainData):
         stack[1, :, :, 0] = stack[0].sum(axis=2)
         # the (S, A_k) marginals give the gains: channel (x, s) @ table (s, a)
         s_a = stack[0, layout.singles, : layout.alphabet]
-        channels = _classical_channels(assignment, ensemble.theory)
+        channels = _classical_channels(assignment, ensemble.theory.variant)
         super().__init__(layout, _plogp_bits_stacked(stack, (2, 3)), channels @ np.swapaxes(s_a, 1, 2))
 
 

@@ -7,10 +7,12 @@ draws, the ``register_index`` outcome table, the three-call gain kernel
 and the ledger's step assembly with its ``i_*`` helpers. The cached path
 must give their bits.
 """
+import gc
 import hashlib
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -341,7 +343,6 @@ def test_ledger_plan_is_cached_per_assignment_and_read_only():
 def test_new_caches_are_bounded():
     caches = (
         engine._register_product, engine._one_hot_rows, proofs._ledger_plan, proofs._classical_channels,
-        gpt._readout_graph,
     )
     for cached in caches:
         assert cached.cache_info().maxsize is not None
@@ -349,20 +350,55 @@ def test_new_caches_are_bounded():
 
 def test_cached_arrays_are_read_only():
     theory = catalog.polygon(7).theory
-    candidates, *arrays = gpt._readout_graph(theory)
+    candidates, *arrays = theory.variant._readout_graph
     trit = catalog.classical_trit()
     assignment = _assignment(trit, ("E1", "E2"))
     arrays += [
         engine._register_product((3, 3)),
         engine._one_hot_rows(3),
         proofs._ledger_plan(assignment).effects,
-        proofs._classical_channels(assignment, trit.theory),
+        proofs._classical_channels(assignment, trit.theory.variant),
     ]
     assert isinstance(candidates, tuple)
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
+
+
+def _run_every_path(theory_id, labels, ledger):
+    """A weak reference to a fresh theory run through every path that caches
+    something: its dimension search, an audit, the ledger where it applies,
+    a polygon's clique number and a short search; nothing else is kept."""
+    entry = catalog.resolve(theory_id)
+    theory, assignment = entry.theory, _assignment(entry, labels)
+    gpt.observed_dimension(theory)
+    engine.evaluate_icp(sampling.random_ensemble(entry, np.random.default_rng(3)), assignment)
+    if ledger:
+        proofs.proof_chain_check(sampling.random_ensemble(entry, np.random.default_rng(4)), assignment)
+    if theory_id.startswith("polygon:"):
+        gpt._readable_clique_number(theory)
+    engine.maximize_extractable(theory, assignment, engine.OptimizerConfig("grid", 50))
+    return weakref.ref(theory)
+
+
+# theory id: (measurement labels, whether the ledger applies)
+FREED_CASES = {
+    "polygon:7": (("E1", "E2"), False),
+    "classical-trit": (("E1", "E2"), True),
+    "hbit": (("X", "Z"), True),
+    "qubit": (("X", "Z"), True),
+    "pgnst:3:2": (("X", "Z"), False),
+}
+
+
+@pytest.mark.parametrize("theory_id", FREED_CASES)
+def test_every_path_frees_its_theory(theory_id):
+    # a module-level cache keyed by the theory would keep it, and with it its
+    # dimension report and a polytope's readout graph, after the caller drops it
+    theory = _run_every_path(theory_id, *FREED_CASES[theory_id])
+    gc.collect()
+    assert theory() is None
 
 
 def test_polygon_mismatch_builds_the_readout_graph_once(monkeypatch):

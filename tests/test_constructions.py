@@ -358,7 +358,7 @@ def test_polygon_mismatch_matches_the_or_graph_clique_search(n):
     # the candidates hold every complement u - e, so a pair read apart one way
     # is read apart the other way too: the OR graph is the search's AND graph
     pairwise = _or_graph(n)
-    assert gpt._readout_graph(catalog.polygon(n).theory)[3].tolist() == pairwise.tolist()
+    assert catalog.polygon(n).theory.variant._readout_graph[3].tolist() == pairwise.tolist()
     adj = [set(np.flatnonzero(row).tolist()) for row in pairwise]
     assert polygon_mismatch(n).information_dimension == _max_clique_size(adj)
 

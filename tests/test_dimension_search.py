@@ -395,7 +395,7 @@ def test_readable_clique_number_walks_the_levels_once(monkeypatch):
     monkeypatch.setattr(gpt, "_extended_cliques", counted)
     for make, expected in zip(makes, CLIQUE_NUMBERS, strict=True):
         theory = make().theory
-        pairs = gpt._readout_graph(theory)[3]
+        pairs = theory.variant._readout_graph[3]
         # the old walk, restarted from size 1 for every size it tried
         m = 1
         while next(gpt._clique_chunks(pairs, m + 1), None) is not None:

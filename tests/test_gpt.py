@@ -239,8 +239,6 @@ def test_dimension_report_is_kept_per_theory_object():
 def test_dimension_report_is_freed_with_its_theory(theory_id):
     theory = catalog.resolve(theory_id).theory
     report = weakref.ref(observed_dimension(theory))
-    # the readout graph's lru_cache holds the last two polytopes searched
-    gpt._readout_graph.cache_clear()
     del theory
     gc.collect()
     assert report() is None

@@ -247,6 +247,44 @@ def test_every_lru_cache_has_an_explicit_finite_maxsize(path):
     assert _unbounded_caches(path.read_text(encoding="utf-8")) == []
 
 
+def _theory_keyed_caches(source: str) -> list[str]:
+    """Parameters annotated ``Theory`` of functions decorated with
+    ``lru_cache``, as "line N: function(parameter)", N the ``def`` line."""
+    found = []
+    for func in (n for n in ast.walk(ast.parse(source)) if isinstance(n, _FUNCTIONS)):
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in func.decorator_list]
+        if not any((getattr(d, "attr", None) or getattr(d, "id", None)) == "lru_cache" for d in decorators):
+            continue
+        args = func.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            annotation = arg.annotation
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                annotation = ast.parse(annotation.value, mode="eval")
+            names = {getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(annotation or ast.Pass())}
+            if "Theory" in names:
+                found.append(f"line {func.lineno}: {func.name}({arg.arg})")
+    return found
+
+
+def test_theory_keyed_cache_check_finds_each_form():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=8)\ndef a(x: int, theory: Theory): pass\n"  # line 4
+        "@lru_cache(16)\ndef b(t: gpt.Theory | None): pass\n"  # line 6
+        "@lru_cache(4)\ndef c(variant: Polytope, theory=None): pass\n"  # neither is annotated Theory
+        "def d(theory: Theory): pass\n"  # not cached
+        "@lru_cache(2)\ndef e(*, theory: 'Theory'): pass\n"  # line 11: a string annotation
+    )
+    assert _theory_keyed_caches(source) == ["line 4: a(theory)", "line 6: b(t)", "line 11: e(theory)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_lru_cache_is_keyed_by_a_theory(path):
+    # a module-level cache keyed by a theory keeps it alive after its caller
+    # drops it; what is derived from one theory is a cached_property of it
+    assert _theory_keyed_caches(path.read_text(encoding="utf-8")) == []
+
+
 _GROWING_METHODS = ("append", "add", "setdefault", "update")
 
 
