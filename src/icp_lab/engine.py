@@ -114,6 +114,15 @@ MAX_JOINT_ALPHABET = MAX_ALPHABET**2
 MAX_REGISTERS = 64
 
 
+def _check_register_count(n_registers: int) -> None:
+    """Raise ValueError unless 1 <= ``n_registers`` <= MAX_REGISTERS: the
+    one register-count check, run before anything is built per register."""
+    if n_registers < 1:
+        raise ValueError("entries need at least one register")
+    if n_registers > MAX_REGISTERS:
+        raise ValueError(f"{n_registers} registers above MAX_REGISTERS = {MAX_REGISTERS}")
+
+
 def _check_alphabets(alphabets: tuple[int, ...]) -> None:
     """Raise ValueError when an alphabet exceeds MAX_ALPHABET or their product
     MAX_JOINT_ALPHABET: the one cap check, run before anything is built over
@@ -169,10 +178,7 @@ class CorrelatedEnsemble:
         if not (coords.ndim == regs.ndim == 2 and len(coords) == len(regs) == n):
             raise ValueError(f"state coordinates {coords.shape} and register values {regs.shape} for {n} probabilities")
         n_regs = regs.shape[1]
-        if n_regs == 0:
-            raise ValueError("entries need at least one register")
-        if n_regs > MAX_REGISTERS:
-            raise ValueError(f"{n_regs} registers above MAX_REGISTERS = {MAX_REGISTERS}")
+        _check_register_count(n_regs)
         if len(self.register_alphabets) != n_regs:
             raise ValueError(f"{len(self.register_alphabets)} alphabets for {n_regs} registers")
         try:
@@ -503,11 +509,11 @@ class _SearchObjective:
         check is never kept, so it raises on every visit.
         """
         if memo is None:
-            return max(info._total_correlation(info._as_prob_array(table)), 0.0)
+            return max(info._checked_total_correlation(table), 0.0)
         key = (table.shape, table.tobytes())
         value = memo.get(key)
         if value is None:
-            value = memo[key] = max(info._total_correlation(info._as_prob_array(table)), 0.0)
+            value = memo[key] = max(info._checked_total_correlation(table), 0.0)
         return value
 
     def _redundancy(self, w: np.ndarray, memo: dict | None = None) -> float:

@@ -381,9 +381,10 @@ class NormConstraint(_StateSpace):
     def build(self, params: np.ndarray) -> np.ndarray:
         s = np.asarray(params, dtype=float)
         norm = self.norm(s)
-        if norm > 1.0:
-            s = s / norm
-        return np.append(s, 1.0)
+        coords = np.empty(self.k + 1)
+        coords[:-1] = s / norm if norm > 1.0 else s
+        coords[-1] = 1.0
+        return coords
 
     def search_seeds(self, measurements: Sequence[Measurement]) -> list[np.ndarray]:
         return list(self.corners()[:, :-1])

@@ -36,8 +36,9 @@ def _ordered_sum(values) -> float:
     return functools.reduce(operator.add, values, 0)
 
 
-def _as_prob_array(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
+def _check_distribution(arr: np.ndarray) -> float:
+    """The one distribution check of a float array: ValueError unless its
+    entries are >= -PROB_TOL and sum to 1; returns its least entry."""
     if arr.size == 0:
         raise ValueError("empty distribution")
     # min and sum without ndarray's wrappers; NaN fails: every comparison with NaN is false
@@ -47,6 +48,12 @@ def _as_prob_array(p) -> np.ndarray:
     total = float(np.add.reduce(arr, None))
     if not abs(total - 1.0) <= max(PROB_TOL, UNIT_TOL * arr.size):
         raise ValueError(f"distribution sums to {total!r}, not 1")
+    return lo
+
+
+def _as_prob_array(p) -> np.ndarray:
+    arr = np.asarray(p, dtype=float)
+    _check_distribution(arr)
     return arr
 
 
@@ -144,29 +151,42 @@ def _is_distribution(p: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return (p.min(axis=axes) >= -PROB_TOL) & (np.abs(total - 1.0) <= max(PROB_TOL, UNIT_TOL * size))
 
 
-def _plogp_bits(p: np.ndarray) -> float:
+def _plogp_bits(p: np.ndarray, positive: bool = False) -> float:
     """-sum p log2 p over an array of any shape: the one entropy kernel.
 
     The 0*log(0) = 0 convention holds, and tiny negatives from float noise
     count as zero mass. The entries are not checked to form a distribution.
+    ``positive`` says every entry is > 0: the mask would keep them all, in
+    C order, so the raveled (C-contiguous) array replaces it, same bits.
     """
-    q = p[p > 0.0]
+    q = p.ravel() if positive else p[p > 0.0]
     # the bits of (-q) . log2 q without negating q; 0.0 - keeps a one-hot table's +0.0
     return 0.0 - float(np.dot(q, np.log2(q)))
 
 
-def _total_correlation(p: np.ndarray) -> float:
+def _total_correlation(p: np.ndarray, positive: bool | None = None) -> float:
     """sum_i H(axis i) - H(all axes) of a bare joint array: I(X:A) on two
-    axes, 0 on one."""
+    axes, 0 on one. When every entry is > 0 (``positive``, found here
+    unless given), so is every marginal entry, and no entropy masks."""
     if p.ndim <= 1:
         return 0.0
+    if positive is None:
+        # NaN fails; an empty table's marginals may hold zeros
+        positive = p.size > 0 and np.minimum.reduce(p, None) > 0.0
     if p.ndim == 2:
         # the general sum below, bit for bit, without its generator and the
         # ndarray.sum wrapper around the same reduce
-        return _plogp_bits(np.add.reduce(p, 1)) + _plogp_bits(np.add.reduce(p, 0)) - _plogp_bits(p)
+        rows, cols = np.add.reduce(p, 1), np.add.reduce(p, 0)
+        return _plogp_bits(rows, positive) + _plogp_bits(cols, positive) - _plogp_bits(p, positive)
     axes = range(p.ndim)
-    marginals = _ordered_sum(_plogp_bits(p.sum(axis=tuple(j for j in axes if j != i))) for i in axes)
-    return marginals - _plogp_bits(p)
+    marginals = _ordered_sum(_plogp_bits(p.sum(axis=tuple(j for j in axes if j != i)), positive) for i in axes)
+    return marginals - _plogp_bits(p, positive)
+
+
+def _checked_total_correlation(p: np.ndarray) -> float:
+    """``_total_correlation(_as_prob_array(p))`` of a float array, bit for
+    bit and with its errors; the check's least entry picks the kernel's path."""
+    return _total_correlation(p, _check_distribution(p) > 0.0)
 
 
 def _plogp_bits_rows(p: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import MAX_REGISTERS, CorrelatedEnsemble, _check_alphabets, _register_product
+from .engine import CorrelatedEnsemble, _check_alphabets, _check_register_count, _register_product
 from .gpt import State
 from .info import _densities, _density_draw_parts, _dirichlet_ones
 
@@ -39,11 +39,8 @@ def random_ensemble(
     seeds, so a change of order changes every recorded value.
     """
     n_registers, alphabet = operator.index(n_registers), operator.index(alphabet)
-    if n_registers < 1:
-        raise ValueError("entries need at least one register")
     # first, so that the alphabets below are at most MAX_REGISTERS long
-    if n_registers > MAX_REGISTERS:
-        raise ValueError(f"{n_registers} registers above MAX_REGISTERS = {MAX_REGISTERS}")
+    _check_register_count(n_registers)
     if alphabet < 1:
         raise ValueError(f"alphabet {alphabet} below 1")
     alphabets = (alphabet,) * n_registers

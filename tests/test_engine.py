@@ -506,12 +506,16 @@ def test_line_scorers_give_the_bits_of_value(case):
 
 
 def _count_kernel_calls(monkeypatch):
+    """Count I(X:A) kernel calls: every table of ``evaluate_icp`` and every
+    one ``_SearchObjective._information`` checks (through
+    ``info._checked_total_correlation``) reaches ``info._total_correlation``
+    once, which passes the check's least entry on."""
     calls = [0]
     kernel = info._total_correlation
 
-    def counted(p):
+    def counted(p, *positive):
         calls[0] += 1
-        return kernel(p)
+        return kernel(p, *positive)
 
     monkeypatch.setattr(info, "_total_correlation", counted)
     return calls

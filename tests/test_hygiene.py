@@ -555,6 +555,16 @@ def test_gpt_reads_effects_on_states_by_whole_products():
     assert _dot_calls((SRC / "gpt.py").read_text(encoding="utf-8")) == []
 
 
+def test_the_scalar_entropy_kernel_holds_the_one_dot_call():
+    """Every entropy of one table, masked or not, runs the one formula in
+    ``info._plogp_bits``; no copy of it elsewhere can drift in its bits."""
+    calls = {path.name: _dot_calls(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert {name: len(lines) for name, lines in calls.items() if lines} == {"info.py": 1}
+    tree = ast.parse((SRC / "info.py").read_text(encoding="utf-8"))
+    kernel = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_plogp_bits")
+    assert kernel.lineno <= calls["info.py"][0] <= kernel.end_lineno
+
+
 def _package_imports(source: str, modules: set[str]) -> list[tuple[str, bool]]:
     """The package modules that ``source`` imports by ``from . import x`` or
     ``from .x import y``, each with whether the import sits inside a function.

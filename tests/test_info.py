@@ -13,9 +13,12 @@ from icp_lab import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from icp_lab import info
 from icp_lab.info import (
     LN2,
+    _as_prob_array,
     _binary_entropy_bits,
+    _checked_total_correlation,
     _density_check,
     _is_distribution,
     _ordered_sum,
@@ -276,3 +279,86 @@ def test_plogp_bits_gives_the_bits_of_the_negated_dot_product():
     for p in (*tables, np.zeros((2, 2)), np.ones((1, 1))):
         assert repr(_plogp_bits(p)) == repr(_negated_dot_plogp_bits(p))
     assert repr(_plogp_bits(np.eye(3)[1])) == "0.0"
+
+
+def _paths_taken(monkeypatch):
+    """Record each entropy's path, True where it skipped the mask."""
+    paths, kernel = [], info._plogp_bits
+
+    def recorded(p, positive=False):
+        paths.append(bool(positive))
+        return kernel(p, positive)
+
+    monkeypatch.setattr(info, "_plogp_bits", recorded)
+    return paths
+
+
+def _positive_tables():
+    """All-positive tables: random 1x1 ... 5x5 and 2x2x2, transposed,
+    strided, reversed and Fortran-ordered views (the mask copies them in
+    C order), tables with positive subnormal entries, and 1x1 one-hot tables."""
+    rng = np.random.default_rng(41)
+    tables = [rng.dirichlet(np.ones(k * a)).reshape(k, a) for k in range(1, 6) for a in range(1, 6) for _ in range(8)]
+    tables += list(rng.dirichlet(np.ones(8), size=20).reshape(20, 2, 2, 2))
+    big = rng.dirichlet(np.ones(120)).reshape(8, 15)
+    tables += [big.T, big[::2, ::3], big[1::3, ::-2], big[::-1, ::-1], np.asfortranarray(big[:5, :4]), big[2:4]]
+    cube = rng.dirichlet(np.ones(64)).reshape(4, 4, 4)
+    tables += [cube.transpose(2, 0, 1), cube[::2, 1::2, ::-1]]
+    for tiny in (5e-324, 2.2e-310, 1e-300):
+        subnormal = rng.dirichlet(np.ones(6)).reshape(2, 3)
+        subnormal[0, 1], subnormal[1, 2] = tiny, 3 * tiny
+        tables.append(subnormal)
+    return tables + [np.ones((1, 1)), np.ones((1, 1, 1))]
+
+
+def test_an_all_positive_table_skips_the_mask_with_the_same_bits(monkeypatch):
+    tables = _positive_tables()
+    paths = _paths_taken(monkeypatch)
+    for p in tables:
+        paths.clear()
+        value = _total_correlation(p)
+        assert paths == [True] * (p.ndim + 1)
+        assert repr(value) == repr(_total_correlation(p, False)) == repr(_generic_total_correlation(p))
+        for marginal in (p, np.add.reduce(p, 0), p.sum(axis=tuple(range(1, p.ndim)))):
+            assert repr(_plogp_bits(marginal, True)) == repr(_plogp_bits(marginal))
+
+
+def test_a_table_with_a_zero_negative_or_nan_keeps_the_mask(monkeypatch):
+    rng = np.random.default_rng(43)
+    tables = []
+    for bad in (0.0, -0.0, -1e-17, np.nan):
+        for shape in ((2, 2), (3, 4), (2, 2, 2)):
+            p = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+            p.flat[rng.integers(p.size)] = bad
+            tables += [p, p.T]
+    # one-hot tables: every entropy is a signed zero
+    tables += [np.eye(3)[[1]], np.eye(4)[2].reshape(2, 2), np.zeros((2, 3)), np.zeros((0, 3))]
+    paths = _paths_taken(monkeypatch)
+    for p in tables:
+        paths.clear()
+        assert repr(_total_correlation(p)) == repr(_generic_total_correlation(p))
+        assert not any(paths)
+
+
+def test_the_checked_kernel_is_the_check_then_the_kernel(monkeypatch):
+    """``_checked_total_correlation`` reads the check's least entry: its bits,
+    path and messages are those of ``_total_correlation(_as_prob_array(p))``."""
+    tables = [q / np.add.reduce(q, None) for q in _positive_tables()]
+    tables += [p.T for p in tables]  # non-contiguous
+    tables += [np.array([[0.5, 0.0], [0.25, 0.25]]), np.array([[0.5, -1e-17], [0.25, 0.25 + 1e-17]])]
+    paths = _paths_taken(monkeypatch)
+    for p in tables:
+        paths.clear()
+        value = _checked_total_correlation(p)
+        checked_paths = list(paths)
+        assert repr(value) == repr(_total_correlation(_as_prob_array(p)))
+        assert checked_paths == paths[len(checked_paths) :]
+    for bad in ([[0.5, -0.1], [0.3, 0.3]], [[0.5, np.nan], [0.25, 0.25]], [[0.5, 0.5], [0.25, 0.25]]):
+        p = np.array(bad)
+        with pytest.raises(ValueError) as expected:
+            _as_prob_array(p)
+        with pytest.raises(ValueError) as raised:
+            _checked_total_correlation(p)
+        assert str(raised.value) == str(expected.value)
+    with pytest.raises(ValueError, match="^empty distribution$"):
+        _checked_total_correlation(np.zeros((0, 2)))
