@@ -29,9 +29,8 @@ _EXPORTS = {
     "gpt": (
         "ChainNotApplicable", "DimensionReport", "DistinguishabilityCertificate", "Effect", "Measurement",
         "NormConstraint", "Polytope", "Quantum", "RestrictedClassical", "State", "Theory",
-        "Validation", "ambient_dimension", "apply_effect", "classical_carrier",
-        "composite_dimension_bound", "coords_to_density", "density_to_coords", "measure",
-        "observed_dimension", "state_space_dimension", "unit_effect", "validate_measurement",
+        "Validation", "apply_effect", "composite_dimension_bound", "coords_to_density",
+        "density_to_coords", "measure", "observed_dimension", "validate_measurement",
         "validate_state", "verify_distinguishable",
     ),
     "catalog": (

@@ -42,24 +42,16 @@ from .gpt import (
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    """A named catalog theory with notes on what it models."""
+    """A catalog theory; its id and measurements are the theory's."""
 
     theory: Theory
-    notes: str = ""
-
-    @property
-    def entry_id(self) -> str:
-        return self.theory.theory_id
-
-    def measurement(self, name: str) -> Measurement:
-        return self.theory.measurement(name)
 
 
 def _checked(entry: CatalogEntry) -> CatalogEntry:
     for m in entry.theory.measurements.values():
         ok = validate_measurement(entry.theory, m)
         if not ok:
-            raise AssertionError(f"{entry.entry_id}/{m.label}: {ok.detail}")
+            raise AssertionError(f"{entry.theory.theory_id}/{m.label}: {ok.detail}")
     return entry
 
 
@@ -101,20 +93,13 @@ def polygon(n: int) -> CatalogEntry:
         comp = Effect(unit.coords - e.coords, f"u-e{i}")
         measurements[f"E{i}"] = Measurement(f"E{i}", (e, comp))
     theory = Theory(f"polygon:{n}", Polytope(vertices, extremes, unit), measurements)
-    return _checked(
-        CatalogEntry(
-            theory,
-            notes=f"{n}-gon model, r = 1/sqrt(cos(pi/{n}))",
-        )
-    )
+    return _checked(CatalogEntry(theory))
 
 
 def classical_trit() -> CatalogEntry:
+    """Three-outcome classical system: the triangle model under its own id."""
     triangle = polygon(3).theory
-    return CatalogEntry(
-        Theory("classical-trit", triangle.variant, triangle.measurements),
-        notes="three-outcome classical system (triangle model)",
-    )
+    return CatalogEntry(Theory("classical-trit", triangle.variant, triangle.measurements))
 
 
 def classical_bit() -> CatalogEntry:
@@ -130,9 +115,7 @@ def classical_bit() -> CatalogEntry:
         "Z": Measurement("Z", (Effect(p0.coords, "Z0"), Effect(p1.coords, "Z1"))),
     }
     theory = Theory("classical-bit", Polytope((v0, v1), (p0, p1), unit), measurements)
-    return _checked(
-        CatalogEntry(theory, notes="one bit read twice (X and Z coincide)")
-    )
+    return _checked(CatalogEntry(theory))
 
 
 def sbit() -> CatalogEntry:
@@ -144,12 +127,7 @@ def sbit() -> CatalogEntry:
     measurements["X"] = Measurement("X", e2.effects)
     measurements["Z"] = Measurement("Z", e3.effects)
     theory = Theory("sbit", theory.variant, measurements)
-    return _checked(
-        CatalogEntry(
-            theory,
-            notes="square model; corners carry definite X and Z values at once",
-        )
-    )
+    return _checked(CatalogEntry(theory))
 
 
 def sbit_state(sx: float, sz: float) -> State:
@@ -178,12 +156,7 @@ def hbit() -> CatalogEntry:
         ),
     )
     theory = Theory("hbit", RestrictedClassical(4), {"X": x, "Z": z})
-    return _checked(
-        CatalogEntry(
-            theory,
-            notes="hidden 4-state bit; only the two coarse readouts are available",
-        )
-    )
+    return _checked(CatalogEntry(theory))
 
 
 def hbit_state(a: int, b: int) -> State:
@@ -202,14 +175,13 @@ def _qubit_axis_measurement(axis: np.ndarray, label: str) -> Measurement:
 
 
 def qubit() -> CatalogEntry:
+    """One qubit with projective X and Z readouts."""
     measurements = {
         "X": _qubit_axis_measurement(np.array([1.0, 0.0, 0.0]), "X"),
         "Z": _qubit_axis_measurement(np.array([0.0, 0.0, 1.0]), "Z"),
     }
     theory = Theory("qubit", Quantum(2), measurements)
-    return _checked(
-        CatalogEntry(theory, notes="projective X and Z on one qubit")
-    )
+    return _checked(CatalogEntry(theory))
 
 
 def qubit_z_rotated(theta: float) -> Measurement:
@@ -230,7 +202,11 @@ _PGNST_AXES = ("X", "Y", "Z")
 
 
 def pgnst_id(p: float, k: int) -> str:
-    p_str = "inf" if math.isinf(p) else f"{p:g}"
+    """``pgnst:<p>:<k>``, with p written short (``:g``) where that text reads
+    back as p and in full (``repr``) otherwise, so ``resolve`` rebuilds p exactly."""
+    p_str = f"{p:g}"
+    if float(p_str) != p:
+        p_str = repr(float(p))
     return f"pgnst:{p_str}:{k}"
 
 
@@ -258,19 +234,14 @@ def pgnst(p: float, k: int = 2) -> CatalogEntry:
             (Effect(plus, f"{name}0"), Effect(minus, f"{name}1")),
         )
     theory = Theory(pgnst_id(p, k), variant, measurements)
-    return _checked(
-        CatalogEntry(
-            theory,
-            notes=f"|s|_p <= 1 ball over {k} fiducial readouts",
-        )
-    )
+    return _checked(CatalogEntry(theory))
 
 
 def norm_state(entry: CatalogEntry, means) -> State:
     """State of a norm-constraint theory from its fiducial mean values."""
     variant = entry.theory.variant
     if not isinstance(variant, NormConstraint):
-        raise TypeError(f"{entry.entry_id!r} is not a norm-constraint theory")
+        raise TypeError(f"{entry.theory.theory_id!r} is not a norm-constraint theory")
     means = np.asarray(means, dtype=float)
     if means.size != variant.k:
         raise ValueError(f"expected {variant.k} mean values")

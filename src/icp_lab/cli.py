@@ -93,17 +93,18 @@ def _catalog_entries():
 
 
 def cmd_catalog(args) -> int:
-    from .gpt import ambient_dimension, observed_dimension, state_space_dimension
+    from .gpt import observed_dimension
 
     rows = []
     for entry in _catalog_entries():
+        theory = entry.theory
         rows.append(
             {
-                "id": entry.entry_id,
-                "ambient_dimension": ambient_dimension(entry.theory),
-                "state_dimension": state_space_dimension(entry.theory),
-                "observed_dimension": observed_dimension(entry.theory).d,
-                "measurements": sorted(entry.theory.measurements),
+                "id": theory.theory_id,
+                "ambient_dimension": theory.variant.ambient_dimension,
+                "state_dimension": theory.variant.affine_dimension,
+                "observed_dimension": observed_dimension(theory).d,
+                "measurements": sorted(theory.measurements),
             }
         )
     manifest = _manifest(args, "catalog")
@@ -221,7 +222,7 @@ def _resolve_measurement(entry, name: str):
         return entry.theory.measurement(name)
     except KeyError:
         rotated = _ROTATED_Z.match(name)
-        if rotated and entry.entry_id == "qubit":
+        if rotated and entry.theory.theory_id == "qubit":
             from .catalog import qubit_z_rotated
 
             return qubit_z_rotated(float(rotated.group("theta")))

@@ -56,19 +56,9 @@ class ViolationCertificate:
     closed_form: dict[str, float]
     crosscheck_max_abs_diff: float
 
-    @property
-    def theory_id(self) -> str:
-        return self.ensemble.theory.theory_id
-
-    @property
-    def violated(self) -> bool:
-        return self.report.violated
-
 
 def _two_register_assignment(entry: CatalogEntry) -> ObservableAssignment:
-    return ObservableAssignment(
-        ((entry.measurement("X"), 0), (entry.measurement("Z"), 1))
-    )
+    return ObservableAssignment(((entry.theory.measurement("X"), 0), (entry.theory.measurement("Z"), 1)))
 
 
 def _uniform_four(entry: CatalogEntry, states) -> CorrelatedEnsemble:
@@ -155,7 +145,7 @@ def qubit_rac_construction() -> ViolationCertificate:
         "redundancy": 0.0,
         "extractable": 2.0 * gain,
     }
-    x_table = joint_outcome_table(ensemble, entry.measurement("X"), 0)
+    x_table = joint_outcome_table(ensemble, entry.theory.measurement("X"), 0)
     success_diff = abs(success - _conditional(x_table, 0, 0))
     return _certificate(ensemble, _two_register_assignment(entry), closed, success_diff)
 
@@ -424,7 +414,7 @@ def polygon_violation(n: int) -> ViolationCertificate:
     z_name = f"E{m}"
     ensemble = _uniform_four(entry, states)
     assignment = ObservableAssignment(
-        ((entry.measurement(x_name), 0), (entry.measurement(z_name), 1))
+        ((entry.theory.measurement(x_name), 0), (entry.theory.measurement(z_name), 1))
     )
     closed = {
         "p(Z=0|B=0)": cond_00,
@@ -434,7 +424,7 @@ def polygon_violation(n: int) -> ViolationCertificate:
         "redundancy": 0.0,
         "extractable": 1.0 + gain_z,
     }
-    z_meas = entry.measurement(z_name)
+    z_meas = entry.theory.measurement(z_name)
     z_table = joint_outcome_table(ensemble, z_meas, 1)
     direct_00 = 0.5 * (
         apply_effect(z_meas.effects[0], states[(0, 0)])

@@ -77,7 +77,7 @@ def _require_registers(registers: Iterable[int], n_registers: int) -> None:
 
 def _check_registers(registers: np.ndarray, register_alphabets: tuple[int, ...]) -> None:
     """Raise ValueError for the first register value outside its alphabet
-    (NaN included), else for register values of no integer dtype.
+    (NaN included), naming its entry (row), else for register values of no integer dtype.
 
     A passing int64 stack costs one maximum: viewed as uint64, a negative
     value exceeds every alphabet, so every value lies in its alphabet when
@@ -93,7 +93,7 @@ def _check_registers(registers: np.ndarray, register_alphabets: tuple[int, ...])
     outside = ~((registers >= 0) & (registers < np.array(register_alphabets)))
     if outside.any():
         i, j = np.argwhere(outside)[0]
-        raise ValueError(f"register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
+        raise ValueError(f"entry {i}: register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
     if registers.dtype.kind not in "iu":
         raise ValueError(f"register values of dtype {registers.dtype}, not an integer dtype")
 
@@ -188,9 +188,9 @@ class CorrelatedEnsemble:
         object.__setattr__(self, "register_alphabets", alphabets)
         _check_alphabets(alphabets)
         _check_registers(regs, alphabets)
-        _, ok = self.theory.variant.check_states(coords)
+        i, ok = self.theory.variant.check_states(coords)
         if not ok:
-            raise ValueError(f"invalid state in ensemble: {ok.detail}")
+            raise ValueError(f"invalid state in ensemble: entry {i}: {ok.detail}")
         for arr in (self.probs, self.coords, self.registers):
             arr.setflags(write=False)
 
@@ -256,12 +256,9 @@ class ObservableAssignment:
         return tuple(r for _, r in self.pairs)
 
     @cached_property
-    def _labels(self) -> tuple[str, ...]:
-        return tuple(f"{m.label}:{register_name(r)}" for m, r in self.pairs)
-
     def labels(self) -> tuple[str, ...]:
         """Each pair as "measurement:register", computed once per assignment."""
-        return self._labels
+        return tuple(f"{m.label}:{register_name(r)}" for m, r in self.pairs)
 
 
 @lru_cache(maxsize=32)
@@ -359,7 +356,7 @@ def evaluate_icp(ensemble: CorrelatedEnsemble, assignment: ObservableAssignment)
     bound = math.log2(dim_report.d)
     margin = bound - extractable
     return ICPReport(
-        pair_labels=assignment.labels(),
+        pair_labels=assignment.labels,
         gains=tuple(gains),
         redundancy=redundancy,
         extractable=extractable,

@@ -167,6 +167,9 @@ class _VertexSpace(_StateSpace):
 
     @property
     def classical_carrier(self) -> np.ndarray | None:
+        """The basis states of the classical carrier S, one row each, when the
+        vertices form a simplex, else None. Each state is one mixture of these
+        rows, so H(S) <= log2 |S|, their count."""
         return self.vertex_matrix if len(self.vertex_matrix) == self.affine_dimension + 1 else None
 
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -367,7 +370,8 @@ class NormConstraint(_StateSpace):
                 (np.abs(coords[:, -1] - 1.0), None, tol, lambda i: "normalization coordinate is not 1"),
                 (norm, None, 1.0 + tol, lambda i: f"p-norm {float(norm[i])!r} exceeds 1"),
             ],
-            f"p-norm {float(norm.max())!r}",
+            # the reduce behind norm.max(), given 0 so that an empty stack passes
+            f"p-norm {float(np.maximum.reduce(norm, None, initial=0.0))!r}",
         )
 
     def random_coords(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -523,27 +527,6 @@ class Theory:
             return self.measurements[name]
         except KeyError as exc:
             raise KeyError(f"theory {self.theory_id!r} has no measurement {name!r}") from exc
-
-
-def ambient_dimension(theory: Theory) -> int:
-    return theory.variant.ambient_dimension
-
-
-def state_space_dimension(theory: Theory) -> int:
-    """Affine dimension of the state space (3 for a gbit, d^2-1 for quantum)."""
-    return theory.variant.affine_dimension
-
-
-def classical_carrier(theory: Theory) -> np.ndarray | None:
-    """The basis states of the theory's classical carrier S, one row each: a
-    simplex polytope's vertices or a restricted theory's internal states;
-    None for every other theory. Each state is one mixture of these rows, so
-    H(S) <= log2 |S|, their count."""
-    return theory.variant.classical_carrier
-
-
-def unit_effect(theory: Theory) -> Effect:
-    return theory.variant.unit
 
 
 # --- quantum embedding -------------------------------------------------------

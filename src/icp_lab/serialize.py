@@ -183,7 +183,7 @@ def assignment_from_json(doc) -> tuple[list[str], list[int]]:
 
 def certificate_to_json(cert) -> dict:
     return {
-        "theory": cert.theory_id,
+        "theory": cert.ensemble.theory.theory_id,
         "ensemble": ensemble_to_json(cert.ensemble),
         "assignment": assignment_to_json(cert.assignment),
         "report": cert.report.to_json(),

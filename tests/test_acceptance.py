@@ -54,11 +54,11 @@ def test_criterion_01_two_bit_demos():
     problems = []
     for cert in (sbit_violation(), hbit_violation()):
         if abs(cert.report.extractable - 2.0) > 1e-12:
-            problems.append(f"{cert.theory_id} extractable {cert.report.extractable!r}")
+            problems.append(f"{cert.ensemble.theory.theory_id} extractable {cert.report.extractable!r}")
         if abs(cert.report.bound - 1.0) > 1e-12:
-            problems.append(f"{cert.theory_id} bound {cert.report.bound!r}")
-        if not cert.violated:
-            problems.append(f"{cert.theory_id} not flagged as violating")
+            problems.append(f"{cert.ensemble.theory.theory_id} bound {cert.report.bound!r}")
+        if not cert.report.violated:
+            problems.append(f"{cert.ensemble.theory.theory_id} not flagged as violating")
     _verdict(1, "square and hidden-bit demos extract 2 bits against a 1-bit bound",
              not problems, "; ".join(problems))
 
@@ -164,8 +164,8 @@ def test_criterion_07_polygon_family():
 def test_criterion_08_polygon_dimensions():
     cert3 = polygon_violation(3)
     problems = []
-    if cert3.report.observed_dim != 3 or cert3.violated:
-        problems.append(f"triangle d={cert3.report.observed_dim} violated={cert3.violated}")
+    if cert3.report.observed_dim != 3 or cert3.report.violated:
+        problems.append(f"triangle d={cert3.report.observed_dim} violated={cert3.report.violated}")
     for n in range(4, 21):
         d = observed_dimension(catalog.polygon(n).theory).d
         if d != 2:

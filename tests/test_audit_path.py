@@ -95,7 +95,7 @@ def test_register_product_of_mixed_alphabets_is_c_contiguous_int64(alphabets):
 def test_random_ensemble_still_checks_its_states(monkeypatch):
     entry = catalog.classical_bit()
     monkeypatch.setattr(gpt.Polytope, "random_coords", lambda self, rng, n: np.full((n, 2), 0.75))
-    with pytest.raises(ValueError, match="invalid state in ensemble"):
+    with pytest.raises(ValueError, match="^invalid state in ensemble: entry 0: "):
         sampling.random_ensemble(entry, np.random.default_rng(0))
 
 
@@ -142,15 +142,15 @@ def test_joint_outcome_table_rejects_a_register_value_outside_its_alphabet(value
     # is ever taken of a value outside its alphabet
     entry = catalog.classical_bit()
     registers = np.array([[0, 0], [value, 1]])
-    with pytest.raises(ValueError, match=f"register value {value} outside alphabet 2"):
+    with pytest.raises(ValueError, match=f"^entry 1: register value {value} outside alphabet 2$"):
         engine.CorrelatedEnsemble(entry.theory, np.array([0.5, 0.5]), np.eye(2), registers, (2, 2))
 
 
 def test_assignment_labels_are_computed_once():
     entry = catalog.classical_trit()
     assignment = _assignment(entry, ("E1", "E2", "E3"))
-    assert assignment.labels() == ("E1:A", "E2:B", "E3:C")
-    assert assignment.labels() is assignment.labels()
+    assert assignment.labels == ("E1:A", "E2:B", "E3:C")
+    assert assignment.labels is assignment.labels
     assert assignment.registers is assignment.registers == (0, 1, 2)
 
 

@@ -1,10 +1,24 @@
 """Catalog geometry: polygon identities, fixed theories, id round-trips."""
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from icp_lab import apply_effect, catalog, measure, validate_measurement, validate_state
+from icp_lab import (
+    ObservableAssignment,
+    apply_effect,
+    catalog,
+    certificate_to_json,
+    ensemble_from_json,
+    evaluate_icp,
+    measure,
+    pgnst_violation,
+    validate_measurement,
+    validate_state,
+)
+from icp_lab.serialize import assignment_from_json
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 12, 50])
@@ -164,21 +178,57 @@ CATALOG_IDENTITY = {
 
 def test_list_catalog_and_resolve_round_trip():
     entries = catalog.list_catalog()
-    ids = [e.entry_id for e in entries]
+    ids = [e.theory.theory_id for e in entries]
     assert ids == list(CATALOG_IDENTITY)
     for entry in entries:
         th = entry.theory
-        assert entry.entry_id == th.theory_id
         labels = {name: tuple(e.label for e in th.measurements[name].effects) for name in sorted(th.measurements)}
         assert list(labels.items()) == list(CATALOG_IDENTITY[th.theory_id].items())
         assert th.variant.unit.label == "u"
     for eid in ids:
-        assert catalog.resolve(eid).entry_id == eid
+        assert catalog.resolve(eid).theory.theory_id == eid
     assert catalog.resolve("polygon:7").theory.theory_id == catalog.polygon(7).theory.theory_id
-    assert catalog.resolve("pgnst:3:2").entry_id == catalog.pgnst(3.0, 2).entry_id
-    assert catalog.resolve("pgnst:inf:2").entry_id == catalog.pgnst(float("inf"), 2).entry_id
+    assert catalog.resolve("pgnst:3:2").theory.theory_id == catalog.pgnst(3.0, 2).theory.theory_id
+    assert catalog.resolve("pgnst:inf:2").theory.theory_id == catalog.pgnst(float("inf"), 2).theory.theory_id
     with pytest.raises(KeyError):
         catalog.resolve("no-such-theory")
+
+
+def test_a_catalog_entry_holds_only_its_theory():
+    # its id and measurements are the theory's, read from it directly
+    assert [f.name for f in dataclasses.fields(catalog.CatalogEntry)] == ["theory"]
+
+
+# p and its text in the id: ``:g`` where that reads back as p, else every digit
+PGNST_P_TEXT = {
+    2.5000001: "2.5000001",
+    3.0000004: "3.0000004",
+    2 + 2**-40: "2.0000000000009095",
+    2.25: "2.25",
+    3: "3",
+    math.inf: "inf",
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", list(PGNST_P_TEXT))
+def test_pgnst_id_round_trips_p_exactly(p, k):
+    """An id that ``:g`` would cut to 6 digits keeps every digit of p, so the
+    theory and a certificate rebuilt from the id are the ones it names."""
+    theory_id = catalog.pgnst_id(p, k)
+    assert theory_id == f"pgnst:{PGNST_P_TEXT[p]}:{k}"
+    theory = catalog.resolve(theory_id).theory
+    assert (theory.variant.p, theory.theory_id) == (p, theory_id)
+    if k == 2:
+        cert = pgnst_violation(p)
+        doc = json.loads(json.dumps(certificate_to_json(cert)))
+        assert doc["theory"] == theory_id
+        entry, ensemble = ensemble_from_json(doc["ensemble"])
+        assert entry.theory.theory_id == theory_id
+        labels, registers = assignment_from_json(doc["assignment"])
+        assignment = ObservableAssignment(tuple((entry.theory.measurement(l), r) for l, r in zip(labels, registers)))
+        report = evaluate_icp(ensemble, assignment).to_json()
+        assert json.dumps(report) == json.dumps(cert.report.to_json())
 
 
 def test_polygon_rejects_small_n():

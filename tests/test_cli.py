@@ -479,7 +479,7 @@ def test_version_flag(capsys):
     "entries, coordinate, message",
     [
         ((0, 1, 2, 3), None, "entry 0: probability nan is negative or not finite"),
-        ((2,), 1, "invalid state in ensemble: state coordinate is not finite"),
+        ((2,), 1, "invalid state in ensemble: entry 2: state coordinate is not finite"),
     ],
     ids=["every-p-nan", "one-coordinate-nan"],
 )

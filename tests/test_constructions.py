@@ -30,7 +30,7 @@ def test_sbit_violation_certificate():
     cert = sbit_violation()
     assert cert.report.extractable == pytest.approx(2.0, abs=1e-12)
     assert cert.report.observed_dim == 2
-    assert cert.violated
+    assert cert.report.violated
     assert cert.crosscheck_max_abs_diff <= 1e-12
     assert cert.closed_form["redundancy"] == 0.0
 
@@ -39,7 +39,7 @@ def test_hbit_violation_certificate():
     cert = hbit_violation()
     assert cert.report.extractable == pytest.approx(2.0, abs=1e-12)
     assert cert.report.observed_dim == 2
-    assert cert.violated
+    assert cert.report.violated
     assert cert.crosscheck_max_abs_diff <= 1e-12
 
 
@@ -54,7 +54,7 @@ def test_qubit_rac_construction_value():
     success = (2.0 + math.sqrt(2.0)) / 4.0
     assert cert.closed_form["per_cell_success"] == pytest.approx(success, abs=1e-15)
     assert cert.report.extractable == pytest.approx(0.7982479266142879, abs=1e-12)
-    assert not cert.violated
+    assert not cert.report.violated
     assert cert.crosscheck_max_abs_diff <= 1e-12
 
 
@@ -178,7 +178,7 @@ def test_pgnst_violation_certificates():
         assert cert.closed_form["entropy_min"] == pytest.approx(hmin, abs=1e-12)
         assert cert.closed_form["extractable"] == pytest.approx(2.0 - hmin, abs=1e-12)
         assert cert.report.extractable == pytest.approx(2.0 - hmin, abs=1e-9)
-        assert cert.violated
+        assert cert.report.violated
         assert cert.crosscheck_max_abs_diff <= 1e-9
 
 
@@ -210,7 +210,7 @@ def test_scan_pgnst_certificates_match_their_closed_form(p):
 def test_pgnst_violation_infinite_p_reaches_two():
     cert = pgnst_violation(float("inf"))
     assert cert.report.extractable == pytest.approx(2.0, abs=1e-12)
-    assert cert.violated
+    assert cert.report.violated
 
 
 def test_pgnst_bound_check_default_window():
@@ -263,7 +263,7 @@ def test_polygon_violation_frozen_values():
     for n, extractable in pins.items():
         cert = polygon_violation(n)
         assert cert.report.extractable == pytest.approx(extractable, abs=1e-9), n
-        assert cert.violated, n
+        assert cert.report.violated, n
         assert cert.crosscheck_max_abs_diff <= 1e-9, n
 
 
@@ -276,14 +276,14 @@ def test_polygon_triangle_does_not_violate():
     cert = polygon_violation(3)
     assert cert.report.observed_dim == 3
     assert cert.report.extractable <= math.log2(3)
-    assert not cert.violated
+    assert not cert.report.violated
 
 
 def test_polygon_violation_all_gon_counts():
     evens, odds = [], []
     for n in range(4, 51):
         cert = polygon_violation(n)
-        assert cert.violated, n
+        assert cert.report.violated, n
         (evens if n % 2 == 0 else odds).append(cert.report.extractable)
     # each parity class decays toward the classical bound from above
     for seq in (evens, odds):
@@ -461,7 +461,7 @@ def test_certificate_is_re_derived_from_its_json(make):
     doc = json.loads(json.dumps(certificate_to_json(make())))
     entry, ensemble = ensemble_from_json(doc["ensemble"])
     labels, registers = assignment_from_json(doc["assignment"])
-    assignment = ObservableAssignment(tuple((entry.measurement(l), r) for l, r in zip(labels, registers)))
+    assignment = ObservableAssignment(tuple((entry.theory.measurement(l), r) for l, r in zip(labels, registers)))
     report = evaluate_icp(ensemble, assignment).to_json()
     assert report == doc["report"]
     diffs = _recomputed_differences(ensemble, assignment, report, doc["closed_form"])

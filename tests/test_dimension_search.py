@@ -16,7 +16,6 @@ from icp_lab.gpt import (
     Polytope,
     State,
     observed_dimension,
-    state_space_dimension,
     verify_distinguishable,
 )
 from icp_lab.info import DISTINGUISH_TOL, PROB_TOL
@@ -49,7 +48,7 @@ def _scalar_polytope_dimension(theory, budget):
     zeros = [int(sum(1 << i for i in range(nv) if abs(P[j, i]) <= DISTINGUISH_TOL)) for j in range(len(candidates))]
     by_one = [[j for j in range(len(candidates)) if ones[j] >> i & 1] for i in range(nv)]
     reads = [[any(zeros[j] >> k & 1 for j in by_one[i]) for k in range(nv)] for i in range(nv)]
-    cap = min(nv, state_space_dimension(theory) + 1)
+    cap = min(nv, theory.variant.affine_dimension + 1)
 
     best = DimensionReport(
         1,
@@ -146,7 +145,7 @@ def _chunked_polytope_dimension(theory, budget):
     candidates = _candidates(theory)
     one, zero = gpt._readouts(np.array([e.coords for e in candidates]), v.vertex_matrix)
     packed_ones, packed_zeros = np.packbits(one.T, axis=1), np.packbits(zero.T, axis=1)
-    cap = min(nv, state_space_dimension(theory) + 1)
+    cap = min(nv, theory.variant.affine_dimension + 1)
 
     best = DimensionReport(
         1,
@@ -299,7 +298,7 @@ def test_polygon_without_a_readable_triple_is_exhaustive_at_any_size(n):
 def test_polygon_violation_holds_on_large_polygons(n):
     cert = constructions.polygon_violation(n)
     assert cert.report.extractable > 1.0
-    assert cert.violated
+    assert cert.report.violated
 
 
 def test_search_memory_stays_bounded():
@@ -450,7 +449,7 @@ def test_norm_cube_fiducial_dimension_matches_the_polytope_search(k):
     assert (fiducial.d, fiducial.exhaustive, fiducial.notes) == (2, True, "fiducial readouts")
     vertices = tuple(State(np.array([*signs, 1.0])) for signs in itertools.product((1.0, -1.0), repeat=k))
     effects = tuple(e for m in theory.measurements.values() for e in m.effects)
-    body = gpt.Theory(entry.entry_id, Polytope(vertices, effects, gpt.unit_effect(theory)), theory.measurements)
+    body = gpt.Theory(theory.theory_id, Polytope(vertices, effects, theory.variant.unit), theory.measurements)
     searched = observed_dimension(body)
     assert (searched.d, searched.exhaustive) == (fiducial.d, True)
     assert searched.certificate.verified
@@ -481,7 +480,7 @@ def _scalar_pointer_dimension(theory, states, label):
             if cert.verified:
                 best = (len(chosen), cert)
     if best is None:
-        trivial = Measurement("trivial", (gpt.unit_effect(theory),))
+        trivial = Measurement("trivial", (theory.variant.unit,))
         return DimensionReport(1, _scalar_certificate(theory, [states[0]], trivial), True, "no deterministic readout found")
     return DimensionReport(*best, True, label)
 

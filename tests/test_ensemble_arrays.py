@@ -69,7 +69,7 @@ def test_evaluate_icp_matches_the_public_composition(make, labels):
     (p, state, registers) rows."""
     entry = make()
     assignment = _assignment(entry, labels)
-    rng = np.random.default_rng([31, len(labels), len(entry.entry_id)])
+    rng = np.random.default_rng([31, len(labels), len(entry.theory.theory_id)])
     worst = 0.0
     for _ in range(200):
         ens = sampling.random_ensemble(entry, rng)
@@ -105,7 +105,7 @@ EVERY_VARIANT = [
 @pytest.mark.parametrize("make", EVERY_VARIANT)
 def test_random_ensemble_draws_like_sequential_random_state(make):
     entry = make()
-    quantum = entry.entry_id == "qubit"
+    quantum = entry.theory.theory_id == "qubit"
     for seed in range(10):
         for n_registers, alphabet in ((2, 2), (3, 2), (2, 3)):
             batched = np.random.default_rng(seed)
@@ -202,7 +202,7 @@ def test_build_ensemble_reports_the_invalid_state(make, outside):
     assert index == 2 and batch_ok == ok
     with pytest.raises(ValueError) as err:
         build_ensemble(th, [(0.25, s, (i % 2, i // 2)) for i, s in enumerate(states)], (2, 2))
-    assert str(err.value) == f"invalid state in ensemble: {ok.detail}"
+    assert str(err.value) == f"invalid state in ensemble: entry 2: {ok.detail}"
 
 
 NOT_DISTRIBUTIONS = {
@@ -231,11 +231,11 @@ def test_an_ensemble_built_from_arrays_checks_itself(make, outside):
     ok = th.variant.check_states(coords)[1]
     with pytest.raises(ValueError) as err:
         CorrelatedEnsemble(th, probs, coords, registers.copy(), (2, 2))
-    assert str(err.value) == f"invalid state in ensemble: {ok.detail}"
+    assert str(err.value) == f"invalid state in ensemble: entry 2: {ok.detail}"
     with pytest.raises(ValueError, match="^register values of dtype float64, not an integer dtype$"):
         CorrelatedEnsemble(th, probs, coords, registers.astype(float), (2, 2))
     registers[3, 0] = 2
-    with pytest.raises(ValueError, match="^register value 2 outside alphabet 2$"):
+    with pytest.raises(ValueError, match="^entry 3: register value 2 outside alphabet 2$"):
         CorrelatedEnsemble(th, probs, coords, registers, (2, 2))
     extra = np.vstack([coords, coords[:1]])
     faults = [
@@ -396,7 +396,7 @@ def test_flat_index_is_the_row_major_index():
 def test_ledger_extractable_matches_evaluate_icp(make, labels):
     entry = make()
     assignment = _assignment(entry, labels)
-    rng = np.random.default_rng([37, len(entry.entry_id)])
+    rng = np.random.default_rng([37, len(entry.theory.theory_id)])
     for _ in range(100):
         ens = sampling.random_ensemble(entry, rng)
         ledger = proof_chain_check(ens, assignment)

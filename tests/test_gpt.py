@@ -20,7 +20,6 @@ from icp_lab import (
     measure,
     observed_dimension,
     sampling,
-    unit_effect,
     validate_measurement,
     validate_state,
     verify_distinguishable,
@@ -160,7 +159,7 @@ def test_measure_returns_distribution(qubit_entry):
 
 def test_unit_effect_sums_measurement(sbit_entry):
     th = sbit_entry.theory
-    u = unit_effect(th)
+    u = th.variant.unit
     m = th.measurement("X")
     total = np.sum([e.coords for e in m.effects], axis=0)
     assert np.allclose(total, u.coords, atol=1e-12)
@@ -315,6 +314,18 @@ def test_verify_distinguishable_with_no_states_is_vacuous(bit_entry):
     assert cert.verified and cert.max_deviation == 0.0 and cert.states == ()
 
 
+@pytest.mark.parametrize(
+    "theory_id",
+    ["classical-bit", "classical-trit", "hbit", "sbit", "qubit", "polygon:5", "pgnst:3:2", "pgnst:inf:3"],
+)
+def test_an_empty_stack_of_states_passes(theory_id):
+    variant = catalog.resolve(theory_id).theory.variant
+    coords = variant.random_coords(np.random.default_rng(0), 0)
+    assert coords.shape == (0, variant.ambient_dimension)
+    index, ok = variant.check_states(coords)
+    assert index == -1 and ok
+
+
 def test_norm_corners_are_the_fiducial_extremes_without_negative_zeros():
     corners = NormConstraint(3.0, 3).corners()
     expected = [[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 0, 1], [0, -1, 0, 1], [0, 0, 1, 1], [0, 0, -1, 1]]
@@ -357,9 +368,9 @@ def test_variant_sizes_go_through_operator_index(make, size):
         return
     v = make(size)
     theory = Theory("t", v)
-    dims = (gpt.ambient_dimension(theory), gpt.state_space_dimension(theory))
+    dims = (v.ambient_dimension, v.affine_dimension)
     assert [type(d) for d in dims] == [int, int]
-    assert unit_effect(theory).coords.size == dims[0]
+    assert v.unit.coords.size == dims[0]
     assert v.random_coords(np.random.default_rng(0), 2).shape == (2, dims[0])
     assert observed_dimension(theory).certificate.verified
 

@@ -478,6 +478,90 @@ def test_only_gpt_tells_the_variants_apart(path):
     assert found == VARIANT_SWITCHES.get(path.name, [])
 
 
+def _chain_root(node) -> tuple[str, int] | None:
+    """The root name of an attribute chain and its hops: ``a.b.c`` is ("a", 2)."""
+    hops = 0
+    while isinstance(node, ast.Attribute):
+        node, hops = node.value, hops + 1
+    return (node.id, hops) if isinstance(node, ast.Name) else None
+
+
+def _forwards(func, min_hops: int) -> bool:
+    """Whether ``func``'s body, past its docstring, is one ``return`` of an
+    attribute chain of at least ``min_hops`` hops rooted at a parameter, or of
+    a call on such a chain whose positional arguments are exactly the other
+    parameters, in order."""
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or body[0].value is None:
+        return False
+    value = body[0].value
+    params = [a.arg for a in (*func.args.posonlyargs, *func.args.args)]
+    call = isinstance(value, ast.Call)
+    chain = _chain_root(value.func if call else value)
+    if chain is None or chain[0] not in params or chain[1] < min_hops:
+        return False
+    others = [p for p in params if p != chain[0]]
+    return not call or (not value.keywords and [getattr(a, "id", None) for a in value.args] == others)
+
+
+def _forwarders(source: str) -> list[str]:
+    """Functions, methods and properties that only forward an attribute read
+    or a call of an object they are given, by dotted name. A method forwards
+    from two hops (``self.theory.theory_id``), any other function from one
+    (``theory.variant``); dunder methods are exempt."""
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, (*scope, child.name), True)
+            elif isinstance(child, _FUNCTIONS):
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if not dunder and _forwards(child, 2 if in_class else 1):
+                    found.append(".".join((*scope, child.name)))
+                visit(child, (*scope, child.name), False)
+            else:
+                visit(child, scope, in_class)
+
+    visit(ast.parse(source), (), False)
+    return found
+
+
+def test_forwarder_check_finds_each_form():
+    source = (
+        "def a(theory):\n    return theory.variant\n"  # one hop from a function
+        "def b(theory):\n    'doc'\n    return theory.variant.unit\n"  # past its docstring
+        "def c(theory, name):\n    return theory.measurement(name)\n"  # a call with the other parameters
+        "def d(theory, name):\n    return theory.measurement(name, 1)\n"  # another argument
+        "def e(theory, name):\n    return theory.measurement(name=name)\n"  # a keyword
+        "def f(x):\n    return np.pi\n"  # no parameter's chain
+        "def g(x):\n    y = x.a\n    return y\n"  # two statements
+        "class K:\n"
+        "    @property\n    def h(self):\n        return self.theory\n"  # one hop from a method
+        "    @property\n    def i(self):\n        return self.theory.theory_id\n"
+        "    def j(self, name):\n        return self.theory.measurement(name)\n"
+        "    def k(self):\n        return self.variant.report(self)\n"  # hands itself on
+        "    def __len__(self):\n        return self.a.b\n"  # dunder
+        "    def m(self):\n        def n(t):\n            return t.x\n        return n\n"  # nested: a function
+        "def o(x):\n    return x.a[0]\n"  # a subscript, not a chain
+    )
+    assert _forwarders(source) == ["a", "b", "c", "K.i", "K.j", "K.m.n"]
+
+
+# perfbench's tracer wraps gpt.observed_dimension by name; _StateSpace's
+# ambient_dimension is a cached, named count of the unit's coordinates
+FORWARDERS = {"gpt.py": ["_StateSpace.ambient_dimension", "observed_dimension"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_accessor_only_forwards_to_an_object_its_caller_holds(path):
+    # a caller that holds a theory, entry, certificate or assignment reads
+    # what it needs from it, not through a wrapper that adds nothing
+    assert _forwarders(path.read_text(encoding="utf-8")) == FORWARDERS.get(path.name, [])
+
+
 def test_table_builder_check_finds_each_form():
     source = (
         "from .info import JointTable\nfrom . import info\n"

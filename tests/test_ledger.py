@@ -19,7 +19,6 @@ from icp_lab.gpt import (
     Quantum,
     RestrictedClassical,
     coords_to_density,
-    state_space_dimension,
 )
 from icp_lab.info import _plogp_bits, _total_correlation
 
@@ -36,7 +35,7 @@ class OracleClassicalData:
             weights = ensemble.coords
         elif isinstance(v, Polytope):
             verts = v.vertex_matrix
-            if len(verts) != state_space_dimension(theory) + 1:
+            if len(verts) != v.affine_dimension + 1:
                 raise ChainNotApplicable(f"{theory.theory_id!r} state space is not a simplex")
             basis = verts
             target = np.hstack([ensemble.coords, np.ones((len(ensemble.probs), 1))])

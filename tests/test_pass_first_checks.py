@@ -41,7 +41,6 @@ from icp_lab.gpt import (
     Polytope,
     RestrictedClassical,
     Validation,
-    ambient_dimension,
     coords_to_density,
     density_to_coords,
     effect_values,
@@ -66,7 +65,7 @@ def old_first_failure(
 def old_check_states(theory, coords):
     v = theory.variant
     tol = MEMBERSHIP_TOL
-    if coords.shape[1] != ambient_dimension(theory):
+    if coords.shape[1] != v.ambient_dimension:
         return 0, Validation(False, "ambient dimension mismatch")
     finite = np.isfinite(coords).all(axis=1)
     nonfinite = (~finite, lambda i: "state coordinate is not finite")
@@ -126,7 +125,7 @@ def old_check_registers(registers, register_alphabets):
     outside = (registers < 0) | (registers >= np.array(register_alphabets))
     if outside.any():
         i, j = np.argwhere(outside)[0]
-        raise ValueError(f"register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
+        raise ValueError(f"entry {i}: register value {registers[i, j]} outside alphabet {register_alphabets[j]}")
 
 
 def old_effect_values(effects, states):
@@ -331,7 +330,7 @@ def test_check_registers_equals_the_mask_oracle(case):
 def test_check_registers_rejects_nan_where_the_oracle_let_it_pass():
     regs = np.array([[0.0, 1.0], [np.nan, 0.0]])
     assert old_check_registers(regs, (2, 2)) is None
-    with pytest.raises(ValueError, match=re.escape("register value nan outside alphabet 2")):
+    with pytest.raises(ValueError, match=re.escape("entry 1: register value nan outside alphabet 2")):
         engine._check_registers(regs, (2, 2))
 
 

@@ -13,7 +13,6 @@ from icp_lab import (
     axiom_suite,
     build_ensemble,
     catalog,
-    classical_carrier,
     info,
     proof_chain_check,
     sampling,
@@ -241,7 +240,7 @@ def test_the_ledger_and_the_ceiling_share_one_classical_carrier(theory_id):
     carrier; a quantum theory has none and takes the ledger's quantum path."""
     entry = catalog.resolve(theory_id)
     theory = entry.theory
-    carrier = classical_carrier(theory)
+    carrier = theory.variant.classical_carrier
     assert (None if carrier is None else len(carrier)) == CARRIER_SIZES[theory_id]
     labels = list(theory.measurements)[:2]
     assignment = ObservableAssignment(tuple((theory.measurement(l), i) for i, l in enumerate(labels)))

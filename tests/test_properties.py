@@ -118,12 +118,12 @@ def test_splitting_an_entry_leaves_the_report_and_ledger_unchanged(data, case):
 # every catalog theory and two catalogued families, each with the
 # measurements its assignments draw from; the trit's fine three-outcome
 # readout gives the outcome permutations more than a swap
-RELATION_THEORIES = {entry.entry_id: entry for entry in (*catalog.list_catalog(), catalog.polygon(5), catalog.pgnst(3, 2))}
+RELATION_THEORIES = {entry.theory.theory_id: entry for entry in (*catalog.list_catalog(), catalog.polygon(5), catalog.pgnst(3, 2))}
 
 
 def _measurements(entry):
     th = entry.theory
-    fine = [Measurement("T", th.variant.extreme_effects)] if entry.entry_id == "classical-trit" else []
+    fine = [Measurement("T", th.variant.extreme_effects)] if entry.theory.theory_id == "classical-trit" else []
     return [th.measurements[label] for label in sorted(th.measurements)] + fine
 
 

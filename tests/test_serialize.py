@@ -84,7 +84,7 @@ def test_ensemble_round_trip():
     cert = sbit_violation()
     doc = ensemble_to_json(cert.ensemble)
     entry, rebuilt = ensemble_from_json(doc)
-    assert entry.entry_id == "sbit"
+    assert entry.theory.theory_id == "sbit"
     assert rebuilt.register_alphabets == cert.ensemble.register_alphabets
     assert rebuilt.probs.tolist() == cert.ensemble.probs.tolist()
     assert rebuilt.registers.tolist() == cert.ensemble.registers.tolist()
@@ -165,7 +165,7 @@ def test_ensemble_from_json_rejects_states_outside_theory():
     "entries, coordinate, value, message",
     [
         ((0, 1, 2, 3), None, math.nan, "entry 0: probability nan is negative or not finite"),
-        ((2,), 1, math.nan, "invalid state in ensemble: state coordinate is not finite"),
+        ((2,), 1, math.nan, "invalid state in ensemble: entry 2: state coordinate is not finite"),
         ((1,), None, math.inf, "entry 1: probability inf is negative or not finite"),
     ],
     ids=["every-p-nan", "one-coordinate-nan", "p-inf"],
